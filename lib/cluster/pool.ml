@@ -179,10 +179,10 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
   and remote_fallbacks0 = Runtime.remote_fallbacks t.runtime
   and wire_downgrades0 = Runtime.wire_downgrades t.runtime in
   (* Stop-target accounting, as in Session.run: distinct points only. *)
-  let matched = Hashtbl.create 16 and stop_iteration = ref None in
+  let matched = Point.Tbl.create 16 and stop_iteration = ref None in
   let target_met () =
     match stop with
-    | Some s -> Hashtbl.length matched >= s.Afex.Session.count
+    | Some s -> Point.Tbl.length matched >= s.Afex.Session.count
     | None -> false
   in
   let time_exhausted () =
@@ -439,8 +439,8 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
     let case = Afex.Explorer.report explorer m.m_proposal outcome in
     (match stop with
     | Some s when s.Afex.Session.matches case ->
-        Hashtbl.replace matched (Point.key case.Afex.Test_case.point) ();
-        if Hashtbl.length matched >= s.Afex.Session.count && !stop_iteration = None
+        Point.Tbl.replace matched case.Afex.Test_case.point ();
+        if Point.Tbl.length matched >= s.Afex.Session.count && !stop_iteration = None
         then stop_iteration := Some (Afex.Explorer.iterations explorer)
     | Some _ | None -> ());
     merge_acc := !merge_acc +. (1000.0 *. (Unix.gettimeofday () -. t0));

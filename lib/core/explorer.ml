@@ -25,7 +25,7 @@ type t = {
   queue : Pqueue.t;
   history : History.t;
   sensitivity : Sensitivity.t;
-  pending : (string, unit) Hashtbl.t;
+  pending : unit Point.Tbl.t;
   intern : Trace_intern.t;  (** shared by feedback and both indexes *)
   feedback : Feedback.t;
   failure_index : Index.t;
@@ -38,6 +38,7 @@ type t = {
           the mutator checks the block's current hit count to decide
           whether to mask mutations of that parent *)
   mutator_stats : Mutator.stats;
+  kernels : Mutator.kernels;  (** per-axis Gaussian tables of the mutator *)
   mutable seeds : Point.t list;  (** analysis-provided seeds, consumed first *)
   mutable cursor : Point.t Seq.t;  (** exhaustive strategy only *)
   mutable cursor_consumed : int;  (** points taken off [cursor] so far *)
@@ -64,7 +65,7 @@ let create ?(transform = fun p -> p) config sub executor =
     sensitivity =
       Sensitivity.create ~window:config.Config.sensitivity_window
         ~dims:(Subspace.dim sub) ();
-    pending = Hashtbl.create 64;
+    pending = Point.Tbl.create 64;
     (* One intern table for the whole session: redundancy feedback and
        both cluster indexes tokenize each stack frame exactly once. *)
     intern;
@@ -79,6 +80,7 @@ let create ?(transform = fun p -> p) config sub executor =
         config.Config.rarity;
     rare_block = Hashtbl.create 64;
     mutator_stats = Mutator.create_stats ();
+    kernels = Mutator.kernels sub;
     seeds = config.Config.initial_seeds;
     cursor = Subspace.enumerate sub;
     cursor_consumed = 0;
@@ -92,9 +94,9 @@ let create ?(transform = fun p -> p) config sub executor =
     simulated_ms = 0.0;
   }
 
-let is_pending t p = Hashtbl.mem t.pending (Point.key p)
-let add_pending t p = Hashtbl.replace t.pending (Point.key p) ()
-let remove_pending t p = Hashtbl.remove t.pending (Point.key p)
+let is_pending t p = Point.Tbl.mem t.pending p
+let add_pending t p = Point.Tbl.replace t.pending p ()
+let remove_pending t p = Point.Tbl.remove t.pending p
 
 (* Pop the next usable analysis seed: in-space, not yet executed. *)
 let rec next_seed t =
@@ -159,9 +161,9 @@ let next t =
             then Some { Mutator.point = random_novel t; mutated_axis = None }
             else
               Some
-                (Mutator.next ~stats:t.mutator_stats ~mask:(mask_for t) params
-                   t.rng t.sub t.sensitivity ~queue:t.queue ~history:t.history
-                   ~is_pending:(is_pending t)))
+                (Mutator.next ~stats:t.mutator_stats ~mask:(mask_for t)
+                   ~kernels:t.kernels params t.rng t.sub t.sensitivity
+                   ~queue:t.queue ~history:t.history ~is_pending:(is_pending t)))
   in
   (match proposal with
   | Some p ->
@@ -279,7 +281,7 @@ let execute t proposal =
   report t proposal (t.executor.Executor.run_scenario (scenario_for t proposal))
 
 let iterations t = t.iterations
-let pending_count t = Hashtbl.length t.pending
+let pending_count t = Point.Tbl.length t.pending
 let records t = List.rev t.records
 let failed_count t = t.failed
 let crashed_count t = t.crashed
@@ -325,7 +327,7 @@ module Snapshot = struct
   }
 
   let capture (e : explorer) =
-    if Hashtbl.length e.pending <> 0 then
+    if Point.Tbl.length e.pending <> 0 then
       invalid_arg
         "Explorer.Snapshot.capture: candidates still in flight — snapshots \
          are only taken at batch boundaries";
@@ -495,7 +497,7 @@ let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
       queue;
       history;
       sensitivity;
-      pending = Hashtbl.create 64;
+      pending = Point.Tbl.create 64;
       intern;
       feedback;
       failure_index;
@@ -504,6 +506,7 @@ let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
       rarity;
       rare_block;
       mutator_stats = Mutator.copy_stats s.Snapshot.mutator;
+      kernels = Mutator.kernels sub;
       seeds = s.Snapshot.seeds;
       cursor;
       cursor_consumed = s.Snapshot.cursor_consumed;

@@ -1,6 +1,8 @@
-type t = (string, unit) Hashtbl.t
+module Tbl = Afex_faultspace.Point.Tbl
 
-let create () = Hashtbl.create 1024
-let mem t p = Hashtbl.mem t (Afex_faultspace.Point.key p)
-let add t p = Hashtbl.replace t (Afex_faultspace.Point.key p) ()
-let size t = Hashtbl.length t
+type t = unit Tbl.t
+
+let create () = Tbl.create 1024
+let mem t p = Tbl.mem t p
+let add t p = Tbl.replace t p ()
+let size t = Tbl.length t

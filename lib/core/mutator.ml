@@ -39,6 +39,22 @@ let copy_stats s = { s with proposals = s.proposals }
 let sigma_for params axis =
   params.sigma_fraction *. float_of_int (Axis.cardinality axis)
 
+(* One Gaussian kernel per axis at its static sigma, built the first time
+   the axis is mutated (at most 2 floats per axis value) and rebuilt only
+   if the caller's sigma or the axis size changes. *)
+type kernel = { sigma : float; size : int; table : Dist.gaussian }
+type kernels = kernel option array
+
+let kernels sub = Array.make (Subspace.dim sub) None
+
+let cached_kernel kernels i ~sigma ~n =
+  match kernels.(i) with
+  | Some k when k.sigma = sigma && k.size = n -> k.table
+  | Some _ | None ->
+      let table = Dist.gaussian ~sigma ~n in
+      kernels.(i) <- Some { sigma; size = n; table };
+      table
+
 (* Axis-choice weights with pinned axes zeroed out. If sensitivity left no
    mass on any free axis, the choice degrades to uniform over the free
    axes — never over the pinned ones (Dist.of_weights would treat an
@@ -53,7 +69,7 @@ let masked_weights ~mask weights =
     Array.mapi (fun i _ -> if mask.(i) then 0.0 else 1.0) w
   else w
 
-let mutate ?mask params rng sub sens ~parent =
+let mutate ?mask ?kernels params rng sub sens ~parent =
   let axis_index =
     match mask with
     | None ->
@@ -77,23 +93,28 @@ let mutate ?mask params rng sub sens ~parent =
       if v >= old_value then v + 1 else v
     end
     else begin
-      let sigma =
-        let base = sigma_for params axis in
+      let kernel =
         if params.dynamic_sigma then begin
           (* Hot axes (high recent payoff) get finer steps, cold axes wider
-             jumps; the factor stays within [0.5, 1.5] of the static sigma. *)
+             jumps; the factor stays within [0.5, 1.5] of the static sigma.
+             The sigma changes with every call, so the kernel does too. *)
           let p = (Sensitivity.probabilities sens).(axis_index) in
-          base *. (1.5 -. p)
+          Dist.gaussian ~sigma:(sigma_for params axis *. (1.5 -. p)) ~n
         end
-        else base
+        else begin
+          let sigma = sigma_for params axis in
+          match kernels with
+          | Some k -> cached_kernel k axis_index ~sigma ~n
+          | None -> Dist.gaussian ~sigma ~n
+        end
       in
-      Dist.sample_gaussian_index_excluding rng ~center:old_value ~sigma ~n
+      Dist.sample_gaussian_excluding rng kernel ~center:old_value
     end
   in
   (Point.with_component parent.Test_case.point axis_index new_value, axis_index)
 
-let next ?stats ?(mask = fun (_ : Test_case.t) -> None) params rng sub sens
-    ~queue ~history ~is_pending =
+let next ?stats ?(mask = fun (_ : Test_case.t) -> None) ?kernels params rng
+    sub sens ~queue ~history ~is_pending =
   let tally f = match stats with Some s -> f s | None -> () in
   tally (fun s -> s.proposals <- s.proposals + 1);
   let novel p = (not (History.mem history p)) && not (is_pending p) in
@@ -117,7 +138,7 @@ let next ?stats ?(mask = fun (_ : Test_case.t) -> None) params rng sub sens
           end
       | Some parent ->
           let m = mask parent in
-          let point, axis = mutate ?mask:m params rng sub sens ~parent in
+          let point, axis = mutate ?mask:m ?kernels params rng sub sens ~parent in
           if novel point && Subspace.mem sub point then begin
             (match m with
             | Some _ -> tally (fun s -> s.masked <- s.masked + 1)

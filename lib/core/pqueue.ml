@@ -1,91 +1,126 @@
 module Rng = Afex_stats.Rng
 module Dist = Afex_stats.Dist
 
-(* The queue is small (tens of entries), so a plain list with O(n)
-   operations is simpler than a heap and fast enough: sampling is O(n)
-   regardless because it is probabilistic, not max-first. *)
-type t = { capacity : int; mutable entries : Test_case.t list }
+(* The queue is small (tens of entries), so a flat array with O(n)
+   shifts is simpler than a heap and fast enough: sampling is O(n)
+   regardless because it is probabilistic, not max-first. [entries.(0)]
+   is the newest entry; slots at [size] and beyond repeat a live entry
+   (the array needs some filler) and are never read. *)
+type t = {
+  capacity : int;
+  mutable entries : Test_case.t array;
+  mutable size : int;
+  weights : float array;  (** scratch for sampling *)
+}
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Pqueue.create: capacity < 1";
-  { capacity; entries = [] }
+  { capacity; entries = [||]; size = 0; weights = Array.make capacity 0.0 }
 
 let load ~capacity entries =
   if capacity < 1 then Error "Pqueue.load: capacity < 1"
-  else if List.length entries > capacity then
-    Error "Pqueue.load: more entries than capacity"
-  else Ok { capacity; entries }
+  else
+    let size = List.length entries in
+    if size > capacity then Error "Pqueue.load: more entries than capacity"
+    else
+      let weights = Array.make capacity 0.0 in
+      match entries with
+      | [] -> Ok { capacity; entries = [||]; size; weights }
+      | first :: _ ->
+          let a = Array.make capacity first in
+          List.iteri (fun i c -> a.(i) <- c) entries;
+          Ok { capacity; entries = a; size; weights }
 
-let size t = List.length t.entries
-let is_empty t = t.entries = []
+let size t = t.size
+let is_empty t = t.size = 0
 let capacity t = t.capacity
 
 (* Sampling floor: even zero-fitness entries keep a small chance, so the
    search never hard-locks onto one test. *)
 let floor_weight = 1e-6
 
-let weights entries f =
-  Array.of_list
-    (List.map (fun c -> Float.max floor_weight (f c.Test_case.fitness)) entries)
+let[@inline] weight ~inverse c =
+  let w = Float.max floor_weight c.Test_case.fitness in
+  if inverse then Float.max floor_weight (1.0 /. w) else w
 
-let remove_nth entries n =
-  let rec go i acc = function
-    | [] -> invalid_arg "Pqueue.remove_nth"
-    | x :: rest ->
-        if i = n then (x, List.rev_append acc rest) else go (i + 1) (x :: acc) rest
-  in
-  go 0 [] entries
+(* The entries' weights go into a scratch array the queue owns, so a
+   draw is [Dist.sample_weighted] over them without building anything. *)
+let draw ~inverse rng t =
+  for i = 0 to t.size - 1 do
+    t.weights.(i) <- weight ~inverse t.entries.(i)
+  done;
+  Dist.sample_weighted_prefix rng t.weights ~len:t.size
 
 type eviction = Inverse_fitness | Drop_min
 
+(* Put [case] in front of the entries [0 .. k-1], overwriting slot [k]. *)
+let push_front t case k =
+  Array.blit t.entries 0 t.entries 1 k;
+  t.entries.(0) <- case
+
 let insert ?(policy = Inverse_fitness) rng t case =
-  if List.length t.entries < t.capacity then begin
-    t.entries <- case :: t.entries;
+  if t.size < t.capacity then begin
+    if t.size = 0 then t.entries <- Array.make t.capacity case;
+    push_front t case t.size;
+    t.size <- t.size + 1;
     None
   end
   else begin
     let victim_index =
       match policy with
-      | Inverse_fitness ->
-          let inverse = weights t.entries (fun w -> 1.0 /. Float.max floor_weight w) in
-          Dist.sample_weighted rng inverse
+      | Inverse_fitness -> draw ~inverse:true rng t
       | Drop_min ->
-          let _, index, _ =
-            List.fold_left
-              (fun (i, best_i, best_w) c ->
-                if c.Test_case.fitness < best_w then (i + 1, i, c.Test_case.fitness)
-                else (i + 1, best_i, best_w))
-              (0, 0, infinity) t.entries
-          in
-          index
+          let best = ref 0 and best_fitness = ref infinity in
+          for i = 0 to t.size - 1 do
+            let f = t.entries.(i).Test_case.fitness in
+            if f < !best_fitness then begin
+              best := i;
+              best_fitness := f
+            end
+          done;
+          !best
     in
-    let victim, rest = remove_nth t.entries victim_index in
-    t.entries <- case :: rest;
+    let victim = t.entries.(victim_index) in
+    push_front t case victim_index;
     Some victim
   end
 
 let sample rng t =
-  match t.entries with
-  | [] -> None
-  | entries ->
-      let direct = weights entries (fun w -> w) in
-      Some (List.nth entries (Dist.sample_weighted rng direct))
+  if t.size = 0 then None else Some t.entries.(draw ~inverse:false rng t)
 
 let age t ~decay ~retire_below =
-  List.iter
-    (fun case -> case.Test_case.fitness <- case.Test_case.fitness *. decay)
-    t.entries;
-  let kept, retired =
-    List.partition (fun case -> case.Test_case.fitness >= retire_below) t.entries
-  in
-  t.entries <- kept;
-  retired
+  let retiring = ref false in
+  for i = 0 to t.size - 1 do
+    let case = t.entries.(i) in
+    case.Test_case.fitness <- case.Test_case.fitness *. decay;
+    if not (case.Test_case.fitness >= retire_below) then retiring := true
+  done;
+  if not !retiring then []
+  else begin
+    (* Keep the survivors in order; hand back the retired in order. *)
+    let kept = ref 0 and retired = ref [] in
+    for i = 0 to t.size - 1 do
+      let case = t.entries.(i) in
+      if case.Test_case.fitness >= retire_below then begin
+        t.entries.(!kept) <- case;
+        incr kept
+      end
+      else retired := case :: !retired
+    done;
+    if !kept = 0 then t.entries <- [||]
+    else Array.fill t.entries !kept (t.size - !kept) t.entries.(0);
+    t.size <- !kept;
+    List.rev !retired
+  end
 
 let mean_fitness t =
-  match t.entries with
-  | [] -> 0.0
-  | entries ->
-      List.fold_left (fun acc c -> acc +. c.Test_case.fitness) 0.0 entries
-      /. float_of_int (List.length entries)
+  if t.size = 0 then 0.0
+  else begin
+    let sum = ref 0.0 in
+    for i = 0 to t.size - 1 do
+      sum := !sum +. t.entries.(i).Test_case.fitness
+    done;
+    !sum /. float_of_int t.size
+  end
 
-let elements t = t.entries
+let elements t = List.init t.size (fun i -> t.entries.(i))

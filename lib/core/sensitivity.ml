@@ -1,43 +1,72 @@
-type axis_state = { mutable samples : float list (* newest first, <= window *) }
+(* Each axis keeps its last [window] fitness samples in a ring: [head] is
+   the newest, and [len] of them are filled. Recording overwrites the
+   oldest in place. *)
+type axis_state = { ring : float array; mutable head : int; mutable len : int }
 
 type t = { window : int; axes : axis_state array; prior : float }
 
 let create ?(window = 20) ~dims () =
   if dims < 1 then invalid_arg "Sensitivity.create: dims < 1";
   if window < 1 then invalid_arg "Sensitivity.create: window < 1";
-  { window; axes = Array.init dims (fun _ -> { samples = [] }); prior = 1.0 }
+  {
+    window;
+    axes =
+      Array.init dims (fun _ ->
+          { ring = Array.make window 0.0; head = window - 1; len = 0 });
+    prior = 1.0;
+  }
 
 let record t ~axis ~fitness =
   let state = t.axes.(axis) in
-  let trimmed =
-    if List.length state.samples >= t.window then
-      List.filteri (fun i _ -> i < t.window - 1) state.samples
-    else state.samples
-  in
-  state.samples <- fitness :: trimmed
+  let head = if state.head = t.window - 1 then 0 else state.head + 1 in
+  state.ring.(head) <- fitness;
+  state.head <- head;
+  if state.len < t.window then state.len <- state.len + 1
+
+(* The k-th newest sample, k < len. *)
+let[@inline] sample t state k =
+  let i = state.head - k in
+  state.ring.(if i < 0 then i + t.window else i)
 
 (* An axis with no samples yet reports an optimistic prior, so the search
    starts out direction-agnostic rather than locked on the first axis that
-   happened to pay off. *)
-let value t i =
+   happened to pay off. The sum runs newest first. *)
+let[@inline] value t i =
   let state = t.axes.(i) in
-  match state.samples with
-  | [] -> t.prior
-  | samples -> List.fold_left ( +. ) 0.0 samples
+  if state.len = 0 then t.prior
+  else begin
+    let acc = ref 0.0 in
+    for k = 0 to state.len - 1 do
+      acc := !acc +. sample t state k
+    done;
+    !acc
+  end
 
-let values t = Array.init (Array.length t.axes) (value t)
+let values t =
+  let raw = Array.make (Array.length t.axes) 0.0 in
+  for i = 0 to Array.length raw - 1 do
+    raw.(i) <- value t i
+  done;
+  raw
 
 let probabilities t =
-  let raw = values t in
-  let total = Array.fold_left ( +. ) 0.0 raw in
-  let n = Array.length raw in
+  let p = values t in
+  let n = Array.length p in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    total := !total +. p.(i)
+  done;
+  let total = !total in
   let uniform = 1.0 /. float_of_int n in
-  if total <= 0.0 then Array.make n uniform
+  if total <= 0.0 then Array.fill p 0 n uniform
   else begin
     (* 10% of the mass stays uniform: no axis is ever fully abandoned. *)
     let epsilon = 0.10 in
-    Array.map (fun v -> (epsilon *. uniform) +. ((1.0 -. epsilon) *. v /. total)) raw
-  end
+    for i = 0 to n - 1 do
+      p.(i) <- (epsilon *. uniform) +. ((1.0 -. epsilon) *. p.(i) /. total)
+    done
+  end;
+  p
 
 let dims t = Array.length t.axes
 
@@ -52,7 +81,10 @@ let mask t =
   let uniform = 1.0 /. float_of_int (Array.length p) in
   Array.map (fun v -> v > uniform) p
 
-let dump t = Array.map (fun state -> state.samples) t.axes
+let dump t =
+  Array.map
+    (fun state -> List.init state.len (fun k -> sample t state k))
+    t.axes
 
 let load ?(window = 20) ~dims samples =
   if dims < 1 then Error "Sensitivity.load: dims < 1"
@@ -65,6 +97,9 @@ let load ?(window = 20) ~dims samples =
     Error "Sensitivity.load: more samples than the window admits"
   else begin
     let t = create ~window ~dims () in
-    Array.iteri (fun i s -> t.axes.(i).samples <- s) samples;
+    (* Oldest first, so the newest ends at [head]. *)
+    Array.iteri
+      (fun axis s -> List.iter (fun fitness -> record t ~axis ~fitness) (List.rev s))
+      samples;
     Ok t
   end

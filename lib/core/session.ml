@@ -1,4 +1,5 @@
 module Clustering = Afex_quality.Clustering
+module Point = Afex_faultspace.Point
 
 type stop = { matches : Test_case.t -> bool; count : int }
 
@@ -97,9 +98,9 @@ let run ?transform ?stop ?time_budget_ms ~iterations config sub executor =
   (* Matches are counted over distinct fault-space points, so strategies
      that sample with replacement (random search) cannot satisfy a "find
      all K" target by rediscovering the same fault. *)
-  let matched = Hashtbl.create 16 and stop_iteration = ref None in
+  let matched = Point.Tbl.create 16 and stop_iteration = ref None in
   let target_met () =
-    match stop with Some s -> Hashtbl.length matched >= s.count | None -> false
+    match stop with Some s -> Point.Tbl.length matched >= s.count | None -> false
   in
   let time_exhausted () =
     match time_budget_ms with
@@ -115,8 +116,8 @@ let run ?transform ?stop ?time_budget_ms ~iterations config sub executor =
           let case = Explorer.execute explorer proposal in
           (match stop with
           | Some s when s.matches case ->
-              Hashtbl.replace matched (Afex_faultspace.Point.key case.Test_case.point) ();
-              if Hashtbl.length matched >= s.count && !stop_iteration = None then
+              Point.Tbl.replace matched case.Test_case.point ();
+              if Point.Tbl.length matched >= s.count && !stop_iteration = None then
                 stop_iteration := Some (Explorer.iterations explorer)
           | Some _ | None -> ());
           loop (remaining - 1)

@@ -10,6 +10,10 @@ type t = private int array
 val of_array : int array -> t
 (** Takes ownership of a copy. Components must be non-negative. *)
 
+val init : int -> (int -> int) -> t
+(** [init n f] is the point [f 0, ..., f (n-1)], built in place.
+    Components must be non-negative. *)
+
 val of_list : int list -> t
 val to_array : t -> int array
 val to_list : t -> int list
@@ -23,7 +27,14 @@ val with_component : t -> int -> int -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
 val hash : t -> int
+(** Mixes every component; allocates nothing, like {!equal}. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by the point itself: the search's identity sets (history,
+    pending candidates, stop-target matches) probe these without building
+    a {!key} string. *)
 
 val manhattan : t -> t -> int
 (** City-block distance. @raise Invalid_argument on dimension mismatch. *)
@@ -32,8 +43,8 @@ val chebyshev : t -> t -> int
 (** Max per-axis distance; useful for box vicinities. *)
 
 val key : t -> string
-(** Injective compact encoding, usable as a hashtable key across
-    collections that outlive the point. *)
+(** Injective compact encoding, for the edges where a point leaves the
+    process: journal, exports, wire and seeding. In memory, use {!Tbl}. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

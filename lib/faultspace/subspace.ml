@@ -96,7 +96,8 @@ let random_point rng t =
   let rec draw attempts =
     if attempts > 100_000 then failwith "Subspace.random_point: space appears to be all holes";
     let p =
-      Point.of_array (Array.map (fun a -> Rng.int rng (Axis.cardinality a)) t.axes)
+      Point.init (Array.length t.axes) (fun i ->
+          Rng.int rng (Axis.cardinality t.axes.(i)))
     in
     if t.hole p then draw (attempts + 1) else p
   in

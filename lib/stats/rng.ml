@@ -1,53 +1,62 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes rather than a mutable [int64] field:
+   such a field holds a boxed int64, so every draw would allocate a new
+   box. With the helpers below inlined, a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
-let copy t = { state = t.state }
-let state t = t.state
-let of_state state = { state }
-let set_state t state = t.state <- state
+let[@inline] state t = Bytes.get_int64_ne t 0
+let[@inline] set_state t state = Bytes.set_int64_ne t 0 state
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let of_state state =
+  let t = Bytes.create 8 in
+  set_state t state;
+  t
 
-let split t =
-  let s = bits64 t in
-  { state = mix s }
+let create seed = of_state (mix (Int64.of_int seed))
+let copy t = Bytes.copy t
+
+let[@inline] next t =
+  let s = Int64.add (state t) golden_gamma in
+  set_state t s;
+  mix s
+
+let bits64 t = next t
+
+let split t = of_state (mix (next t))
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n: negative count";
   Array.init n (fun _ -> split t)
 
 (* Non-negative 62-bit value, safe to use as an OCaml int. *)
-let positive_int t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+let[@inline] positive_int t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling to avoid modulo bias. *)
   let max_value = (1 lsl 62) - 1 in
   let limit = max_value - (max_value mod bound) in
-  let rec draw () =
-    let v = positive_int t in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  let v = ref (positive_int t) in
+  while !v >= limit do
+    v := positive_int t
+  done;
+  !v mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
 let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+  let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 let bernoulli t p = float t 1.0 < p
 
 let gaussian t ~mu ~sigma =

@@ -175,6 +175,27 @@ let test_mutator_sigma () =
   let axis = Axis.range "x" ~lo:0 ~hi:99 in
   checkf "sigma = |Ai|/5" 20.0 (Mutator.sigma_for Mutator.default_params axis)
 
+let test_mutator_kernels_same_draws () =
+  (* Cached per-axis kernels are an optimization only: the same offspring
+     and the same RNG position as building the Gaussian per call, under
+     static and dynamic sigma alike. *)
+  List.iter
+    (fun params ->
+      let kernels = Mutator.kernels search_sub in
+      let r1 = Rng.create 14 and r2 = Rng.create 14 in
+      let sens = Sensitivity.create ~dims:3 () in
+      for i = 1 to 300 do
+        let parent =
+          case ~point:(Point.of_list [ (i * 7) mod 50; i mod 3; i mod 20 ]) ()
+        in
+        let a = Mutator.mutate params r1 search_sub sens ~parent in
+        let b = Mutator.mutate ~kernels params r2 search_sub sens ~parent in
+        checkb "same offspring" true (a = b);
+        checkb "rng in step" true (Rng.state r1 = Rng.state r2);
+        Sensitivity.record sens ~axis:(snd a) ~fitness:(float_of_int (i mod 5))
+      done)
+    [ Mutator.default_params; { Mutator.default_params with Mutator.dynamic_sigma = true } ]
+
 let test_mutator_next_novel () =
   let rng = Rng.create 12 in
   let sens = Sensitivity.create ~dims:3 () in
@@ -408,6 +429,97 @@ let test_config_names () =
   Alcotest.(check string) "exhaustive" "exhaustive"
     (Config.strategy_name (Config.exhaustive ()).Config.strategy)
 
+(* --- Pinned histories ---
+
+   The search's samplers must stay bit-identical: one draw that comes
+   out at a different index changes the whole history after it. These
+   digests were computed before the samplers were rewritten to work
+   without allocation; they cover mysql's large axes (1,147 test ids),
+   which the 60-test apache golden export never reaches far into. A drift
+   of one ulp in a cumulative sum moves a draw only when it lands on that
+   boundary, so test_stats.ml steers draws onto the boundaries. *)
+
+let history_digest (r : Session.result) =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (c : Test_case.t) ->
+      Buffer.add_string b (Point.key c.Test_case.point);
+      Buffer.add_char b ' ';
+      Buffer.add_string b (Outcome.status_to_string c.Test_case.status);
+      Buffer.add_char b '\n')
+    r.Session.executed;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_history_mysql () =
+  let module Mysql = Afex_simtarget.Mysql in
+  let r =
+    Session.run ~iterations:5000 (Config.fitness_guided ~seed:7 ())
+      (Mysql.space ()) (Executor.of_target (Mysql.target ()))
+  in
+  checki "tests" 5000 (List.length r.Session.executed);
+  Alcotest.(check string) "mysql seed 7 history" "81868e6e7b245ac3cc2243a30103a906" (history_digest r)
+
+let test_pinned_history_apache () =
+  let module Apache = Afex_simtarget.Apache in
+  let config = { (Config.fitness_guided ~seed:505 ()) with Config.feedback = true } in
+  let r =
+    Session.run ~iterations:5000 config (Apache.space ())
+      (Executor.of_target (Apache.target ()))
+  in
+  checki "tests" 5000 (List.length r.Session.executed);
+  Alcotest.(check string) "apache seed 505 history" "3de6dc7e1bf5c18b243b38797feb4f22" (history_digest r)
+
+(* --- Allocation gate ---
+
+   Minor-heap words are deterministic for a fixed seed and build, so they
+   gate candidate generation even on a one-CPU runner where wall time is
+   noise. A stub executor keeps the count to the explorer's own work:
+   [next] (Gaussian mutation, queue sampling, history and pending
+   probes) and [report] (queue insert and aging, sensitivity). With the
+   mutated axis's Gaussian rebuilt on every draw this loop allocated
+   about 5,560 words per step; with cached kernels, in-place sampling and
+   point-keyed tables it allocates about 220. The ceiling is about twice
+   that. *)
+
+let test_explorer_allocation_gate () =
+  let module Mysql = Afex_simtarget.Mysql in
+  let total_blocks = 64 in
+  let outcome status =
+    {
+      Outcome.fault = Fault.make ~test_id:0 ~func:"read" ~call_number:1 ();
+      status;
+      triggered = false;
+      coverage = Bitset.create total_blocks;
+      injection_stack = None;
+      crash_stack = None;
+      duration_ms = 1.0;
+    }
+  in
+  let passed = outcome Outcome.Passed and failed = outcome Outcome.Test_failed in
+  let executor =
+    Executor.of_scenario_fn ~total_blocks ~description:"stub" (fun _ -> passed)
+  in
+  let explorer =
+    Explorer.create (Config.fitness_guided ~seed:7 ()) (Mysql.space ()) executor
+  in
+  let steps = 2000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to steps do
+    match Explorer.next explorer with
+    | Some p ->
+        (* Every fourth test id "fails", so the queue keeps fit parents
+           and generation stays on the mutation path. *)
+        let o = if Point.get p.Mutator.point 0 mod 4 = 0 then failed else passed in
+        ignore (Explorer.report explorer p o)
+    | None -> Alcotest.fail "fitness-guided search ran dry"
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int steps in
+  checkb "mostly mutation proposals" true
+    ((Explorer.mutator_stats explorer).Mutator.proposals > 1900);
+  if words > 450.0 then
+    Alcotest.failf "explorer next+report allocates %.0f words per step (ceiling 450)"
+      words
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -424,6 +536,7 @@ let suite =
       ("sensitivity probability floor", test_sensitivity_probabilities_floor);
       ("mutator single axis change", test_mutator_single_axis_change);
       ("mutator sigma", test_mutator_sigma);
+      ("mutator kernels same draws", test_mutator_kernels_same_draws);
       ("mutator next is novel", test_mutator_next_novel);
       ("mutator empty queue random", test_mutator_empty_queue_random);
       ("explorer exhaustive complete", test_explorer_exhaustive_complete);
@@ -440,4 +553,7 @@ let suite =
       ("session aging survives queue drain", test_session_aging_survives_queue_drain);
       ("session top faults", test_session_top_faults);
       ("config names", test_config_names);
+      ("pinned history mysql", test_pinned_history_mysql);
+      ("pinned history apache", test_pinned_history_apache);
+      ("explorer allocation gate", test_explorer_allocation_gate);
     ]

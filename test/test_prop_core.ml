@@ -1,6 +1,7 @@
 (* Property-test sweep over the search core, on the Prop harness: the
    Gaussian mutator never leaves the axis domains, Q_priority's bounded
-   invariants hold under arbitrary op sequences, History membership is
+   invariants hold under arbitrary op sequences, its in-place draws pick
+   what the materialized Dist reference picks, History membership is
    insensitive to insertion order, and the pool's submission-order merge
    explores exactly the sequential history for random seeds and
    windows. Failures shrink to a minimal seed/window/op-list. *)
@@ -137,6 +138,76 @@ let test_pqueue_invariants () =
           invariant ())
         ops)
 
+(* --- Q_priority draws match the materialized reference ---------------- *)
+
+(* The queue samples and evicts by scanning its entries in place; the
+   reference materializes the weight array over [Pqueue.elements] and
+   draws with [Dist.of_weights] + [Dist.sample]. Both must pick the same
+   entry and leave the RNG in the same state. *)
+let arb_fitnesses =
+  Prop.(
+    pair
+      (list ~max_length:12
+         (choose [ 0.0; 1.0; 25.0; 1e-9; -3.0; 0.49; 1e7; 3.5 ]))
+      (int_range 0 100_000))
+
+let test_pqueue_draws_match_reference () =
+  let module Dist = Afex_stats.Dist in
+  Prop.check ~count:200 "pqueue draws = Dist reference" arb_fitnesses
+    (fun (fitnesses, seed) ->
+      let capacity = max 1 (List.length fitnesses) in
+      let cases =
+        List.mapi (fun i fitness -> case ~fitness (Point.of_list [ i ])) fitnesses
+      in
+      let fresh () =
+        match Pqueue.load ~capacity cases with
+        | Ok q -> q
+        | Error m -> failwith m
+      in
+      let weights f =
+        Array.of_list
+          (List.map (fun (c : Test_case.t) -> Float.max 1e-6 (f c.fitness)) cases)
+      in
+      let r1 = Rng.create seed and r2 = Rng.create seed in
+      let same_rng () = Rng.state r1 = Rng.state r2 in
+      let sampled =
+        List.for_all
+          (fun _ ->
+            match Pqueue.sample r1 (fresh ()) with
+            | None -> cases = []
+            | Some c ->
+                let i = Dist.sample r2 (Dist.of_weights (weights Fun.id)) in
+                c == List.nth cases i && same_rng ())
+          (List.init 20 Fun.id)
+      in
+      let newcomer = case ~fitness:2.0 (Point.of_list [ 99 ]) in
+      let evicted =
+        cases = []
+        ||
+        let q = fresh () in
+        match Pqueue.insert r1 q newcomer with
+        | None -> false
+        | Some victim ->
+            let i =
+              Dist.sample r2
+                (Dist.of_weights (weights (fun f -> 1.0 /. Float.max 1e-6 f)))
+            in
+            victim == List.nth cases i
+            && same_rng ()
+            && Pqueue.elements q
+               = newcomer :: List.filteri (fun j _ -> j <> i) cases
+      in
+      let aged =
+        let q = fresh () in
+        let retired = Pqueue.age q ~decay:0.5 ~retire_below:0.3 in
+        let kept, gone =
+          List.partition (fun (c : Test_case.t) -> c.fitness >= 0.3) cases
+        in
+        List.for_all2 ( == ) retired gone
+        && List.for_all2 ( == ) (Pqueue.elements q) kept
+      in
+      sampled && evicted && aged)
+
 (* --- History is insertion-order insensitive ------------------------- *)
 
 let arb_points =
@@ -224,6 +295,8 @@ let suite =
     Alcotest.test_case "mutation stays in bounds" `Quick
       test_mutation_stays_in_bounds;
     Alcotest.test_case "pqueue invariants" `Quick test_pqueue_invariants;
+    Alcotest.test_case "pqueue draws match reference" `Quick
+      test_pqueue_draws_match_reference;
     Alcotest.test_case "history order insensitive" `Quick
       test_history_order_insensitive;
     Alcotest.test_case "pool merge matches sequential" `Slow

@@ -150,7 +150,7 @@ let test_gaussian_symmetric () =
 let test_gaussian_excluding_center () =
   let rng = Rng.create 22 in
   for _ = 1 to 500 do
-    let v = Dist.sample_gaussian_index_excluding rng ~center:3 ~sigma:1.0 ~n:8 in
+    let v = Dist.sample_gaussian_excluding rng (Dist.gaussian ~sigma:1.0 ~n:8) ~center:3 in
     checkb "never center" true (v <> 3);
     checkb "in range" true (v >= 0 && v < 8)
   done
@@ -159,9 +159,241 @@ let test_gaussian_excluding_tiny_sigma () =
   (* Pathologically narrow sigma: the fallback must still move. *)
   let rng = Rng.create 23 in
   for _ = 1 to 100 do
-    let v = Dist.sample_gaussian_index_excluding rng ~center:0 ~sigma:1e-12 ~n:5 in
+    let v = Dist.sample_gaussian_excluding rng (Dist.gaussian ~sigma:1e-12 ~n:5) ~center:0 in
     checkb "moved off center" true (v <> 0)
   done
+
+(* --- In-place samplers vs the materialized reference ---
+
+   [Dist.sample_weighted] and [Dist.sample_gaussian_excluding] must return
+   the index [Dist.sample] over the materialized distribution returns,
+   and leave the RNG in the same state, draw after draw. Random draws
+   almost never land within an ulp of a cumulative boundary, where a
+   drifted sum or a [<] for [<=] would show; so each case also starts
+   generators whose first draw is steered onto and beside every
+   boundary. *)
+
+(* [Rng.bits64] adds a constant to the state and mixes it; the mix is a
+   chain of xor-shifts and multiplications by odd constants, each a
+   bijection on 64 bits, so a state that yields any wanted first output
+   can be computed. *)
+let unxorshift z k =
+  let x = ref z in
+  for _ = 1 to (64 / k) + 1 do
+    x := Int64.logxor z (Int64.shift_right_logical !x k)
+  done;
+  !x
+
+(* Inverse of an odd multiplier modulo 2^64 by Newton's iteration. *)
+let inverse_odd m =
+  let x = ref m in
+  for _ = 1 to 6 do
+    x := Int64.mul !x (Int64.sub 2L (Int64.mul m !x))
+  done;
+  !x
+
+let unmix z =
+  let z = unxorshift z 31 in
+  let z = Int64.mul z (inverse_odd 0x94D049BB133111EBL) in
+  let z = unxorshift z 27 in
+  let z = Int64.mul z (inverse_odd 0xBF58476D1CE4E5B9L) in
+  unxorshift z 30
+
+let two53 = 9007199254740992.0
+
+(* A generator state whose first [Rng.float _ 1.0] is [k / 2^53]. *)
+let state_drawing k =
+  let bits = Int64.shift_left (Int64.of_float k) 11 in
+  Int64.sub (unmix bits) 0x9E3779B97F4A7C15L
+
+(* States whose first draw is each representable value on or next to a
+   cumulative boundary of [probs], plus the extremes 0 and 1 - 2^-53. On
+   long domains only some boundaries are steered: about 32 spread evenly,
+   the last three, and those around the mode, where the mass is. *)
+let boundary_states probs =
+  let n = Array.length probs in
+  let mode = ref 0 in
+  Array.iteri (fun i p -> if p > probs.(!mode) then mode := i) probs;
+  let stride = max 1 (n / 32) in
+  let acc = ref 0.0 and ks = ref [ 0.0; two53 -. 1.0 ] in
+  for i = 0 to n - 2 do
+    acc := !acc +. probs.(i);
+    if i mod stride = 0 || abs (i - !mode) <= 4 || i >= n - 4 then begin
+      let k = !acc *. two53 in
+      List.iter
+        (fun k -> if k >= 0.0 && k < two53 then ks := k :: !ks)
+        [ Float.round k -. 1.0; floor k; ceil k; Float.round k +. 1.0 ]
+    end
+  done;
+  List.map state_drawing (List.sort_uniq compare !ks)
+
+let test_steered_rng () =
+  List.iter
+    (fun k ->
+      let u = Rng.float (Rng.of_state (state_drawing k)) 1.0 in
+      checkb (Printf.sprintf "first draw %h" (k /. two53)) true (u = k /. two53))
+    [ 0.0; 1.0; 12345.0; two53 /. 2.0; two53 -. 1.0 ]
+
+let same_draws ~draws name reference fast state =
+  let r1 = Rng.of_state state and r2 = Rng.of_state state in
+  for k = 1 to draws do
+    let want = reference r1 in
+    let got = fast r2 in
+    if want <> got || Rng.state r1 <> Rng.state r2 then
+      Alcotest.failf "%s: draw %d from state %Ld gave %d (reference %d), rng %s"
+        name k state got want
+        (if Rng.state r1 = Rng.state r2 then "in step" else "out of step")
+  done
+
+(* Seeded draws, then one steered draw (and a few after it) per
+   boundary of the reference distribution [probs]. *)
+let agree ~draws ~seed ~probs name reference fast =
+  same_draws ~draws name reference fast (Rng.state (Rng.create seed));
+  List.iter (same_draws ~draws:3 name reference fast) (boundary_states probs)
+
+(* Weights mixing zeros (often at the ends), ordinary values, tiny and
+   huge ones; a vector may be all zeros (uniform) or overflow its total. *)
+let arb_weights =
+  let weight =
+    Prop.choose [ 0.0; 1.0; 0.5; 3.0; 1e-300; 7.25; 1e300; 1e308; 0.1 ]
+  in
+  Prop.(
+    map
+      ~show:(fun (w, seed) ->
+        Printf.sprintf "seed=%d [|%s|]" seed
+          (String.concat "; " (List.map (Printf.sprintf "%h") w)))
+      (fun (w, seed) -> (w, seed))
+      (pair (list ~max_length:12 weight) (int_range 0 100_000)))
+
+let test_sample_weighted_matches_reference () =
+  Prop.check ~count:400 "sample_weighted = sample (of_weights w)" arb_weights
+    (fun (w, seed) ->
+      let w = Array.of_list (if w = [] then [ 0.0 ] else w) in
+      let probs = Dist.weights (Dist.of_weights w) in
+      agree ~draws:50 ~seed ~probs "sample_weighted"
+        (fun rng -> Dist.sample rng (Dist.of_weights w))
+        (fun rng -> Dist.sample_weighted rng w);
+      (* The same weights at the front of a longer scratch array. *)
+      let scratch = Array.append w [| 5.0; 0.0 |] in
+      agree ~draws:20 ~seed ~probs "sample_weighted_prefix"
+        (fun rng -> Dist.sample rng (Dist.of_weights w))
+        (fun rng ->
+          Dist.sample_weighted_prefix rng scratch ~len:(Array.length w));
+      true)
+
+let test_sample_weighted_edge_cases () =
+  let check name w =
+    let probs = Dist.weights (Dist.of_weights w) in
+    for seed = 0 to 19 do
+      agree ~draws:200 ~seed ~probs name
+        (fun rng -> Dist.sample rng (Dist.of_weights w))
+        (fun rng -> Dist.sample_weighted rng w)
+    done
+  in
+  check "n = 1" [| 2.0 |];
+  check "n = 1, zero" [| 0.0 |];
+  check "n = 2" [| 1.0; 3.0 |];
+  check "n = 2, zero first" [| 0.0; 3.0 |];
+  check "n = 2, zero last" [| 3.0; 0.0 |];
+  check "all zero" [| 0.0; 0.0; 0.0; 0.0 |];
+  check "zeros at both ends" [| 0.0; 1.0; 2.0; 0.0 |];
+  check "infinite weight" [| 1.0; infinity; 2.0 |];
+  (* Rounding tail: the cumulative value at n-2 is 1.0000000000000002,
+     above the 1.0 forced at n-1. *)
+  let tail = [| 0.5; 0.9; 0.1; 0.4; 0.0 |] in
+  let probs = Dist.weights (Dist.of_weights tail) in
+  let before_last = ref 0.0 in
+  for i = 0 to Array.length probs - 2 do
+    before_last := !before_last +. probs.(i)
+  done;
+  checkb "tail exceeds 1.0" true (!before_last > 1.0);
+  check "rounding tail" tail;
+  Alcotest.check_raises "negative weight"
+    (Invalid_argument "Dist.of_weights: negative or NaN weight") (fun () ->
+      ignore (Dist.sample_weighted (Rng.create 1) [| 1.0; -1.0 |]));
+  Alcotest.check_raises "NaN weight"
+    (Invalid_argument "Dist.of_weights: negative or NaN weight") (fun () ->
+      ignore (Dist.sample_weighted (Rng.create 1) [| Float.nan |]));
+  Alcotest.check_raises "empty" (Invalid_argument "Dist.of_weights: empty")
+    (fun () -> ignore (Dist.sample_weighted (Rng.create 1) [||]))
+
+(* The materialized Gaussian mutation draw, as it was before the kernel
+   cache existed (with the distribution built once per centre). *)
+let reference_excluding ~center ~sigma ~n =
+  let d = Dist.discrete_gaussian ~center ~sigma ~n in
+  fun rng ->
+  let rec draw attempts =
+    let i = Dist.sample rng d in
+    if i <> center then i
+    else if attempts > 64 then
+      let j = Rng.int rng (n - 1) in
+      if j >= center then j + 1 else j
+    else draw (attempts + 1)
+  in
+  draw 0
+
+let arb_gaussian =
+  Prop.(
+    map
+      ~show:(fun ((n, fraction), seed) ->
+        Printf.sprintf "n=%d sigma=%h seed=%d" n (fraction *. float_of_int n)
+          seed)
+      (fun x -> x)
+      (pair
+         (pair (int_range 2 1500) (choose [ 0.2; 0.05; 0.5; 1e-3; 2.0 ]))
+         (int_range 0 100_000)))
+
+let test_gaussian_kernel_matches_reference () =
+  Prop.check ~count:60 "cached gaussian = materialized gaussian" arb_gaussian
+    (fun ((n, fraction), seed) ->
+      let sigma = fraction *. float_of_int n in
+      let g = Dist.gaussian ~sigma ~n in
+      (* One kernel across centres, the ends included, so cached totals
+         are reused as well as filled. *)
+      let centres = [ 0; n - 1; n / 2; 0; n - 1; (n / 3) + 1; n / 2 ] in
+      List.iteri
+        (fun k center ->
+          let probs = Dist.weights (Dist.discrete_gaussian ~center ~sigma ~n) in
+          agree ~draws:10 ~seed:(seed + k) ~probs
+            (Printf.sprintf "centre %d" center)
+            (reference_excluding ~center ~sigma ~n)
+            (fun rng -> Dist.sample_gaussian_excluding rng g ~center))
+        centres;
+      true)
+
+let test_gaussian_kernel_edge_cases () =
+  let check ~sigma ~n centres =
+    let g = Dist.gaussian ~sigma ~n in
+    List.iter
+      (fun center ->
+        let probs = Dist.weights (Dist.discrete_gaussian ~center ~sigma ~n) in
+        for seed = 0 to 9 do
+          agree ~draws:20 ~seed ~probs
+            (Printf.sprintf "sigma %h n %d centre %d" sigma n center)
+            (reference_excluding ~center ~sigma ~n)
+            (fun rng -> Dist.sample_gaussian_excluding rng g ~center)
+        done)
+      centres
+  in
+  (* sigma = 1e-12: every draw lands on the centre, so each call makes 66
+     draws and then takes the uniform-neighbour fallback. *)
+  check ~sigma:1e-12 ~n:5 [ 0; 2; 4 ];
+  check ~sigma:0.0 ~n:4 [ 0; 3 ];
+  check ~sigma:0.4 ~n:2 [ 0; 1 ];
+  check ~sigma:1e9 ~n:7 [ 0; 6 ];
+  (* mysql's 1,147-value testId axis at the default sigma *)
+  check ~sigma:(0.2 *. 1147.0) ~n:1147 [ 0; 1146; 573 ];
+  (* Centres outside the domain take the materialized path. *)
+  check ~sigma:2.0 ~n:6 [ -1; 6; 40 ];
+  let rng = Rng.create 1 in
+  Alcotest.check_raises "NaN sigma"
+    (Invalid_argument "Dist.of_weights: negative or NaN weight") (fun () ->
+      ignore (Dist.sample_gaussian_excluding rng (Dist.gaussian ~sigma:Float.nan ~n:3) ~center:0));
+  Alcotest.check_raises "domain too small"
+    (Invalid_argument "Dist.sample_gaussian_excluding: domain too small")
+    (fun () ->
+      ignore (Dist.sample_gaussian_excluding rng (Dist.gaussian ~sigma:1.0 ~n:1) ~center:0));
+  checkb "rng untouched by the failed calls" true (Rng.state rng = Rng.state (Rng.create 1))
 
 let test_dist_inverse () =
   let inv = Dist.inverse [| 2.0; 4.0; 0.0 |] in
@@ -311,6 +543,11 @@ let suite =
       ("gaussian symmetric", test_gaussian_symmetric);
       ("gaussian excluding center", test_gaussian_excluding_center);
       ("gaussian excluding tiny sigma", test_gaussian_excluding_tiny_sigma);
+      ("steered rng first draw", test_steered_rng);
+      ("sample_weighted matches reference", test_sample_weighted_matches_reference);
+      ("sample_weighted edge cases", test_sample_weighted_edge_cases);
+      ("gaussian kernel matches reference", test_gaussian_kernel_matches_reference);
+      ("gaussian kernel edge cases", test_gaussian_kernel_edge_cases);
       ("dist inverse", test_dist_inverse);
       ("summary basic", test_summary_basic);
       ("summary empty", test_summary_empty);
