@@ -295,8 +295,6 @@ let suite =
     Alcotest.test_case "mutation stays in bounds" `Quick
       test_mutation_stays_in_bounds;
     Alcotest.test_case "pqueue invariants" `Quick test_pqueue_invariants;
-    Alcotest.test_case "pqueue draws match reference" `Quick
-      test_pqueue_draws_match_reference;
     Alcotest.test_case "history order insensitive" `Quick
       test_history_order_insensitive;
     Alcotest.test_case "pool merge matches sequential" `Slow
@@ -305,4 +303,6 @@ let suite =
       test_pool_window_one_is_sequential;
     Alcotest.test_case "op shrinking is minimal" `Quick
       test_shrinking_reports_minimal_ops;
+    Alcotest.test_case "pqueue draws match reference" `Quick
+      test_pqueue_draws_match_reference;
   ]
