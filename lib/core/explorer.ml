@@ -52,6 +52,13 @@ type t = {
   mutable simulated_ms : float;
 }
 
+(* Only the fitness-guided strategy mutates, and kernels are built on
+   first use, so the other strategies never build one. *)
+let kernels_for config sub =
+  match config.Config.strategy with
+  | Config.Fitness_guided params -> Mutator.kernels params sub
+  | Config.Random_search | Config.Exhaustive -> Mutator.kernels Mutator.default_params sub
+
 let create ?(transform = fun p -> p) config sub executor =
   let intern = Trace_intern.create () in
   {
@@ -80,7 +87,7 @@ let create ?(transform = fun p -> p) config sub executor =
         config.Config.rarity;
     rare_block = Hashtbl.create 64;
     mutator_stats = Mutator.create_stats ();
-    kernels = Mutator.kernels sub;
+    kernels = kernels_for config sub;
     seeds = config.Config.initial_seeds;
     cursor = Subspace.enumerate sub;
     cursor_consumed = 0;
@@ -506,7 +513,7 @@ let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
       rarity;
       rare_block;
       mutator_stats = Mutator.copy_stats s.Snapshot.mutator;
-      kernels = Mutator.kernels sub;
+      kernels = kernels_for config sub;
       seeds = s.Snapshot.seeds;
       cursor;
       cursor_consumed = s.Snapshot.cursor_consumed;

@@ -40,20 +40,13 @@ let sigma_for params axis =
   params.sigma_fraction *. float_of_int (Axis.cardinality axis)
 
 (* One Gaussian kernel per axis at its static sigma, built the first time
-   the axis is mutated (at most 2 floats per axis value) and rebuilt only
-   if the caller's sigma or the axis size changes. *)
-type kernel = { sigma : float; size : int; table : Dist.gaussian }
-type kernels = kernel option array
+   the axis is mutated (at most 2 floats per axis value). *)
+type kernels = Dist.gaussian Lazy.t array
 
-let kernels sub = Array.make (Subspace.dim sub) None
-
-let cached_kernel kernels i ~sigma ~n =
-  match kernels.(i) with
-  | Some k when k.sigma = sigma && k.size = n -> k.table
-  | Some _ | None ->
-      let table = Dist.gaussian ~sigma ~n in
-      kernels.(i) <- Some { sigma; size = n; table };
-      table
+let kernels params sub =
+  Array.init (Subspace.dim sub) (fun i ->
+      let axis = Subspace.axis sub i in
+      lazy (Dist.gaussian ~sigma:(sigma_for params axis) ~n:(Axis.cardinality axis)))
 
 (* Axis-choice weights with pinned axes zeroed out. If sensitivity left no
    mass on any free axis, the choice degrades to uniform over the free
@@ -69,7 +62,7 @@ let masked_weights ~mask weights =
     Array.mapi (fun i _ -> if mask.(i) then 0.0 else 1.0) w
   else w
 
-let mutate ?mask ?kernels params rng sub sens ~parent =
+let mutate ?mask ~kernels params rng sub sens ~parent =
   let axis_index =
     match mask with
     | None ->
@@ -101,19 +94,14 @@ let mutate ?mask ?kernels params rng sub sens ~parent =
           let p = (Sensitivity.probabilities sens).(axis_index) in
           Dist.gaussian ~sigma:(sigma_for params axis *. (1.5 -. p)) ~n
         end
-        else begin
-          let sigma = sigma_for params axis in
-          match kernels with
-          | Some k -> cached_kernel k axis_index ~sigma ~n
-          | None -> Dist.gaussian ~sigma ~n
-        end
+        else Lazy.force kernels.(axis_index)
       in
       Dist.sample_gaussian_excluding rng kernel ~center:old_value
     end
   in
   (Point.with_component parent.Test_case.point axis_index new_value, axis_index)
 
-let next ?stats ?(mask = fun (_ : Test_case.t) -> None) ?kernels params rng
+let next ?stats ?(mask = fun (_ : Test_case.t) -> None) ~kernels params rng
     sub sens ~queue ~history ~is_pending =
   let tally f = match stats with Some s -> f s | None -> () in
   tally (fun s -> s.proposals <- s.proposals + 1);
@@ -138,7 +126,7 @@ let next ?stats ?(mask = fun (_ : Test_case.t) -> None) ?kernels params rng
           end
       | Some parent ->
           let m = mask parent in
-          let point, axis = mutate ?mask:m ?kernels params rng sub sens ~parent in
+          let point, axis = mutate ?mask:m ~kernels params rng sub sens ~parent in
           if novel point && Subspace.mem sub point then begin
             (match m with
             | Some _ -> tally (fun s -> s.masked <- s.masked + 1)

@@ -62,12 +62,13 @@ type kernels
     kept: a draw then costs no [exp] and no allocation. At most two
     floats per axis value. Owned by one explorer; never shared. *)
 
-val kernels : Afex_faultspace.Subspace.t -> kernels
-(** Empty kernels for the subspace's axes. *)
+val kernels : params -> Afex_faultspace.Subspace.t -> kernels
+(** The kernels for the subspace's axes at the static sigma of [params];
+    {!mutate} must be called with the same [params] and subspace. *)
 
 val mutate :
   ?mask:bool array ->
-  ?kernels:kernels ->
+  kernels:kernels ->
   params ->
   Afex_stats.Rng.t ->
   Afex_faultspace.Subspace.t ->
@@ -78,17 +79,16 @@ val mutate :
     offspring may coincide with an executed test; the caller dedupes).
     With [mask], pinned ([true]) axes are never chosen for mutation — the
     FairFuzz move for parents that reached a rare block: hold the axes
-    that got them there, explore the rest. [kernels], built for [sub],
-    caches the Gaussian of each axis; the draws are the same with or
-    without it. Under [dynamic_sigma] the sigma changes with every call,
-    so a kernel is built for the call instead.
+    that got them there, explore the rest. [kernels] supplies the
+    Gaussian of each axis; under [dynamic_sigma] the sigma changes with
+    every call, so a kernel is built for the call instead.
     @raise Invalid_argument if the mask length differs from the subspace
     dimension or every axis is pinned. *)
 
 val next :
   ?stats:stats ->
   ?mask:(Test_case.t -> bool array option) ->
-  ?kernels:kernels ->
+  kernels:kernels ->
   params ->
   Afex_stats.Rng.t ->
   Afex_faultspace.Subspace.t ->
@@ -104,5 +104,5 @@ val next :
     otherwise the last random draw is returned regardless). [mask] is
     consulted per sampled parent and applies {!mutate}'s masking;
     [stats], when supplied, tallies accepts, rejects, and fallbacks by
-    cause; [kernels] is passed to {!mutate}. None of the three changes
-    the draw sequence of an unmasked call. *)
+    cause; [kernels] is passed to {!mutate}. Neither [mask] nor [stats]
+    changes the draw sequence of an unmasked call. *)

@@ -89,7 +89,6 @@ let sample_gaussian_index rng ~center ~sigma ~n =
   sample rng (discrete_gaussian ~center ~sigma ~n)
 
 type gaussian = {
-  sigma : float;
   kernel : float array;  (** weight at distance k from the centre *)
   totals : float array;
       (** left-to-right weight sum for each centre; 0.0 until first used
@@ -107,7 +106,7 @@ let gaussian ~sigma ~n =
     else Array.init n (gaussian_weight ~sigma)
   in
   Array.iter check_weight kernel;
-  { sigma; kernel; totals = Array.make n 0.0 }
+  { kernel; totals = Array.make n 0.0 }
 
 let[@inline] gaussian_total g center =
   let t = g.totals.(center) in
@@ -138,20 +137,11 @@ let sample_gaussian_excluding rng g ~center =
   let n = Array.length g.kernel in
   if n < 2 then
     invalid_arg "Dist.sample_gaussian_excluding: domain too small";
-  (* A centre outside the domain has no row of totals; it takes the
-     materialized path, which is the reference anyway. *)
-  let outside =
-    if center < 0 || center >= n then
-      Some (discrete_gaussian ~center ~sigma:g.sigma ~n)
-    else None
-  in
+  if center < 0 || center >= n then
+    invalid_arg "Dist.sample_gaussian_excluding: centre outside the domain";
   let result = ref (-1) and attempts = ref 0 in
   while !result < 0 do
-    let i =
-      match outside with
-      | None -> gaussian_draw rng g center
-      | Some d -> sample rng d
-    in
+    let i = gaussian_draw rng g center in
     if i <> center then result := i
     else if !attempts > 64 then begin
       (* Pathologically narrow sigma: fall back to a uniform neighbour. *)

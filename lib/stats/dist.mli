@@ -13,7 +13,9 @@
     {!sample_gaussian_excluding} scans a cached {!gaussian} kernel. Each
     returns the same index as the reference, draws the same random
     numbers from the {!Rng.t} (so it leaves it in the same state), and
-    raises the same exceptions, for every input. They sum the same
+    raises the same exceptions, for every input (a Gaussian centre must
+    lie in the domain: the mutated value is a component of a point in
+    the subspace). They sum the same
     normalized weights in the same order, so every cumulative value is
     the same float. *)
 
@@ -73,9 +75,9 @@ val sample_gaussian_excluding : Rng.t -> gaussian -> center:int -> int
     (a mutation must change the attribute): it redraws while the draw hits
     [center], and after 66 such draws picks a uniform neighbour instead.
     Weights are read from the kernel, so a draw makes no [exp] call and
-    allocates nothing once the centre's total is known. A [center]
-    outside [0 .. n-1] takes the materialized path.
-    @raise Invalid_argument if [n < 2]. *)
+    allocates nothing once the centre's total is known.
+    @raise Invalid_argument if [n < 2] or [center] is outside
+    [0 .. n-1]. *)
 
 val inverse : float array -> float array
 (** [inverse w] maps each weight to a weight inversely proportional to it

@@ -158,9 +158,12 @@ let search_sub =
 let test_mutator_single_axis_change () =
   let rng = Rng.create 11 in
   let sens = Sensitivity.create ~dims:3 () in
+  let kernels = Mutator.kernels Mutator.default_params search_sub in
   for _ = 1 to 200 do
     let parent = case ~point:(Point.of_list [ 25; 1; 10 ]) () in
-    let child, axis = Mutator.mutate Mutator.default_params rng search_sub sens ~parent in
+    let child, axis =
+      Mutator.mutate ~kernels Mutator.default_params rng search_sub sens ~parent
+    in
     checkb "child in space" true (Subspace.mem search_sub child);
     let diffs = ref 0 in
     for i = 0 to 2 do
@@ -175,27 +178,6 @@ let test_mutator_sigma () =
   let axis = Axis.range "x" ~lo:0 ~hi:99 in
   checkf "sigma = |Ai|/5" 20.0 (Mutator.sigma_for Mutator.default_params axis)
 
-let test_mutator_kernels_same_draws () =
-  (* Cached per-axis kernels are an optimization only: the same offspring
-     and the same RNG position as building the Gaussian per call, under
-     static and dynamic sigma alike. *)
-  List.iter
-    (fun params ->
-      let kernels = Mutator.kernels search_sub in
-      let r1 = Rng.create 14 and r2 = Rng.create 14 in
-      let sens = Sensitivity.create ~dims:3 () in
-      for i = 1 to 300 do
-        let parent =
-          case ~point:(Point.of_list [ (i * 7) mod 50; i mod 3; i mod 20 ]) ()
-        in
-        let a = Mutator.mutate params r1 search_sub sens ~parent in
-        let b = Mutator.mutate ~kernels params r2 search_sub sens ~parent in
-        checkb "same offspring" true (a = b);
-        checkb "rng in step" true (Rng.state r1 = Rng.state r2);
-        Sensitivity.record sens ~axis:(snd a) ~fitness:(float_of_int (i mod 5))
-      done)
-    [ Mutator.default_params; { Mutator.default_params with Mutator.dynamic_sigma = true } ]
-
 let test_mutator_next_novel () =
   let rng = Rng.create 12 in
   let sens = Sensitivity.create ~dims:3 () in
@@ -203,9 +185,11 @@ let test_mutator_next_novel () =
   ignore (Pqueue.insert rng queue (case ~fitness:5.0 ~point:(Point.of_list [ 25; 1; 10 ]) ()));
   let history = History.create () in
   History.add history (Point.of_list [ 25; 1; 10 ]);
+  let kernels = Mutator.kernels Mutator.default_params search_sub in
   for _ = 1 to 100 do
     let proposal =
-      Mutator.next Mutator.default_params rng search_sub sens ~queue ~history
+      Mutator.next ~kernels Mutator.default_params rng search_sub sens ~queue
+        ~history
         ~is_pending:(fun _ -> false)
     in
     checkb "novel" false (History.mem history proposal.Mutator.point)
@@ -217,7 +201,9 @@ let test_mutator_empty_queue_random () =
   let queue = Pqueue.create ~capacity:4 in
   let history = History.create () in
   let proposal =
-    Mutator.next Mutator.default_params rng search_sub sens ~queue ~history
+    Mutator.next
+      ~kernels:(Mutator.kernels Mutator.default_params search_sub)
+      Mutator.default_params rng search_sub sens ~queue ~history
       ~is_pending:(fun _ -> false)
   in
   checkb "random proposal when queue empty" true (proposal.Mutator.mutated_axis = None);
@@ -536,7 +522,6 @@ let suite =
       ("sensitivity probability floor", test_sensitivity_probabilities_floor);
       ("mutator single axis change", test_mutator_single_axis_change);
       ("mutator sigma", test_mutator_sigma);
-      ("mutator kernels same draws", test_mutator_kernels_same_draws);
       ("mutator next is novel", test_mutator_next_novel);
       ("mutator empty queue random", test_mutator_empty_queue_random);
       ("explorer exhaustive complete", test_explorer_exhaustive_complete);

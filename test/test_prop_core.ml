@@ -78,10 +78,11 @@ let test_mutation_stays_in_bounds () =
       let rng = Rng.create seed in
       let sens = Sensitivity.create ~dims:(Subspace.dim sub) () in
       let parent = case (Subspace.random_point rng sub) in
+      let kernels = Mutator.kernels Mutator.default_params sub in
       let ok = ref true in
       for _ = 1 to 20 do
         let offspring, axis =
-          Mutator.mutate Mutator.default_params rng sub sens ~parent
+          Mutator.mutate ~kernels Mutator.default_params rng sub sens ~parent
         in
         ok :=
           !ok && Subspace.mem sub offspring && 0 <= axis

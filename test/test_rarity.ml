@@ -158,10 +158,12 @@ let test_prop_mask_never_mutates_pinned () =
       let rng = Rng.create seed in
       let sens = Sensitivity.create ~dims:(Subspace.dim sub) () in
       let parent = case (Subspace.random_point rng sub) in
+      let kernels = Mutator.kernels Mutator.default_params sub in
       let ok = ref true in
       for _ = 1 to 20 do
         let offspring, axis =
-          Mutator.mutate ~mask Mutator.default_params rng sub sens ~parent
+          Mutator.mutate ~mask ~kernels Mutator.default_params rng sub sens
+            ~parent
         in
         ok := !ok && pinned_untouched sub mask parent offspring axis
       done;
@@ -175,11 +177,13 @@ let test_exhaustive_masks_on_fixed_subspace () =
   let rng = Rng.create 42 in
   let sens = Sensitivity.create ~dims () in
   let parent = case (Subspace.random_point rng sub) in
+  let kernels = Mutator.kernels Mutator.default_params sub in
   for m = 0 to (1 lsl dims) - 2 do
     let mask = Array.init dims (fun i -> m land (1 lsl i) <> 0) in
     for _ = 1 to 25 do
       let offspring, axis =
-        Mutator.mutate ~mask Mutator.default_params rng sub sens ~parent
+        Mutator.mutate ~mask ~kernels Mutator.default_params rng sub sens
+          ~parent
       in
       checkb
         (Printf.sprintf "mask %d respects pins" m)
@@ -194,7 +198,10 @@ let test_mask_validation () =
   let sens = Sensitivity.create ~dims:2 () in
   let parent = case (Subspace.random_point rng sub) in
   let raises mask =
-    match Mutator.mutate ~mask Mutator.default_params rng sub sens ~parent with
+    let kernels = Mutator.kernels Mutator.default_params sub in
+    match
+      Mutator.mutate ~mask ~kernels Mutator.default_params rng sub sens ~parent
+    with
     | exception Invalid_argument _ -> true
     | (_ : Point.t * int) -> false
   in
@@ -234,6 +241,7 @@ let test_masked_rejects_attributed () =
   let proposal =
     Mutator.next ~stats
       ~mask:(fun _ -> Some [| true; false |])
+      ~kernels:(Mutator.kernels Mutator.default_params sub)
       Mutator.default_params rng sub sens ~queue ~history
       ~is_pending:(fun _ -> false)
   in
@@ -257,7 +265,9 @@ let test_unmasked_stats_unchanged_draws () =
     ignore (Pqueue.insert rng queue (case (Point.of_list [ 2; 2; 2 ])));
     let history = History.create () in
     let stats = if with_stats then Some (Mutator.create_stats ()) else None in
-    (Mutator.next ?stats Mutator.default_params rng sub sens ~queue ~history
+    (Mutator.next ?stats
+       ~kernels:(Mutator.kernels Mutator.default_params sub)
+       Mutator.default_params rng sub sens ~queue ~history
        ~is_pending:(fun _ -> false))
       .Mutator.point
   in

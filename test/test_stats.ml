@@ -383,9 +383,11 @@ let test_gaussian_kernel_edge_cases () =
   check ~sigma:1e9 ~n:7 [ 0; 6 ];
   (* mysql's 1,147-value testId axis at the default sigma *)
   check ~sigma:(0.2 *. 1147.0) ~n:1147 [ 0; 1146; 573 ];
-  (* Centres outside the domain take the materialized path. *)
-  check ~sigma:2.0 ~n:6 [ -1; 6; 40 ];
   let rng = Rng.create 1 in
+  Alcotest.check_raises "centre outside the domain"
+    (Invalid_argument "Dist.sample_gaussian_excluding: centre outside the domain")
+    (fun () ->
+      ignore (Dist.sample_gaussian_excluding rng (Dist.gaussian ~sigma:2.0 ~n:6) ~center:6));
   Alcotest.check_raises "NaN sigma"
     (Invalid_argument "Dist.of_weights: negative or NaN weight") (fun () ->
       ignore (Dist.sample_gaussian_excluding rng (Dist.gaussian ~sigma:Float.nan ~n:3) ~center:0));
