@@ -6,10 +6,11 @@
 #
 #   CRASH_SEED=<seed> .github/scripts/crash_resume.sh
 #
-# The precise crash windows (the k-th journal append, the gap between a
-# snapshot rename and the journal truncation) are swept deterministically
-# in-process by test/test_checkpoint.ml; this script is the end-to-end
-# complement on the real binary with a real SIGKILL.
+# The precise crash windows (the k-th journal append, the gap between the
+# record-log append and the snapshot rename, the gap between the rename
+# and the journal truncation) are swept deterministically in-process by
+# test/test_checkpoint.ml; this script is the end-to-end complement on
+# the real binary with a real SIGKILL.
 set -euo pipefail
 
 AFEX=${AFEX:-_build/default/bin/afex_cli.exe}
@@ -21,12 +22,16 @@ echo "crash_resume: kill schedule seed = $SEED (replay with CRASH_SEED=$SEED)"
 # that do not depend on wall time. The adaptive controller's decisions do
 # (record them with --trace and resume under --replay-trace instead).
 FLAGS=(--target mysql -n 1200 --seed 7 --batch 16 --latency fixed:2 --inflight 8)
-EVERY=40
+# Snapshots land only on sync watermarks (every 512 releases), so this is
+# the cadence that applies: snapshots at 512 and 1024, then the final one.
+EVERY=512
 
 work=$(mktemp -d)
 trap '[ -n "${pid:-}" ] && kill -9 "$pid" 2> /dev/null; rm -rf "$work"' EXIT
 
 run() { "$AFEX" explore "${FLAGS[@]}" "$@"; }
+
+log_size() { if [ -f "$1/records.log" ]; then wc -c < "$1/records.log"; else echo 0; fi; }
 
 # Background launcher for the runs that get killed: exec in a subshell so
 # $! is the afex process itself. Backgrounding the [run] function would
@@ -90,11 +95,45 @@ while [ "$interrupted" -lt 3 ]; do
   fi
   interrupted=$((interrupted + 1))
   wal_lines=$(wc -l < "$dir/wal.log")
-  echo "crash_resume: kill #$interrupted at ${delay_ms} ms (attempt $attempt): $wal_lines journal lines past the last snapshot"
+  log_bytes=$(log_size "$dir")
+  echo "crash_resume: kill #$interrupted at ${delay_ms} ms (attempt $attempt): $wal_lines journal lines past the last snapshot, records.log $log_bytes bytes"
   run --resume "$dir" --export-json "$dir/res.json" --export-csv "$dir/res.csv" | grep '^checkpoint:'
   cmp "$work/base.json" "$dir/res.json"
   cmp "$work/base.csv" "$dir/res.csv"
   echo "crash_resume: kill #$interrupted resumed to byte-identical exports"
+done
+
+# A kill right after a snapshot appended to records.log: it lands either
+# between that append and the snapshot rename (the resume drops the
+# bytes past the old mark) or just after it (the resume merges the log).
+logged=0
+attempt=0
+while [ "$logged" -eq 0 ]; do
+  attempt=$((attempt + 1))
+  if [ "$attempt" -gt 20 ]; then
+    echo "crash_resume: could not kill after records were logged" >&2
+    exit 1
+  fi
+  dir="$work/logged$attempt"
+  run_bg --checkpoint "$dir" --checkpoint-every "$EVERY"
+  pid=$!
+  while [ ! -s "$dir/records.log" ] && kill -0 "$pid" 2> /dev/null; do
+    sleep 0.01
+  done
+  kill -9 "$pid" 2> /dev/null || true
+  status=0
+  wait "$pid" || status=$?
+  if [ "$status" -ne 137 ]; then
+    echo "crash_resume: logged attempt $attempt finished before the kill, retrying"
+    continue
+  fi
+  logged=1
+  wal_lines=$(wc -l < "$dir/wal.log")
+  echo "crash_resume: kill after logging (attempt $attempt): $wal_lines journal lines past the last snapshot, records.log $(log_size "$dir") bytes"
+  run --resume "$dir" --export-json "$dir/res.json" --export-csv "$dir/res.csv" | grep '^checkpoint:'
+  cmp "$work/base.json" "$dir/res.json"
+  cmp "$work/base.csv" "$dir/res.csv"
+  echo "crash_resume: kill after logging resumed to byte-identical exports"
 done
 
 # Boundary case: the completed ck0 campaign sits exactly in the window
@@ -106,4 +145,4 @@ run --resume "$work/ck0" --export-json "$work/bres.json" --export-csv "$work/bre
 cmp "$work/base.json" "$work/bres.json"
 cmp "$work/base.csv" "$work/bres.csv"
 
-echo "crash_resume: OK — 3 randomized kills + boundary resume, all exports byte-identical"
+echo "crash_resume: OK — 3 randomized kills + a kill after logging + boundary resume, all exports byte-identical"

@@ -462,9 +462,13 @@ let explore_cmd =
   in
   let checkpoint_every_arg =
     let doc =
-      "Snapshot cadence for $(b,--checkpoint), in reported outcomes. Smaller \
-       values bound the journal replay a resume pays for; larger values \
-       amortize the snapshot write over more tests."
+      "Snapshot cadence for $(b,--checkpoint), in reported outcomes. A \
+       snapshot is written at the first sync watermark (every 512 \
+       releases, where the window has drained) at least $(docv) outcomes \
+       after the previous one, so values below 512 act as 512. Larger \
+       values write fewer snapshots (each costs about the outcomes since \
+       the previous one); smaller values, down to 512, shorten the \
+       journal a resume replays."
     in
     Arg.(value & opt int 500 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
   in

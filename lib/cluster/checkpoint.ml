@@ -68,21 +68,23 @@ let split2 s =
   | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
 
 module Snapshot = struct
+  type mark = { logged : int; log_bytes : int }
+
   type t = {
     meta : (string * string) list;
     batches : int;
     master_state : int64;
     scheduler : Scheduler.snapshot option;
+    mark : mark;
     explorer : Explorer.Snapshot.t;
   }
 
-  (* Version 3: the journal became headerless (outcomes keyed by their
-     absolute iteration, no per-batch framing) when the barrierless
-     runtime replaced batch boundaries with reorder-buffer watermarks.
-     Older snapshots describe a batch-scheduled campaign whose replay
-     schedule this code no longer reproduces, so they are rejected by
-     the header rather than resumed wrongly. *)
-  let header = "afex-checkpoint 3"
+  (* Version 4: records older than every queued test moved out to the
+     append-only [records.log], and the snapshot gained the mark that
+     vouches for a prefix of it. A version-3 snapshot holds every record
+     and no mark, so it is refused by the header rather than resumed
+     against a log it does not describe. *)
+  let header = "afex-checkpoint 4"
 
   let sched_to_tokens (s : Scheduler.snapshot) =
     Printf.sprintf "%s %d %d %s %s %d %d %Lx %s" s.Scheduler.s_mode s.s_window
@@ -218,6 +220,7 @@ module Snapshot = struct
     line "x %Lx %d %d %d %d %d %d %h %d" x.Explorer.Snapshot.rng_state x.issued
       x.iterations x.failed x.crashed x.hung x.triggered x.simulated_ms
       x.cursor_consumed;
+    line "l %d %d" t.mark.logged t.mark.log_bytes;
     line "c %s" (Message.encode_coverage x.covered);
     List.iter
       (fun c ->
@@ -259,6 +262,7 @@ module Snapshot = struct
     mutable p_globals : (int * int64) option;
     mutable p_sched : Scheduler.snapshot option;
     mutable p_x : (int64 * int * int * int * int * int * int * float * int) option;
+    mutable p_mark : mark option;
     mutable p_covered : int list option;
     mutable p_records_rev : Test_case.t list;
     mutable p_queue : int list option;
@@ -305,6 +309,14 @@ module Snapshot = struct
               nat "triggered" trig,
               fl "simulated ms" sim,
               nat "cursor" cursor )
+    | "l" :: [ logged; bytes ] ->
+        if p.p_mark <> None then bad "duplicate record-log mark";
+        p.p_mark <-
+          Some
+            {
+              logged = nat "logged records" logged;
+              log_bytes = nat "log bytes" bytes;
+            }
     | "c" :: [ cov ] -> (
         if p.p_covered <> None then bad "duplicate coverage line";
         match Message.decode_coverage cov with
@@ -383,7 +395,7 @@ module Snapshot = struct
         let p =
           {
             p_meta_rev = []; p_globals = None; p_sched = None; p_x = None;
-            p_covered = None; p_records_rev = []; p_queue = None;
+            p_mark = None; p_covered = None; p_records_rev = []; p_queue = None;
             p_seeds_rev = []; p_sens_rev = []; p_frames_rev = []; p_fb_rev = [];
             p_fe_rev = []; p_fp = None; p_fi = None; p_ce_rev = []; p_cp = None;
             p_ci = None; p_rarity = None; p_rareb = None; p_mut = None;
@@ -401,6 +413,7 @@ module Snapshot = struct
           batches;
           master_state;
           scheduler = p.p_sched;
+          mark = req "record-log mark" p.p_mark;
           explorer =
             {
               Explorer.Snapshot.rng_state; issued; iterations; failed; crashed;
@@ -455,6 +468,23 @@ module Snapshot = struct
           | _ -> err "missing checksum trailer")
 end
 
+(* {2 Checksummed lines}
+
+   The journal and the record log share one line format,
+   [%08x payload\n]: the checksum of the payload, a space, the payload. *)
+
+let checked_line payload =
+  Printf.sprintf "%08x %s\n" (Transport.checksum payload) payload
+
+(* The payload of one line (without its newline), or [Bad]. *)
+let verified_payload what line =
+  let crc, payload = split2 line in
+  if String.length crc <> 8 then bad "%s line: missing checksum" what;
+  match int_of_string_opt ("0x" ^ crc) with
+  | Some c when c = Transport.checksum payload -> payload
+  | Some _ -> bad "%s line: checksum mismatch" what
+  | None -> bad "%s line: malformed checksum" what
+
 (* {2 The write-ahead journal}
 
    Headerless since checkpoint version 3: one [o <key> <msg>] line per
@@ -477,14 +507,7 @@ let parse_payload payload =
       | Error m -> bad "journal outcome: %s" m)
   | t -> bad "unknown journal record %S" t
 
-let parse_wal_line line =
-  let crc, payload = split2 line in
-  if String.length crc <> 8 then bad "journal line: missing checksum";
-  (match int_of_string_opt ("0x" ^ crc) with
-  | Some c when c = Transport.checksum payload -> ()
-  | Some _ -> bad "journal line: checksum mismatch"
-  | None -> bad "journal line: malformed checksum");
-  parse_payload payload
+let parse_wal_line line = parse_payload (verified_payload "journal" line)
 
 (* Scan the journal: complete lines parse in order; a torn or corrupt
    FINAL line is the crash signature and is dropped (the truncation point
@@ -546,11 +569,70 @@ let wal_tail ~since records =
     kept;
   kept
 
+(* {2 The record log}
+
+   [records.log] holds records 1..n in birth order, one checksummed
+   [r ...] line each (the snapshot's record codec). A record is logged
+   once it is older than every queued test: only aging changes a record
+   (its fitness), only queued records age, and no record re-enters the
+   queue, so a logged record is final. *)
+
+(* The highest birth whose record is final: the oldest queued birth
+   minus one, or every record when nothing is queued (the random and
+   exhaustive strategies never queue). *)
+let frontier (x : Explorer.Snapshot.t) =
+  match x.Explorer.Snapshot.queue with
+  | [] -> x.Explorer.Snapshot.iterations
+  | q -> List.fold_left min max_int q - 1
+
+let record_of_log_line line =
+  match String.split_on_char ' ' (verified_payload "record log" line) with
+  | "r" :: rest -> Snapshot.record_of_tokens rest
+  | _ -> bad "record log line: not a record"
+
+(* The records a mark vouches for, newest first: exactly [logged] whole
+   lines in the first [log_bytes] bytes, births 1..logged. Bytes past
+   the mark are not read — they are a crash's half-finished append. *)
+let parse_log contents (m : Snapshot.mark) =
+  if String.length contents < m.Snapshot.log_bytes then
+    bad "records.log holds %d bytes, short of the %d its mark vouches for"
+      (String.length contents) m.Snapshot.log_bytes;
+  let rec lines acc n start =
+    if start = m.Snapshot.log_bytes then begin
+      if n <> m.Snapshot.logged then
+        bad "records.log holds %d records where the mark vouches for %d" n
+          m.Snapshot.logged;
+      acc
+    end
+    else
+      match String.index_from_opt contents start '\n' with
+      | Some e when e < m.Snapshot.log_bytes ->
+          let c =
+            try record_of_log_line (String.sub contents start (e - start))
+            with Bad msg -> bad "records.log record %d: %s" (n + 1) msg
+          in
+          if c.Test_case.birth <> n + 1 then
+            bad "records.log record %d carries birth %d" (n + 1)
+              c.Test_case.birth;
+          lines (c :: acc) (n + 1) (e + 1)
+      | Some _ | None -> bad "records.log: the mark ends inside a line"
+  in
+  lines [] 0 0
+
 (* {2 The checkpoint handle} *)
 
-type hooks = { on_append : int -> unit; after_rename : unit -> unit }
+type hooks = {
+  on_append : int -> unit;
+  before_rename : unit -> unit;
+  after_rename : unit -> unit;
+}
 
-let no_hooks = { on_append = (fun _ -> ()); after_rename = (fun () -> ()) }
+let no_hooks =
+  {
+    on_append = (fun _ -> ());
+    before_rename = (fun () -> ());
+    after_rename = (fun () -> ());
+  }
 
 type t = {
   cp_dir : string;
@@ -558,6 +640,8 @@ type t = {
   cp_meta : (string * string) list;
   hooks : hooks;
   wal_fd : Unix.file_descr;
+  log_fd : Unix.file_descr;
+  mutable mark : Snapshot.mark;  (** what [records.log] holds *)
   mutable appends : int;
   mutable snapshots : int;
   mutable last_snapshot_iterations : int;
@@ -569,12 +653,18 @@ type t = {
 
 let snapshot_path dir = Filename.concat dir "snapshot.afex"
 let wal_path dir = Filename.concat dir "wal.log"
+let log_path dir = Filename.concat dir "records.log"
 
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let open_append ?(flags = []) path =
+  Unix.openfile path
+    ([ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] @ flags)
+    0o644
 
 let start ?(hooks = no_hooks) ?(every = 500) ~dir meta =
   if every < 1 then Error "checkpoint: snapshot cadence must be at least 1"
@@ -587,14 +677,12 @@ let start ?(hooks = no_hooks) ?(every = 500) ~dir meta =
              "%s already holds a checkpoint; pass --resume %s to continue it"
              dir dir)
       else begin
-        let wal_fd =
-          Unix.openfile (wal_path dir)
-            [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_APPEND ]
-            0o644
-        in
+        let wal_fd = open_append ~flags:[ Unix.O_TRUNC ] (wal_path dir) in
+        let log_fd = open_append ~flags:[ Unix.O_TRUNC ] (log_path dir) in
         Ok
           {
-            cp_dir = dir; every; cp_meta = meta; hooks; wal_fd; appends = 0;
+            cp_dir = dir; every; cp_meta = meta; hooks; wal_fd; log_fd;
+            mark = { Snapshot.logged = 0; log_bytes = 0 }; appends = 0;
             snapshots = 0; last_snapshot_iterations = 0; replay = [];
             was_resumed = false; n_replayed_records = 0; loaded = None;
           }
@@ -633,6 +721,33 @@ let verify_meta ~current ~stored =
              k v)
   end
 
+(* The snapshot with the logged records put back in front of its own,
+   after checking that the log holds what the mark vouches for. *)
+let merge_log ~dir (snap : Snapshot.t) =
+  let m = snap.Snapshot.mark in
+  let path = log_path dir in
+  let contents =
+    if Sys.file_exists path then read_file path
+    else if m.Snapshot.log_bytes > 0 then bad "records.log is missing"
+    else ""
+  in
+  let logged_rev = parse_log contents m in
+  let x = snap.Snapshot.explorer in
+  List.iter
+    (fun b ->
+      if b <= m.Snapshot.logged then
+        bad "queued test %d is already frozen in records.log" b)
+    x.Explorer.Snapshot.queue;
+  {
+    snap with
+    Snapshot.explorer =
+      {
+        x with
+        Explorer.Snapshot.records =
+          List.rev_append logged_rev x.Explorer.Snapshot.records;
+      };
+  }
+
 let resume ?(hooks = no_hooks) ?(every = 500) ~dir meta =
   let ( let* ) = Result.bind in
   if every < 1 then Error "checkpoint: snapshot cadence must be at least 1"
@@ -642,6 +757,9 @@ let resume ?(hooks = no_hooks) ?(every = 500) ~dir meta =
     try
       let* snap = Snapshot.decode (read_file (snapshot_path dir)) in
       let* () = verify_meta ~current:meta ~stored:snap.Snapshot.meta in
+      let* merged =
+        try Ok (merge_log ~dir snap) with Bad m -> Error ("checkpoint: " ^ m)
+      in
       let wal = wal_path dir in
       let contents = if Sys.file_exists wal then read_file wal else "" in
       let* replay, valid_end =
@@ -651,22 +769,27 @@ let resume ?(hooks = no_hooks) ?(every = 500) ~dir meta =
           Ok (wal_tail ~since records, valid_end)
         with Bad m -> Error ("checkpoint: " ^ m)
       in
-      let wal_fd =
-        Unix.openfile wal [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-      in
+      let wal_fd = open_append wal in
       Unix.ftruncate wal_fd valid_end;
+      (* Bytes past the mark are an append the snapshot never vouched
+         for (a crash before its rename); the next snapshot rewrites
+         them. *)
+      let log_fd = open_append (log_path dir) in
+      Unix.ftruncate log_fd snap.Snapshot.mark.Snapshot.log_bytes;
       Log.info (fun f ->
-          f "resuming %s: %d iterations snapshotted, %d journaled outcomes to replay"
+          f
+            "resuming %s: %d iterations snapshotted (%d in the record log), %d \
+             journaled outcomes to replay"
             dir snap.Snapshot.explorer.Explorer.Snapshot.iterations
-            (List.length replay));
+            snap.Snapshot.mark.Snapshot.logged (List.length replay));
       Ok
         {
-          cp_dir = dir; every; cp_meta = meta; hooks; wal_fd; appends = 0;
-          snapshots = 0;
+          cp_dir = dir; every; cp_meta = meta; hooks; wal_fd; log_fd;
+          mark = snap.Snapshot.mark; appends = 0; snapshots = 0;
           last_snapshot_iterations =
             snap.Snapshot.explorer.Explorer.Snapshot.iterations;
           replay; was_resumed = true;
-          n_replayed_records = List.length replay; loaded = Some snap;
+          n_replayed_records = List.length replay; loaded = Some merged;
         }
     with
     | Unix.Unix_error (e, fn, arg) ->
@@ -676,7 +799,6 @@ let resume ?(hooks = no_hooks) ?(every = 500) ~dir meta =
 
 let resumed t = t.was_resumed
 let dir t = t.cp_dir
-let meta t = t.cp_meta
 let loaded_snapshot t = t.loaded
 
 let next_replay t =
@@ -691,23 +813,58 @@ let replay_pending t = t.replay <> []
 let due t ~iterations =
   t.replay = [] && iterations - t.last_snapshot_iterations >= t.every
 
-let append t payload =
-  let line = Printf.sprintf "%08x %s\n" (Transport.checksum payload) payload in
-  let b = Bytes.of_string line in
-  let written = Unix.write t.wal_fd b 0 (Bytes.length b) in
-  if written <> Bytes.length b then failwith "checkpoint: short journal write";
-  t.appends <- t.appends + 1;
-  t.hooks.on_append t.appends
+let write_all what fd s =
+  let n = String.length s in
+  if Unix.write_substring fd s 0 n <> n then
+    failwith ("checkpoint: short " ^ what ^ " write")
 
 let append_outcome t ~point_key ~seq outcome =
   let msg =
     Message.encode_from_manager
       (Message.Scenario_result (Message.report_of_outcome ~seq outcome))
   in
-  append t (Printf.sprintf "o %s %s" (Message.escape point_key) msg)
+  write_all "journal" t.wal_fd
+    (checked_line (String.concat " " [ "o"; Message.escape point_key; msg ]));
+  t.appends <- t.appends + 1;
+  t.hooks.on_append t.appends
 
-let write_snapshot t ~iterations snap =
-  let text = Snapshot.encode snap in
+(* Append the records that became final since the last snapshot, in
+   one write; the rest of the capture stays in the snapshot. *)
+let freeze t (x : Explorer.Snapshot.t) =
+  let f = frontier x in
+  let buf = Buffer.create 4096 in
+  let rec go n = function
+    | (c : Test_case.t) :: rest when c.Test_case.birth <= f ->
+        Buffer.add_string buf (checked_line (Snapshot.record_to_line c));
+        go (n + 1) rest
+    | live -> (n, live)
+  in
+  let n, live = go 0 x.Explorer.Snapshot.records in
+  if n > 0 then begin
+    write_all "record log" t.log_fd (Buffer.contents buf);
+    t.mark <-
+      {
+        Snapshot.logged = t.mark.Snapshot.logged + n;
+        log_bytes = t.mark.Snapshot.log_bytes + Buffer.length buf;
+      }
+  end;
+  live
+
+let write_snapshot t ~batches ~master_state ~scheduler explorer =
+  let x = Explorer.capture ~since:t.mark.Snapshot.logged explorer in
+  let live = freeze t x in
+  t.hooks.before_rename ();
+  let text =
+    Snapshot.encode
+      {
+        Snapshot.meta = t.cp_meta;
+        batches;
+        master_state;
+        scheduler;
+        mark = t.mark;
+        explorer = { x with Explorer.Snapshot.records = live };
+      }
+  in
   let tmp = Filename.concat t.cp_dir "snapshot.tmp" in
   let oc = open_out_bin tmp in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text);
@@ -715,8 +872,10 @@ let write_snapshot t ~iterations snap =
   t.hooks.after_rename ();
   Unix.ftruncate t.wal_fd 0;
   t.snapshots <- t.snapshots + 1;
-  t.last_snapshot_iterations <- iterations;
-  Log.debug (fun f -> f "snapshot at %d iterations" iterations)
+  t.last_snapshot_iterations <- x.Explorer.Snapshot.iterations;
+  Log.debug (fun f ->
+      f "snapshot at %d iterations, %d records logged"
+        x.Explorer.Snapshot.iterations t.mark.Snapshot.logged)
 
 type stats = {
   was_resumed : bool;
@@ -733,4 +892,7 @@ let stats (t : t) =
     replayed_records = t.n_replayed_records;
   }
 
-let close t = try Unix.close t.wal_fd with Unix.Unix_error _ -> ()
+let close t =
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ t.wal_fd; t.log_fd ]

@@ -1,10 +1,23 @@
-(** Crash-safe campaign checkpoints: periodic snapshots plus a
-    write-ahead journal of reported outcomes.
+(** Crash-safe campaign checkpoints: periodic snapshots, an append-only
+    log of final records, and a write-ahead journal of reported
+    outcomes.
 
-    A checkpoint directory holds two files:
+    A checkpoint directory holds three files:
 
-    - [snapshot.afex] — the full explorer/scheduler/pool state at a
-      quiescent reorder-buffer watermark (released = submitted), written
+    - [records.log] — the records that can no longer change, in birth
+      order, one checksummed line each. Aging is the only thing that
+      changes a record (its fitness), only queued records age, and no
+      record re-enters the queue, so every record older than the oldest
+      queued one is final. The highest such birth is the {e frontier}:
+      the oldest queued birth minus one, or every record when the queue
+      is empty (the random and exhaustive strategies never queue). Each
+      snapshot appends the records between the old and the new frontier
+      in one write, so a snapshot costs what happened since the last
+      one, not the whole history.
+    - [snapshot.afex] — the rest of the explorer/scheduler/pool state at
+      a quiescent reorder-buffer watermark (released = submitted): the
+      records above the frontier, plus a {e mark} naming how many
+      records and bytes of [records.log] it vouches for. Written
       atomically (temp file + [rename]) in a versioned, checksummed,
       line-oriented codec built from the {!Message} field codecs and the
       {!Transport} CRC discipline.
@@ -14,18 +27,25 @@
       ascending in the absolute iteration each line carries; no batch
       framing is needed.
 
-    Kill the process anywhere — mid-append, mid-snapshot, between the
-    snapshot [rename] and the journal truncation — and [--resume]
-    reconstructs the exact state: the snapshot restores the last
-    watermark, the journal tail replays the outcomes released after it,
-    and the deterministic explorer regenerates everything else. The
-    final export is byte-identical to the uninterrupted run's (proven in
-    CI by a kill -9 harness).
+    A snapshot appends to [records.log], then renames [snapshot.afex]
+    into place, then truncates [wal.log]. Kill the process anywhere —
+    mid-append, between the log append and the rename, between the
+    rename and the journal truncation — and [--resume] reconstructs the
+    exact state: log bytes past the mark are dropped, the logged records
+    and the snapshot restore the last watermark, the journal tail replays
+    the outcomes released after it, and the deterministic explorer
+    regenerates everything else. The final export is byte-identical to
+    the uninterrupted run's (proven in CI by a kill -9 harness).
 
     Durability is against process death, not media loss: files are
     flushed to the OS on every append but not fsynced. *)
 
 module Snapshot : sig
+  type mark = {
+    logged : int;  (** [records.log] holds records [1 .. logged] ... *)
+    log_bytes : int;  (** ... in exactly its first [log_bytes] bytes *)
+  }
+
   type t = {
     meta : (string * string) list;
         (** campaign identity: every flag that shapes the search, checked
@@ -34,17 +54,22 @@ module Snapshot : sig
     batches : int;  (** completed scheduler rounds *)
     master_state : int64;  (** the pool's master RNG position *)
     scheduler : Scheduler.snapshot option;
+    mark : mark;
     explorer : Afex.Explorer.Snapshot.t;
+        (** in a decoded file, [records] holds only the records above
+            the mark; {!loaded_snapshot} puts the logged ones back in
+            front *)
   }
 
   val encode : t -> string
-  (** Versioned ([afex-checkpoint 3]), checksummed, line-oriented; the
+  (** Versioned ([afex-checkpoint 4]), checksummed, line-oriented; the
       exact bytes written to [snapshot.afex]. Encoding is a pure function
       of the snapshot, so equal states produce equal files. *)
 
   val decode : string -> (t, string) result
   (** Total inverse of {!encode}: truncation, bit flips, unknown
-      versions and structural damage all return [Error], never raise. *)
+      versions (version 3 included) and structural damage all return
+      [Error], never raise. *)
 end
 
 type hooks = {
@@ -52,6 +77,10 @@ type hooks = {
       (** called after every journal append with the running append
           count — the kill-9 test harness raises from here to simulate a
           crash at a precise write *)
+  before_rename : unit -> unit;
+      (** called between the record-log append and the snapshot
+          [rename] — the crash window in which [records.log] runs ahead
+          of the snapshot's mark *)
   after_rename : unit -> unit;
       (** called between the snapshot [rename] and the journal
           truncation — the crash window that makes stale journal entries
@@ -66,27 +95,31 @@ val start :
   ?hooks:hooks -> ?every:int -> dir:string -> (string * string) list ->
   (t, string) result
 (** Open [dir] (created if missing) for a fresh campaign: an empty
-    journal, no snapshot yet. [every] is the snapshot cadence in
-    reported outcomes (default 500). [Error] if the directory already
-    holds a snapshot — resuming must be explicit. *)
+    journal and record log, no snapshot yet. [every] is the snapshot
+    cadence in reported outcomes (default 500). [Error] if the directory
+    already holds a snapshot — resuming must be explicit. *)
 
 val resume :
   ?hooks:hooks -> ?every:int -> dir:string -> (string * string) list ->
   (t, string) result
-(** Load [dir]'s snapshot, verify the campaign metadata matches, parse
-    the journal tail (dropping at most one torn final line, rejecting
-    any other corruption), and queue the journaled outcomes for replay.
-    Journal entries for iterations the snapshot already covers —
-    possible when the crash hit between the snapshot rename and the
-    journal truncation — are discarded; what remains must continue
+(** Load [dir]'s snapshot, verify the campaign metadata matches, check
+    that [records.log] holds what the snapshot's mark vouches for (every
+    line checksum inside the mark, births [1 .. logged]; a short,
+    missing or damaged log is an [Error]) and drop its bytes past the
+    mark, parse the journal tail (dropping at most one torn final line,
+    rejecting any other corruption), and queue the journaled outcomes
+    for replay. Journal entries for iterations the snapshot already
+    covers — possible when the crash hit between the snapshot rename and
+    the journal truncation — are discarded; what remains must continue
     contiguously from the snapshot's iteration count. *)
 
 val resumed : t -> bool
 val dir : t -> string
-val meta : t -> (string * string) list
 
 val loaded_snapshot : t -> Snapshot.t option
-(** The snapshot a {!resume} loaded; [None] after {!start}. *)
+(** The snapshot a {!resume} loaded, with the logged records in front of
+    its own, so [explorer.records] is the whole history; [None] after
+    {!start}. *)
 
 val next_replay : t -> (int * string * Message.run_report) option
 (** Pop the next journaled outcome to replay, oldest first: the
@@ -105,8 +138,17 @@ val append_outcome :
 (** Journal one released outcome ([seq] is the absolute iteration
     number). One checksummed line, one [write]. *)
 
-val write_snapshot : t -> iterations:int -> Snapshot.t -> unit
-(** Atomically replace [snapshot.afex] and truncate the journal. *)
+val write_snapshot :
+  t ->
+  batches:int ->
+  master_state:int64 ->
+  scheduler:Scheduler.snapshot option ->
+  Afex.Explorer.t ->
+  unit
+(** Capture the explorer (walking its records only down to the mark),
+    append the records that became final to [records.log], atomically
+    replace [snapshot.afex], and truncate the journal.
+    @raise Invalid_argument if the explorer has candidates in flight. *)
 
 type stats = {
   was_resumed : bool;
@@ -118,4 +160,5 @@ type stats = {
 val stats : t -> stats
 
 val close : t -> unit
-(** Close the journal. The checkpoint stays resumable. *)
+(** Close the journal and the record log. The checkpoint stays
+    resumable. *)

@@ -15,15 +15,36 @@ let max_line = 1 lsl 20
 (* must be escaped along with control and non-ASCII bytes.             *)
 (* ------------------------------------------------------------------ *)
 
+let[@inline] plain ch = ch > ' ' && ch < '\x7f' && ch <> '%' && ch <> ','
+
+(* Most tokens need no escaping and come back unchanged; otherwise the
+   result is sized exactly and filled without formatting calls. *)
 let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      let c = Char.code ch in
-      if c > 0x20 && c < 0x7f && ch <> '%' && ch <> ',' then Buffer.add_char b ch
-      else Buffer.add_string b (Printf.sprintf "%%%02X" c))
-    s;
-  Buffer.contents b
+  let n = String.length s in
+  let escaped = ref 0 in
+  for i = 0 to n - 1 do
+    if not (plain (String.unsafe_get s i)) then incr escaped
+  done;
+  if !escaped = 0 then s
+  else begin
+    let b = Bytes.create (n + (2 * !escaped)) in
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      let ch = String.unsafe_get s i in
+      if plain ch then begin
+        Bytes.unsafe_set b !j ch;
+        incr j
+      end
+      else begin
+        let c = Char.code ch in
+        Bytes.unsafe_set b !j '%';
+        Bytes.unsafe_set b (!j + 1) "0123456789ABCDEF".[c lsr 4];
+        Bytes.unsafe_set b (!j + 2) "0123456789ABCDEF".[c land 15];
+        j := !j + 3
+      end
+    done;
+    Bytes.unsafe_to_string b
+  end
 
 let hex_digit = function
   | '0' .. '9' as c -> Some (Char.code c - Char.code '0')
@@ -204,20 +225,22 @@ let encode_coverage = function
       let b = Buffer.create 64 in
       let emit lo hi =
         if Buffer.length b > 0 then Buffer.add_char b ',';
-        if lo = hi then Buffer.add_string b (string_of_int lo)
-        else Buffer.add_string b (Printf.sprintf "%d-%d" lo hi)
+        Buffer.add_string b (string_of_int lo);
+        if lo <> hi then begin
+          Buffer.add_char b '-';
+          Buffer.add_string b (string_of_int hi)
+        end
       in
-      let lo, hi =
-        List.fold_left
-          (fun (lo, hi) i ->
-            if i = hi + 1 then (lo, i)
+      let rec runs lo hi = function
+        | [] -> emit lo hi
+        | i :: rest ->
+            if i = hi + 1 then runs lo i rest
             else begin
               emit lo hi;
-              (i, i)
-            end)
-          (first, first) rest
+              runs i i rest
+            end
       in
-      emit lo hi;
+      runs first first rest;
       Buffer.contents b
 
 let decode_coverage s =

@@ -153,15 +153,10 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
     match checkpoint with
     | None -> ()
     | Some cp ->
-        Checkpoint.write_snapshot cp
-          ~iterations:(Afex.Explorer.iterations explorer)
-          {
-            Checkpoint.Snapshot.meta = Checkpoint.meta cp;
-            batches = !rounds;
-            master_state = Rng.state master;
-            scheduler = Option.map Scheduler.snapshot scheduler;
-            explorer = Afex.Explorer.capture explorer;
-          }
+        Checkpoint.write_snapshot cp ~batches:!rounds
+          ~master_state:(Rng.state master)
+          ~scheduler:(Option.map Scheduler.snapshot scheduler)
+          explorer
   in
   (* A fresh checkpointed campaign writes its base snapshot before any
      work, so a crash before the first cadence snapshot still resumes

@@ -34,7 +34,8 @@ type t = {
   covered : Bitset.t;
   rarity : Rarity.t option;  (** global hit-count histogram, when enabled *)
   rare_block : (int, int) Hashtbl.t;
-      (** birth -> rarest block that test covered (at its report time);
+      (** birth -> rarest block that test covered (at its report time),
+          for queued tests only: parents are drawn from the queue, and
           the mutator checks the block's current hit count to decide
           whether to mask mutations of that parent *)
   mutator_stats : Mutator.stats;
@@ -251,13 +252,14 @@ let report t (proposal : Mutator.proposal) outcome =
       (Option.value case.Test_case.injection_stack ~default:[]);
   (* Rarity bookkeeping: remember which rare frontier this test stood on
      (pre-observation, matching the bonus), then absorb its coverage. *)
-  (match t.rarity with
-  | Some hist ->
-      (match Rarity.rarest_block hist outcome.Outcome.coverage with
-      | Some b -> Hashtbl.replace t.rare_block case.Test_case.birth b
-      | None -> ());
-      Rarity.observe hist outcome.Outcome.coverage
-  | None -> ());
+  let rarest =
+    match t.rarity with
+    | Some hist ->
+        let b = Rarity.rarest_block hist outcome.Outcome.coverage in
+        Rarity.observe hist outcome.Outcome.coverage;
+        b
+    | None -> None
+  in
   t.simulated_ms <-
     t.simulated_ms +. outcome.Outcome.duration_ms +. t.config.Config.setup_ms;
   t.records <- case :: t.records;
@@ -277,8 +279,17 @@ let report t (proposal : Mutator.proposal) outcome =
   | None -> ());
   (match t.config.Config.strategy with
   | Config.Fitness_guided _ ->
-      ignore (Pqueue.insert ~policy:t.config.Config.eviction t.rng t.queue case);
-      ignore
+      (* The rare-block map follows the queue: an entry lives exactly as
+         long as its test can still be drawn as a parent. *)
+      (match rarest with
+      | Some b -> Hashtbl.replace t.rare_block case.Test_case.birth b
+      | None -> ());
+      let leave (c : Test_case.t) =
+        Hashtbl.remove t.rare_block c.Test_case.birth
+      in
+      Option.iter leave
+        (Pqueue.insert ~policy:t.config.Config.eviction t.rng t.queue case);
+      List.iter leave
         (Pqueue.age t.queue ~decay:t.config.Config.aging_decay
            ~retire_below:t.config.Config.retire_threshold)
   | Config.Random_search | Config.Exhaustive -> ());
@@ -320,7 +331,7 @@ module Snapshot = struct
     simulated_ms : float;
     cursor_consumed : int;
     covered : int list;  (* ascending block indices *)
-    records : Test_case.t list;  (* chronological *)
+    records : Test_case.t list;  (* chronological, births above [since] *)
     queue : int list;  (* birth ids, Pqueue.elements order *)
     seeds : Point.t list;  (* analysis seeds not yet consumed *)
     sensitivity : float list array;
@@ -329,15 +340,22 @@ module Snapshot = struct
     failure_index : Index.dump;
     crash_index : Index.dump;
     rarity : (int * (int * int) list) option;  (* Rarity.dump, when enabled *)
-    rare_blocks : (int * int) list;  (* birth -> rarest block, ascending *)
+    rare_blocks : (int * int) list;
+        (* queued birth -> rarest block, ascending *)
     mutator : Mutator.stats;  (* private copy *)
   }
 
-  let capture (e : explorer) =
+  let capture ?(since = 0) (e : explorer) =
     if Point.Tbl.length e.pending <> 0 then
       invalid_arg
         "Explorer.Snapshot.capture: candidates still in flight — snapshots \
          are only taken at batch boundaries";
+    (* [e.records] is newest first: walk it only down to [since]. *)
+    let rec above acc = function
+      | (c : Test_case.t) :: rest when c.Test_case.birth > since ->
+          above (c :: acc) rest
+      | _ -> acc
+    in
     {
       rng_state = Rng.state e.rng;
       issued = e.issued;
@@ -349,7 +367,7 @@ module Snapshot = struct
       simulated_ms = e.simulated_ms;
       cursor_consumed = e.cursor_consumed;
       covered = Bitset.to_list e.covered;
-      records = List.rev e.records;
+      records = above [] e.records;
       queue = List.map (fun c -> c.Test_case.birth) (Pqueue.elements e.queue);
       seeds = e.seeds;
       sensitivity = Sensitivity.dump e.sensitivity;

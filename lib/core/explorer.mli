@@ -110,7 +110,9 @@ module Snapshot : sig
     simulated_ms : float;
     cursor_consumed : int;  (** exhaustive cursor position *)
     covered : int list;  (** covered block indices, ascending *)
-    records : Test_case.t list;  (** chronological *)
+    records : Test_case.t list;
+        (** chronological: births [since+1 .. iterations] of the capture
+            ({!restore} needs the whole history, from birth 1) *)
     queue : int list;  (** Q_priority as birth ids, {!queue_snapshot} order *)
     seeds : Afex_faultspace.Point.t list;  (** unconsumed analysis seeds *)
     sensitivity : float list array;
@@ -121,17 +123,23 @@ module Snapshot : sig
     rarity : (int * (int * int) list) option;
         (** {!Rarity.dump}, present iff rarity is enabled *)
     rare_blocks : (int * int) list;
-        (** (birth, rarest covered block) pairs, ascending by birth *)
+        (** (birth, rarest covered block) pairs of queued tests, ascending
+            by birth — at most the queue capacity *)
     mutator : Mutator.stats;  (** a private copy of the tallies *)
   }
 
-  val capture : explorer -> t
-  (** @raise Invalid_argument if any candidate is still pending —
+  val capture : ?since:int -> explorer -> t
+  (** [since] (default 0) omits the records born at or before it: a
+      caller that already holds them — the checkpoint's record log —
+      pays only for the newer ones, since the walk stops there. Only a
+      queued test's fitness still changes (aging), so records older
+      than every queued test are final.
+      @raise Invalid_argument if any candidate is still pending —
       snapshots are only meaningful at batch boundaries, when every
       issued candidate has been reported. *)
 end
 
-val capture : t -> Snapshot.t
+val capture : ?since:int -> t -> Snapshot.t
 (** Alias of {!Snapshot.capture}. *)
 
 val restore :

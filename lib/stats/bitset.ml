@@ -59,10 +59,16 @@ let iter f t =
     if mem t i then f i
   done
 
+(* Bits at or past [capacity] are never set, so whole bytes can be
+   scanned: coverage bitsets are mostly zero bytes, which cost one test. *)
 let to_list t =
   let acc = ref [] in
-  for i = t.capacity - 1 downto 0 do
-    if mem t i then acc := i :: !acc
+  for byte = Bytes.length t.words - 1 downto 0 do
+    let v = Char.code (Bytes.unsafe_get t.words byte) in
+    if v <> 0 then
+      for bit = 7 downto 0 do
+        if v land (1 lsl bit) <> 0 then acc := ((byte lsl 3) lor bit) :: !acc
+      done
   done;
   !acc
 

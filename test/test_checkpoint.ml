@@ -1,7 +1,9 @@
 (* Crash-safe checkpoint/resume: codec round-trips on random explorer
    states, corruption rejection (truncation, bit flips, torn journal
-   tails), and deterministic crash-point sweeps — the in-process copy of
-   what the CI kill -9 harness proves on the real binary. *)
+   tails, damaged record logs), deterministic crash-point sweeps — the
+   in-process copy of what the CI kill -9 harness proves on the real
+   binary — and the gate that keeps a snapshot's cost at the tests run
+   since the last one. *)
 
 module Checkpoint = Afex_cluster.Checkpoint
 module Scheduler = Afex_cluster.Scheduler
@@ -11,6 +13,9 @@ module Explorer = Afex.Explorer
 module Export = Afex_report.Export
 module Rng = Afex_stats.Rng
 module Apache = Afex_simtarget.Apache
+module Mysql = Afex_simtarget.Mysql
+module Bitset = Afex_stats.Bitset
+module Message = Afex_cluster.Message
 
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
@@ -43,6 +48,18 @@ let with_dir f =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
 (* Deliberately awkward metadata: escaping must survive the round trip. *)
 let meta =
   [
@@ -55,12 +72,14 @@ let meta =
 (* ---- snapshot codec properties --------------------------------------- *)
 
 (* A random mid-campaign explorer: random strategy, seed, feedback flag
-   and progress point, captured at a batch boundary (nothing pending). *)
+   and progress point, captured at a batch boundary (nothing pending)
+   above a random record-log mark. *)
 let arb_snapshot =
   Prop.make
     ~show:(fun (s : Checkpoint.Snapshot.t) ->
-      Printf.sprintf "<snapshot: %d iterations, %d batches>"
+      Printf.sprintf "<snapshot: %d iterations, %d logged, %d batches>"
         s.Checkpoint.Snapshot.explorer.Explorer.Snapshot.iterations
+        s.Checkpoint.Snapshot.mark.Checkpoint.Snapshot.logged
         s.Checkpoint.Snapshot.batches)
     (fun rng ->
       let seed = Rng.int rng 10_000 in
@@ -86,12 +105,15 @@ let arb_snapshot =
                   ~seed:(Rng.int rng 1000) Scheduler.Adaptive))
         else None
       in
+      let logged = Rng.int rng (Explorer.iterations ex + 1) in
       {
         Checkpoint.Snapshot.meta;
         batches = Rng.int rng 50;
         master_state = Rng.state (Rng.create (Rng.int rng 10_000));
         scheduler;
-        explorer = Explorer.capture ex;
+        mark =
+          { Checkpoint.Snapshot.logged; log_bytes = Rng.int rng 1_000_000 };
+        explorer = Explorer.capture ~since:logged ex;
       })
 
 let test_codec_roundtrip () =
@@ -181,15 +203,10 @@ let test_start_refuses_existing () =
       (match Checkpoint.start ~dir meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
-          Checkpoint.write_snapshot cp ~iterations:0
-            {
-              Checkpoint.Snapshot.meta;
-              batches = 0;
-              master_state = 1L;
-              scheduler = None;
-              explorer = Explorer.capture (Explorer.create
-                (Config.fitness_guided ~seed:1 ()) (space ()) (executor ()));
-            };
+          Checkpoint.write_snapshot cp ~batches:0 ~master_state:1L
+            ~scheduler:None
+            (Explorer.create (Config.fitness_guided ~seed:1 ()) (space ())
+               (executor ()));
           Checkpoint.close cp);
       match Checkpoint.start ~dir meta with
       | Ok _ -> Alcotest.fail "start over an existing snapshot must be refused"
@@ -206,15 +223,10 @@ let test_meta_mismatch_rejected () =
       (match Checkpoint.start ~dir meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
-          Checkpoint.write_snapshot cp ~iterations:0
-            {
-              Checkpoint.Snapshot.meta;
-              batches = 0;
-              master_state = 1L;
-              scheduler = None;
-              explorer = Explorer.capture (Explorer.create
-                (Config.fitness_guided ~seed:1 ()) (space ()) (executor ()));
-            };
+          Checkpoint.write_snapshot cp ~batches:0 ~master_state:1L
+            ~scheduler:None
+            (Explorer.create (Config.fitness_guided ~seed:1 ()) (space ())
+               (executor ()));
           Checkpoint.close cp);
       match Checkpoint.resume ~dir (("seed", "8") :: List.remove_assoc "seed" meta) with
       | Ok _ -> Alcotest.fail "resume under a different seed must be refused"
@@ -224,13 +236,18 @@ let test_meta_mismatch_rejected () =
 
 exception Crash
 
+(* Sync watermarks every 25 releases put cadence snapshots (every 25
+   outcomes) inside the campaign. Its first queued tests stay queued
+   until the snapshot at 200, so records reach the record log only in
+   the last third, and a resume from there has to merge the log back. *)
 let session_exports ?checkpoint config =
   let pool = Pool.create ~jobs:1 (Pool.Pure (executor ())) in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
       let result, _ =
-        Pool.session ?checkpoint ~batch_size:8 ~iterations:120 pool config (space ())
+        Pool.session ?checkpoint ~batch_size:8 ~sync_every:25 ~iterations:300
+          pool config (space ())
       in
       ( Export.summary_to_json ~target:"apache" result,
         Export.records_to_csv result ))
@@ -247,6 +264,10 @@ let crash_at ~dir ~config hooks =
       Checkpoint.close cp;
       crashed
 
+let log_size dir =
+  let path = Filename.concat dir "records.log" in
+  if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0
+
 let resume_to_end ~dir ~config =
   match Checkpoint.resume ~every:25 ~dir meta with
   | Error e -> Alcotest.fail e
@@ -259,7 +280,8 @@ let test_kill_point_sweep () =
   let config = Config.fitness_guided ~seed:7 () in
   let base_json, base_csv = session_exports config in
   (* Learn the append count of the uninterrupted campaign, then crash at
-     early / mid / late appends plus one past the midpoint snapshot. *)
+     early / mid / late appends; the last two come after records were
+     logged. *)
   let total = ref 0 in
   with_dir (fun dir ->
       let hooks = { Checkpoint.no_hooks with Checkpoint.on_append = (fun n -> total := n) } in
@@ -268,7 +290,7 @@ let test_kill_point_sweep () =
       | Ok cp ->
           ignore (session_exports ~checkpoint:cp config);
           Checkpoint.close cp));
-  let points = [ 1; 5; !total / 2; !total - 1 ] in
+  let points = [ 1; 5; !total / 2; 3 * !total / 4; !total - 1 ] in
   List.iter
     (fun k ->
       with_dir (fun dir ->
@@ -280,6 +302,11 @@ let test_kill_point_sweep () =
           in
           checkb (Printf.sprintf "crashed at append %d" k) true
             (crash_at ~dir ~config hooks);
+          if k >= 3 * !total / 4 then
+            checkb
+              (Printf.sprintf "records logged before the crash at append %d" k)
+              true
+              (log_size dir > 0);
           let json, csv = resume_to_end ~dir ~config in
           checks (Printf.sprintf "JSON identical after crash at append %d" k)
             base_json json;
@@ -309,6 +336,47 @@ let test_crash_between_rename_and_truncate () =
       checks "JSON identical after rename-window crash" base_json json;
       checks "CSV identical after rename-window crash" base_csv csv)
 
+(* Crash after the record-log append and before the snapshot rename:
+   the older snapshot then sits next to a log that runs past its mark.
+   Resume drops the bytes past the mark and replays the journal, which
+   the older snapshot still vouches for. *)
+let test_crash_between_log_append_and_rename () =
+  let config = Config.fitness_guided ~seed:7 () in
+  let base_json, base_csv = session_exports config in
+  with_dir (fun dir ->
+      let hooks =
+        {
+          Checkpoint.no_hooks with
+          Checkpoint.before_rename =
+            (fun () -> if log_size dir > 0 then raise Crash);
+        }
+      in
+      checkb "crashed before rename" true (crash_at ~dir ~config hooks);
+      let on_disk =
+        match
+          Checkpoint.Snapshot.decode
+            (read_file (Filename.concat dir "snapshot.afex"))
+        with
+        | Ok s -> s
+        | Error e -> Alcotest.fail e
+      in
+      checkb "the log runs past the older snapshot's mark" true
+        (log_size dir
+        > on_disk.Checkpoint.Snapshot.mark.Checkpoint.Snapshot.log_bytes);
+      let json, csv = resume_to_end ~dir ~config in
+      checks "JSON identical after log-append crash" base_json json;
+      checks "CSV identical after log-append crash" base_csv csv;
+      match
+        Checkpoint.Snapshot.decode
+          (read_file (Filename.concat dir "snapshot.afex"))
+      with
+      | Error e -> Alcotest.fail e
+      | Ok final ->
+          Alcotest.(check int)
+            "the finished log is exactly what the final mark vouches for"
+            final.Checkpoint.Snapshot.mark.Checkpoint.Snapshot.log_bytes
+            (log_size dir))
+
 (* Crash the resumed run too: recovery must compose. *)
 let test_double_crash () =
   let config = Config.fitness_guided ~seed:7 () in
@@ -318,8 +386,10 @@ let test_double_crash () =
         (crash_at ~dir ~config
            {
              Checkpoint.no_hooks with
-             Checkpoint.on_append = (fun n -> if n = 40 then raise Crash);
+             Checkpoint.on_append = (fun n -> if n = 210 then raise Crash);
            });
+      let logged = log_size dir in
+      checkb "records logged before the first crash" true (logged > 0);
       (match
          Checkpoint.resume ~every:25
            ~hooks:
@@ -335,23 +405,12 @@ let test_double_crash () =
           | _ -> Alcotest.fail "second crash did not fire"
           | exception Crash -> ());
           Checkpoint.close cp);
+      checkb "the resumed run logged more records" true (log_size dir > logged);
       let json, csv = resume_to_end ~dir ~config in
       checks "JSON identical after double crash" base_json json;
       checks "CSV identical after double crash" base_csv csv)
 
 (* ---- journal damage --------------------------------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
 
 let test_torn_wal_tail_tolerated () =
   let config = Config.fitness_guided ~seed:7 () in
@@ -387,6 +446,195 @@ let test_corrupt_wal_interior_rejected () =
       match Checkpoint.resume ~every:25 ~dir meta with
       | Ok _ -> Alcotest.fail "interior journal corruption must be rejected"
       | Error _ -> ())
+
+(* ---- record-log damage ------------------------------------------------ *)
+
+(* Each damage to a logged campaign's records.log must make resume
+   refuse, never restore a different history. *)
+let test_record_log_damage_rejected () =
+  let config = Config.fitness_guided ~seed:7 () in
+  with_dir (fun dir ->
+      checkb "crashed" true
+        (crash_at ~dir ~config
+           {
+             Checkpoint.no_hooks with
+             Checkpoint.on_append = (fun n -> if n = 260 then raise Crash);
+           });
+      let path = Filename.concat dir "records.log" in
+      let log = read_file path in
+      let lines = String.split_on_char '\n' log in
+      checkb "several records logged" true (List.length lines > 3);
+      let refused what damage =
+        damage ();
+        (match Checkpoint.resume ~every:25 ~dir meta with
+        | Ok cp ->
+            Checkpoint.close cp;
+            Alcotest.fail (what ^ ": resume must be refused")
+        | Error _ -> ());
+        write_file path log
+      in
+      refused "log shorter than the mark" (fun () ->
+          write_file path (String.sub log 0 (String.length log - 1)));
+      refused "flipped byte inside the mark" (fun () ->
+          let b = Bytes.of_string log in
+          let i = String.length log / 2 in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x04));
+          write_file path (Bytes.to_string b));
+      refused "missing log under a non-zero mark" (fun () -> Sys.remove path);
+      refused "lines out of birth order" (fun () ->
+          match lines with
+          | a :: b :: rest ->
+              write_file path (String.concat "\n" (b :: a :: rest))
+          | _ -> assert false);
+      (* The untouched log still resumes. *)
+      match Checkpoint.resume ~every:25 ~dir meta with
+      | Ok cp -> Checkpoint.close cp
+      | Error e -> Alcotest.fail e)
+
+(* ---- journal-line encoders -------------------------------------------- *)
+
+(* The encoders a journal line is built from, as they stood before they
+   were rewritten for speed: the rewrites must produce the same bytes,
+   so wal.log and the wire format do not change. *)
+module Reference = struct
+  let to_list b =
+    let acc = ref [] in
+    for i = Bitset.capacity b - 1 downto 0 do
+      if Bitset.mem b i then acc := i :: !acc
+    done;
+    !acc
+
+  let escape s =
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun ch ->
+        let c = Char.code ch in
+        if c > 0x20 && c < 0x7f && ch <> '%' && ch <> ',' then
+          Buffer.add_char b ch
+        else Buffer.add_string b (Printf.sprintf "%%%02X" c))
+      s;
+    Buffer.contents b
+
+  let encode_coverage = function
+    | [] -> "-"
+    | first :: rest ->
+        let b = Buffer.create 64 in
+        let emit lo hi =
+          if Buffer.length b > 0 then Buffer.add_char b ',';
+          if lo = hi then Buffer.add_string b (string_of_int lo)
+          else Buffer.add_string b (Printf.sprintf "%d-%d" lo hi)
+        in
+        let lo, hi =
+          List.fold_left
+            (fun (lo, hi) i ->
+              if i = hi + 1 then (lo, i)
+              else begin
+                emit lo hi;
+                (i, i)
+              end)
+            (first, first) rest
+        in
+        emit lo hi;
+        Buffer.contents b
+end
+
+let test_encoders_match_reference () =
+  Prop.check ~count:300 "Bitset.to_list matches the bit-by-bit scan"
+    (Prop.pair (Prop.int_range 0 300)
+       (Prop.list ~max_length:40 (Prop.int_range 0 299)))
+    (fun (capacity, bits) ->
+      let b = Bitset.create capacity in
+      List.iter (fun i -> if i < capacity then Bitset.set b i) bits;
+      Bitset.to_list b = Reference.to_list b);
+  Prop.check ~count:300 "Message.escape matches the Printf encoder"
+    (Prop.pair Prop.bool (Prop.list ~max_length:40 (Prop.int_range 0 255)))
+    (fun (printable, codes) ->
+      (* Printable strings often need no escaping at all. *)
+      let code c = if printable then 0x21 + (c mod 94) else c in
+      let s =
+        String.of_seq (Seq.map (fun c -> Char.chr (code c)) (List.to_seq codes))
+      in
+      String.equal (Message.escape s) (Reference.escape s));
+  Prop.check ~count:300 "Message.encode_coverage matches the Printf encoder"
+    (Prop.pair Prop.bool (Prop.list ~max_length:40 (Prop.int_range (-5) 60)))
+    (fun (ascending, l) ->
+      (* Block lists are ascending in use; any list must still agree. *)
+      let l = if ascending then List.sort_uniq compare l else l in
+      String.equal (Message.encode_coverage l) (Reference.encode_coverage l))
+
+(* ---- snapshot cost ---------------------------------------------------- *)
+
+(* A checkpointed mysql campaign of [n] tests: minor words per test, and
+   the final snapshot next to its record log. *)
+let mysql_campaign ~dir n =
+  let cp =
+    match Checkpoint.start ~dir [ ("tests", string_of_int n) ] with
+    | Ok cp -> cp
+    | Error e -> Alcotest.fail e
+  in
+  let pool =
+    Pool.create ~jobs:1 (Pool.Pure (Afex.Executor.of_target (Mysql.target ())))
+  in
+  let w0 = Gc.minor_words () in
+  ignore
+    (Pool.session ~checkpoint:cp ~iterations:n pool
+       (Config.fitness_guided ~seed:7 ())
+       (Mysql.space ()));
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Pool.shutdown pool;
+  Checkpoint.close cp;
+  let snap =
+    match
+      Checkpoint.Snapshot.decode
+        (read_file (Filename.concat dir "snapshot.afex"))
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  (words, snap, read_file (Filename.concat dir "records.log"))
+
+(* A snapshot re-encodes only the records above the frontier, so the
+   allocation per test must not grow with the campaign's length. *)
+let test_snapshot_cost_tracks_new_tests () =
+  let run n =
+    with_dir (fun dir ->
+        let words, snap, log = mysql_campaign ~dir n in
+        let x = snap.Checkpoint.Snapshot.explorer in
+        let mark = snap.Checkpoint.Snapshot.mark in
+        let frontier =
+          match x.Explorer.Snapshot.queue with
+          | [] -> x.Explorer.Snapshot.iterations
+          | q -> List.fold_left min max_int q - 1
+        in
+        let births =
+          List.map (fun (c : Afex.Test_case.t) -> c.Afex.Test_case.birth)
+            x.Explorer.Snapshot.records
+        in
+        checkb
+          (Printf.sprintf "%d tests: snapshot = records above the frontier" n)
+          true
+          (births
+          = List.init (x.Explorer.Snapshot.iterations - frontier) (fun i ->
+                frontier + 1 + i));
+        Alcotest.(check int)
+          (Printf.sprintf "%d tests: the mark covers the frontier" n)
+          frontier mark.Checkpoint.Snapshot.logged;
+        Alcotest.(check int)
+          (Printf.sprintf "%d tests: the mark covers the whole log" n)
+          (String.length log) mark.Checkpoint.Snapshot.log_bytes;
+        Alcotest.(check int)
+          (Printf.sprintf "%d tests: the log holds the mark's count" n)
+          mark.Checkpoint.Snapshot.logged
+          (List.length (String.split_on_char '\n' log) - 1);
+        words)
+  in
+  let short = run 2_000 in
+  let long = run 8_000 in
+  if long > 1.15 *. short then
+    Alcotest.failf
+      "minor words per test grew from %.0f at 2,000 tests to %.0f at 8,000 \
+       (limit 1.15x)"
+      short long
 
 let test_stop_incompatible () =
   with_dir (fun dir ->
@@ -426,6 +674,12 @@ let suite =
     ("crash between rename and truncate recovers", `Quick,
       test_crash_between_rename_and_truncate);
     ("double crash recovers", `Quick, test_double_crash);
+    ("crash between log append and rename recovers", `Quick,
+      test_crash_between_log_append_and_rename);
+    ("damaged record log rejected", `Quick, test_record_log_damage_rejected);
+    ("journal encoders match reference", `Quick, test_encoders_match_reference);
+    ("snapshot cost tracks new tests", `Quick,
+      test_snapshot_cost_tracks_new_tests);
     ("torn journal tail is re-executed", `Quick, test_torn_wal_tail_tolerated);
     ("interior journal corruption rejected", `Quick, test_corrupt_wal_interior_rejected);
     ("stop predicates cannot be checkpointed", `Quick, test_stop_incompatible);

@@ -420,6 +420,34 @@ let test_snapshot_rejects_rarity_mismatch () =
     (err (rarity_config 3) without);
   checkb "matching configs restore" false (err (rarity_config 3) with_rarity)
 
+(* Masking only consults parents drawn from the queue, so the rare-block
+   map keeps queued tests only: however long the campaign, a snapshot
+   carries at most a queue's worth of entries. *)
+let test_rare_blocks_bounded_by_queue () =
+  let config = rarity_config 5 in
+  let e =
+    Afex.Explorer.create config (Replfault.multi_space ~arms:2 small)
+      (executor small)
+  in
+  let seen = ref 0 in
+  for i = 1 to 1500 do
+    (match Afex.Explorer.next e with
+    | None -> ()
+    | Some p -> ignore (Afex.Explorer.execute e p));
+    if i mod 100 = 0 then begin
+      let snap = Afex.Explorer.capture e in
+      let rare = snap.Afex.Explorer.Snapshot.rare_blocks in
+      seen := max !seen (List.length rare);
+      checkb (Printf.sprintf "at most the queue capacity after %d tests" i) true
+        (List.length rare <= config.Config.queue_capacity);
+      checkb (Printf.sprintf "only queued tests after %d tests" i) true
+        (List.for_all
+           (fun (birth, _) -> List.mem birth snap.Afex.Explorer.Snapshot.queue)
+           rare)
+    end
+  done;
+  checkb "rare blocks recorded" true (!seen > 0)
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -439,4 +467,5 @@ let suite =
       ("session reports rarity", test_session_reports_rarity);
       ("checkpoint/resume mid-campaign", test_checkpoint_resume_mid_campaign);
       ("snapshot rejects rarity mismatch", test_snapshot_rejects_rarity_mismatch);
+      ("rare blocks bounded by the queue", test_rare_blocks_bounded_by_queue);
     ]
