@@ -116,16 +116,29 @@ let rec next_seed t =
       then Some p
       else next_seed t
 
+(* Draws [random_novel] may reject before it accepts a repeat. *)
+let novel_attempts = 201
+
 let random_novel t =
-  (* Bounded search for an unexecuted point; beyond the budget we accept a
-     repeat rather than spin (the space may be nearly exhausted). *)
-  let rec draw k =
-    let p = Subspace.random_point t.rng t.sub in
-    if k > 200 then p
-    else if History.mem t.history p || is_pending t p then draw (k + 1)
-    else p
-  in
-  draw 0
+  if Subspace.hole_free t.sub && History.size t.history >= Subspace.cardinality t.sub
+  then begin
+    (* History holds only points of the subspace, so it now holds all of
+       them: every draw the loop below could make would be rejected.
+       Skipping those draws moves the RNG exactly as they would. *)
+    Subspace.skip_random_points t.rng t.sub novel_attempts;
+    Subspace.random_point t.rng t.sub
+  end
+  else begin
+    (* Bounded search for an unexecuted point; beyond the budget we accept
+       a repeat rather than spin (the space may be nearly exhausted). *)
+    let rec draw k =
+      let p = Subspace.random_point t.rng t.sub in
+      if k >= novel_attempts then p
+      else if History.mem t.history p || is_pending t p then draw (k + 1)
+      else p
+    in
+    draw 0
+  end
 
 (* FairFuzz masking: a parent is rare-reaching while the rarest block it
    covered is still below the cutoff against the *current* histogram (a
@@ -419,6 +432,20 @@ let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
           else check (i + 1) rest
     in
     check 0 s.Snapshot.records
+  in
+  (* Every executed point was drawn from the subspace. One outside it
+     would crash the first lookup of its values, and would let History
+     count a point the space does not have. *)
+  let* () =
+    match
+      List.find_opt
+        (fun c -> not (Subspace.mem sub c.Test_case.point))
+        s.Snapshot.records
+    with
+    | Some c ->
+        err "record %d holds %s, outside the subspace" c.Test_case.birth
+          (Point.to_string c.Test_case.point)
+    | None -> Ok ()
   in
   let* () =
     let count f = List.fold_left (fun n c -> if f c then n + 1 else n) 0 s.Snapshot.records in

@@ -32,9 +32,9 @@ val fault_for : t -> Mutator.proposal -> Afex_injector.Fault.t
     @raise Invalid_argument on compound spaces. *)
 
 val report : t -> Mutator.proposal -> Afex_injector.Outcome.t -> Test_case.t
-(** Feed back the outcome of a candidate: scores impact and fitness
-    (relevance- and feedback-weighted), updates coverage, Q_priority,
-    History, sensitivity, and ages the queue. *)
+(** Feed back the outcome of a candidate returned by {!next}: scores
+    impact and fitness (relevance- and feedback-weighted), updates
+    coverage, Q_priority, History, sensitivity, and ages the queue. *)
 
 val execute : t -> Mutator.proposal -> Test_case.t
 (** [report] after running the fault on the session's executor — the
@@ -152,8 +152,9 @@ val restore :
 (** Rebuild an explorer from a snapshot taken under the same config,
     subspace, executor and transform (the caller guarantees the match;
     the checkpoint layer records campaign metadata for exactly this).
-    Internal consistency is revalidated — record birth order, statistic
-    tallies, queue references, cursor position, coverage bounds — and any
+    Internal consistency is revalidated — record birth order, record
+    points inside the subspace, statistic tallies, queue references,
+    cursor position, coverage bounds — and any
     violation is a clean [Error], never an exception, so a corrupt
     snapshot that slipped past the file checksum still cannot crash the
     resuming process. *)

@@ -159,10 +159,17 @@ type space_result = {
 
 let run_space ?stop ~iterations config space executor =
   let subs = Afex_faultspace.Space.subspaces space in
-  let cardinalities = List.map Afex_faultspace.Subspace.cardinality subs in
-  let total_cardinality = max 1 (List.fold_left ( + ) 0 cardinalities) in
+  let total_cardinality = max 1 (Afex_faultspace.Space.cardinality space) in
   let share card =
-    max 1 (iterations * card / total_cardinality)
+    (* Exact while the product fits; cardinalities saturate at [max_int],
+       so a huge subspace's share is computed in floats. *)
+    if iterations <= max_int / max 1 card then
+      max 1 (iterations * card / total_cardinality)
+    else
+      max 1
+        (int_of_float
+           (float_of_int iterations
+           *. (float_of_int card /. float_of_int total_cardinality)))
   in
   let per_subspace =
     List.mapi

@@ -14,8 +14,13 @@ let single t =
   if Array.length t.subs <> 1 then invalid_arg "Space.single: union has several subspaces";
   t.subs.(0)
 
+(* Subspace cardinalities saturate at [max_int]; so does their sum. *)
 let cardinality t =
-  Array.fold_left (fun acc s -> acc + Subspace.cardinality s) 0 t.subs
+  Array.fold_left
+    (fun acc s ->
+      let c = Subspace.cardinality s in
+      if acc > max_int - c then max_int else acc + c)
+    0 t.subs
 
 let mem t { subspace; point } =
   subspace >= 0 && subspace < Array.length t.subs && Subspace.mem t.subs.(subspace) point

@@ -12,7 +12,8 @@ val single : t -> Subspace.t
     than one member. *)
 
 val cardinality : t -> int
-(** Sum over subspaces. *)
+(** Sum over subspaces, saturated at [max_int] like
+    {!Subspace.cardinality}. *)
 
 (** A located point: which subspace it belongs to, plus its coordinates. *)
 type located = { subspace : int; point : Point.t }

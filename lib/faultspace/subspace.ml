@@ -3,12 +3,19 @@ module Rng = Afex_stats.Rng
 type t = {
   label : string option;
   axes : Axis.t array;
-  hole : Point.t -> bool;
+  cards : int array;  (** per-axis cardinalities: the bounds of each draw *)
+  cardinality : int;  (** their product, saturated at [max_int] *)
+  hole : (Point.t -> bool) option;  (** [None] when made without [~hole] *)
 }
 
-let make ?label ?(hole = fun _ -> false) axes =
+(* Non-negative operands; a product past [max_int] pins there. *)
+let saturating_mul a b = if a <> 0 && b > max_int / a then max_int else a * b
+
+let make ?label ?hole axes =
   if axes = [] then invalid_arg "Subspace.make: no axes";
-  { label; axes = Array.of_list axes; hole }
+  let axes = Array.of_list axes in
+  let cards = Array.map Axis.cardinality axes in
+  { label; axes; cards; cardinality = Array.fold_left saturating_mul 1 cards; hole }
 
 let label t = t.label
 let axes t = Array.copy t.axes
@@ -23,8 +30,9 @@ let axis_index t name =
   in
   find 0
 
-let cardinality t =
-  Array.fold_left (fun acc a -> acc * Axis.cardinality a) 1 t.axes
+let cardinality t = t.cardinality
+let hole_free t = Option.is_none t.hole
+let is_hole t p = match t.hole with None -> false | Some h -> h p
 
 let in_bounds t p =
   if Point.dim p <> dim t then false
@@ -32,12 +40,12 @@ let in_bounds t p =
     let ok = ref true in
     for i = 0 to dim t - 1 do
       let v = Point.get p i in
-      if v < 0 || v >= Axis.cardinality t.axes.(i) then ok := false
+      if v < 0 || v >= t.cards.(i) then ok := false
     done;
     !ok
   end
 
-let mem t p = in_bounds t p && not (t.hole p)
+let mem t p = in_bounds t p && not (is_hole t p)
 
 let value t p i = Axis.value t.axes.(i) (Point.get p i)
 
@@ -65,7 +73,7 @@ let point_of_values t bindings =
 
 let enumerate t =
   let n = dim t in
-  let cards = Array.map Axis.cardinality t.axes in
+  let cards = t.cards in
   (* Successor in lexicographic order; None past the last point. *)
   let next current =
     let c = Array.copy current in
@@ -88,24 +96,34 @@ let enumerate t =
     | Some c ->
         let p = Point.of_array c in
         let rest = seq_from (next c) in
-        if t.hole p then rest () else Seq.Cons (p, rest)
+        if is_hole t p then rest () else Seq.Cons (p, rest)
   in
   seq_from (Some (Array.make n 0))
 
 let random_point rng t =
+  let cards = t.cards in
   let rec draw attempts =
     if attempts > 100_000 then failwith "Subspace.random_point: space appears to be all holes";
-    let p =
-      Point.init (Array.length t.axes) (fun i ->
-          Rng.int rng (Axis.cardinality t.axes.(i)))
-    in
-    if t.hole p then draw (attempts + 1) else p
+    let p = Point.init (Array.length cards) (fun i -> Rng.int rng cards.(i)) in
+    if is_hole t p then draw (attempts + 1) else p
   in
   draw 0
 
+(* Without holes [random_point] makes exactly one [Rng.int] call per axis,
+   in axis order, so replaying those calls moves the generator as far. *)
+let skip_random_points rng t n =
+  if not (hole_free t) then
+    invalid_arg "Subspace.skip_random_points: the subspace has holes";
+  let cards = t.cards in
+  for _ = 1 to n do
+    for i = 0 to Array.length cards - 1 do
+      ignore (Rng.int rng cards.(i) : int)
+    done
+  done
+
 let vicinity t center ~d =
   let n = dim t in
-  let cards = Array.map Axis.cardinality t.axes in
+  let cards = t.cards in
   (* Distribute the distance budget across axes recursively. *)
   let rec gen i budget acc =
     if i = n then Seq.return (Point.of_array (Array.of_list (List.rev acc)))
@@ -122,7 +140,7 @@ let vicinity t center ~d =
       over lo
     end
   in
-  Seq.filter (fun p -> not (t.hole p)) (gen 0 d [])
+  Seq.filter (fun p -> not (is_hole t p)) (gen 0 d [])
 
 let pp ppf t =
   (match t.label with

@@ -196,6 +196,57 @@ let test_capture_restore_continues () =
       Config.exhaustive ~seed:13 ();
     ]
 
+(* A record point outside the subspace passes the checksum if whoever
+   wrote the file computed it; restore must refuse it, since the first
+   lookup of its values would raise and History would count a point the
+   space does not have. *)
+let test_restore_rejects_foreign_points () =
+  let config = Config.fitness_guided ~seed:7 () in
+  let ex = Explorer.create config (space ()) (executor ()) in
+  for _ = 1 to 30 do
+    match Explorer.next ex with
+    | Some p -> ignore (Explorer.execute ex p)
+    | None -> ()
+  done;
+  let snap = Explorer.capture ex in
+  let restores (s : Explorer.Snapshot.t) =
+    match Explorer.restore config (space ()) (executor ()) s with
+    | Ok _ -> true
+    | Error _ -> false
+  in
+  checkb "the untouched snapshot restores" true (restores snap);
+  List.iter
+    (fun (what, coords) ->
+      let records =
+        List.mapi
+          (fun i (c : Afex.Test_case.t) ->
+            if i = 17 then
+              { c with Afex.Test_case.point = Afex_faultspace.Point.of_list coords }
+            else c)
+          snap.Explorer.Snapshot.records
+      in
+      let bytes =
+        Checkpoint.Snapshot.encode
+          {
+            Checkpoint.Snapshot.meta;
+            batches = 4;
+            master_state = 0L;
+            scheduler = None;
+            mark = { Checkpoint.Snapshot.logged = 0; log_bytes = 0 };
+            explorer = { snap with Explorer.Snapshot.records };
+          }
+      in
+      match Checkpoint.Snapshot.decode bytes with
+      | Error e -> Alcotest.failf "%s: checksummed snapshot refused: %s" what e
+      | Ok decoded ->
+          checkb (what ^ " refused") false
+            (restores decoded.Checkpoint.Snapshot.explorer))
+    [
+      ("an out-of-range index", [ 999; 0; 0 ]);
+      ("a missing axis", [ 0; 0 ]);
+      ("an extra axis", [ 0; 0; 0; 0 ]);
+    ]
+
 (* ---- checkpoint lifecycle -------------------------------------------- *)
 
 let test_start_refuses_existing () =
@@ -683,4 +734,6 @@ let suite =
     ("torn journal tail is re-executed", `Quick, test_torn_wal_tail_tolerated);
     ("interior journal corruption rejected", `Quick, test_corrupt_wal_interior_rejected);
     ("stop predicates cannot be checkpointed", `Quick, test_stop_incompatible);
+    ("restore rejects points outside the subspace", `Quick,
+      test_restore_rejects_foreign_points);
   ]

@@ -467,26 +467,30 @@ let test_pinned_history_apache () =
    point-keyed tables it allocates about 220. The ceiling is about twice
    that. *)
 
+let stub_blocks = 64
+
+let stub_outcome status =
+  {
+    Outcome.fault = Fault.make ~test_id:0 ~func:"read" ~call_number:1 ();
+    status;
+    triggered = false;
+    coverage = Bitset.create stub_blocks;
+    injection_stack = None;
+    crash_stack = None;
+    duration_ms = 1.0;
+  }
+
+let stub_executor outcome =
+  Executor.of_scenario_fn ~total_blocks:stub_blocks ~description:"stub"
+    (fun _ -> outcome)
+
 let test_explorer_allocation_gate () =
   let module Mysql = Afex_simtarget.Mysql in
-  let total_blocks = 64 in
-  let outcome status =
-    {
-      Outcome.fault = Fault.make ~test_id:0 ~func:"read" ~call_number:1 ();
-      status;
-      triggered = false;
-      coverage = Bitset.create total_blocks;
-      injection_stack = None;
-      crash_stack = None;
-      duration_ms = 1.0;
-    }
-  in
-  let passed = outcome Outcome.Passed and failed = outcome Outcome.Test_failed in
-  let executor =
-    Executor.of_scenario_fn ~total_blocks ~description:"stub" (fun _ -> passed)
-  in
+  let passed = stub_outcome Outcome.Passed
+  and failed = stub_outcome Outcome.Test_failed in
   let explorer =
-    Explorer.create (Config.fitness_guided ~seed:7 ()) (Mysql.space ()) executor
+    Explorer.create (Config.fitness_guided ~seed:7 ()) (Mysql.space ())
+      (stub_executor passed)
   in
   let steps = 2000 in
   let before = Gc.minor_words () in
@@ -504,6 +508,90 @@ let test_explorer_allocation_gate () =
     ((Explorer.mutator_stats explorer).Mutator.proposals > 1900);
   if words > 450.0 then
     Alcotest.failf "explorer next+report allocates %.0f words per step (ceiling 450)"
+      words
+
+(* --- Exhausted spaces ---
+
+   Once History holds every point of a hole-free subspace, no random draw
+   can be novel, and [Explorer.next] skips the draws it would reject
+   instead of building and probing them. The same axes made with
+   [~hole:(fun _ -> false)] never take that path, so they are the
+   reference: their histories must be byte-identical, under Session.run
+   and under the pool's sliding window alike. apache's 11,020 points run
+   out after about 11,500 tests of the feedback campaign. *)
+
+let apache_reference_loop () =
+  Subspace.make ~hole:(fun _ -> false)
+    (Array.to_list (Subspace.axes (Afex_simtarget.Apache.space ())))
+
+let feedback_config seed =
+  { (Config.fitness_guided ~seed ()) with Config.feedback = true }
+
+let distinct_points (r : Session.result) =
+  let seen = Point.Tbl.create 16384 in
+  List.iter (fun (c : Test_case.t) -> Point.Tbl.replace seen c.Test_case.point ()) r.Session.executed;
+  Point.Tbl.length seen
+
+let apache_executor () = Executor.of_target (Afex_simtarget.Apache.target ())
+
+let test_pinned_history_apache_saturated () =
+  let sub = Afex_simtarget.Apache.space () in
+  let r = Session.run ~iterations:15_000 (feedback_config 505) sub (apache_executor ()) in
+  checki "tests" 15_000 (List.length r.Session.executed);
+  checki "every point ran" (Subspace.cardinality sub) (distinct_points r);
+  Alcotest.(check string) "apache seed 505 history, 15,000 tests"
+    "6bcd0c500a9f332be984e704d0b1b26a" (history_digest r)
+
+let test_exhausted_matches_reference_loop () =
+  let module Pool = Afex_cluster.Pool in
+  List.iter
+    (fun seed ->
+      let config = feedback_config seed in
+      let session sub = Session.run ~iterations:15_000 config sub (apache_executor ()) in
+      let pool sub =
+        fst (Pool.run ~jobs:1 ~iterations:15_000 config sub (Pool.Pure (apache_executor ())))
+      in
+      List.iter
+        (fun (how, run) ->
+          let fast = run (Afex_simtarget.Apache.space ()) in
+          let reference = run (apache_reference_loop ()) in
+          let what = Printf.sprintf "%s, seed %d" how seed in
+          checki (what ^ ": every point ran") 11_020 (distinct_points fast);
+          Alcotest.(check string) (what ^ ": history") (history_digest reference)
+            (history_digest fast))
+        [ ("Session.run", session); ("Pool.session", pool) ])
+    [ 505; 31 ]
+
+(* An always-passing stub empties the queue, so every step draws at
+   random; the history covers apache's space within 12,000 steps. Drawing
+   and probing all 202 points allocated about 3,150 words per saturated
+   step; skipping the 201 that would be rejected leaves about 130. *)
+let test_saturated_explorer_allocation_gate () =
+  let module Apache = Afex_simtarget.Apache in
+  let passed = stub_outcome Outcome.Passed in
+  let sub = Apache.space () in
+  let explorer =
+    Explorer.create (Config.fitness_guided ~seed:7 ()) sub (stub_executor passed)
+  in
+  let step () =
+    match Explorer.next explorer with
+    | Some p -> ignore (Explorer.report explorer p passed)
+    | None -> Alcotest.fail "fitness-guided search ran dry"
+  in
+  for _ = 1 to 12_000 do
+    step ()
+  done;
+  checki "history covers the space" (Subspace.cardinality sub)
+    (Explorer.history_size explorer);
+  let steps = 2000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to steps do
+    step ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int steps in
+  if words > 400.0 then
+    Alcotest.failf
+      "saturated explorer next+report allocates %.0f words per step (ceiling 400)"
       words
 
 let suite =
@@ -541,4 +629,7 @@ let suite =
       ("pinned history mysql", test_pinned_history_mysql);
       ("pinned history apache", test_pinned_history_apache);
       ("explorer allocation gate", test_explorer_allocation_gate);
+      ("pinned history apache saturated", test_pinned_history_apache_saturated);
+      ("exhausted space matches reference loop", test_exhausted_matches_reference_loop);
+      ("saturated explorer allocation gate", test_saturated_explorer_allocation_gate);
     ]

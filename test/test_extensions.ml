@@ -189,28 +189,47 @@ let test_run_space_budget_split () =
     (sr.Session.total_failed
     = List.fold_left (fun acc (_, r) -> acc + r.Session.failed) 0 sr.Session.per_subspace)
 
+(* A synthetic scenario executor that accepts any attributes. *)
+let null_executor () =
+  Afex.Executor.of_scenario_fn ~total_blocks:1 ~description:"null" (fun scenario ->
+      let fault = Fault.make ~test_id:0 ~func:"x" ~call_number:0 () in
+      ignore scenario;
+      {
+        Afex_injector.Outcome.fault;
+        status = Afex_injector.Outcome.Passed;
+        triggered = false;
+        coverage = Afex_stats.Bitset.create 1;
+        injection_stack = None;
+        crash_stack = None;
+        duration_ms = 1.0;
+      })
+
 let test_run_space_labels () =
   let description = "alpha x : [ 0, 3 ] ; beta x : [ 0, 3 ] ;" in
   let space = Result.get_ok (Afex_faultspace.Fsdl.space_of_string description) in
-  (* A synthetic scenario executor that accepts any attributes. *)
-  let executor =
-    Afex.Executor.of_scenario_fn ~total_blocks:1 ~description:"null" (fun scenario ->
-        let fault = Fault.make ~test_id:0 ~func:"x" ~call_number:0 () in
-        ignore scenario;
-        {
-          Afex_injector.Outcome.fault;
-          status = Afex_injector.Outcome.Passed;
-          triggered = false;
-          coverage = Afex_stats.Bitset.create 1;
-          injection_stack = None;
-          crash_stack = None;
-          duration_ms = 1.0;
-        })
+  let sr =
+    Session.run_space ~iterations:8 (Config.random_search ~seed:1 ()) space (null_executor ())
   in
-  let sr = Session.run_space ~iterations:8 (Config.random_search ~seed:1 ()) space executor in
   Alcotest.(check (list (option string)))
     "labels preserved" [ Some "alpha"; Some "beta" ]
     (List.map fst sr.Session.per_subspace)
+
+(* 2^21 values on each of three axes is 2^63 points, past [max_int]: the
+   cardinality saturates, and the budget split must still give the huge
+   member nearly everything. *)
+let test_run_space_saturated_split () =
+  let description =
+    "small x : [ 0, 11 ] ;\n\
+     huge a : [ 0, 2097151 ] b : [ 0, 2097151 ] c : [ 0, 2097151 ] ;"
+  in
+  let space = Result.get_ok (Afex_faultspace.Fsdl.space_of_string description) in
+  checki "the union saturates" max_int (Afex_faultspace.Space.cardinality space);
+  let sr =
+    Session.run_space ~iterations:50 (Config.random_search ~seed:1 ()) space (null_executor ())
+  in
+  Alcotest.(check (list int))
+    "shares" [ 1; 50 ]
+    (List.map (fun (_, r) -> r.Session.iterations) sr.Session.per_subspace)
 
 (* --- Assess --- *)
 
@@ -787,4 +806,5 @@ let suite =
       ("prop burst fault roundtrip", test_prop_burst_fault_roundtrip);
       ("prop codec namespaces disjoint", test_prop_codec_namespaces_disjoint);
       ("time budget stops session", test_time_budget_stops_session);
+      ("run_space splits a saturated union", test_run_space_saturated_split);
     ]

@@ -186,6 +186,89 @@ let test_space_single_rejects_union () =
   checkb "single on union raises" true
     (try ignore (Space.single (union ())); false with Invalid_argument _ -> true)
 
+(* --- Exhausted-space support ---
+
+   [Subspace.skip_random_points] must leave the generator exactly where
+   the same number of [random_point] calls would. The 2^61+1-wide axis
+   makes [Rng.int] reject about half of its raw draws, so a skip that
+   assumed one raw draw per axis would drift. *)
+
+let skip_spaces () =
+  [
+    ("apache", Afex_simtarget.Apache.space ());
+    ("mysql", Afex_simtarget.Mysql.space ());
+    ("small", small ());
+    ( "rejecting",
+      Subspace.make
+        [
+          Axis.range "big" ~lo:0 ~hi:(1 lsl 61);
+          Axis.subinterval "span" ~lo:0 ~hi:6;
+          Axis.symbols "f" [ "a"; "b"; "c" ];
+        ] );
+  ]
+
+let test_skip_matches_random_points () =
+  List.iter
+    (fun (name, sub) ->
+      checkb (name ^ " is hole-free") true (Subspace.hole_free sub);
+      List.iter
+        (fun n ->
+          let drawn = Rng.create (1000 + n) and skipped = Rng.create (1000 + n) in
+          for _ = 1 to n do
+            ignore (Subspace.random_point drawn sub)
+          done;
+          Subspace.skip_random_points skipped sub n;
+          let label = Printf.sprintf "%s: state after %d draws" name n in
+          Alcotest.(check int64) label (Rng.state drawn) (Rng.state skipped);
+          checkb (label ^ ", next point") true
+            (Point.equal (Subspace.random_point drawn sub)
+               (Subspace.random_point skipped sub)))
+        [ 0; 1; 2; 7; 201; 1000 ])
+    (skip_spaces ())
+
+let test_skip_refuses_holes () =
+  let axes = [ Axis.range "x" ~lo:0 ~hi:3 ] in
+  let never = Subspace.make ~hole:(fun _ -> false) axes in
+  checkb "an explicit predicate is not hole-free" false (Subspace.hole_free never);
+  checkb "skip refuses a space with holes" true
+    (match Subspace.skip_random_points (Rng.create 3) never 1 with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
+(* replsim n=12 over 300 rounds: 4 arms used to wrap to a negative
+   cardinality and 5 arms to a wrong positive one. *)
+let test_cardinality_saturates () =
+  let module Replsim = Afex_simtarget.Replsim in
+  let module Replfault = Afex_injector.Replfault in
+  let cluster = Replsim.make ~n:12 ~rounds:300 ~seed:11 () in
+  let product sub =
+    Array.fold_left
+      (fun acc a -> acc *. float_of_int (Axis.cardinality a))
+      1.0 (Subspace.axes sub)
+  in
+  let wide =
+    List.map
+      (fun arms ->
+        let sub = Replfault.multi_space ~arms cluster in
+        checkb (Printf.sprintf "%d arms overflow" arms) true
+          (product sub > float_of_int max_int);
+        checki (Printf.sprintf "%d arms saturate" arms) max_int
+          (Subspace.cardinality sub);
+        sub)
+      [ 4; 5 ]
+  in
+  let two = Replfault.multi_space ~arms:2 cluster in
+  checkf "2 arms stay exact" (product two) (float_of_int (Subspace.cardinality two));
+  let sp = Space.of_subspaces (two :: wide) in
+  checki "the union saturates" max_int (Space.cardinality sp);
+  checki "a small union still adds" (12 + Subspace.cardinality two)
+    (Space.cardinality (Space.of_subspaces [ small (); two ]));
+  let rng = Rng.create 23 in
+  for _ = 1 to 50 do
+    checkb "random member of a saturated union" true
+      (Space.mem sp (Space.random rng sp))
+  done
+
 (* --- Density (the paper's Fig. 1 / §2 example) --- *)
 
 (* A 5x9 grid shaped like the paper's example: a vertical stripe of impact
@@ -360,5 +443,8 @@ let suite =
       ("scenario pair parse", test_scenario_parse_pair);
       ("scenario odd tokens", test_scenario_odd_tokens_error);
       ("scenario of_point", test_scenario_of_point);
+      ("subspace skip matches random points", test_skip_matches_random_points);
+      ("subspace skip refuses holes", test_skip_refuses_holes);
+      ("cardinality saturates", test_cardinality_saturates);
     ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
