@@ -29,7 +29,6 @@ module Simulation = Afex_cluster.Simulation
 module Pool = Afex_cluster.Pool
 module Async_executor = Afex_cluster.Async_executor
 module Remote_manager = Afex_cluster.Remote_manager
-module Scheduler = Afex_cluster.Scheduler
 
 (* Provenance header shared by every BENCH_*.json artifact: schema
    version, the exact command line, and the commit the numbers were
@@ -241,7 +240,7 @@ let table3 ?(iterations = 250) () =
     (100.0 *. float_of_int recovery_total /. float_of_int total);
   note "  extra blocks, exhaustive         : %d (all reachable recovery code)" exh_extra;
   note "  extra blocks, fitness @ %d      : %d (%s of reachable recovery code, \
-        sampling %.0f%%%% of the space)"
+        sampling %.0f%% of the space)"
     iterations fg_extra
     (if exh_extra = 0 then "-" else Printf.sprintf "%d%%" (100 * fg_extra / exh_extra))
     (100.0 *. float_of_int iterations /. float_of_int cardinality);
@@ -1111,161 +1110,12 @@ let perf ?(iterations = 600) () =
   note "and sub-interval axes (loss windows) mutate like any other attribute."
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive window: the AIMD controller vs every static window         *)
-(* ------------------------------------------------------------------ *)
-
-let adapt ?(iterations = 5000) ?(windows = [ 1; 4; 8; 32; 128 ]) () =
-  section "Adaptive window: AIMD controller vs static windows (BENCH_adapt.json)";
-  let target = Apache.target () in
-  let sub = Apache.space () in
-  let base = Afex.Executor.of_target target in
-  (* Three service-time regimes: latency negligible against the
-     explorer's own generation cost, latency dominant, and a straggler
-     mix. A static window can only be right for one of them. *)
-  let models =
-    [
-      ("fast", Target.Fixed 0.1);
-      ("slow", Target.Fixed 2.0);
-      ("bimodal", Target.Bimodal { fast = 0.3; slow = 8.0; slow_share = 0.15 });
-    ]
-  in
-  let history (r : Session.result) =
-    List.map
-      (fun (c : Test_case.t) -> Afex_faultspace.Point.key c.Test_case.point)
-      r.Session.executed
-  in
-  let pool_exec dist =
-    let model = Target.latency_model ~seed:31 dist in
-    Pool.Async
-      (Afex.Executor.delayed
-         ~delay_ms:(fun scenario ->
-           Target.latency_ms model (Afex_faultspace.Scenario.to_string scenario))
-         base)
-  in
-  let config () = Config.fitness_guided ~seed:2718 () in
-  let run_static dist w =
-    let pool = Pool.create ~inflight:w ~jobs:1 (pool_exec dist) in
-    let result, stats =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> Pool.session ~batch_size:w ~iterations pool (config ()) sub)
-    in
-    (result, stats)
-  in
-  let run_scheduled dist scheduler =
-    let pool = Pool.create ~inflight:(Scheduler.window scheduler) ~jobs:1 (pool_exec dist) in
-    let result, stats =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> Pool.session ~scheduler ~iterations pool (config ()) sub)
-    in
-    (result, stats)
-  in
-  let throughput (s : Pool.stats) n =
-    if s.Pool.wall_ms <= 0.0 then 0.0
-    else 1000.0 *. float_of_int n /. s.Pool.wall_ms
-  in
-  let model_jsons =
-    List.map
-      (fun (name, dist) ->
-        note "--- %s: %s ---" name (Target.latency_dist_to_string dist);
-        let statics =
-          List.map
-            (fun w ->
-              let r, s = run_static dist w in
-              (w, throughput s r.Session.iterations, s))
-            windows
-        in
-        let scheduler =
-          Scheduler.create ~window_min:1 ~window_max:128 ~initial:32 ~seed:99
-            Scheduler.Adaptive
-        in
-        let ar, astats = run_scheduled dist scheduler in
-        let a_tp = throughput astats ar.Session.iterations in
-        let trace = Scheduler.trace scheduler in
-        (* The determinism contract: re-applying the recorded window
-           sequence reproduces the explored history bit-for-bit. *)
-        let replay =
-          Scheduler.create ~window_min:1 ~window_max:128
-            (Scheduler.Replay (Scheduler.Trace.windows trace))
-        in
-        let rr, _ = run_scheduled dist replay in
-        let replay_ok = history ar = history rr in
-        let best = List.fold_left (fun acc (_, tp, _) -> Float.max acc tp) 0.0 statics in
-        let worst =
-          List.fold_left (fun acc (_, tp, _) -> Float.min acc tp) infinity statics
-        in
-        print_string
-          (Table.render
-             ~headers:[ "window"; "wall (s)"; "tests/s"; "vs best static" ]
-             ~rows:
-               (List.map
-                  (fun (w, tp, (s : Pool.stats)) ->
-                    [
-                      string_of_int w;
-                      Printf.sprintf "%.2f" (s.Pool.wall_ms /. 1000.0);
-                      Printf.sprintf "%.0f" tp;
-                      Printf.sprintf "%.2fx" (tp /. best);
-                    ])
-                  statics
-                @ [
-                    [
-                      Printf.sprintf "adaptive (%d batches)" (Scheduler.batches scheduler);
-                      Printf.sprintf "%.2f" (astats.Pool.wall_ms /. 1000.0);
-                      Printf.sprintf "%.0f" a_tp;
-                      Printf.sprintf "%.2fx" (a_tp /. best);
-                    ];
-                  ])
-             ());
-        note "  adaptive: %.2fx best static, %.2fx worst static, replay identical: %s"
-          (a_tp /. best) (a_tp /. worst)
-          (if replay_ok then "yes" else "NO");
-        note "";
-        let static_json =
-          String.concat ", "
-            (List.map
-               (fun (w, tp, (s : Pool.stats)) ->
-                 Printf.sprintf
-                   "{\"window\": %d, \"wall_ms\": %.1f, \"throughput\": %.1f}" w
-                   s.Pool.wall_ms tp)
-               statics)
-        in
-        Printf.sprintf
-          "{\"model\": %S, \"dist\": %S, \"static\": [%s], \"adaptive\": \
-           {\"wall_ms\": %.1f, \"throughput\": %.1f, \"final_window\": %d, \
-           \"batches\": %d, \"vs_best_static\": %.3f, \"vs_worst_static\": %.3f, \
-           \"replay_identical\": %b, \"trace\": %s}}"
-          name
-          (Target.latency_dist_to_string dist)
-          static_json astats.Pool.wall_ms a_tp (Scheduler.window scheduler)
-          (Scheduler.batches scheduler) (a_tp /. best) (a_tp /. worst) replay_ok
-          (Scheduler.Trace.to_json trace))
-      models
-  in
-  let json =
-    Printf.sprintf "{%s, \"iterations\": %d, \"models\": [%s]}\n"
-      (bench_header ()) iterations
-      (String.concat ", " model_jsons)
-  in
-  let oc = open_out "BENCH_adapt.json" in
-  output_string oc json;
-  close_out oc;
-  note "machine-readable results written to BENCH_adapt.json";
-  note "";
-  note "Expected shape: the controller lands within 10%% of the best static";
-  note "window on every latency model without being told which one it faces,";
-  note "and beats the worst static window by >=2x where latency dominates";
-  note "(a static window must be chosen per target; the controller needs no";
-  note "such choice, which is the point)."
-
-(* ------------------------------------------------------------------ *)
 (* Work-stealing runtime: the unbounded window vs every static choice  *)
 (* ------------------------------------------------------------------ *)
 
 let steal ?(smoke = false) ?iterations ?(windows = [ 1; 4; 8; 32; 128 ]) () =
   section
-    "Work-stealing runtime: window=inf vs static and adaptive windows \
-     (BENCH_steal.json)";
+    "Work-stealing runtime: window=inf vs static windows (BENCH_steal.json)";
   let iterations =
     match iterations with Some n -> n | None -> if smoke then 1200 else 5000
   in
@@ -1297,13 +1147,12 @@ let steal ?(smoke = false) ?iterations ?(windows = [ 1; 4; 8; 32; 128 ]) () =
          base)
   in
   let config () = Config.fitness_guided ~seed:2718 () in
-  let run ?scheduler ?sync_every ~inflight ~batch_size dist =
+  let run ?sync_every ~inflight ~batch_size dist =
     let pool = Pool.create ~inflight ~jobs:1 (pool_exec dist) in
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () ->
-        Pool.session ?scheduler ?sync_every ~batch_size ~iterations pool
-          (config ()) sub)
+        Pool.session ?sync_every ~batch_size ~iterations pool (config ()) sub)
   in
   let throughput (s : Pool.stats) n =
     if s.Pool.wall_ms <= 0.0 then 0.0
@@ -1321,14 +1170,6 @@ let steal ?(smoke = false) ?iterations ?(windows = [ 1; 4; 8; 32; 128 ]) () =
               (w, throughput s r.Session.iterations, s))
             windows
         in
-        let scheduler =
-          Scheduler.create ~window_min:1 ~window_max:128 ~initial:32 ~seed:99
-            Scheduler.Adaptive
-        in
-        let ar, astats =
-          run ~scheduler ~inflight:(Scheduler.window scheduler) ~batch_size:32 dist
-        in
-        let a_tp = throughput astats ar.Session.iterations in
         (* window=inf: no submission bound at all (the CLI spelling is
            --batch 0). No checkpoint is armed, so the sync watermarks buy
            nothing here and are pushed past the campaign — otherwise the
@@ -1339,10 +1180,9 @@ let steal ?(smoke = false) ?iterations ?(windows = [ 1; 4; 8; 32; 128 ]) () =
           run ~sync_every:max_int ~inflight:512 ~batch_size:max_int dist
         in
         let i_tp = throughput istats ir.Session.iterations in
-        let best_static =
+        let best =
           List.fold_left (fun acc (_, tp, _) -> Float.max acc tp) 0.0 statics
         in
-        let best = Float.max best_static a_tp in
         (* "Matches or beats": within measurement noise of the best tuned
            run, with zero tuning. 5% is well above run-to-run jitter on
            the latency floor and well below any real window mistake. *)
@@ -1363,12 +1203,6 @@ let steal ?(smoke = false) ?iterations ?(windows = [ 1; 4; 8; 32; 128 ]) () =
                   statics
                 @ [
                     [
-                      "adaptive";
-                      Printf.sprintf "%.2f" (astats.Pool.wall_ms /. 1000.0);
-                      Printf.sprintf "%.0f" a_tp;
-                      Printf.sprintf "%.2fx" (a_tp /. best);
-                    ];
-                    [
                       "inf";
                       Printf.sprintf "%.2f" (istats.Pool.wall_ms /. 1000.0);
                       Printf.sprintf "%.0f" i_tp;
@@ -1376,9 +1210,7 @@ let steal ?(smoke = false) ?iterations ?(windows = [ 1; 4; 8; 32; 128 ]) () =
                     ];
                   ])
              ());
-        note "  window=inf: %.2fx best static, %.2fx best adaptive -> %s"
-          (i_tp /. best_static)
-          (if a_tp > 0.0 then i_tp /. a_tp else 0.0)
+        note "  window=inf: %.2fx best static -> %s" (i_tp /. best)
           (if ok then "ok" else "REGRESSION");
         note "";
         let static_json =
@@ -1391,16 +1223,12 @@ let steal ?(smoke = false) ?iterations ?(windows = [ 1; 4; 8; 32; 128 ]) () =
                statics)
         in
         Printf.sprintf
-          "{\"model\": %S, \"dist\": %S, \"static\": [%s], \"adaptive\": \
-           {\"wall_ms\": %.1f, \"throughput\": %.1f}, \"unbounded\": \
+          "{\"model\": %S, \"dist\": %S, \"static\": [%s], \"unbounded\": \
            {\"wall_ms\": %.1f, \"throughput\": %.1f, \"vs_best_static\": %.3f, \
-           \"vs_adaptive\": %.3f, \"ok\": %b}}"
+           \"ok\": %b}}"
           name
           (Target.latency_dist_to_string dist)
-          static_json astats.Pool.wall_ms a_tp istats.Pool.wall_ms i_tp
-          (i_tp /. best_static)
-          (if a_tp > 0.0 then i_tp /. a_tp else 0.0)
-          ok)
+          static_json istats.Pool.wall_ms i_tp (i_tp /. best) ok)
       models
   in
   let json =

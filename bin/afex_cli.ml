@@ -365,9 +365,10 @@ let explore_cmd =
   in
   let batch_arg =
     let doc =
-      "Candidates kept in flight per dispatch round. $(b,0) removes the \
-       bound entirely: the work-stealing runtime keeps submitting until \
-       the next sync watermark, so only worker capacity limits overlap."
+      "Candidates kept in flight, fixed for the whole campaign. $(b,0) \
+       removes the bound entirely: the work-stealing runtime keeps \
+       submitting until the next sync watermark, so only worker capacity \
+       limits overlap."
     in
     Arg.(value & opt int 32 & info [ "batch" ] ~docv:"N" ~doc)
   in
@@ -417,40 +418,6 @@ let explore_cmd =
     in
     Arg.(value & opt (some string) None & info [ "latency" ] ~docv:"DIST" ~doc)
   in
-  let adaptive_arg =
-    let doc =
-      "Let the scheduler retune the in-flight window online (AIMD \
-       hill-climbing on measured throughput, bounded by \
-       $(b,--window-min)/$(b,--window-max)). $(b,--batch) becomes the \
-       starting window. Record the decisions with $(b,--trace) to make the \
-       run replayable."
-    in
-    Arg.(value & flag & info [ "adaptive" ] ~doc)
-  in
-  let window_min_arg =
-    let doc = "Lower bound for the adaptive window." in
-    Arg.(value & opt int 1 & info [ "window-min" ] ~docv:"N" ~doc)
-  in
-  let window_max_arg =
-    let doc = "Upper bound for the adaptive window." in
-    Arg.(value & opt int 128 & info [ "window-max" ] ~docv:"N" ~doc)
-  in
-  let trace_arg =
-    let doc =
-      "Write the scheduler's per-batch telemetry and decisions to $(docv) \
-       (usable without $(b,--adaptive) to record a static run's telemetry). \
-       Feed it back with $(b,--replay-trace) to reproduce an adaptive run \
-       bit-for-bit."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let replay_trace_arg =
-    let doc =
-      "Re-apply the window sequence recorded in $(docv) instead of deciding \
-       online; the explored history is bit-identical to the recorded run's."
-    in
-    Arg.(value & opt (some string) None & info [ "replay-trace" ] ~docv:"FILE" ~doc)
-  in
   let checkpoint_arg =
     let doc =
       "Make the campaign crash-safe: snapshot the full explorer state into \
@@ -484,8 +451,7 @@ let explore_cmd =
   let run target strategy iterations seed feedback rarity rarity_weight
       rarity_cutoff mask top replay_out multi seed_analysis
       csv_out json_out assess jobs batch wire flush_bytes managers inflight
-      latency adaptive window_min window_max trace_out replay_trace
-      checkpoint_dir checkpoint_every resume_dir verbosity =
+      latency checkpoint_dir checkpoint_every resume_dir verbosity =
     setup_logging verbosity;
     if mask && not rarity then begin
       prerr_endline "afex: --mask needs --rarity (it pins against the rarity cutoff)";
@@ -530,13 +496,6 @@ let explore_cmd =
       prerr_endline "afex: --batch must be at least 1 (or 0 for unbounded)";
       exit 2
     end;
-    if batch = 0 && (adaptive || trace_out <> None || replay_trace <> None)
-    then begin
-      prerr_endline
-        "afex: --batch 0 (unbounded window) leaves no window for the \
-         scheduler to control; drop --adaptive/--trace/--replay-trace";
-      exit 2
-    end;
     if inflight < 1 then begin
       prerr_endline "afex: --inflight must be at least 1";
       exit 2
@@ -544,16 +503,6 @@ let explore_cmd =
     if inflight > 1 && jobs > 1 then begin
       prerr_endline
         "afex: --inflight multiplexes on a single domain; use --jobs 1 with it";
-      exit 2
-    end;
-    if window_min < 1 || window_max < window_min then begin
-      prerr_endline "afex: need 1 <= --window-min <= --window-max";
-      exit 2
-    end;
-    if adaptive && replay_trace <> None then begin
-      prerr_endline
-        "afex: --adaptive and --replay-trace are exclusive (a replay \
-         re-applies recorded decisions)";
       exit 2
     end;
     if checkpoint_dir <> None && resume_dir <> None then begin
@@ -566,34 +515,6 @@ let explore_cmd =
       prerr_endline "afex: --checkpoint-every must be at least 1";
       exit 2
     end;
-    let scheduler =
-      match replay_trace with
-      | Some path -> (
-          match Afex_cluster.Scheduler.Trace.load path with
-          | Error e ->
-              prerr_endline ("afex: --replay-trace: " ^ e);
-              exit 2
-          | Ok [] ->
-              prerr_endline ("afex: --replay-trace: " ^ path ^ " has no entries");
-              exit 2
-          | Ok trace ->
-              Some
-                (Afex_cluster.Scheduler.create ~window_min ~window_max
-                   (Afex_cluster.Scheduler.Replay
-                      (Afex_cluster.Scheduler.Trace.windows trace))))
-      | None ->
-          if adaptive then
-            Some
-              (Afex_cluster.Scheduler.create ~window_min ~window_max
-                 ~initial:batch ~seed Afex_cluster.Scheduler.Adaptive)
-          else if trace_out <> None then
-            (* Telemetry-only: record what the frozen window costs. *)
-            Some
-              (Afex_cluster.Scheduler.create ~window_min:1
-                 ~window_max:(max batch window_max) ~initial:batch
-                 Afex_cluster.Scheduler.Static)
-          else None
-    in
     let latency_model =
       match latency with
       | None -> None
@@ -633,10 +554,6 @@ let explore_cmd =
         ("seed-analysis", string_of_bool seed_analysis);
         ("latency", Option.value latency ~default:"-");
         ("inflight", string_of_int inflight);
-        ("adaptive", string_of_bool adaptive);
-        ("window-min", string_of_int window_min);
-        ("window-max", string_of_int window_max);
-        ("replay-trace", if replay_trace = None then "-" else "set");
       ]
     in
     let checkpoint =
@@ -662,21 +579,6 @@ let explore_cmd =
               exit 2)
       | Some _, Some _ -> assert false
     in
-    (match (checkpoint, scheduler) with
-    | Some cp, Some s -> (
-        match
-          Option.bind
-            (Afex_cluster.Checkpoint.loaded_snapshot cp)
-            (fun snap -> snap.Afex_cluster.Checkpoint.Snapshot.scheduler)
-        with
-        | None -> ()
-        | Some snap -> (
-            match Afex_cluster.Scheduler.restore s snap with
-            | Ok () -> ()
-            | Error e ->
-                prerr_endline ("afex: --resume: scheduler: " ^ e);
-                exit 2))
-    | _ -> ());
     let executor, sub, analysis_seeds =
       match parse_replsim_exn target with
       | Some cluster ->
@@ -764,8 +666,7 @@ let explore_cmd =
         let result, pool_stats =
           if
             jobs = 1 && batch = 1 && specs = [] && inflight = 1
-            && latency_model = None && scheduler = None
-            && Option.is_none checkpoint
+            && latency_model = None && Option.is_none checkpoint
           then (Afex.Session.run ~iterations config sub executor, None)
           else begin
             let pool =
@@ -775,7 +676,7 @@ let explore_cmd =
               Fun.protect
                 ~finally:(fun () -> Afex_cluster.Pool.shutdown pool)
                 (fun () ->
-                  Afex_cluster.Pool.session ?scheduler ?checkpoint
+                  Afex_cluster.Pool.session ?checkpoint
                     ~batch_size:(if batch = 0 then max_int else batch)
                     ~iterations pool config sub)
             in
@@ -799,45 +700,21 @@ let explore_cmd =
             m.Afex.Mutator.masked_rejects m.Afex.Mutator.rejects
             m.Afex.Mutator.random_fallbacks
         end;
-        (match scheduler with
-        | None -> ()
-        | Some s ->
-            let lo, hi = Afex_cluster.Scheduler.bounds s in
-            Format.printf "scheduler: window %d after %d batches (bounds %d-%d)@."
-              (Afex_cluster.Scheduler.window s)
-              (Afex_cluster.Scheduler.batches s)
-              lo hi;
-            (match Afex_cluster.Scheduler.telemetry s with
-            | None -> ()
-            | Some tel ->
-                Format.printf
-                  "  telemetry (EWMA): %.0f tests/s, %.0f%% utilization, %.2f ms \
-                   queue wait, %.2f ms merge stall, %.2f freshness@."
-                  tel.Afex_cluster.Scheduler.throughput
-                  (100.0 *. tel.Afex_cluster.Scheduler.utilization)
-                  tel.Afex_cluster.Scheduler.queue_wait_ms
-                  tel.Afex_cluster.Scheduler.merge_stall_ms
-                  tel.Afex_cluster.Scheduler.freshness);
-            match trace_out with
-            | None -> ()
-            | Some path ->
-                Afex_cluster.Scheduler.Trace.save path
-                  (Afex_cluster.Scheduler.trace s);
-                Format.printf "scheduler trace (%d batches) written to %s@."
-                  (Afex_cluster.Scheduler.batches s)
-                  path);
         (match pool_stats with
         | None -> ()
         | Some (s, remote_stats) ->
             if inflight > 1 then Format.printf "async: %d in flight@." inflight;
             Format.printf
-              "pool: %d jobs, %d batches, %d executed, %d cache hits, %.0f ms wall \
-               (%.0f tests/s)@."
-              jobs s.Afex_cluster.Pool.batches s.Afex_cluster.Pool.executed
+              "pool: %d jobs, %d executed, %d cache hits, %.0f ms wall \
+               (%.0f tests/s; %.0f ms generating, %.0f ms stalled, %.0f ms \
+               merging)@."
+              jobs s.Afex_cluster.Pool.executed
               s.Afex_cluster.Pool.cache_hits s.Afex_cluster.Pool.wall_ms
               (if s.Afex_cluster.Pool.wall_ms <= 0.0 then 0.0
                else 1000.0 *. float_of_int result.Afex.Session.iterations
-                    /. s.Afex_cluster.Pool.wall_ms);
+                    /. s.Afex_cluster.Pool.wall_ms)
+              s.Afex_cluster.Pool.gen_ms s.Afex_cluster.Pool.stall_ms
+              s.Afex_cluster.Pool.merge_ms;
             if remote_stats <> [] then begin
               Format.printf
                 "remote: %d runs over the wire, %d local fallbacks%s@."
@@ -932,7 +809,6 @@ let explore_cmd =
       $ top_arg $ replay_arg $ multi_arg $ seed_analysis_arg $ csv_arg $ json_arg
       $ assess_arg $ jobs_arg $ batch_arg $ wire_arg $ flush_bytes_arg
       $ manager_arg $ inflight_arg $ latency_arg
-      $ adaptive_arg $ window_min_arg $ window_max_arg $ trace_arg $ replay_trace_arg
       $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ verbose_arg)
 
 (* --- afex serve --- *)

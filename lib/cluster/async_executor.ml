@@ -137,7 +137,7 @@ type remote = {
    [done_q]. [live] holds every incomplete tag's task — the local
    fallback needs the thunk long after submission. *)
 type t = {
-  mutable inflight : int;
+  inflight : int;
   request_timeout_ms : int;
   now_ms : unit -> float;
   wheel : event Timer_wheel.t;
@@ -176,8 +176,7 @@ let create ?(remotes = []) ?(request_timeout_ms = 10_000)
       Array.of_list
         (List.map
            (fun spec ->
-             let conn = Pipelined.create spec ~total_blocks in
-             Pipelined.set_credit conn inflight;
+             let conn = Pipelined.create spec ~credit:inflight ~total_blocks in
              { conn; not_before = 0.0; seen_failures = 0 })
            remotes);
     rr = 0;
@@ -194,18 +193,6 @@ let create ?(remotes = []) ?(request_timeout_ms = 10_000)
     max_seen = 0;
     n_wakeups = 0;
   }
-
-let inflight t = t.inflight
-
-(* The adaptive scheduler's knob: the dispatch loop reads [t.inflight]
-   on every iteration and each connection's credit caps how much of the
-   window can ride one wire. Shrinking never preempts a started test —
-   the window narrows as they complete. *)
-let set_inflight t inflight =
-  if inflight < 1 then
-    invalid_arg "Async_executor.set_inflight: inflight must be positive";
-  t.inflight <- inflight;
-  Array.iter (fun r -> Pipelined.set_credit r.conn inflight) t.remotes
 
 let stats t =
   {

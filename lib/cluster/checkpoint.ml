@@ -72,64 +72,18 @@ module Snapshot = struct
 
   type t = {
     meta : (string * string) list;
-    batches : int;
     master_state : int64;
-    scheduler : Scheduler.snapshot option;
     mark : mark;
     explorer : Explorer.Snapshot.t;
   }
 
-  (* Version 4: records older than every queued test moved out to the
-     append-only [records.log], and the snapshot gained the mark that
-     vouches for a prefix of it. A version-3 snapshot holds every record
-     and no mark, so it is refused by the header rather than resumed
-     against a log it does not describe. *)
-  let header = "afex-checkpoint 4"
-
-  let sched_to_tokens (s : Scheduler.snapshot) =
-    Printf.sprintf "%s %d %d %s %s %d %d %Lx %s" s.Scheduler.s_mode s.s_window
-      s.s_batches
-      (match s.s_prev_throughput with
-      | None -> "-"
-      | Some f -> Printf.sprintf "%h" f)
-      s.s_dir
-      (if s.s_slow_start then 1 else 0)
-      (if s.s_suspect then 1 else 0)
-      s.s_rng_state
-      (match s.s_tel with
-      | None -> "-"
-      | Some tel ->
-          floats_to
-            [
-              tel.Scheduler.utilization; tel.queue_wait_ms; tel.merge_stall_ms;
-              tel.freshness; tel.throughput;
-            ])
-
-  let sched_of_tokens = function
-    | [ mode; window; batches; prev; dir; ss; sus; rng; tel ] ->
-        {
-          Scheduler.s_mode = mode;
-          s_window = nat "scheduler window" window;
-          s_batches = nat "scheduler batches" batches;
-          s_prev_throughput =
-            (if prev = "-" then None else Some (fl "scheduler throughput" prev));
-          s_dir = dir;
-          s_slow_start = nat "slow-start flag" ss = 1;
-          s_suspect = nat "suspect flag" sus = 1;
-          s_rng_state = hex64 "scheduler rng" rng;
-          s_tel =
-            (match floats_of "scheduler telemetry" tel with
-            | [] -> None
-            | [ utilization; queue_wait_ms; merge_stall_ms; freshness; throughput ]
-              ->
-                Some
-                  {
-                    Scheduler.utilization; queue_wait_ms; merge_stall_ms;
-                    freshness; throughput;
-                  }
-            | _ -> bad "scheduler telemetry: expected 5 fields");
-        }
-    | _ -> bad "scheduler line: expected 9 fields"
+  (* Version 5: the globals line carries only the master RNG position
+     (version 4 also kept a window-controller line and a round count).
+     Version 4 moved the records older than every queued test out to the
+     append-only [records.log] and added the mark that vouches for a
+     prefix of it. Older snapshots are refused by the header rather than
+     resumed against state they do not describe. *)
+  let header = "afex-checkpoint 5"
 
   let record_to_line (c : Test_case.t) =
     Printf.sprintf "r %s %d %s %s %s %d %h %h %h %s %s %s"
@@ -212,10 +166,7 @@ module Snapshot = struct
     List.iter
       (fun (k, v) -> line "m %s %s" (Message.escape k) (Message.escape v))
       t.meta;
-    line "g %d %Lx" t.batches t.master_state;
-    (match t.scheduler with
-    | Some s -> line "S %s" (sched_to_tokens s)
-    | None -> ());
+    line "g %Lx" t.master_state;
     let x = t.explorer in
     line "x %Lx %d %d %d %d %d %d %h %d" x.Explorer.Snapshot.rng_state x.issued
       x.iterations x.failed x.crashed x.hung x.triggered x.simulated_ms
@@ -259,8 +210,7 @@ module Snapshot = struct
   (* Mutable accumulator for the one-pass body parse. *)
   type partial = {
     mutable p_meta_rev : (string * string) list;
-    mutable p_globals : (int * int64) option;
-    mutable p_sched : Scheduler.snapshot option;
+    mutable p_globals : int64 option;
     mutable p_x : (int64 * int * int * int * int * int * int * float * int) option;
     mutable p_mark : mark option;
     mutable p_covered : int list option;
@@ -290,12 +240,9 @@ module Snapshot = struct
     match String.split_on_char ' ' line with
     | "m" :: [ k; v ] ->
         p.p_meta_rev <- (unescape "meta key" k, unescape "meta value" v) :: p.p_meta_rev
-    | "g" :: [ batches; master ] ->
+    | "g" :: [ master ] ->
         if p.p_globals <> None then bad "duplicate globals line";
-        p.p_globals <- Some (nat "batches" batches, hex64 "master rng" master)
-    | "S" :: rest ->
-        if p.p_sched <> None then bad "duplicate scheduler line";
-        p.p_sched <- Some (sched_of_tokens rest)
+        p.p_globals <- Some (hex64 "master rng" master)
     | "x" :: [ rng; issued; iter; failed; crashed; hung; trig; sim; cursor ] ->
         if p.p_x <> None then bad "duplicate explorer line";
         p.p_x <-
@@ -394,7 +341,7 @@ module Snapshot = struct
     | first :: rest when first = header ->
         let p =
           {
-            p_meta_rev = []; p_globals = None; p_sched = None; p_x = None;
+            p_meta_rev = []; p_globals = None; p_x = None;
             p_mark = None; p_covered = None; p_records_rev = []; p_queue = None;
             p_seeds_rev = []; p_sens_rev = []; p_frames_rev = []; p_fb_rev = [];
             p_fe_rev = []; p_fp = None; p_fi = None; p_ce_rev = []; p_cp = None;
@@ -403,16 +350,14 @@ module Snapshot = struct
         in
         List.iter (fun line -> if line <> "" then parse_line p line) rest;
         let req what = function Some v -> v | None -> bad "missing %s" what in
-        let batches, master_state = req "globals line" p.p_globals in
+        let master_state = req "globals line" p.p_globals in
         let rng_state, issued, iterations, failed, crashed, hung, triggered,
             simulated_ms, cursor_consumed =
           req "explorer line" p.p_x
         in
         {
           meta = List.rev p.p_meta_rev;
-          batches;
           master_state;
-          scheduler = p.p_sched;
           mark = req "record-log mark" p.p_mark;
           explorer =
             {
@@ -850,7 +795,7 @@ let freeze t (x : Explorer.Snapshot.t) =
   end;
   live
 
-let write_snapshot t ~batches ~master_state ~scheduler explorer =
+let write_snapshot t ~master_state explorer =
   let x = Explorer.capture ~since:t.mark.Snapshot.logged explorer in
   let live = freeze t x in
   t.hooks.before_rename ();
@@ -858,9 +803,7 @@ let write_snapshot t ~batches ~master_state ~scheduler explorer =
     Snapshot.encode
       {
         Snapshot.meta = t.cp_meta;
-        batches;
         master_state;
-        scheduler;
         mark = t.mark;
         explorer = { x with Explorer.Snapshot.records = live };
       }

@@ -14,7 +14,7 @@
       snapshot appends the records between the old and the new frontier
       in one write, so a snapshot costs what happened since the last
       one, not the whole history.
-    - [snapshot.afex] — the rest of the explorer/scheduler/pool state at
+    - [snapshot.afex] — the rest of the explorer and pool state at
       a quiescent reorder-buffer watermark (released = submitted): the
       records above the frontier, plus a {e mark} naming how many
       records and bytes of [records.log] it vouches for. Written
@@ -51,9 +51,7 @@ module Snapshot : sig
         (** campaign identity: every flag that shapes the search, checked
             on resume so a snapshot cannot silently continue under a
             different configuration *)
-    batches : int;  (** completed scheduler rounds *)
     master_state : int64;  (** the pool's master RNG position *)
-    scheduler : Scheduler.snapshot option;
     mark : mark;
     explorer : Afex.Explorer.Snapshot.t;
         (** in a decoded file, [records] holds only the records above
@@ -62,13 +60,13 @@ module Snapshot : sig
   }
 
   val encode : t -> string
-  (** Versioned ([afex-checkpoint 4]), checksummed, line-oriented; the
+  (** Versioned ([afex-checkpoint 5]), checksummed, line-oriented; the
       exact bytes written to [snapshot.afex]. Encoding is a pure function
       of the snapshot, so equal states produce equal files. *)
 
   val decode : string -> (t, string) result
   (** Total inverse of {!encode}: truncation, bit flips, unknown
-      versions (version 3 included) and structural damage all return
+      versions (versions 3 and 4 included) and structural damage all return
       [Error], never raise. *)
 end
 
@@ -138,13 +136,7 @@ val append_outcome :
 (** Journal one released outcome ([seq] is the absolute iteration
     number). One checksummed line, one [write]. *)
 
-val write_snapshot :
-  t ->
-  batches:int ->
-  master_state:int64 ->
-  scheduler:Scheduler.snapshot option ->
-  Afex.Explorer.t ->
-  unit
+val write_snapshot : t -> master_state:int64 -> Afex.Explorer.t -> unit
 (** Capture the explorer (walking its records only down to the mark),
     append the records that became final to [records.log], atomically
     replace [snapshot.afex], and truncate the journal.

@@ -64,11 +64,6 @@ let create ?(remotes = []) ?(inflight = 1) ?request_timeout_ms ~jobs executor =
 
 let jobs t = t.jobs
 
-let inflight t =
-  match Runtime.async t.runtime with
-  | Some a -> Async_executor.inflight a
-  | None -> 1
-
 let async_stats t = Option.map Async_executor.stats (Runtime.async t.runtime)
 let remote_stats t = Runtime.remote_stats t.runtime
 
@@ -85,10 +80,12 @@ let shutdown t =
 type stats = {
   executed : int;
   cache_hits : int;
-  batches : int;
   remote_runs : int;
   remote_fallbacks : int;
   wire_downgrades : int;
+  gen_ms : float;
+  stall_ms : float;
+  merge_ms : float;
   wall_ms : float;
 }
 
@@ -110,7 +107,7 @@ type meta = {
   m_worker : bool;  (* occupies a runtime worker until it completes *)
 }
 
-let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
+let session ?transform ?stop ?time_budget_ms ?checkpoint
     ?(batch_size = 32) ?(memoize = true) ?(sync_every = 512) ~iterations t
     config sub =
   if batch_size < 1 then invalid_arg "Pool.session: batch_size must be positive";
@@ -145,18 +142,11 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
     | None -> Rng.create config.Afex.Config.seed
     | Some snap -> Rng.of_state snap.Checkpoint.Snapshot.master_state
   in
-  (* Completed scheduler rounds, absolute across crashes. *)
-  let rounds =
-    ref (match resume_snap with None -> 0 | Some s -> s.Checkpoint.Snapshot.batches)
-  in
   let write_snapshot () =
     match checkpoint with
     | None -> ()
     | Some cp ->
-        Checkpoint.write_snapshot cp ~batches:!rounds
-          ~master_state:(Rng.state master)
-          ~scheduler:(Option.map Scheduler.snapshot scheduler)
-          explorer
+        Checkpoint.write_snapshot cp ~master_state:(Rng.state master) explorer
   in
   (* A fresh checkpointed campaign writes its base snapshot before any
      work, so a crash before the first cadence snapshot still resumes
@@ -189,8 +179,8 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
      [released] are absolute iteration counts; the driver submits while
      the window has room and otherwise releases the head of line, so the
      interleaving of Explorer.next and Explorer.report — and with it the
-     whole explored history — is a pure function of (seed, window
-     sequence, iterations), never of completion timing, [jobs] or
+     whole explored history — is a pure function of (seed, [batch_size],
+     [sync_every], iterations), never of completion timing, [jobs] or
      [inflight]. *)
   let base = Afex.Explorer.iterations explorer in
   let submitted = ref base and released = ref base in
@@ -211,37 +201,10 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
      refuse with candidates in flight) never perturb the explored
      history relative to an uncheckpointed run. *)
   let next_sync = ref (((base / sync_every) + 1) * sync_every) in
-  (* Scheduler rounds: one controller period per [window] releases. *)
-  let window () =
-    match scheduler with Some s -> Scheduler.window s | None -> batch_size
-  in
-  let round_window = ref (window ()) in
-  let round_releases = ref 0 and round_executed = ref 0 in
+  (* Where the explorer thread's time goes: generating candidates,
+     blocked on the head of line, and merging outcomes. Measured only;
+     nothing in the schedule reads them. *)
   let gen_acc = ref 0.0 and stall_acc = ref 0.0 and merge_acc = ref 0.0 in
-  let observed_rounds = ref 0 in
-  (match scheduler with
-  | Some s -> Runtime.set_window t.runtime (Scheduler.window s)
-  | None -> ());
-  let finish_round () =
-    incr observed_rounds;
-    incr rounds;
-    (match scheduler with
-    | Some s ->
-        (* exec_ms is the head-of-line wait: the only time the explorer
-           spent blocked on workers. It doubles as the merge stall — the
-           residual barrier cost of in-order release. *)
-        Scheduler.observe s ~stall_ms:!stall_acc ~gen_ms:!gen_acc
-          ~exec_ms:!stall_acc ~merge_ms:!merge_acc ~executed:!round_executed
-          ~merged:!round_releases;
-        Runtime.set_window t.runtime (Scheduler.window s)
-    | None -> ());
-    round_releases := 0;
-    round_executed := 0;
-    gen_acc := 0.0;
-    stall_acc := 0.0;
-    merge_acc := 0.0;
-    round_window := window ()
-  in
   let replay_pending () =
     match checkpoint with Some cp -> Checkpoint.replay_pending cp | None -> false
   in
@@ -413,7 +376,6 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
     in
     if m.m_worker then begin
       incr executed;
-      incr round_executed;
       match m.m_skey with
       | Some key -> Hashtbl.remove inflight_keys key
       | None -> ()
@@ -439,19 +401,13 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
         then stop_iteration := Some (Afex.Explorer.iterations explorer)
     | Some _ | None -> ());
     merge_acc := !merge_acc +. (1000.0 *. (Unix.gettimeofday () -. t0));
-    released := !released + 1;
-    incr round_releases;
-    if !round_releases >= !round_window then finish_round ()
+    released := !released + 1
   in
   let rec drive () =
     if !released >= !next_sync then begin
       (* Quiescent sync watermark: submissions were capped at the
-         boundary, so everything before it has released. Close the
-         partial round — a resumed campaign restarts its round
-         accumulators here, so round boundaries must coincide with sync
-         points for both to see the same window sequence — and write the
+         boundary, so everything before it has released. Write the
          cadence snapshot if one is due. *)
-      if !round_releases > 0 then finish_round ();
       (match checkpoint with
       | Some cp
         when Checkpoint.due cp ~iterations:(Afex.Explorer.iterations explorer)
@@ -463,7 +419,7 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
     end
     else if
       can_submit ()
-      && !submitted - !released < !round_window
+      && !submitted - !released < batch_size
       && !submitted < !next_sync
     then begin
       submit_one ();
@@ -477,12 +433,11 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
       (* Submission was refused with nothing pending: the sync branch
          above fires first when the boundary is the reason, so only a
          zero-width window could land here — kept impossible by the
-         schedulers' positive-window invariant. *)
+         positive [batch_size] check above. *)
       assert false
     end
   in
   drive ();
-  if !round_releases > 0 then finish_round ();
   (* Final snapshot: the completed campaign is itself a resumable (and
      re-resumable) state, and the journal is left empty. *)
   (match checkpoint with Some _ -> write_snapshot () | None -> ());
@@ -495,19 +450,21 @@ let session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint
     {
       executed = !executed;
       cache_hits = !cache_hits;
-      batches = !observed_rounds;
       remote_runs = Runtime.remote_runs t.runtime - remote_runs0;
       remote_fallbacks = Runtime.remote_fallbacks t.runtime - remote_fallbacks0;
       wire_downgrades = Runtime.wire_downgrades t.runtime - wire_downgrades0;
+      gen_ms = !gen_acc;
+      stall_ms = !stall_acc;
+      merge_ms = !merge_acc;
       wall_ms = 1000.0 *. (Unix.gettimeofday () -. started);
     } )
 
-let run ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint ?batch_size
+let run ?transform ?stop ?time_budget_ms ?checkpoint ?batch_size
     ?memoize ?sync_every ?remotes ?inflight ?request_timeout_ms ~jobs
     ~iterations config sub executor =
   let t = create ?remotes ?inflight ?request_timeout_ms ~jobs executor in
   Fun.protect
     ~finally:(fun () -> shutdown t)
     (fun () ->
-      session ?scheduler ?transform ?stop ?time_budget_ms ?checkpoint ?batch_size
+      session ?transform ?stop ?time_budget_ms ?checkpoint ?batch_size
         ?memoize ?sync_every ~iterations t config sub)

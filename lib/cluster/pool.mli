@@ -10,7 +10,7 @@
     test delays only its own release, not a whole batch. Because
     generation and merging both happen sequentially on the explorer
     thread under a schedule that is a pure function of the seed, the
-    window sequence and the iteration count, the explored-point history
+    window size and the iteration count, the explored-point history
     {e never} depends on [jobs], [inflight], completion order or how the
     OS schedules domains. A campaign is therefore replayable at any
     parallelism.
@@ -82,9 +82,6 @@ val create :
 
 val jobs : t -> int
 
-val inflight : t -> int
-(** 1 unless the pool is in event-loop mode. *)
-
 val async_stats : t -> Async_executor.stats option
 (** Event-loop counters, when in event-loop mode. *)
 
@@ -97,18 +94,27 @@ val shutdown : t -> unit
 type stats = {
   executed : int;  (** scenarios actually run on a worker *)
   cache_hits : int;  (** outcomes served from the memo cache *)
-  batches : int;  (** scheduler rounds observed this session *)
   remote_runs : int;  (** scenarios whose outcome came over the wire *)
   remote_fallbacks : int;
       (** remote attempts that failed and were re-run locally *)
   wire_downgrades : int;
       (** remote connections that fell back to wire protocol v1 because
           the manager rejected the preferred version *)
-  wall_ms : float;  (** real elapsed time of the session loop *)
+  gen_ms : float;
+      (** explorer-thread time spent generating candidates and deciding
+          how each is satisfied (memo lookup, submission) *)
+  stall_ms : float;
+      (** explorer-thread time spent blocked on the head of line: the
+          oldest outstanding outcome had not completed yet *)
+  merge_ms : float;
+      (** explorer-thread time spent releasing outcomes: journaling,
+          caching and {!Afex.Explorer.report} *)
+  wall_ms : float;
+      (** real elapsed time of the session loop; at least the sum of the
+          three phases *)
 }
 
 val session :
-  ?scheduler:Scheduler.t ->
   ?transform:(Afex_faultspace.Point.t -> Afex_faultspace.Point.t) ->
   ?stop:Afex.Session.stop ->
   ?time_budget_ms:float ->
@@ -140,19 +146,9 @@ val session :
     everything before it has merged, draining the window there. The
     drain is part of the schedule whether or not a checkpoint is armed —
     it is where cadence snapshots are written — so the explored history
-    is a function of (seed, window sequence, [sync_every], iterations)
-    and nothing else.
-
-    [scheduler] hands window control (and its telemetry) to a
-    {!Scheduler}: each round of [Scheduler.window] merges uses the
-    window the controller chose, phase timings are fed back through
-    [Scheduler.observe] (with the reorder buffer's head-of-line wait as
-    the stall measurement), and in event-loop mode the executor's
-    [inflight] (plus each remote connection's credit) is retuned to the
-    window at every round boundary. Since outcomes still merge in
-    submission order, the explored history depends only on the seed and
-    the window {e sequence} — which the scheduler's trace records, so an
-    adaptive run replays bit-identically via [Scheduler.Replay].
+    is a function of (seed, [batch_size], [sync_every], iterations) and
+    nothing else. No wall-clock measurement feeds back into the
+    schedule: the phase timings in {!stats} are reported, never read.
 
     [checkpoint] arms crash-safe campaign persistence: a fresh
     {!Checkpoint.start} handle writes a base snapshot before any work,
@@ -170,7 +166,6 @@ val session :
     or journal contradicts the regenerated campaign. *)
 
 val run :
-  ?scheduler:Scheduler.t ->
   ?transform:(Afex_faultspace.Point.t -> Afex_faultspace.Point.t) ->
   ?stop:Afex.Session.stop ->
   ?time_budget_ms:float ->

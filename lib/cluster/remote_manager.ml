@@ -381,7 +381,7 @@ module Pipelined = struct
     mutable pref : int;
     acct : wire_acct;
     mutable seq : int;
-    mutable credit : int; (* in-flight cap; the scheduler's knob *)
+    credit : int; (* in-flight cap *)
     mutable failures : int; (* consecutive connection-level failures *)
     mutable n_requests : int;
     mutable n_retries : int;
@@ -389,7 +389,8 @@ module Pipelined = struct
     mutable n_manager_errors : int;
   }
 
-  let create spec ~total_blocks =
+  let create ?(credit = max_int) spec ~total_blocks =
+    if credit < 1 then invalid_arg "Pipelined.create: credit must be positive";
     {
       spec;
       total_blocks;
@@ -399,7 +400,7 @@ module Pipelined = struct
       pref = spec.wire;
       acct = wire_acct ();
       seq = 0;
-      credit = max_int;
+      credit;
       failures = 0;
       n_requests = 0;
       n_retries = 0;
@@ -409,12 +410,6 @@ module Pipelined = struct
 
   let name t = t.spec.name
   let pending t = Hashtbl.length t.outstanding
-  let credit t = t.credit
-
-  let set_credit t credit =
-    if credit < 1 then invalid_arg "Pipelined.set_credit: credit must be positive";
-    t.credit <- credit
-
   let has_credit t = Hashtbl.length t.outstanding < t.credit
 
   let awaiting t tag =

@@ -132,14 +132,6 @@ type task = {
   start : unit -> Afex.Executor.job;
 }
 
-type capabilities = {
-  kind : string;
-  workers : int;
-  stealing : bool;
-  pipelined : bool;
-  remote : bool;
-}
-
 type completion = int * (Outcome.t, exn) result
 
 (* Shared state of the stealing backend. Tasks travel explorer -> deque
@@ -169,7 +161,6 @@ type backend =
 
 type t = {
   backend : backend;
-  caps : capabilities;
   mutable live : int;  (* submitted, completion not yet polled *)
   mutable shut : bool;
 }
@@ -254,8 +245,6 @@ let worker s self rng exec =
 let inline () =
   {
     backend = Inline (Queue.create ());
-    caps =
-      { kind = "inline"; workers = 1; stealing = false; pipelined = false; remote = false };
     live = 0;
     shut = false;
   }
@@ -291,14 +280,6 @@ let domains ?(steal_seed = 0) ?(remotes = []) ~total_blocks ~jobs () =
   in
   {
     backend = Domains (s, Array.append local remote, rms);
-    caps =
-      {
-        kind = "domains";
-        workers;
-        stealing = workers > 1;
-        pipelined = false;
-        remote = rms <> [];
-      };
     live = 0;
     shut = false;
   }
@@ -306,19 +287,10 @@ let domains ?(steal_seed = 0) ?(remotes = []) ~total_blocks ~jobs () =
 let event_loop async =
   {
     backend = Event_loop async;
-    caps =
-      {
-        kind = "event-loop";
-        workers = Async_executor.inflight async;
-        stealing = false;
-        pipelined = true;
-        remote = Async_executor.remote_stats async <> [];
-      };
     live = 0;
     shut = false;
   }
 
-let capabilities t = t.caps
 let outstanding t = t.live
 let async t = match t.backend with Event_loop a -> Some a | Inline _ | Domains _ -> None
 
@@ -361,19 +333,6 @@ let poll t ~block =
   in
   t.live <- t.live - List.length completions;
   completions
-
-let drain t =
-  let rec go acc =
-    if t.live = 0 then List.rev acc
-    else go (List.rev_append (poll t ~block:true) acc)
-  in
-  go []
-
-let set_window t w =
-  if w < 1 then invalid_arg "Runtime.set_window: window must be positive";
-  match t.backend with
-  | Event_loop a -> Async_executor.set_inflight a w
-  | Inline _ | Domains _ -> ()
 
 (* ---- stats -------------------------------------------------------- *)
 

@@ -1,12 +1,11 @@
-(** The unified execution runtime: one [submit]/[poll]/[drain] surface
-    over every way AFEX can run a test, plus the two data structures the
+(** The unified execution runtime: one [submit]/[poll] surface over
+    every way AFEX can run a test, plus the two data structures the
     barrierless pool is built from.
 
     The batch-barrier pool alternated generation and execution: the
     explorer generated a whole window, blocked until every slot came
-    back, then merged. The scheduler telemetry from the adaptive-window
-    work showed that barrier is a first-order cost — [merge_stall_ms]
-    comparable to [exec_ms] at large windows. This module removes it:
+    back, then merged, so the merge stall was a first-order cost at
+    large windows. This module removes that barrier:
 
     - {!Deque}: a Chase–Lev-style work-stealing deque per worker. The
       explorer (the single producer) pushes tasks round-robin; a worker
@@ -18,12 +17,11 @@
       to the explorer strictly in submission order, so the explored
       history, feedback weights and exports are bit-identical to the
       sequential run at any parallelism.
-    - {!t}: the capability-based runtime handle. Three backends —
-      inline (execute on the caller), work-stealing Domains (local
-      workers plus remote-manager proxies), and the single-domain async
-      event loop — behind one interface, so {!Pool}, {!Scheduler},
-      {!Checkpoint} and the future multi-tenant coordinator schedule
-      heterogeneous workers without knowing which backend runs them. *)
+    - {!t}: the runtime handle. Three backends — inline (execute on the
+      caller), work-stealing Domains (local workers plus remote-manager
+      proxies), and the single-domain async event loop — behind one
+      interface, so {!Pool} drives heterogeneous workers without knowing
+      which backend runs them. *)
 
 (** A submission-indexed reorder buffer: out-of-order [offer]s, strictly
     in-order release. Single-consumer; pure bookkeeping (no locks), so
@@ -97,17 +95,6 @@ type task = {
       (** the nonblocking form the event loop multiplexes *)
 }
 
-type capabilities = {
-  kind : string;  (** ["inline"], ["domains"] or ["event-loop"] *)
-  workers : int;
-      (** executions the backend holds concurrently: 1 inline, local
-          domains + remote proxies for the stealing backend, [inflight]
-          for the event loop *)
-  stealing : bool;  (** idle workers steal from a random victim *)
-  pipelined : bool;  (** completions multiplex on one domain *)
-  remote : bool;  (** some tasks may execute across the wire *)
-}
-
 type t
 
 val inline : unit -> t
@@ -137,8 +124,6 @@ val event_loop : Async_executor.t -> t
     loop, {!poll} runs it. The runtime owns the executor and closes it
     on {!shutdown}. *)
 
-val capabilities : t -> capabilities
-
 val submit : t -> task -> unit
 (** Hand one task to the backend. Never blocks on execution (the inline
     backend runs the task, by definition). Sequence numbers are the
@@ -153,18 +138,6 @@ val poll : t -> block:bool -> (int * (Afex_injector.Outcome.t, exn) result) list
 
 val outstanding : t -> int
 (** Submitted tasks whose completions have not been polled yet. *)
-
-val drain : t -> (int * (Afex_injector.Outcome.t, exn) result) list
-(** Block until every outstanding task completes; the tail of
-    completions in completion order. The quiescent point the checkpoint
-    layer snapshots at. *)
-
-val set_window : t -> int -> unit
-(** Retune the backend's concurrency to the scheduler's window: the
-    event loop adjusts [inflight] (and per-connection credit); the other
-    backends take their concurrency from the submission window itself
-    and ignore it. @raise Invalid_argument if the window is not
-    positive. *)
 
 val async : t -> Async_executor.t option
 (** The wrapped event loop, when the backend is one. *)

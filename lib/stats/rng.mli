@@ -25,11 +25,6 @@ val of_state : int64 -> t
 (** [of_state s] is a generator whose next outputs equal those of any
     generator whose {!state} was [s]. Inverse of {!state}. *)
 
-val set_state : t -> int64 -> unit
-(** Rewind/fast-forward an existing generator to a saved position —
-    for generators owned by an enclosing structure (e.g. a scheduler)
-    whose field cannot be replaced. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent from the remainder of [t]'s stream. *)

@@ -1,8 +1,8 @@
 (* Tests for the async execution stack: the Prop harness itself, the
    timer wheel, the single-domain event-loop executor, pipelined remote
-   dispatch (out-of-order matching, straggler timeouts, non-blocking
-   backoff), and the determinism invariant — the explored history is
-   identical at every --inflight value. *)
+   dispatch (out-of-order matching, per-connection credit, straggler
+   timeouts, non-blocking backoff), and the determinism invariant — the
+   explored history is identical at every --inflight value. *)
 
 module Transport = Afex_cluster.Transport
 module Message = Afex_cluster.Message
@@ -230,8 +230,14 @@ let test_async_session_counts_pinned () =
   let _, stats, _ = async_run ~inflight:8 () in
   checki "executed" 120 stats.Pool.executed;
   checki "cache hits" 0 stats.Pool.cache_hits;
-  checki "batches" 8 stats.Pool.batches;
-  checki "no remotes involved" 0 stats.Pool.remote_runs
+  checki "no remotes involved" 0 stats.Pool.remote_runs;
+  (* The phase totals are wall-clock, so only their shape is checked:
+     three disjoint spans of the session loop. *)
+  let phases = [ stats.Pool.gen_ms; stats.Pool.stall_ms; stats.Pool.merge_ms ] in
+  checkb "phase totals are non-negative" true
+    (List.for_all (fun ms -> ms >= 0.0) phases);
+  checkb "phase totals fit inside the session wall" true
+    (List.fold_left ( +. ) 0.0 phases <= stats.Pool.wall_ms)
 
 (* --- the deterministic latency model ---------------------------------- *)
 
@@ -530,6 +536,41 @@ let test_pipelined_fail_cancels_awaiting () =
   RM.Pipelined.close conn;
   RM.Loopback.shutdown lb
 
+let test_pipelined_credit () =
+  (* The credit is fixed when the connection is created: the event loop
+     passes its [inflight], so no one manager absorbs more than the
+     whole window. *)
+  let exec = executor () in
+  let lb = RM.Loopback.create ~executor:exec () in
+  let spec = RM.Loopback.spec lb in
+  let total_blocks = exec.Afex.Executor.total_blocks in
+  (match RM.Pipelined.create ~credit:0 spec ~total_blocks with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "credit 0 should be rejected");
+  let unbounded = RM.Pipelined.create spec ~total_blocks in
+  checkb "unlimited credit by default" true (RM.Pipelined.has_credit unbounded);
+  let conn = RM.Pipelined.create ~credit:1 spec ~total_blocks in
+  checkb "a fresh connection has credit" true (RM.Pipelined.has_credit conn);
+  (match RM.Pipelined.submit conn ~tag:0 (List.hd (sample_scenarios 1)) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "submit: %s" (RM.string_of_error e));
+  checkb "one outstanding exhausts a credit of one" false
+    (RM.Pipelined.has_credit conn);
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while RM.Pipelined.pending conn > 0 && Unix.gettimeofday () < deadline do
+    List.iter
+      (fun (_, result) ->
+        match result with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "drain: %s" (RM.string_of_error e))
+      (RM.Pipelined.drain conn);
+    if RM.Pipelined.pending conn > 0 then Unix.sleepf 0.002
+  done;
+  checkb "the response gives the credit back" true (RM.Pipelined.has_credit conn);
+  RM.Pipelined.close conn;
+  RM.Pipelined.close unbounded;
+  RM.Loopback.shutdown lb
+
 let test_async_zero_delay_jobs () =
   (* delay 0: every job's readiness estimate is already due at dispatch.
      The loop must complete the batch without spinning and the outcomes
@@ -660,6 +701,7 @@ let suite =
     Alcotest.test_case "chaos under pipelining" `Quick test_chaos_under_pipelining;
     Alcotest.test_case "pipelined fail cancels awaiting" `Quick
       test_pipelined_fail_cancels_awaiting;
+    Alcotest.test_case "pipelined credit" `Quick test_pipelined_credit;
     Alcotest.test_case "zero-delay async jobs" `Quick test_async_zero_delay_jobs;
     Alcotest.test_case "fd-backed jobs overlap" `Quick test_fd_backed_jobs_overlap;
   ]

@@ -6,7 +6,6 @@
    since the last one. *)
 
 module Checkpoint = Afex_cluster.Checkpoint
-module Scheduler = Afex_cluster.Scheduler
 module Pool = Afex_cluster.Pool
 module Config = Afex.Config
 module Explorer = Afex.Explorer
@@ -77,10 +76,9 @@ let meta =
 let arb_snapshot =
   Prop.make
     ~show:(fun (s : Checkpoint.Snapshot.t) ->
-      Printf.sprintf "<snapshot: %d iterations, %d logged, %d batches>"
+      Printf.sprintf "<snapshot: %d iterations, %d logged>"
         s.Checkpoint.Snapshot.explorer.Explorer.Snapshot.iterations
-        s.Checkpoint.Snapshot.mark.Checkpoint.Snapshot.logged
-        s.Checkpoint.Snapshot.batches)
+        s.Checkpoint.Snapshot.mark.Checkpoint.Snapshot.logged)
     (fun rng ->
       let seed = Rng.int rng 10_000 in
       let steps = Rng.int rng 61 in
@@ -97,20 +95,10 @@ let arb_snapshot =
         | Some p -> ignore (Explorer.execute ex p)
         | None -> ()
       done;
-      let scheduler =
-        if Rng.bernoulli rng 0.5 then
-          Some
-            (Scheduler.snapshot
-               (Scheduler.create ~window_min:1 ~window_max:64 ~initial:8
-                  ~seed:(Rng.int rng 1000) Scheduler.Adaptive))
-        else None
-      in
       let logged = Rng.int rng (Explorer.iterations ex + 1) in
       {
         Checkpoint.Snapshot.meta;
-        batches = Rng.int rng 50;
         master_state = Rng.state (Rng.create (Rng.int rng 10_000));
-        scheduler;
         mark =
           { Checkpoint.Snapshot.logged; log_bytes = Rng.int rng 1_000_000 };
         explorer = Explorer.capture ~since:logged ex;
@@ -229,9 +217,7 @@ let test_restore_rejects_foreign_points () =
         Checkpoint.Snapshot.encode
           {
             Checkpoint.Snapshot.meta;
-            batches = 4;
             master_state = 0L;
-            scheduler = None;
             mark = { Checkpoint.Snapshot.logged = 0; log_bytes = 0 };
             explorer = { snap with Explorer.Snapshot.records };
           }
@@ -254,8 +240,7 @@ let test_start_refuses_existing () =
       (match Checkpoint.start ~dir meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
-          Checkpoint.write_snapshot cp ~batches:0 ~master_state:1L
-            ~scheduler:None
+          Checkpoint.write_snapshot cp ~master_state:1L
             (Explorer.create (Config.fitness_guided ~seed:1 ()) (space ())
                (executor ()));
           Checkpoint.close cp);
@@ -274,14 +259,48 @@ let test_meta_mismatch_rejected () =
       (match Checkpoint.start ~dir meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
-          Checkpoint.write_snapshot cp ~batches:0 ~master_state:1L
-            ~scheduler:None
+          Checkpoint.write_snapshot cp ~master_state:1L
             (Explorer.create (Config.fitness_guided ~seed:1 ()) (space ())
                (executor ()));
           Checkpoint.close cp);
       match Checkpoint.resume ~dir (("seed", "8") :: List.remove_assoc "seed" meta) with
       | Ok _ -> Alcotest.fail "resume under a different seed must be refused"
       | Error e -> checkb "names the mismatched key" true (contains e "seed"))
+
+(* A version-4 snapshot still carries the window controller's round
+   count on its globals line. Rewrite a real snapshot into that shape,
+   checksum and all, so only the header can refuse it. *)
+let as_version_4 bytes =
+  let body_end = String.rindex_from bytes (String.length bytes - 2) '\n' + 1 in
+  let body =
+    String.split_on_char '\n' (String.sub bytes 0 body_end)
+    |> List.map (fun line ->
+           if line = "afex-checkpoint 5" then "afex-checkpoint 4"
+           else if String.length line > 2 && String.sub line 0 2 = "g " then
+             "g 0 " ^ String.sub line 2 (String.length line - 2)
+           else line)
+    |> String.concat "\n"
+  in
+  body ^ Printf.sprintf "k %08x\n" (Afex_cluster.Transport.checksum body)
+
+let test_version_4_refused () =
+  let expected = "expected \"afex-checkpoint 5\"" in
+  (match Checkpoint.Snapshot.decode (as_version_4 (Lazy.force sample_bytes)) with
+  | Ok _ -> Alcotest.fail "a version-4 snapshot must be refused"
+  | Error e -> checkb "names the expected header" true (contains e expected));
+  with_dir (fun dir ->
+      (match Checkpoint.start ~dir meta with
+      | Error e -> Alcotest.fail e
+      | Ok cp ->
+          Checkpoint.write_snapshot cp ~master_state:1L
+            (Explorer.create (Config.fitness_guided ~seed:1 ()) (space ())
+               (executor ()));
+          Checkpoint.close cp);
+      let path = Filename.concat dir "snapshot.afex" in
+      write_file path (as_version_4 (read_file path));
+      match Checkpoint.resume ~dir meta with
+      | Ok _ -> Alcotest.fail "resume of a version-4 checkpoint must be refused"
+      | Error e -> checkb "resume names the expected header" true (contains e expected))
 
 (* ---- crash-point sweep over a real pooled campaign ------------------- *)
 
@@ -721,6 +740,7 @@ let suite =
     ("start refuses an existing checkpoint", `Quick, test_start_refuses_existing);
     ("resume refuses an empty directory", `Quick, test_resume_refuses_empty);
     ("resume rejects mismatched campaign metadata", `Quick, test_meta_mismatch_rejected);
+    ("version-4 checkpoints are refused", `Quick, test_version_4_refused);
     ("kill-point sweep resumes byte-identically", `Quick, test_kill_point_sweep);
     ("crash between rename and truncate recovers", `Quick,
       test_crash_between_rename_and_truncate);

@@ -14,7 +14,6 @@ let () =
       ("cluster", Test_cluster.suite);
       ("transport", Test_transport.suite);
       ("async", Test_async.suite);
-      ("sched", Test_sched.suite);
       ("runtime", Test_runtime.suite);
       ("pool", Test_pool.suite);
       ("checkpoint", Test_checkpoint.suite);

@@ -2,13 +2,11 @@
    submission-indexed reorder buffer and the Chase–Lev-style deque —
    plus the cross-executor determinism matrix the whole design exists
    for: the same campaign exported byte-identically from the inline,
-   Domain-stealing, event-loop and loopback-remote backends, a kill at
-   a reorder-buffer sync watermark resumed to the same bytes, and a
-   committed adaptive trace replayed against a committed export. *)
+   Domain-stealing, event-loop and loopback-remote backends, and a kill
+   at a reorder-buffer sync watermark resumed to the same bytes. *)
 
 module Runtime = Afex_cluster.Runtime
 module Pool = Afex_cluster.Pool
-module Scheduler = Afex_cluster.Scheduler
 module Checkpoint = Afex_cluster.Checkpoint
 module RM = Afex_cluster.Remote_manager
 module Config = Afex.Config
@@ -349,39 +347,6 @@ let test_kill_and_resume_at_watermark () =
               checks "JSON identical after watermark resume" base_json json;
               checks "CSV identical after watermark resume" base_csv csv))
 
-(* --- golden trace replay ----------------------------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let test_golden_trace_replay () =
-  (* The committed trace records the window sequence an adaptive run
-     actually chose (wall-clock dependent, unreproducible from the seed);
-     replaying it must keep producing the committed export bit-for-bit.
-     Any drift in the mutator, the RNG stream, the reorder buffer's
-     release order or the trace codec shows up as a byte diff against
-     two files under version control. *)
-  match Scheduler.Trace.load "golden/apache_adaptive_seed13.trace" with
-  | Error e -> Alcotest.fail ("golden trace unreadable: " ^ e)
-  | Ok trace ->
-      checkb "golden trace has entries" true (trace <> []);
-      let sched =
-        Scheduler.create (Scheduler.Replay (Scheduler.Trace.windows trace))
-      in
-      let result, _ =
-        Pool.run ~scheduler:sched ~jobs:1 ~iterations:80
-          (Config.fitness_guided ~seed:13 ())
-          (Apache.space ())
-          (Pool.Pure (Afex.Executor.of_target (Apache.target ())))
-      in
-      let fresh = Export.summary_to_json ~target:"apache" result in
-      let golden = read_file "golden/apache_adaptive_seed13.json" in
-      checks "replayed export matches the golden file" golden fresh
-
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -398,5 +363,4 @@ let suite =
       ("matrix: replsim", test_matrix_replsim);
       ("matrix: sequential leg", test_sequential_leg_matches_session_run);
       ("kill and resume at a watermark", test_kill_and_resume_at_watermark);
-      ("golden trace replay", test_golden_trace_replay);
     ]
