@@ -24,7 +24,10 @@ FLAGS=(--target mysql -n 1200 --seed 7 --batch 16 --latency fixed:2 --inflight 8
 EVERY=512
 
 work=$(mktemp -d)
-trap '[ -n "${pid:-}" ] && kill -9 "$pid" 2> /dev/null; rm -rf "$work"' EXIT
+# Under set -e a failing command in the trap ends it, so the kill of an
+# already-reaped campaign must not fail (it would skip the cleanup and
+# turn a passing run into exit status 1).
+trap 'if [ -n "${pid:-}" ]; then kill -9 "$pid" 2> /dev/null || true; fi; rm -rf "$work"' EXIT
 
 run() { "$AFEX" explore "${FLAGS[@]}" "$@"; }
 

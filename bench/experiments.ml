@@ -28,7 +28,6 @@ module Figure = Afex_report.Figure
 module Simulation = Afex_cluster.Simulation
 module Pool = Afex_cluster.Pool
 module Async_executor = Afex_cluster.Async_executor
-module Remote_manager = Afex_cluster.Remote_manager
 
 (* Provenance header shared by every BENCH_*.json artifact: schema
    version, the exact command line, and the commit the numbers were
@@ -607,125 +606,6 @@ let pool ?(iterations = 2000) ?(jobs_list = [ 1; 2; 4 ]) () =
   note "threads; on a single-core host the pool degrades gracefully to ~1x.";
   note "The explored-point history must read `yes` on every row: the search";
   note "is replayable at any parallelism (same seed => same campaign)."
-
-(* ------------------------------------------------------------------ *)
-(* Remote dispatch over the wire protocol (§6.1)                       *)
-(* ------------------------------------------------------------------ *)
-
-let remote ?(iterations = 1500) () =
-  section "Remote dispatch: the Fig. 2 wire protocol vs in-process workers";
-  let target = Mysql.target () in
-  let sub = Mysql.space () in
-  let base = Afex.Executor.of_target target in
-  (* Same calibrated spin as the `pool` experiment: the simulated injector
-     answers in microseconds, so without it the framing/syscall cost of
-     the wire would swamp the comparison. *)
-  let spin () =
-    let acc = ref 0.0 in
-    for i = 1 to 60_000 do
-      acc := !acc +. sqrt (float_of_int i)
-    done;
-    ignore (Sys.opaque_identity !acc)
-  in
-  let executor =
-    Afex.Executor.of_scenario_fn ~total_blocks:base.Afex.Executor.total_blocks
-      ~description:"mysql 5.1.44 (+calibrated spin)" (fun s ->
-        spin ();
-        base.Afex.Executor.run_scenario s)
-  in
-  let config () = Config.fitness_guided ~seed:4242 () in
-  let history (r : Session.result) =
-    List.map
-      (fun (c : Test_case.t) -> Afex_faultspace.Point.key c.Test_case.point)
-      r.Session.executed
-  in
-  (* Each remote worker is a real server loop on its own domain behind a
-     real socketpair — the same code path as TCP minus the network. *)
-  let with_loopbacks n f =
-    let lbs =
-      List.init n (fun i ->
-          Remote_manager.Loopback.create
-            ~name:(Printf.sprintf "loopback-%d" i)
-            ~executor ())
-    in
-    let specs = List.map Remote_manager.Loopback.spec lbs in
-    let result = f specs in
-    List.iter Remote_manager.Loopback.shutdown lbs;
-    result
-  in
-  let measure name ~jobs ~managers =
-    let (result : Session.result), (stats : Pool.stats) =
-      with_loopbacks managers (fun specs ->
-          Pool.run ~remotes:specs ~jobs ~iterations (config ()) sub
-            (Pool.Pure executor))
-    in
-    (name, jobs, managers, result, stats)
-  in
-  let runs =
-    [
-      measure "local only" ~jobs:2 ~managers:0;
-      measure "remote only" ~jobs:0 ~managers:2;
-      measure "mixed" ~jobs:1 ~managers:1;
-    ]
-  in
-  let _, _, _, r_local, s_local = List.hd runs in
-  print_string
-    (Table.render
-       ~headers:
-         [
-           "workers";
-           "jobs";
-           "managers";
-           "wall (s)";
-           "tests/s";
-           "wire runs";
-           "fallbacks";
-           "history = local";
-         ]
-       ~rows:
-         (List.map
-            (fun (name, jobs, managers, (r : Session.result), (s : Pool.stats)) ->
-              [
-                name;
-                string_of_int jobs;
-                string_of_int managers;
-                Printf.sprintf "%.2f" (s.Pool.wall_ms /. 1000.0);
-                Printf.sprintf "%.0f"
-                  (1000.0 *. float_of_int r.Session.iterations /. s.Pool.wall_ms);
-                string_of_int s.Pool.remote_runs;
-                string_of_int s.Pool.remote_fallbacks;
-                (if history r = history r_local then "yes" else "NO");
-              ])
-            runs)
-       ());
-  note "";
-  (* Per-test cost of the wire: remote-only vs local-only at equal worker
-     count isolates the encode/frame/syscall/decode round-trip. *)
-  (match runs with
-  | [ _; (_, _, _, r_remote, s_remote); _ ] ->
-      let per_test wall (r : Session.result) =
-        1000.0 *. wall /. float_of_int r.Session.iterations
-      in
-      let overhead =
-        per_test s_remote.Pool.wall_ms r_remote -. per_test s_local.Pool.wall_ms r_local
-      in
-      note "wire dispatch overhead: %+.0f us/test (remote-only vs local-only, 2 workers each)"
-        overhead
-  | _ -> ());
-  let sims =
-    Simulation.scaling ~node_counts:[ 1; 2 ] ~iterations:1000 (config ()) sub base
-  in
-  (match sims with
-  | [ one; two ] ->
-      note "discrete-event prediction (\u{00A7}7.7 model): 2 nodes -> %.2fx over 1"
-        (Simulation.speedup ~baseline:one two)
-  | _ -> ());
-  note "";
-  note "Paper: the explorer ships scenarios to node managers over a text";
-  note "protocol (Fig. 2) and merges results centrally; AFEX's search is";
-  note "agnostic to where a test physically ran. Every row must read `yes`:";
-  note "local domains, remote managers and mixed fleets explore the exact";
-  note "same history for a fixed seed."
 
 (* ------------------------------------------------------------------ *)
 (* Async executor: overlapping latency-bound tests on one domain       *)
@@ -1831,166 +1711,3 @@ let rarity ?(smoke = false) () =
     | _ ->
         note "!! smoke gate: rarity+mask TTFV exceeded paper fitness on replsim";
         exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Wire protocol v2 vs v1: bytes, frames and throughput per test      *)
-(* ------------------------------------------------------------------ *)
-
-let wire ?(smoke = false) () =
-  section
-    "Wire protocol v2 vs v1: coalesced binary frames vs text lines\n\
-     (BENCH_wire.json)";
-  let iterations = if smoke then 400 else 3000 in
-  let inflight_list = [ 1; 8; 32 ] in
-  let target = Apache.target () in
-  let sub = Apache.space () in
-  let executor = Afex.Executor.of_target target in
-  let config () = Config.fitness_guided ~seed:5151 () in
-  let history (r : Session.result) =
-    List.map
-      (fun (c : Test_case.t) -> Afex_faultspace.Point.key c.Test_case.point)
-      r.Session.executed
-  in
-  (* One window size everywhere: the explored history is a function of
-     (seed, window, iterations), so every wire/inflight combination must
-     reproduce this local baseline byte-for-byte. *)
-  let batch_size = 64 in
-  let local_result, _ =
-    Pool.run ~jobs:1 ~batch_size ~iterations (config ()) sub (Pool.Pure executor)
-  in
-  let local_history = history local_result in
-  (* inflight 1 exercises the blocking client on a proxy domain (one
-     request per frame on both versions: the codec is the only delta);
-     inflight > 1 exercises the pipelined event-loop client, where v2
-     additionally coalesces requests and replies into shared frames. *)
-  let measure ~wire ~inflight =
-    let lb =
-      Remote_manager.Loopback.create
-        ~name:(Printf.sprintf "v%d-if%d" wire inflight)
-        ~executor ()
-    in
-    let pool =
-      Pool.create
-        ~remotes:[ Remote_manager.Loopback.spec ~wire lb ]
-        ~inflight ~jobs:0 (Pool.Pure executor)
-    in
-    let result, stats = Pool.session ~batch_size ~iterations pool (config ()) sub in
-    let rstats = Pool.remote_stats pool in
-    Pool.shutdown pool;
-    Remote_manager.Loopback.shutdown lb;
-    let rs =
-      match rstats with
-      | [ (_, s) ] -> s
-      | _ -> failwith "wire bench: expected exactly one manager"
-    in
-    (wire, inflight, result, stats, rs)
-  in
-  let runs =
-    List.concat_map
-      (fun inflight -> [ measure ~wire:1 ~inflight; measure ~wire:2 ~inflight ])
-      inflight_list
-  in
-  let per_test n (stats : Pool.stats) =
-    if stats.Pool.remote_runs = 0 then 0.0
-    else float_of_int n /. float_of_int stats.Pool.remote_runs
-  in
-  let bytes_per_test (rs : Remote_manager.stats) stats =
-    per_test (rs.Remote_manager.bytes_out + rs.Remote_manager.bytes_in) stats
-  in
-  let frames_per_test (rs : Remote_manager.stats) stats =
-    per_test (rs.Remote_manager.frames_out + rs.Remote_manager.frames_in) stats
-  in
-  print_string
-    (Table.render
-       ~headers:
-         [
-           "wire"; "inflight"; "wall (s)"; "tests/s"; "wire runs";
-           "bytes/test"; "frames/test"; "history = local";
-         ]
-       ~rows:
-         (List.map
-            (fun (wire, inflight, (r : Session.result), (s : Pool.stats), rs) ->
-              [
-                Printf.sprintf "v%d" wire;
-                string_of_int inflight;
-                Printf.sprintf "%.2f" (s.Pool.wall_ms /. 1000.0);
-                Printf.sprintf "%.0f"
-                  (1000.0 *. float_of_int r.Session.iterations /. s.Pool.wall_ms);
-                string_of_int s.Pool.remote_runs;
-                Printf.sprintf "%.0f" (bytes_per_test rs s);
-                Printf.sprintf "%.2f" (frames_per_test rs s);
-                (if history r = local_history then "yes" else "NO");
-              ])
-            runs)
-       ());
-  note "";
-  note "(one sent frame ~ one write(2): frames/test is the syscall proxy;";
-  note "v1 sends one frame per request and reply, v2 coalesces both.)";
-  note "";
-  let find w i =
-    List.find (fun (w', i', _, _, _) -> w' = w && i' = i) runs
-  in
-  let reductions =
-    List.map
-      (fun i ->
-        let _, _, _, s1, rs1 = find 1 i in
-        let _, _, _, s2, rs2 = find 2 i in
-        let b1 = bytes_per_test rs1 s1 and b2 = bytes_per_test rs2 s2 in
-        let r = if b2 > 0.0 then b1 /. b2 else 0.0 in
-        note "inflight %2d: v2 moves %.1fx fewer bytes/test (%.0f -> %.0f)" i r
-          b1 b2;
-        (i, r))
-      inflight_list
-  in
-  let speedup32 =
-    let _, _, _, s1, _ = find 1 32 and _, _, _, s2, _ = find 2 32 in
-    s1.Pool.wall_ms /. s2.Pool.wall_ms
-  in
-  note "inflight 32: v2 throughput %.2fx v1" speedup32;
-  let histories_ok =
-    List.for_all (fun (_, _, r, _, _) -> history r = local_history) runs
-  in
-  let json =
-    Printf.sprintf
-      "{%s, \"smoke\": %b, \"iterations\": %d, \"runs\": [%s], \
-       \"bytes_reduction\": {%s}, \"speedup_inflight32\": %.3f, \
-       \"histories_match_local\": %b}\n"
-      (bench_header ()) smoke iterations
-      (String.concat ", "
-         (List.map
-            (fun (wire, inflight, (r : Session.result), (s : Pool.stats), rs) ->
-              Printf.sprintf
-                "{\"wire\": %d, \"inflight\": %d, \"wall_ms\": %.1f, \
-                 \"tests_per_s\": %.0f, \"remote_runs\": %d, \
-                 \"bytes_per_test\": %.1f, \"frames_per_test\": %.2f, \
-                 \"negotiated\": %d, \"downgrades\": %d, \
-                 \"history_matches\": %b}"
-                wire inflight s.Pool.wall_ms
-                (1000.0 *. float_of_int r.Session.iterations /. s.Pool.wall_ms)
-                s.Pool.remote_runs (bytes_per_test rs s) (frames_per_test rs s)
-                rs.Remote_manager.wire rs.Remote_manager.wire_downgrades
-                (history r = local_history))
-            runs))
-      (String.concat ", "
-         (List.map (fun (i, r) -> Printf.sprintf "\"%d\": %.3f" i r) reductions))
-      speedup32 histories_ok
-  in
-  let oc = open_out "BENCH_wire.json" in
-  output_string oc json;
-  close_out oc;
-  note "machine-readable results written to BENCH_wire.json";
-  if not histories_ok then begin
-    note "!! gate: a wire run diverged from the local history";
-    exit 1
-  end;
-  List.iter
-    (fun (i, r) ->
-      if r < 2.0 then begin
-        note "!! gate: bytes/test reduction %.2fx at inflight %d is below 2x" r i;
-        exit 1
-      end)
-    reductions;
-  if (not smoke) && speedup32 < 1.3 then begin
-    note "!! gate: v2 throughput %.2fx at inflight 32 is below 1.3x" speedup32;
-    exit 1
-  end

@@ -16,7 +16,6 @@ let experiments ~smoke =
     ("fig9", fun () -> Experiments.fig9 ());
     ("scaling", fun () -> Experiments.scaling ());
     ("pool", fun () -> Experiments.pool ());
-    ("remote", fun () -> Experiments.remote ());
     ("async", fun () -> Experiments.async ());
     ("steal", fun () -> Experiments.steal ~smoke ());
     ("quality", fun () -> Experiments.quality ~smoke ());
@@ -26,7 +25,6 @@ let experiments ~smoke =
     ("seeding", fun () -> Experiments.seeding ());
     ("rarity", fun () -> Experiments.rarity ~smoke ());
     ("perf", fun () -> Experiments.perf ());
-    ("wire", fun () -> Experiments.wire ~smoke ());
     ("micro", fun () -> Micro.run ());
   ]
 

@@ -104,7 +104,8 @@ let feedback_weight_test () =
   Test.make ~name:"feedback weight query (200 distinct)"
     (Staged.stage (fun () -> ignore (Afex_quality.Feedback.weight fb probe)))
 
-(* --- wire codec hot paths: one steady-state run_report, v1 vs v2 --- *)
+(* --- report codec hot paths: one steady-state run_report, as the
+   checkpoint journal's text line and as a wire record --- *)
 
 module Message = Afex_cluster.Message
 
@@ -129,29 +130,29 @@ let wire_report () =
     duration_ms = 12.5;
   }
 
-let wire_encode_v1_test () =
+let journal_encode_test () =
   let r = Message.Scenario_result (wire_report ()) in
-  Test.make ~name:"run_report encode v1 (text)"
+  Test.make ~name:"run_report encode (journal text)"
     (Staged.stage (fun () -> ignore (Message.encode_from_manager r)))
 
-let wire_decode_v1_test () =
+let journal_decode_test () =
   let line = Message.encode_from_manager (Message.Scenario_result (wire_report ())) in
-  Test.make ~name:"run_report decode v1 (text)"
+  Test.make ~name:"run_report decode (journal text)"
     (Staged.stage (fun () -> ignore (Message.decode_from_manager line)))
 
-let wire_encode_v2_test () =
+let wire_encode_test () =
   (* Steady state: the dictionary is warm, the buffer is reused — the
      per-report cost on a long-lived connection. *)
   let r = Message.Scenario_result (wire_report ()) in
   let enc = Message.V2.server_enc () in
   let b = Buffer.create 512 in
   Message.V2.encode_reply enc b r;
-  Test.make ~name:"run_report encode v2 (binary)"
+  Test.make ~name:"run_report encode (wire binary)"
     (Staged.stage (fun () ->
          Buffer.clear b;
          Message.V2.encode_reply enc b r))
 
-let wire_decode_v2_test () =
+let wire_decode_test () =
   let r = Message.Scenario_result (wire_report ()) in
   let enc = Message.V2.server_enc () in
   let dec = Message.V2.client_dec () in
@@ -163,7 +164,7 @@ let wire_decode_v2_test () =
   let steady = Buffer.create 512 in
   Message.V2.encode_reply enc steady r;
   let payload = Buffer.contents steady in
-  Test.make ~name:"run_report decode v2 (binary)"
+  Test.make ~name:"run_report decode (wire binary)"
     (Staged.stage (fun () -> ignore (Message.V2.decode_replies dec payload)))
 
 let varint_roundtrip_test () =
@@ -202,10 +203,10 @@ let tests () =
       index_observe_test ();
       feedback_weight_test ();
       parse_test ();
-      wire_encode_v1_test ();
-      wire_decode_v1_test ();
-      wire_encode_v2_test ();
-      wire_decode_v2_test ();
+      journal_encode_test ();
+      journal_decode_test ();
+      wire_encode_test ();
+      wire_decode_test ();
       varint_roundtrip_test ();
     ]
 

@@ -118,10 +118,10 @@ let parse_replsim_exn name =
       prerr_endline ("afex: " ^ e);
       exit 2
 
-(* A --manager argument is HOST:PORT; the straggler timeout keeps a dead
-   manager from stalling the campaign (its scenarios are requeued on a
-   local worker after the retry budget runs out). *)
-let parse_manager ~wire ~flush_bytes s =
+(* A --manager argument is HOST:PORT. The receive timeout bounds the
+   handshake; a manager that then holds a test past the event loop's
+   request timeout forfeits it (the test re-runs locally). *)
+let parse_manager s =
   let fail () =
     Error (Printf.sprintf "afex: --manager %S: expected HOST:PORT" s)
   in
@@ -133,8 +133,8 @@ let parse_manager ~wire ~flush_bytes s =
       match int_of_string_opt port with
       | Some p when p > 0 && p < 65536 && host <> "" ->
           Ok
-            (Afex_cluster.Remote_manager.tcp_spec ~recv_timeout_ms:10_000 ~wire
-               ~flush_bytes ~host ~port:p ())
+            (Afex_cluster.Remote_manager.tcp_spec ~recv_timeout_ms:10_000 ~host
+               ~port:p ())
       | Some _ | None -> fail ())
 
 (* --- common arguments --- *)
@@ -197,14 +197,6 @@ let describe_cmd =
     Arg.(value & flag & info [ "profile" ] ~doc)
   in
   let run target profile =
-    (* On stderr, like the rarity hint: stdout stays pipeable. *)
-    let wire_hint () =
-      Format.eprintf
-        "wire: negotiates protocol v1-v%d (v2 = coalesced binary frames with \
-         per-connection stack interning; pin with `explore --wire` / `serve \
-         --wire`)@."
-        Afex_cluster.Message.protocol_version_max
-    in
     match parse_replsim_exn target with
     | Some cluster ->
         if profile then begin
@@ -224,8 +216,7 @@ let describe_cmd =
            blocks are hit only under correlated faults, so `explore --rarity \
            --mask` with the default cutoff 0.05 targets them@."
           (Replsim.total_blocks cluster)
-          Replsim.blocks_per_replica;
-        wire_hint ()
+          Replsim.blocks_per_replica
     | None -> (
     match lookup_target target with
     | Error e ->
@@ -248,8 +239,7 @@ let describe_cmd =
         in
         if profile then begin
           print_string (Afex_simtarget.Tracer.describe_string t);
-          rarity_hint ();
-          wire_hint ()
+          rarity_hint ()
         end
         else begin
           let funcs =
@@ -261,8 +251,7 @@ let describe_cmd =
             Afex_faultspace.Axis.cardinality (Afex_faultspace.Subspace.axis sub 2)
           in
           print_string (Afex_simtarget.Tracer.standard_description t ~funcs ~max_call);
-          rarity_hint ();
-          wire_hint ()
+          rarity_hint ()
         end)
   in
   Cmd.v
@@ -372,31 +361,14 @@ let explore_cmd =
     in
     Arg.(value & opt int 32 & info [ "batch" ] ~docv:"N" ~doc)
   in
-  let wire_arg =
-    let doc =
-      "Wire protocol version to offer remote managers: 2 (default) packs \
-       several varint-encoded requests into each frame with per-connection \
-       stack interning and scenario delta-encoding; 1 is the line-oriented \
-       text protocol. A manager that rejects the offer is redialed at v1 \
-       (counted as a wire downgrade)."
-    in
-    Arg.(value & opt int 2 & info [ "wire" ] ~docv:"V" ~doc)
-  in
-  let flush_bytes_arg =
-    let doc =
-      "Wire v2 coalescing threshold: buffered request records flush as one \
-       frame once the payload reaches $(docv) bytes (sooner when in-flight \
-       credit runs out or the event loop is about to wait). Tune upward on \
-       slow links (see ADAPTING.md)."
-    in
-    Arg.(value & opt int 8192 & info [ "flush-bytes" ] ~docv:"BYTES" ~doc)
-  in
   let manager_arg =
     let doc =
-      "Also dispatch tests to the remote node manager at $(docv) (repeatable; \
-       start one with $(b,afex serve)). A failing manager's tests are re-run \
-       locally, so the explored history never depends on remote health. With \
-       $(b,--jobs) 0, every test goes over the wire."
+      "Dispatch tests to the remote node manager at $(docv) (repeatable; \
+       start one with $(b,afex serve)). Managers ride the single-domain \
+       event loop, one request each in flight or up to $(b,--inflight) in \
+       all, so $(b,--jobs) must be 0 or 1 (the two behave the same). A \
+       failing manager's tests are re-run locally, so the explored history \
+       never depends on remote health."
     in
     Arg.(value & opt_all string [] & info [ "manager" ] ~docv:"HOST:PORT" ~doc)
   in
@@ -450,7 +422,7 @@ let explore_cmd =
   in
   let run target strategy iterations seed feedback rarity rarity_weight
       rarity_cutoff mask top replay_out multi seed_analysis
-      csv_out json_out assess jobs batch wire flush_bytes managers inflight
+      csv_out json_out assess jobs batch managers inflight
       latency checkpoint_dir checkpoint_every resume_dir verbosity =
     setup_logging verbosity;
     if mask && not rarity then begin
@@ -469,19 +441,10 @@ let explore_cmd =
       prerr_endline "afex: --rarity-cutoff must be strictly between 0 and 1";
       exit 2
     end;
-    if wire < 1 || wire > Afex_cluster.Message.protocol_version_max then begin
-      Printf.eprintf "afex: --wire must be between 1 and %d\n%!"
-        Afex_cluster.Message.protocol_version_max;
-      exit 2
-    end;
-    if flush_bytes < 1 then begin
-      prerr_endline "afex: --flush-bytes must be at least 1";
-      exit 2
-    end;
     let specs =
       List.map
         (fun m ->
-          match parse_manager ~wire ~flush_bytes m with
+          match parse_manager m with
           | Ok spec -> spec
           | Error e ->
               prerr_endline e;
@@ -503,6 +466,12 @@ let explore_cmd =
     if inflight > 1 && jobs > 1 then begin
       prerr_endline
         "afex: --inflight multiplexes on a single domain; use --jobs 1 with it";
+      exit 2
+    end;
+    if specs <> [] && jobs > 1 then begin
+      prerr_endline
+        "afex: --manager rides the single-domain event loop; use --jobs 0 or 1 \
+         with it";
       exit 2
     end;
     if checkpoint_dir <> None && resume_dir <> None then begin
@@ -716,13 +685,8 @@ let explore_cmd =
               s.Afex_cluster.Pool.gen_ms s.Afex_cluster.Pool.stall_ms
               s.Afex_cluster.Pool.merge_ms;
             if remote_stats <> [] then begin
-              Format.printf
-                "remote: %d runs over the wire, %d local fallbacks%s@."
-                s.Afex_cluster.Pool.remote_runs s.Afex_cluster.Pool.remote_fallbacks
-                (if s.Afex_cluster.Pool.wire_downgrades > 0 then
-                   Printf.sprintf ", %d wire downgrades"
-                     s.Afex_cluster.Pool.wire_downgrades
-                 else "");
+              Format.printf "remote: %d runs over the wire, %d local fallbacks@."
+                s.Afex_cluster.Pool.remote_runs s.Afex_cluster.Pool.remote_fallbacks;
               List.iter
                 (fun (name, (r : Afex_cluster.Remote_manager.stats)) ->
                   Format.printf
@@ -732,10 +696,7 @@ let explore_cmd =
                     r.Afex_cluster.Remote_manager.dials
                     r.Afex_cluster.Remote_manager.manager_errors;
                   Format.printf
-                    "    wire v%d (%d downgrades), %d frames out / %d in, %d \
-                     bytes out / %d in, dict %d@."
-                    r.Afex_cluster.Remote_manager.wire
-                    r.Afex_cluster.Remote_manager.wire_downgrades
+                    "    %d frames out / %d in, %d bytes out / %d in, dict %d@."
                     r.Afex_cluster.Remote_manager.frames_out
                     r.Afex_cluster.Remote_manager.frames_in
                     r.Afex_cluster.Remote_manager.bytes_out
@@ -807,8 +768,7 @@ let explore_cmd =
       const run $ target_arg $ strategy_arg $ iterations_arg $ seed_arg $ feedback_arg
       $ rarity_arg $ rarity_weight_arg $ rarity_cutoff_arg $ mask_arg
       $ top_arg $ replay_arg $ multi_arg $ seed_analysis_arg $ csv_arg $ json_arg
-      $ assess_arg $ jobs_arg $ batch_arg $ wire_arg $ flush_bytes_arg
-      $ manager_arg $ inflight_arg $ latency_arg
+      $ assess_arg $ jobs_arg $ batch_arg $ manager_arg $ inflight_arg $ latency_arg
       $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ verbose_arg)
 
 (* --- afex serve --- *)
@@ -852,14 +812,6 @@ let serve_cmd =
     in
     Arg.(value & opt (some float) None & info [ "rarity-cutoff" ] ~docv:"FRAC" ~doc)
   in
-  let wire_arg =
-    let doc =
-      "Newest wire protocol version to negotiate (1 makes this server \
-       behave exactly like a pre-v2 manager: v2 clients downgrade to the \
-       text protocol)."
-    in
-    Arg.(value & opt int 2 & info [ "wire" ] ~docv:"V" ~doc)
-  in
   let chaos_arg =
     let doc =
       "Mangle reply frames with probability $(docv) per corruption kind \
@@ -873,8 +825,8 @@ let serve_cmd =
     let doc = "Seed for the per-connection chaos RNG streams." in
     Arg.(value & opt int 0 & info [ "chaos-seed" ] ~docv:"N" ~doc)
   in
-  let run target host port once multi latency rarity_cutoff wire chaos
-      chaos_seed verbosity =
+  let run target host port once multi latency rarity_cutoff chaos chaos_seed
+      verbosity =
     setup_logging verbosity;
     let executor =
       match parse_replsim_exn target with
@@ -947,12 +899,6 @@ let serve_cmd =
                 (Afex.Rarity.rare_count h ~cutoff)
                 (Afex.Rarity.blocks h) cutoff
         in
-        if wire < 1 || wire > Afex_cluster.Message.protocol_version_max
-        then begin
-          Printf.eprintf "afex: --wire must be between 1 and %d\n%!"
-            Afex_cluster.Message.protocol_version_max;
-          exit 2
-        end;
         let chaos_to_client =
           match chaos with
           | None -> None
@@ -971,8 +917,8 @@ let serve_cmd =
                 }
         in
         match
-          Afex_cluster.Remote_manager.serve_tcp ~host ~wire_max:wire
-            ?chaos_to_client ~chaos_seed ~port ~once executor
+          Afex_cluster.Remote_manager.serve_tcp ~host ?chaos_to_client
+            ~chaos_seed ~port ~once executor
         with
         | Ok () -> report_rarity ()
         | Error e ->
@@ -988,7 +934,7 @@ let serve_cmd =
           protocol); point $(b,explore --manager) at it")
     Term.(
       const run $ target_arg $ host_arg $ port_arg $ once_arg $ multi_arg
-      $ latency_arg $ rarity_cutoff_arg $ wire_arg $ chaos_arg $ chaos_seed_arg
+      $ latency_arg $ rarity_cutoff_arg $ chaos_arg $ chaos_seed_arg
       $ verbose_arg)
 
 (* --- afex inject --- *)

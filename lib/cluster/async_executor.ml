@@ -176,7 +176,13 @@ let create ?(remotes = []) ?(request_timeout_ms = 10_000)
       Array.of_list
         (List.map
            (fun spec ->
-             let conn = Pipelined.create spec ~credit:inflight ~total_blocks in
+             (* Each manager's share of the window, rounded up (see the
+                .mli); [remotes] is not empty here. *)
+             let conn =
+               Pipelined.create spec
+                 ~credit:(1 + ((inflight - 1) / List.length remotes))
+                 ~total_blocks
+             in
              { conn; not_before = 0.0; seen_failures = 0 })
            remotes);
     rr = 0;
@@ -393,7 +399,7 @@ let drain_remotes t =
       absorb_orphans t ix)
     t.remotes
 
-(* Nothing may sit in a v2 coalescing buffer while the loop blocks in
+(* Nothing may sit in a coalescing buffer while the loop blocks in
    [select] waiting for replies those very requests would produce. *)
 let flush_remotes t =
   Array.iteri

@@ -81,12 +81,14 @@ val create :
   total_blocks:int ->
   unit ->
   t
-(** [inflight] is fixed for the executor's lifetime, and each remote
-    connection's credit is set to it, so no single manager can absorb
-    more than the whole window. [request_timeout_ms] (default 10s) is
-    the straggler bound per outstanding request: a manager that holds a
-    test longer forfeits its connection and everything on it. [now_ms]
-    (default
+(** [inflight] is fixed for the executor's lifetime. Each of the [m]
+    remote connections gets a credit of [ceil (inflight / m)], so
+    healthy managers always have room for the whole window, and with
+    [inflight = m] each holds exactly one request: a slow manager
+    cannot take a second one while a fast one idles.
+    [request_timeout_ms] (default 10s) is the straggler bound per
+    outstanding request: a manager that holds a test longer forfeits its
+    connection and everything on it. [now_ms] (default
     {!Afex.Executor.monotonic_ms}) exists so tests can drive the clock.
     @raise Invalid_argument if [inflight < 1] or the timeout is not
     positive. *)

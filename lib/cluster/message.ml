@@ -4,14 +4,13 @@ module Fault = Afex_injector.Fault
 module Outcome = Afex_injector.Outcome
 module Bitset = Afex_stats.Bitset
 
-let protocol_version = 1
-let protocol_version_max = 2
+let protocol_version = 2
 let max_line = 1 lsl 20
 
 (* ------------------------------------------------------------------ *)
 (* Percent-escaping: stack frames and error messages may contain       *)
-(* anything (spaces, commas, newlines, non-ASCII); the wire format     *)
-(* tokenizes on spaces and joins list elements with commas, so both    *)
+(* anything (spaces, commas, newlines, non-ASCII); the text formats    *)
+(* tokenize on spaces and join list elements with commas, so both      *)
 (* must be escaped along with control and non-ASCII bytes.             *)
 (* ------------------------------------------------------------------ *)
 
@@ -109,40 +108,9 @@ type to_manager =
   | Run_scenario of { seq : int; scenario : Scenario.t }
   | Shutdown
 
-let encode_to_manager = function
-  | Shutdown -> "SHUTDOWN"
-  | Run_scenario { seq; scenario } ->
-      Printf.sprintf "RUN %d %s" seq (Scenario.to_string scenario)
-
-let decode_to_manager line =
-  if String.length line > max_line then
-    Error
-      (Printf.sprintf "oversized message: %d bytes exceeds the %d-byte limit"
-         (String.length line) max_line)
-  else begin
-    let line = String.trim line in
-    if String.equal line "" then Error "empty message"
-    else if String.equal line "SHUTDOWN" then Ok Shutdown
-    else begin
-      match String.split_on_char ' ' line with
-      | "RUN" :: seq :: (_ :: _ as rest) -> (
-          match int_of_string_opt seq with
-          | None -> Error (Printf.sprintf "malformed sequence number %S" seq)
-          | Some seq when seq < 0 ->
-              Error (Printf.sprintf "negative sequence number %d" seq)
-          | Some seq -> (
-              match Scenario.of_string (String.concat " " rest) with
-              | Ok [] -> Error "empty scenario"
-              | Ok scenario -> Ok (Run_scenario { seq; scenario })
-              | Error e -> Error e))
-      | [ "RUN" ] | [ "RUN"; _ ] ->
-          Error "RUN needs a sequence number and a scenario"
-      | _ -> Error (Printf.sprintf "unknown message %S" line)
-    end
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Manager -> explorer                                                 *)
+(* Manager -> explorer, and the text report codec the checkpoint       *)
+(* journal stores outcomes in                                          *)
 (* ------------------------------------------------------------------ *)
 
 type run_report = {
@@ -391,18 +359,11 @@ let decode_from_manager line =
     | _ -> Error (Printf.sprintf "unknown message %S" (String.trim line))
   end
 
-let pp_from_manager ppf = function
-  | Scenario_result r ->
-      Format.fprintf ppf "result #%d: %s (%.1fms)" r.seq
-        (Outcome.status_to_string r.status)
-        r.duration_ms
-  | Manager_error { seq; message } -> Format.fprintf ppf "error #%d: %s" seq message
-
 (* ------------------------------------------------------------------ *)
 (* Wire protocol v2: binary records, coalesced several to a frame      *)
 (* ------------------------------------------------------------------ *)
 
-(* A v2 frame payload is a concatenation of tagged binary records
+(* A frame payload is a concatenation of tagged binary records
    instead of one percent-escaped text line. Scalars are LEB128
    varints (zigzag for signed), strings are length-prefixed raw bytes
    — no escaping. Two pieces of per-connection state make steady-state
@@ -775,8 +736,9 @@ module V2 = struct
      from the previous run's end (the first run ships its absolute
      start) and the run length minus one. Coverage is overwhelmingly
      contiguous stretches of block indices, so a run costs ~2 bytes
-     regardless of its length: the binary-density counterpart of v1's
-     "a-b" text ranges, which per-block gap encoding loses badly to. *)
+     regardless of its length: the binary-density counterpart of the
+     text codec's "a-b" ranges, which per-block gap encoding loses
+     badly to. *)
   let add_coverage b cov =
     let rec runs acc start last = function
       | [] -> List.rev ((start, last) :: acc)
@@ -801,31 +763,36 @@ module V2 = struct
                Some e)
              None rs)
 
+  let rec fill acc i last = if i > last then acc else fill (i :: acc) (i + 1) last
+
+  (* The loop runs once per coverage run of every report, so it matches
+     on results instead of allocating [let*] closures. *)
   let read_coverage c =
     let* nruns = read_uv c in
     if nruns > remaining c then Error "truncated coverage"
     else
-      let rec go acc prev_end k =
+      let rec go acc total prev_end k =
         if k = 0 then Ok (List.rev acc)
         else
-          let* gap = read_uv c in
-          let start =
-            match prev_end with None -> gap | Some p -> p + 1 + gap
-          in
-          let* len1 = read_uv c in
-          (* A few bytes must not conjure a giant list: bound each run
-             like every other length field. *)
-          if len1 > max_line then Error "oversized coverage run"
-          else
-            let last = start + len1 in
-            if last < start then Error "coverage overflow"
-            else
-              let rec fill acc i =
-                if i > last then acc else fill (i :: acc) (i + 1)
-              in
-              go (fill acc start) (Some last) (k - 1)
+          match read_uv c with
+          | Error m -> Error m
+          | Ok gap -> (
+              let start = if prev_end < 0 then gap else prev_end + 1 + gap in
+              match read_uv c with
+              | Error m -> Error m
+              | Ok len1 ->
+                  (* A few bytes must not conjure a giant list: the runs
+                     together are bounded like every other length field.
+                     Indices stay below [max_int], so [fill]'s [i + 1]
+                     cannot wrap. *)
+                  if len1 >= max_line - total then Error "oversized coverage"
+                  else if start < 0 || start >= max_int - len1 then
+                    Error "coverage overflow"
+                  else
+                    let last = start + len1 in
+                    go (fill acc start last) (total + len1 + 1) last (k - 1))
       in
-      go [] None nruns
+      go [] 0 (-1) nruns
 
   let add_stack_ids b = function
     | None -> Buffer.add_char b '\x00'

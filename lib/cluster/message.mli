@@ -1,24 +1,23 @@
 (** The explorer <-> node-manager protocol (§6, Fig. 2).
 
-    The explorer sends fault scenarios in the Fig. 5 wire format; managers
-    break them into atomic faults, drive injectors and sensors, and send
-    back the measured result. Both directions are single lines of text
-    (the transport frames them); every decoder is total and returns
-    [Error] on malformed input — wire bytes are never trusted.
+    The explorer sends fault scenarios; managers break them into atomic
+    faults, drive injectors and sensors, and send back the measured
+    result. Every decoder is total and returns [Error] on malformed
+    input — wire bytes are never trusted.
 
-    The protocol is versioned: a connection opens with a [HELLO v]
-    handshake carrying the client's preferred version and the manager
-    answers [WELCOME v] for any version it speaks (at most
-    {!protocol_version_max}) or [REJECT]. Version 1 is the line-oriented
-    text protocol below; version 2 ({!V2}) packs several varint-encoded
-    binary records into each frame. A v2 client meeting a v1-only
-    manager redials offering version 1, so mixed fleets interoperate. *)
+    There is one wire protocol, {!V2}: a connection opens with a
+    [HELLO afex 2] handshake, the manager answers [WELCOME afex 2] or,
+    for any other version, [REJECT] with a readable reason, and from
+    then on each frame packs several varint-encoded binary records.
+
+    The line-oriented text codec for reports ({!encode_from_manager},
+    {!decode_from_manager}) and its field codecs are not a wire
+    version: they are the record format of the checkpoint journal and
+    snapshot, kept here because they encode the same data. *)
 
 val protocol_version : int
-(** The baseline (v1) version every peer speaks. *)
-
-val protocol_version_max : int
-(** The newest protocol version this build can negotiate (2). *)
+(** The one wire protocol version (2): the only one [HELLO] offers and
+    the only one a manager welcomes. *)
 
 val max_line : int
 (** Maximum accepted length of one protocol line (1 MiB); longer input is
@@ -26,10 +25,10 @@ val max_line : int
 
 (** {2 Field codecs}
 
-    The building blocks of the wire format, exposed so other line-oriented
-    formats (the checkpoint snapshot codec, the outcome write-ahead
-    journal) encode the same data the same way — and inherit decoders that
-    are already total and chaos-tested. *)
+    The building blocks of the text report codec, exposed so the
+    checkpoint snapshot and the outcome write-ahead journal encode the
+    same data the same way — and inherit decoders that are already
+    total. *)
 
 val escape : string -> string
 (** Percent-escape: the result contains no spaces, commas, [%], control
@@ -74,13 +73,6 @@ type to_manager =
   | Run_scenario of { seq : int; scenario : Afex_faultspace.Scenario.t }
   | Shutdown
 
-val encode_to_manager : to_manager -> string
-(** Line-oriented wire encoding (scenario payload in Fig. 5 format). *)
-
-val decode_to_manager : string -> (to_manager, string) result
-(** Total: empty lines, malformed or negative sequence numbers, missing
-    scenarios and payloads beyond {!max_line} all return [Error]. *)
-
 (** {2 Manager -> explorer} *)
 
 type run_report = {
@@ -114,18 +106,18 @@ val outcome_of_report :
     index falls outside [\[0, total_blocks)]. *)
 
 val encode_from_manager : from_manager -> string
-(** One line. Stack frames and error messages are percent-escaped, so
-    newlines, spaces, commas and non-ASCII bytes round-trip; the duration
-    is carried as a hexadecimal float and round-trips exactly. *)
+(** The checkpoint journal's record codec: one text line. Stack frames
+    and error messages are percent-escaped, so newlines, spaces, commas
+    and non-ASCII bytes round-trip; the duration is carried as a
+    hexadecimal float and round-trips exactly. Never sent on the
+    wire. *)
 
 val decode_from_manager : string -> (from_manager, string) result
 (** Total inverse of {!encode_from_manager}. *)
 
-val pp_from_manager : Format.formatter -> from_manager -> unit
-
 (** {2 Wire protocol v2}
 
-    The binary codec negotiated as version 2. A v2 frame payload is a
+    The binary wire codec. A frame payload is a
     concatenation of tagged records — requests and reports coalesce,
     many to a frame — with LEB128 varint scalars and length-prefixed raw
     strings instead of percent-escaped text. Each direction carries

@@ -40,32 +40,47 @@ let create ?(remotes = []) ?(inflight = 1) ?request_timeout_ms ~jobs executor =
   if jobs < 0 then invalid_arg "Pool.create: jobs must be non-negative";
   if inflight < 1 then invalid_arg "Pool.create: inflight must be positive";
   let async_mode =
-    inflight > 1 || (match executor with Async _ -> true | Pure _ | Seeded _ -> false)
+    inflight > 1 || remotes <> []
+    || (match executor with Async _ -> true | Pure _ | Seeded _ -> false)
   in
   let runtime =
     if async_mode then begin
       (* Event-loop concurrency is orthogonal to Domain parallelism; mixing
          them would make the schedule depend on both, for no benefit — an
-         async target waits, it doesn't compute. *)
+         async target or a remote manager waits, it doesn't compute. *)
       if jobs > 1 then
         invalid_arg
-          "Pool.create: inflight > 1 (or an Async executor) multiplexes on a \
-           single domain; use jobs <= 1";
+          "Pool.create: remotes, inflight > 1 and Async executors multiplex \
+           on a single domain; use jobs <= 1";
+      (* At least one request per manager in flight, as many as
+         [inflight] allows. *)
       Runtime.event_loop
-        (Async_executor.create ~remotes ?request_timeout_ms ~inflight
+        (Async_executor.create ~remotes ?request_timeout_ms
+           ~inflight:(max inflight (List.length remotes))
            ~total_blocks:(total_blocks executor) ())
     end
-    else if jobs = 0 && remotes = [] then
+    else if jobs = 0 then
       invalid_arg "Pool.create: need at least one worker (jobs or remotes)"
-    else if jobs = 1 && remotes = [] then Runtime.inline ()
-    else Runtime.domains ~remotes ~total_blocks:(total_blocks executor) ~jobs ()
+    else if jobs = 1 then Runtime.inline ()
+    else Runtime.domains ~jobs ()
   in
   { jobs; executor; runtime; shut = false }
 
 let jobs t = t.jobs
 
 let async_stats t = Option.map Async_executor.stats (Runtime.async t.runtime)
-let remote_stats t = Runtime.remote_stats t.runtime
+
+let remote_stats t =
+  match Runtime.async t.runtime with
+  | Some a -> Async_executor.remote_stats a
+  | None -> []
+
+(* Cumulative (remote runs, remote fallbacks); only the event loop
+   talks to managers. *)
+let remote_counts t =
+  match async_stats t with
+  | Some s -> (s.Async_executor.remote_runs, s.Async_executor.remote_fallbacks)
+  | None -> (0, 0)
 
 let shutdown t =
   if not t.shut then begin
@@ -82,7 +97,6 @@ type stats = {
   cache_hits : int;
   remote_runs : int;
   remote_fallbacks : int;
-  wire_downgrades : int;
   gen_ms : float;
   stall_ms : float;
   merge_ms : float;
@@ -160,9 +174,7 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
     && (match t.executor with Pure _ | Async _ -> true | Seeded _ -> false)
   in
   let executed = ref 0 and cache_hits = ref 0 in
-  let remote_runs0 = Runtime.remote_runs t.runtime
-  and remote_fallbacks0 = Runtime.remote_fallbacks t.runtime
-  and wire_downgrades0 = Runtime.wire_downgrades t.runtime in
+  let remote_runs0, remote_fallbacks0 = remote_counts t in
   (* Stop-target accounting, as in Session.run: distinct points only. *)
   let matched = Point.Tbl.create 16 and stop_iteration = ref None in
   let target_met () =
@@ -446,13 +458,13 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
       ~total_blocks:(total_blocks t.executor)
       ~stopped_early:(target_met ()) ~stop_iteration:!stop_iteration
   in
+  let remote_runs, remote_fallbacks = remote_counts t in
   ( result,
     {
       executed = !executed;
       cache_hits = !cache_hits;
-      remote_runs = Runtime.remote_runs t.runtime - remote_runs0;
-      remote_fallbacks = Runtime.remote_fallbacks t.runtime - remote_fallbacks0;
-      wire_downgrades = Runtime.wire_downgrades t.runtime - wire_downgrades0;
+      remote_runs = remote_runs - remote_runs0;
+      remote_fallbacks = remote_fallbacks - remote_fallbacks0;
       gen_ms = !gen_acc;
       stall_ms = !stall_acc;
       merge_ms = !merge_acc;

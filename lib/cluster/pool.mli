@@ -1,6 +1,7 @@
-(** Multicore execution backend: the explorer-facing session loop over
-    the work-stealing {!Runtime} (§6.1, §7.7 — the architecture
-    {!Simulation} only models).
+(** Multicore and distributed execution backend: the explorer-facing
+    session loop over the {!Runtime} — work-stealing domains for local
+    tests, one event loop for remote managers and latency-bound targets
+    (§6.1, §7.7 — the architecture {!Simulation} only models).
 
     The explorer thread keeps a sliding window of up to [batch_size]
     candidates in flight: it submits to the runtime while the window has
@@ -46,9 +47,10 @@ type executor =
 
 type t
 (** A running pool: a {!Runtime} handle — [jobs] local worker domains
-    plus one proxy domain per remote manager, each owning a
-    work-stealing deque. With [jobs = 1] and no remotes, no domain is
-    spawned and tasks run inline on the caller. *)
+    with work-stealing deques, or one event loop that multiplexes
+    remote managers and in-flight tests. With [jobs = 1], [inflight = 1]
+    and no remotes, no domain is spawned and tasks run inline on the
+    caller. *)
 
 val create :
   ?remotes:Remote_manager.spec list ->
@@ -57,26 +59,27 @@ val create :
   jobs:int ->
   executor ->
   t
-(** Spawns the worker domains. The explorer feeds their per-worker
-    deques round-robin; a worker whose deque runs dry steals from a
-    random victim, so one slow scenario never idles the rest of the
-    fleet. Each remote spec gets a dedicated proxy domain that ships
-    stolen scenarios to its manager over the wire and falls back to
-    running them locally if the manager fails (dead, exhausted retries,
-    byzantine replies) — so remotes affect throughput, never the
-    explored-point history. Remote connections are dialed lazily on
-    first use. [Seeded] tasks are never sent remotely (their RNG stream
-    cannot cross the wire).
+(** Without remotes, [inflight = 1] and a [Pure] or [Seeded]
+    executor, spawns [jobs] worker domains. The explorer feeds their
+    per-worker deques round-robin; a worker whose deque runs dry steals
+    from a random victim, so one slow scenario never idles the rest of
+    the fleet.
 
-    [inflight] (default 1) switches the pool to single-domain event-loop
-    mode when [> 1] (an [Async] executor switches unconditionally): up to
-    [inflight] tests are kept concurrently in flight by {!Async_executor}
-    — remotes become pipelined connections on the same loop rather than
-    proxy domains, and [request_timeout_ms] bounds how long a straggling
-    manager may hold any one of them. The explored-point history is
-    identical at every [inflight] value (and to the Domain path at equal
-    [batch_size]): results merge in submission order regardless of
-    completion order.
+    Otherwise the pool runs single-domain event-loop mode
+    ({!Async_executor}): [remotes <> []], [inflight > 1] or an [Async]
+    executor switches to it. Up to [max inflight (List.length remotes)]
+    tests are kept concurrently in flight, each manager holding at most
+    its rounded-up share, so the default [inflight] of 1 keeps exactly
+    one request per manager outstanding. Each remote spec is a
+    pipelined connection on the loop, dialed lazily on first use; a
+    manager that fails (dead, exhausted retries, byzantine replies, or
+    holding a request past [request_timeout_ms]) has its tests re-run
+    locally on the loop — so remotes affect throughput, never the
+    explored-point history. [Seeded] tasks are never sent remotely
+    (their RNG stream cannot cross the wire). The explored-point history
+    is identical at every [inflight] value and every remote mix (and to
+    the Domain path at equal [batch_size]): results merge in submission
+    order regardless of completion order.
     @raise Invalid_argument if [jobs < 0], [jobs = 0] with no remotes,
     [inflight < 1], or event-loop mode is combined with [jobs > 1]. *)
 
@@ -89,7 +92,8 @@ val remote_stats : t -> (string * Remote_manager.stats) list
 (** One [(name, stats)] per remote manager, in [create] order. *)
 
 val shutdown : t -> unit
-(** Closes the queue and joins all worker domains. Idempotent. *)
+(** Joins all worker domains / closes every remote connection.
+    Idempotent. *)
 
 type stats = {
   executed : int;  (** scenarios actually run on a worker *)
@@ -97,9 +101,6 @@ type stats = {
   remote_runs : int;  (** scenarios whose outcome came over the wire *)
   remote_fallbacks : int;
       (** remote attempts that failed and were re-run locally *)
-  wire_downgrades : int;
-      (** remote connections that fell back to wire protocol v1 because
-          the manager rejected the preferred version *)
   gen_ms : float;
       (** explorer-thread time spent generating candidates and deciding
           how each is satisfied (memo lookup, submission) *)

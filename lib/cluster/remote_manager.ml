@@ -1,6 +1,4 @@
 module Rng = Afex_stats.Rng
-module Scenario = Afex_faultspace.Scenario
-module Outcome = Afex_injector.Outcome
 
 let src = Logs.Src.create "afex.remote" ~doc:"Remote node-manager dispatch"
 
@@ -28,44 +26,40 @@ type spec = {
   dial : unit -> (Transport.t, Transport.error) result;
   max_attempts : int;
   backoff_ms : float;
-  wire : int;
-  flush_bytes : int;
 }
 
-let spec ?(max_attempts = 3) ?(backoff_ms = 50.0)
-    ?(wire = Message.protocol_version_max) ?(flush_bytes = 8192) ~name dial =
+let spec ?(max_attempts = 3) ?(backoff_ms = 50.0) ~name dial =
   if max_attempts < 1 then invalid_arg "Remote_manager.spec: need at least one attempt";
-  if wire < 1 || wire > Message.protocol_version_max then
-    invalid_arg "Remote_manager.spec: unknown wire protocol version";
-  if flush_bytes < 1 then invalid_arg "Remote_manager.spec: flush_bytes must be positive";
-  { name; dial; max_attempts; backoff_ms; wire; flush_bytes }
+  { name; dial; max_attempts; backoff_ms }
 
-let tcp_spec ?recv_timeout_ms ?max_attempts ?backoff_ms ?wire ?flush_bytes
-    ~host ~port () =
-  spec ?max_attempts ?backoff_ms ?wire ?flush_bytes
+let tcp_spec ?recv_timeout_ms ?max_attempts ?backoff_ms ~host ~port () =
+  spec ?max_attempts ?backoff_ms
     ~name:(Printf.sprintf "%s:%d" host port)
     (fun () -> Transport.connect_tcp ?recv_timeout_ms ~host ~port ())
 
+(* Both ends coalesce records into one frame until it reaches this many
+   payload bytes (roughly a hundred requests); the client also flushes
+   when credit runs out or the event loop is about to wait. *)
+let flush_bytes = 8192
+
 (* ------------------------------------------------------------------ *)
-(* Negotiation and per-connection codec state                          *)
+(* Handshake and per-connection codec state                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One negotiated connection plus everything whose lifetime is the
-   connection's: the v2 scenario-delta encoder, the mirror stack-frame
-   dictionary, and the outgoing coalescing buffer. A redial builds a
-   fresh [live] — that is the defined dictionary reset on reconnect. *)
+(* One connection plus everything whose lifetime is the connection's:
+   the scenario-delta encoder, the mirror stack-frame dictionary, and
+   the outgoing coalescing buffer. A redial builds a fresh [live] —
+   that is the defined dictionary reset on reconnect. *)
 type live = {
   tr : Transport.t;
-  version : int;
   enc : Message.V2.client_enc;
   dec : Message.V2.client_dec;
   out : Buffer.t;
 }
 
-let live tr version =
+let live tr =
   {
     tr;
-    version;
     enc = Message.V2.client_enc ();
     dec = Message.V2.client_dec ();
     out = Buffer.create 256;
@@ -74,23 +68,11 @@ let live tr version =
 (* Wire accounting that outlives connections: each transport's own
    counters are folded in exactly once, when the connection retires. *)
 type wire_acct = {
-  mutable negotiated : int; (* most recent; 0 = never connected *)
-  mutable downgrades : int;
   mutable frames_out : int;
   mutable frames_in : int;
   mutable bytes_out : int;
   mutable bytes_in : int;
 }
-
-let wire_acct () =
-  {
-    negotiated = 0;
-    downgrades = 0;
-    frames_out = 0;
-    frames_in = 0;
-    bytes_out = 0;
-    bytes_in = 0;
-  }
 
 let retire acct (l : live) =
   let c = l.tr.Transport.counters in
@@ -100,270 +82,38 @@ let retire acct (l : live) =
   acct.bytes_in <- acct.bytes_in + c.Transport.bytes_in;
   l.tr.Transport.close ()
 
-let hello (conn : Transport.t) version =
+(* Offer the one protocol version; anything but a welcome to exactly
+   that version is a failed dial. *)
+let hello (conn : Transport.t) =
+  let version = Message.protocol_version in
   match conn.send (Message.encode_hello ~version) with
-  | Error e -> Error (`Err (Transport e))
+  | Error e -> Error (Transport e)
   | Ok () -> (
       match conn.recv () with
-      | Error e -> Error (`Err (Transport e))
+      | Error e -> Error (Transport e)
       | Ok line -> (
           match Message.decode_greeting line with
-          | Error m -> Error (`Err (Protocol m))
-          | Ok (Message.Reject reason) -> Error (`Rejected reason)
+          | Error m -> Error (Protocol m)
+          | Ok (Message.Reject reason) ->
+              Error (Protocol ("manager rejected the handshake: " ^ reason))
+          | Ok (Message.Welcome v) when v = version -> Ok ()
           | Ok (Message.Welcome v) ->
-              if v >= 1 && v <= version then Ok v
-              else
-                Error
-                  (`Err
-                    (Protocol
-                       (Printf.sprintf
-                          "manager welcomed version %d to an offer of %d" v
-                          version)))))
-
-(* Dial offering [pref]; a manager that rejects the offer gets one more
-   dial offering v1. That is the whole downgrade story — the caller
-   records the negotiated version as its next preference, so a v2
-   client behind a v1-only manager pays the double dial once. *)
-let dial_negotiate spec ~pref =
-  let try_dial version =
-    match spec.dial () with
-    | Error e -> Error (`Err (Transport e))
-    | Ok conn -> (
-        match hello conn version with
-        | Ok v -> Ok (conn, v)
-        | Error e ->
-            conn.Transport.close ();
-            Error e)
-  in
-  let rejected reason = Protocol ("manager rejected the handshake: " ^ reason) in
-  match try_dial pref with
-  | Ok (conn, v) -> Ok (conn, v)
-  | Error (`Rejected _) when pref > 1 -> (
-      match try_dial 1 with
-      | Ok (conn, v) -> Ok (conn, v)
-      | Error (`Rejected reason) -> Error (rejected reason)
-      | Error (`Err e) -> Error e)
-  | Error (`Rejected reason) -> Error (rejected reason)
-  | Error (`Err e) -> Error e
-
-(* ------------------------------------------------------------------ *)
-(* Client proxy                                                        *)
-(* ------------------------------------------------------------------ *)
+              Error
+                (Protocol
+                   (Printf.sprintf "manager welcomed version %d to an offer of %d"
+                      v version))))
 
 type stats = {
   requests : int;
   retries : int;
   dials : int;
   manager_errors : int;
-  wire : int;
-  wire_downgrades : int;
   frames_out : int;
   frames_in : int;
   bytes_out : int;
   bytes_in : int;
   dict_size : int;
 }
-
-let build_stats ~requests ~retries ~dials ~manager_errors (acct : wire_acct)
-    live_opt =
-  let frames_out, frames_in, bytes_out, bytes_in, dict_size =
-    match live_opt with
-    | None ->
-        (acct.frames_out, acct.frames_in, acct.bytes_out, acct.bytes_in, 0)
-    | Some l ->
-        let c = l.tr.Transport.counters in
-        ( acct.frames_out + c.Transport.frames_out,
-          acct.frames_in + c.Transport.frames_in,
-          acct.bytes_out + c.Transport.bytes_out,
-          acct.bytes_in + c.Transport.bytes_in,
-          Message.V2.client_dict_size l.dec )
-  in
-  {
-    requests;
-    retries;
-    dials;
-    manager_errors;
-    wire = acct.negotiated;
-    wire_downgrades = acct.downgrades;
-    frames_out;
-    frames_in;
-    bytes_out;
-    bytes_in;
-    dict_size;
-  }
-
-type t = {
-  spec : spec;
-  total_blocks : int;
-  mutable conn : live option;
-  mutable pref : int;
-  acct : wire_acct;
-  mutable seq : int;
-  mutable n_requests : int;
-  mutable n_retries : int;
-  mutable n_dials : int;
-  mutable n_manager_errors : int;
-}
-
-let create spec ~total_blocks =
-  {
-    spec;
-    total_blocks;
-    conn = None;
-    pref = spec.wire;
-    acct = wire_acct ();
-    seq = 0;
-    n_requests = 0;
-    n_retries = 0;
-    n_dials = 0;
-    n_manager_errors = 0;
-  }
-
-let stats t =
-  build_stats ~requests:t.n_requests ~retries:t.n_retries ~dials:t.n_dials
-    ~manager_errors:t.n_manager_errors t.acct t.conn
-
-let name t = t.spec.name
-
-let drop_conn t =
-  match t.conn with
-  | Some l ->
-      retire t.acct l;
-      t.conn <- None
-  | None -> ()
-
-let record_negotiated acct ~pref v =
-  if v < pref then begin
-    acct.downgrades <- acct.downgrades + 1;
-    Log.info (fun m -> m "downgraded to wire protocol v%d (offered v%d)" v pref)
-  end;
-  acct.negotiated <- v
-
-let connect t =
-  t.n_dials <- t.n_dials + 1;
-  match dial_negotiate t.spec ~pref:t.pref with
-  | Ok (conn, v) ->
-      record_negotiated t.acct ~pref:t.pref v;
-      t.pref <- v;
-      let l = live conn v in
-      t.conn <- Some l;
-      Ok l
-  | Error e -> Error e
-
-(* Exponential backoff schedule shared by the blocking client (which
-   sleeps it on its dedicated proxy domain) and the pipelined client
-   (which never sleeps: the async executor turns the same delay into a
-   timer-wheel deadline, so other in-flight tests keep progressing). *)
-let backoff_delay_ms spec attempt =
-  if spec.backoff_ms <= 0.0 then 0.0
-  else spec.backoff_ms *. (2.0 ** float_of_int (attempt - 1))
-
-let backoff t attempt =
-  let delay = backoff_delay_ms t.spec attempt in
-  if delay > 0.0 then Unix.sleepf (delay /. 1000.0)
-
-let send_request (l : live) ~seq scenario =
-  if l.version >= 2 then begin
-    Buffer.clear l.out;
-    Message.V2.encode_request l.enc l.out ~seq scenario;
-    l.tr.Transport.send (Buffer.contents l.out)
-  end
-  else
-    l.tr.Transport.send
-      (Message.encode_to_manager (Message.Run_scenario { seq; scenario }))
-
-let recv_replies (l : live) =
-  match l.tr.Transport.recv () with
-  | Error e -> Error (Transport.string_of_error e)
-  | Ok payload ->
-      if l.version >= 2 then
-        match Message.V2.decode_replies l.dec payload with
-        | Error m -> Error ("undecodable reply: " ^ m)
-        | Ok msgs -> Ok msgs
-      else (
-        match Message.decode_from_manager payload with
-        | Error m -> Error ("undecodable reply: " ^ m)
-        | Ok msg -> Ok [ msg ])
-
-(* Read replies until the one matching [seq]: chaos can duplicate frames,
-   so stale sequence numbers are skipped rather than fatal. *)
-let await (l : live) seq =
-  let rec scan = function
-    | [] -> next ()
-    | Message.Scenario_result r :: rest ->
-        if r.Message.seq = seq then Ok (Message.Scenario_result r)
-        else if r.Message.seq < seq then scan rest
-        else Error (Printf.sprintf "reply for future sequence %d" r.Message.seq)
-    | Message.Manager_error { seq = rseq; message } :: rest ->
-        if rseq = seq then Ok (Message.Manager_error { seq = rseq; message })
-        else if rseq = -1 then
-          Error ("manager could not decode the request: " ^ message)
-        else scan rest
-  and next () =
-    match recv_replies l with Error m -> Error m | Ok msgs -> scan msgs
-  in
-  next ()
-
-let run_scenario t scenario =
-  t.n_requests <- t.n_requests + 1;
-  t.seq <- t.seq + 1;
-  let seq = t.seq in
-  let rec attempt n last =
-    if n > t.spec.max_attempts then
-      Error (Exhausted { attempts = t.spec.max_attempts; last })
-    else begin
-      if n > 1 then begin
-        t.n_retries <- t.n_retries + 1;
-        Log.debug (fun m ->
-            m "%s: retry %d/%d after %s" t.spec.name n t.spec.max_attempts last);
-        backoff t (n - 1)
-      end;
-      let conn =
-        match t.conn with Some l -> Ok l | None -> connect t
-      in
-      match conn with
-      | Error e ->
-          drop_conn t;
-          attempt (n + 1) (string_of_error e)
-      | Ok l -> (
-          match send_request l ~seq scenario with
-          | Error e ->
-              drop_conn t;
-              attempt (n + 1) (Transport.string_of_error e)
-          | Ok () -> (
-              match await l seq with
-              | Error m ->
-                  drop_conn t;
-                  attempt (n + 1) m
-              | Ok (Message.Manager_error { message; _ }) ->
-                  t.n_manager_errors <- t.n_manager_errors + 1;
-                  Error (Manager message)
-              | Ok (Message.Scenario_result r) -> (
-                  match Message.outcome_of_report ~total_blocks:t.total_blocks r with
-                  | Ok outcome -> Ok outcome
-                  | Error m ->
-                      drop_conn t;
-                      attempt (n + 1) ("unusable report: " ^ m))))
-    end
-  in
-  attempt 1 "never attempted"
-
-let send_shutdown (l : live) =
-  if l.version >= 2 then begin
-    Message.V2.encode_shutdown l.out;
-    let payload = Buffer.contents l.out in
-    Buffer.clear l.out;
-    ignore (l.tr.Transport.send payload)
-  end
-  else ignore (l.tr.Transport.send (Message.encode_to_manager Message.Shutdown))
-
-let close t =
-  (match t.conn with
-  | Some l ->
-      send_shutdown l;
-      retire t.acct l
-  | None -> ());
-  t.conn <- None
 
 (* ------------------------------------------------------------------ *)
 (* Pipelined client                                                    *)
@@ -378,7 +128,6 @@ module Pipelined = struct
     mutable state : conn_state;
     outstanding : (int, int) Hashtbl.t; (* wire seq -> caller tag *)
     mutable orphans : int list;
-    mutable pref : int;
     acct : wire_acct;
     mutable seq : int;
     credit : int; (* in-flight cap *)
@@ -397,8 +146,7 @@ module Pipelined = struct
       state = Idle;
       outstanding = Hashtbl.create 16;
       orphans = [];
-      pref = spec.wire;
-      acct = wire_acct ();
+      acct = { frames_out = 0; frames_in = 0; bytes_out = 0; bytes_in = 0 };
       seq = 0;
       credit;
       failures = 0;
@@ -416,7 +164,14 @@ module Pipelined = struct
     Hashtbl.fold (fun _ tg acc -> acc || tg = tag) t.outstanding false
   let failures t = t.failures
   let max_attempts t = t.spec.max_attempts
-  let backoff_ms t = backoff_delay_ms t.spec (max 1 t.failures)
+
+  (* Exponential reconnect backoff, surfaced as data: the event loop
+     turns it into a timer-wheel deadline, so other in-flight tests keep
+     progressing while a manager cools off. *)
+  let backoff_ms t =
+    if t.spec.backoff_ms <= 0.0 then 0.0
+    else t.spec.backoff_ms *. (2.0 ** float_of_int (max 0 (t.failures - 1)))
+
   let abandoned t = match t.state with Abandoned -> true | _ -> false
 
   let dispatchable t =
@@ -428,11 +183,29 @@ module Pipelined = struct
     | Idle | Abandoned -> None
 
   let stats t =
-    let live_opt =
-      match t.state with Connected l -> Some l | Idle | Abandoned -> None
+    let a = t.acct in
+    let frames_out, frames_in, bytes_out, bytes_in, dict_size =
+      match t.state with
+      | Connected l ->
+          let c = l.tr.Transport.counters in
+          ( a.frames_out + c.Transport.frames_out,
+            a.frames_in + c.Transport.frames_in,
+            a.bytes_out + c.Transport.bytes_out,
+            a.bytes_in + c.Transport.bytes_in,
+            Message.V2.client_dict_size l.dec )
+      | Idle | Abandoned -> (a.frames_out, a.frames_in, a.bytes_out, a.bytes_in, 0)
     in
-    build_stats ~requests:t.n_requests ~retries:t.n_retries ~dials:t.n_dials
-      ~manager_errors:t.n_manager_errors t.acct live_opt
+    {
+      requests = t.n_requests;
+      retries = t.n_retries;
+      dials = t.n_dials;
+      manager_errors = t.n_manager_errors;
+      frames_out;
+      frames_in;
+      bytes_out;
+      bytes_in;
+      dict_size;
+    }
 
   let take_orphans t =
     let tags = List.rev t.orphans in
@@ -464,16 +237,20 @@ module Pipelined = struct
           (Exhausted { attempts = t.spec.max_attempts; last = "manager abandoned" })
     | Idle -> (
         t.n_dials <- t.n_dials + 1;
-        match dial_negotiate t.spec ~pref:t.pref with
-        | Ok (c, v) ->
-            record_negotiated t.acct ~pref:t.pref v;
-            t.pref <- v;
-            let l = live c v in
-            t.state <- Connected l;
-            Ok l
+        match t.spec.dial () with
         | Error e ->
             fail t;
-            Error e)
+            Error (Transport e)
+        | Ok c -> (
+            match hello c with
+            | Ok () ->
+                let l = live c in
+                t.state <- Connected l;
+                Ok l
+            | Error e ->
+                c.Transport.close ();
+                fail t;
+                Error e))
 
   let flush_live t (l : live) =
     if Buffer.length l.out = 0 then Ok ()
@@ -503,39 +280,24 @@ module Pipelined = struct
     | Ok l ->
         t.seq <- t.seq + 1;
         let seq = t.seq in
-        if l.version >= 2 then begin
-          (* Coalesce: the record lands in the connection buffer and the
-             frame goes out when the buffer reaches [flush_bytes], when
-             the in-flight credit is exhausted (nothing more is coming
-             until replies arrive), or when the event loop is about to
-             wait ({!flush}). *)
-          Message.V2.encode_request l.enc l.out ~seq scenario;
-          t.n_requests <- t.n_requests + 1;
-          Hashtbl.replace t.outstanding seq tag;
-          if Buffer.length l.out >= t.spec.flush_bytes || not (has_credit t)
-          then (
-            match flush_live t l with
-            | Ok () -> Ok ()
-            | Error e ->
-                (* [fail] orphaned everything on the wire including this
-                   request, but its failure is reported synchronously:
-                   the caller owns this retry, not {!take_orphans}. *)
-                t.orphans <- List.filter (fun tg -> tg <> tag) t.orphans;
-                Error e)
-          else Ok ()
-        end
-        else (
-          let line =
-            Message.encode_to_manager (Message.Run_scenario { seq; scenario })
-          in
-          match l.tr.Transport.send line with
-          | Ok () ->
-              t.n_requests <- t.n_requests + 1;
-              Hashtbl.replace t.outstanding seq tag;
-              Ok ()
+        (* Coalesce: the record lands in the connection buffer and the
+           frame goes out when the buffer reaches [flush_bytes], when the
+           in-flight credit is exhausted (nothing more is coming until
+           replies arrive), or when the event loop is about to wait
+           ({!flush}). *)
+        Message.V2.encode_request l.enc l.out ~seq scenario;
+        t.n_requests <- t.n_requests + 1;
+        Hashtbl.replace t.outstanding seq tag;
+        if Buffer.length l.out >= flush_bytes || not (has_credit t) then (
+          match flush_live t l with
+          | Ok () -> Ok ()
           | Error e ->
-              fail t;
-              Error (Transport e))
+              (* [fail] orphaned everything on the wire including this
+                 request, but its failure is reported synchronously: the
+                 caller owns this retry, not {!take_orphans}. *)
+              t.orphans <- List.filter (fun tg -> tg <> tag) t.orphans;
+              Error e)
+        else Ok ()
 
   (* Everything already on the wire, matched out of order: responses
      carry the request's seq, so a manager answering seq 5 before seq 3
@@ -549,13 +311,6 @@ module Pipelined = struct
         match flush_live t l with
         | Error _ -> []
         | Ok () ->
-            let decode payload =
-              if l.version >= 2 then Message.V2.decode_replies l.dec payload
-              else
-                Result.map
-                  (fun msg -> [ msg ])
-                  (Message.decode_from_manager payload)
-            in
             let rec consume msgs acc =
               match msgs with
               | [] -> loop acc
@@ -592,7 +347,7 @@ module Pipelined = struct
                   fail t;
                   List.rev acc
               | Ok (Some payload) -> (
-                  match decode payload with
+                  match Message.V2.decode_replies l.dec payload with
                   | Error _ ->
                       (* The frame passed its checksum but carries junk
                          (or lands on desynchronized dictionary state):
@@ -606,7 +361,8 @@ module Pipelined = struct
   let close t =
     (match t.state with
     | Connected l ->
-        send_shutdown l;
+        Message.V2.encode_shutdown l.out;
+        ignore (l.tr.Transport.send (Buffer.contents l.out));
         retire t.acct l
     | Idle | Abandoned -> ());
     Hashtbl.iter (fun _ tag -> t.orphans <- tag :: t.orphans) t.outstanding;
@@ -618,39 +374,13 @@ end
 (* Server loop                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let serve_v1 manager (conn : Transport.t) =
-  let rec loop () =
-    match conn.recv () with
-    | Error Transport.Closed -> Ok ()
-    | Error Transport.Timeout -> loop () (* idle client *)
-    | Error e -> Error (Transport e)
-    | Ok line -> (
-        match Message.decode_to_manager line with
-        | Error m -> (
-            match
-              conn.send
-                (Message.encode_from_manager
-                   (Message.Manager_error { seq = -1; message = m }))
-            with
-            | Ok () -> loop ()
-            | Error e -> Error (Transport e))
-        | Ok msg -> (
-            match Node_manager.handle manager msg with
-            | None -> Ok () (* shutdown *)
-            | Some (reply, _elapsed) -> (
-                match conn.send (Message.encode_from_manager reply) with
-                | Ok () -> loop ()
-                | Error e -> Error (Transport e))))
-  in
-  loop ()
-
-(* The v2 loop: frames carry several requests; every reply to one
-   incoming frame coalesces into one outgoing frame (split only past
-   [flush_bytes]), so syscalls scale with frames, not tests. Any decode
-   error is connection-fatal by design — the per-connection dictionary
-   and delta state can no longer be trusted, so the client must redial
-   with fresh state rather than risk a silently wrong report. *)
-let serve_v2 manager (conn : Transport.t) ~flush_bytes =
+(* Frames carry several requests; every reply to one incoming frame
+   coalesces into one outgoing frame (split only past [flush_bytes]), so
+   syscalls scale with frames, not tests. Any decode error is
+   connection-fatal by design — the per-connection dictionary and delta
+   state can no longer be trusted, so the client must redial with fresh
+   state rather than risk a silently wrong report. *)
+let serve_requests manager (conn : Transport.t) =
   let sdec = Message.V2.server_dec () in
   let senc = Message.V2.server_enc () in
   let b = Buffer.create 1024 in
@@ -698,8 +428,7 @@ let serve_v2 manager (conn : Transport.t) ~flush_bytes =
   in
   loop ()
 
-let serve_connection ?(wire_max = Message.protocol_version_max)
-    ?(flush_bytes = 8192) manager (conn : Transport.t) =
+let serve_connection manager (conn : Transport.t) =
   let result =
     match conn.recv () with
     | Error e -> Error (Transport e)
@@ -708,33 +437,30 @@ let serve_connection ?(wire_max = Message.protocol_version_max)
         | Error m ->
             ignore (conn.send (Message.encode_reject ~reason:m));
             Error (Protocol m)
-        | Ok v when v < 1 || v > wire_max ->
+        | Ok v when v <> Message.protocol_version ->
             let reason =
-              Printf.sprintf "unsupported protocol version %d (manager speaks %d)"
-                v wire_max
+              Printf.sprintf
+                "unsupported protocol version %d (this manager speaks only \
+                 version %d)"
+                v Message.protocol_version
             in
             ignore (conn.send (Message.encode_reject ~reason));
             Error (Protocol reason)
         | Ok v -> (
-            (* Welcome exactly the offered version: a v1 client never
-               sees anything a v1 server would not have sent. *)
             match conn.send (Message.encode_welcome ~version:v) with
             | Error e -> Error (Transport e)
-            | Ok () ->
-                if v >= 2 then serve_v2 manager conn ~flush_bytes
-                else serve_v1 manager conn))
+            | Ok () -> serve_requests manager conn))
   in
   conn.Transport.close ();
   result
 
-let serve_tcp ?(host = "127.0.0.1") ?wire_max ?flush_bytes ?chaos_to_client
-    ?(chaos_seed = 0) ~port ~once executor =
+let serve_tcp ?(host = "127.0.0.1") ?chaos_to_client ?(chaos_seed = 0) ~port
+    ~once executor =
   match Transport.listen_tcp ~host ~port () with
   | Error e -> Error (Transport e)
   | Ok (listen_fd, actual_port) ->
       Printf.printf "afex-manager listening on %s:%d (protocol v%d)\n%!" host
-        actual_port
-        (Option.value wire_max ~default:Message.protocol_version_max);
+        actual_port Message.protocol_version;
       let rec accept_loop id =
         let mangle =
           Option.map
@@ -748,7 +474,7 @@ let serve_tcp ?(host = "127.0.0.1") ?wire_max ?flush_bytes ?chaos_to_client
         | Ok conn -> (
             Log.info (fun m -> m "connection %d from %s" id conn.Transport.peer);
             let manager = Node_manager.create ~id ~executor () in
-            let result = serve_connection ?wire_max ?flush_bytes manager conn in
+            let result = serve_connection manager conn in
             (match result with
             | Ok () ->
                 Log.info (fun m ->
@@ -772,7 +498,6 @@ module Loopback = struct
   type server = {
     executor : Afex.Executor.t;
     name : string;
-    wire_max : int;
     chaos_to_server : Transport.chaos option;
     chaos_to_client : Transport.chaos option;
     chaos_seed : int;
@@ -782,13 +507,11 @@ module Loopback = struct
     mutable next_id : int;
   }
 
-  let create ?(wire_max = Message.protocol_version_max) ?chaos_to_server
-      ?chaos_to_client ?(chaos_seed = 0) ?recv_timeout_ms ?(name = "loopback")
-      ~executor () =
+  let create ?chaos_to_server ?chaos_to_client ?(chaos_seed = 0) ?recv_timeout_ms
+      ?(name = "loopback") ~executor () =
     {
       executor;
       name;
-      wire_max;
       chaos_to_server;
       chaos_to_client;
       chaos_seed;
@@ -816,19 +539,16 @@ module Loopback = struct
       Transport.pair ?recv_timeout_ms:server.recv_timeout_ms ?mangle_a ?mangle_b ()
     in
     let manager = Node_manager.create ~id ~executor:server.executor () in
-    let wire_max = server.wire_max in
     let d =
-      Domain.spawn (fun () ->
-          ignore (serve_connection ~wire_max manager server_end))
+      Domain.spawn (fun () -> ignore (serve_connection manager server_end))
     in
     Mutex.lock server.lock;
     server.domains <- d :: server.domains;
     Mutex.unlock server.lock;
     Ok client_end
 
-  let spec ?max_attempts ?backoff_ms ?wire ?flush_bytes server =
-    spec ?max_attempts ?backoff_ms ?wire ?flush_bytes ~name:server.name
-      (dial server)
+  let spec ?max_attempts ?backoff_ms server =
+    spec ?max_attempts ?backoff_ms ~name:server.name (dial server)
 
   let connections server =
     Mutex.lock server.lock;

@@ -150,13 +150,11 @@ type stealing = {
   done_lock : Mutex.t;
   done_cond : Condition.t;
   done_q : completion Queue.t;
-  s_remote_runs : int Atomic.t;
-  s_remote_fallbacks : int Atomic.t;
 }
 
 type backend =
   | Inline of completion Queue.t
-  | Domains of stealing * unit Domain.t array * Remote_manager.t list
+  | Domains of stealing * unit Domain.t array
   | Event_loop of Async_executor.t
 
 type t = {
@@ -197,26 +195,11 @@ let find_task s self rng =
 
 let run_local task = try Ok (task.run ()) with e -> Error e
 
-(* A remote proxy ships the stolen task's scenario to its manager; any
-   remote failure falls back to the local thunk, so a dead or byzantine
-   manager costs throughput, never correctness. *)
-let run_remote s rm task =
-  match task.scenario with
-  | None -> run_local task
-  | Some scenario -> (
-      match Remote_manager.run_scenario rm scenario with
-      | Ok outcome ->
-          Atomic.incr s.s_remote_runs;
-          Ok outcome
-      | Error _ ->
-          Atomic.incr s.s_remote_fallbacks;
-          run_local task)
-
-let worker s self rng exec =
+let worker s self rng =
   let rec loop () =
     match find_task s self rng with
     | Some task ->
-        push_completion s (task.seq, exec task);
+        push_completion s (task.seq, run_local task);
         loop ()
     | None ->
         Mutex.lock s.work_lock;
@@ -227,7 +210,7 @@ let worker s self rng exec =
            version and fails the sleep condition below. *)
         (match find_task s self rng with
         | Some task ->
-            push_completion s (task.seq, exec task);
+            push_completion s (task.seq, run_local task);
             loop ()
         | None ->
             Mutex.lock s.work_lock;
@@ -249,15 +232,11 @@ let inline () =
     shut = false;
   }
 
-let domains ?(steal_seed = 0) ?(remotes = []) ~total_blocks ~jobs () =
-  if jobs < 0 then invalid_arg "Runtime.domains: jobs must be non-negative";
-  let rms = List.map (fun spec -> Remote_manager.create spec ~total_blocks) remotes in
-  let workers = jobs + List.length rms in
-  if workers = 0 then
-    invalid_arg "Runtime.domains: need at least one worker (jobs or remotes)";
+let domains ?(steal_seed = 0) ~jobs () =
+  if jobs < 1 then invalid_arg "Runtime.domains: need at least one worker";
   let s =
     {
-      deques = Array.init workers (fun _ -> Deque.create ());
+      deques = Array.init jobs (fun _ -> Deque.create ());
       rr = 0;
       work_lock = Mutex.create ();
       work_cond = Condition.create ();
@@ -266,20 +245,14 @@ let domains ?(steal_seed = 0) ?(remotes = []) ~total_blocks ~jobs () =
       done_lock = Mutex.create ();
       done_cond = Condition.create ();
       done_q = Queue.create ();
-      s_remote_runs = Atomic.make 0;
-      s_remote_fallbacks = Atomic.make 0;
     }
   in
-  let spawn i exec =
-    Domain.spawn (fun () -> worker s i (Rng.create (steal_seed + i)) exec)
-  in
-  let local = Array.init jobs (fun i -> spawn i run_local) in
-  let remote =
-    Array.of_list
-      (List.mapi (fun k rm -> spawn (jobs + k) (run_remote s rm)) rms)
+  let workers =
+    Array.init jobs (fun i ->
+        Domain.spawn (fun () -> worker s i (Rng.create (steal_seed + i))))
   in
   {
-    backend = Domains (s, Array.append local remote, rms);
+    backend = Domains (s, workers);
     live = 0;
     shut = false;
   }
@@ -304,7 +277,7 @@ let submit t task =
   | Event_loop a ->
       Async_executor.submit a ~tag:task.seq
         { Async_executor.scenario = task.scenario; start = task.start }
-  | Domains (s, _, _) ->
+  | Domains (s, _) ->
       Deque.push s.deques.(s.rr) task;
       s.rr <- (s.rr + 1) mod Array.length s.deques;
       Mutex.lock s.work_lock;
@@ -320,7 +293,7 @@ let poll t ~block =
         Queue.clear q;
         out
     | Event_loop a -> Async_executor.poll a ~block
-    | Domains (s, _, _) ->
+    | Domains (s, _) ->
         Mutex.lock s.done_lock;
         if block && t.live > 0 then
           while Queue.is_empty s.done_q do
@@ -334,45 +307,18 @@ let poll t ~block =
   t.live <- t.live - List.length completions;
   completions
 
-(* ---- stats -------------------------------------------------------- *)
-
-let remote_runs t =
-  match t.backend with
-  | Inline _ -> 0
-  | Domains (s, _, _) -> Atomic.get s.s_remote_runs
-  | Event_loop a -> (Async_executor.stats a).Async_executor.remote_runs
-
-let remote_fallbacks t =
-  match t.backend with
-  | Inline _ -> 0
-  | Domains (s, _, _) -> Atomic.get s.s_remote_fallbacks
-  | Event_loop a -> (Async_executor.stats a).Async_executor.remote_fallbacks
-
-let remote_stats t =
-  match t.backend with
-  | Inline _ -> []
-  | Domains (_, _, rms) ->
-      List.map (fun rm -> (Remote_manager.name rm, Remote_manager.stats rm)) rms
-  | Event_loop a -> Async_executor.remote_stats a
-
-let wire_downgrades t =
-  List.fold_left
-    (fun acc (_, s) -> acc + s.Remote_manager.wire_downgrades)
-    0 (remote_stats t)
-
 let shutdown t =
   if not t.shut then begin
     t.shut <- true;
     match t.backend with
     | Inline _ -> ()
     | Event_loop a -> Async_executor.close a
-    | Domains (s, workers, rms) ->
+    | Domains (s, workers) ->
         Mutex.lock s.work_lock;
         s.closed <- true;
         Condition.broadcast s.work_cond;
         Mutex.unlock s.work_lock;
         Array.iter Domain.join workers;
-        List.iter Remote_manager.close rms;
         if t.live > 0 then
           Log.debug (fun m -> m "shutdown with %d completions unpolled" t.live)
   end

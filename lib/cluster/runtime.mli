@@ -18,10 +18,10 @@
       history, feedback weights and exports are bit-identical to the
       sequential run at any parallelism.
     - {!t}: the runtime handle. Three backends — inline (execute on the
-      caller), work-stealing Domains (local workers plus remote-manager
-      proxies), and the single-domain async event loop — behind one
-      interface, so {!Pool} drives heterogeneous workers without knowing
-      which backend runs them. *)
+      caller), work-stealing Domains (local workers only), and the
+      single-domain async event loop (local jobs and every remote
+      manager) — behind one interface, so {!Pool} drives them without
+      knowing which backend runs a task. *)
 
 (** A submission-indexed reorder buffer: out-of-order [offer]s, strictly
     in-order release. Single-consumer; pure bookkeeping (no locks), so
@@ -87,8 +87,9 @@ end
 type task = {
   seq : int;  (** submission index; comes back with the completion *)
   scenario : Afex_faultspace.Scenario.t option;
-      (** what a remote proxy ships over the wire; [None] pins the task
-          local (seeded executors, whose RNG closure cannot travel) *)
+      (** what the event loop ships to a remote manager; [None] pins the
+          task local (seeded executors, whose RNG closure cannot
+          travel) *)
   run : unit -> Afex_injector.Outcome.t;
       (** the synchronous form: Domain workers and the inline backend *)
   start : unit -> Afex.Executor.job;
@@ -102,27 +103,18 @@ val inline : unit -> t
     [jobs = 1] degenerate case, and the determinism baseline every other
     backend must reproduce. *)
 
-val domains :
-  ?steal_seed:int ->
-  ?remotes:Remote_manager.spec list ->
-  total_blocks:int ->
-  jobs:int ->
-  unit ->
-  t
-(** The work-stealing backend: [jobs] local worker domains plus one
-    proxy domain per remote spec, each owning a deque the explorer feeds
-    round-robin. A dry worker steals from a random victim ([steal_seed]
-    seeds the per-worker victim streams — placement only, never the
-    history). A proxy ships each stolen task's scenario to its manager
-    and falls back to running it locally on any remote failure, so a bad
-    manager costs throughput, never correctness.
-    @raise Invalid_argument if [jobs < 0] or there are no workers at
-    all. *)
+val domains : ?steal_seed:int -> jobs:int -> unit -> t
+(** The work-stealing backend: [jobs] local worker domains, each owning
+    a deque the explorer feeds round-robin. A dry worker steals from a
+    random victim ([steal_seed] seeds the per-worker victim streams —
+    placement only, never the history).
+    @raise Invalid_argument if [jobs < 1]. *)
 
 val event_loop : Async_executor.t -> t
 (** Wrap the single-domain async event loop: {!submit} enqueues on the
-    loop, {!poll} runs it. The runtime owns the executor and closes it
-    on {!shutdown}. *)
+    loop, {!poll} runs it. Remote managers live here, as pipelined
+    connections of the executor. The runtime owns the executor and
+    closes it on {!shutdown}. *)
 
 val submit : t -> task -> unit
 (** Hand one task to the backend. Never blocks on execution (the inline
@@ -140,19 +132,9 @@ val outstanding : t -> int
 (** Submitted tasks whose completions have not been polled yet. *)
 
 val async : t -> Async_executor.t option
-(** The wrapped event loop, when the backend is one. *)
-
-val remote_runs : t -> int
-(** Tasks whose outcome came over the wire (both backends). *)
-
-val remote_fallbacks : t -> int
-(** Remote attempts that failed and re-ran locally. *)
-
-val remote_stats : t -> (string * Remote_manager.stats) list
-
-val wire_downgrades : t -> int
-(** Connections that fell back to wire protocol v1 because the manager
-    rejected the preferred version, summed over all remotes. *)
+(** The wrapped event loop, when the backend is one: remote counters
+    are read from its {!Async_executor.stats} and
+    {!Async_executor.remote_stats}. *)
 
 val shutdown : t -> unit
 (** Join worker domains / close remote connections. Outstanding tasks

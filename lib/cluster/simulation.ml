@@ -62,15 +62,6 @@ let run (cfg : config) search_config sub executor =
       | Some proposal ->
           incr dispatched;
           let scenario = Afex.Explorer.scenario_for explorer proposal in
-          (* Exercise the wire protocol for fidelity. *)
-          let encoded =
-            Message.encode_to_manager
-              (Message.Run_scenario { seq = !dispatched; scenario })
-          in
-          (match Message.decode_to_manager encoded with
-          | Ok (Message.Run_scenario _) -> ()
-          | Ok Message.Shutdown | Error _ ->
-              failwith "Simulation: protocol round-trip failure");
           let outcome, elapsed =
             Node_manager.run_scenario managers.(manager_id) scenario
           in

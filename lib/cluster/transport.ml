@@ -125,7 +125,7 @@ let of_fd ?(recv_timeout_ms = 5000) ?(mangle = fun frame -> [ frame ]) ~peer fd 
   Lazy.force ignore_sigpipe;
   let decoder = Frame.create () in
   (* Counters are logical — the frame as handed over / decoded, before
-     any chaos mangling — so v1-vs-v2 wire cost comparisons stay
+     any chaos mangling — so wire cost measurements stay
      deterministic. One sent frame ~ one [write] syscall. *)
   let counters = { frames_out = 0; frames_in = 0; bytes_out = 0; bytes_in = 0 } in
   let closed = ref false in

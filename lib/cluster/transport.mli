@@ -1,7 +1,7 @@
 (** Byte transport between the explorer and remote node managers (§6.1).
 
-    The wire carries the line-oriented {!Message} protocol inside
-    checksummed, length-prefixed frames, so the endpoints can tell a
+    The wire carries the {!Message} protocol inside checksummed,
+    length-prefixed frames, so the endpoints can tell a
     truncated or corrupted delivery from a legitimate message — a
     fault-injection tool's own transport is tested under injected faults
     (see the [chaos] mangler and [test/test_transport.ml]).
@@ -64,8 +64,8 @@ type counters = {
 (** Logical wire traffic on one connection: frames and bytes (header
     included) as handed to [send] / yielded by receive, counted before
     any chaos mangling. One sent frame corresponds to one [write] call,
-    so [frames_out] doubles as a syscalls-per-test proxy for the wire
-    bench. Owned by the transport — treat as read-only. *)
+    so [frames_out] doubles as a syscalls-per-test proxy. Owned by the
+    transport — treat as read-only. *)
 
 type t = {
   send : string -> (unit, error) result;

@@ -16,26 +16,35 @@ let checki = Alcotest.(check int)
 
 (* --- Message protocol --- *)
 
+(* One request frame through the wire codec, on fresh per-connection
+   state at both ends. *)
+let wire_requests encode =
+  let b = Buffer.create 64 in
+  encode (Message.V2.client_enc ()) b;
+  Message.V2.decode_requests (Message.V2.server_dec ()) (Buffer.contents b)
+
 let test_message_roundtrip () =
   let scenario =
     [ ("testId", Value.Int 4); ("function", Value.Sym "read"); ("callNumber", Value.Int 2) ]
   in
-  let msg = Message.Run_scenario { seq = 17; scenario } in
-  match Message.decode_to_manager (Message.encode_to_manager msg) with
-  | Ok (Message.Run_scenario { seq; scenario = s }) ->
+  match wire_requests (fun enc b -> Message.V2.encode_request enc b ~seq:17 scenario) with
+  | Ok [ Message.Run_scenario { seq; scenario = s } ] ->
       checki "seq" 17 seq;
       Alcotest.(check string) "scenario" (Scenario.to_string scenario) (Scenario.to_string s)
-  | Ok Message.Shutdown -> Alcotest.fail "wrong message"
+  | Ok _ -> Alcotest.fail "wrong message"
   | Error e -> Alcotest.fail e
 
 let test_message_shutdown () =
-  match Message.decode_to_manager (Message.encode_to_manager Message.Shutdown) with
-  | Ok Message.Shutdown -> ()
+  match wire_requests (fun _ b -> Message.V2.encode_shutdown b) with
+  | Ok [ Message.Shutdown ] -> ()
   | Ok _ | Error _ -> Alcotest.fail "shutdown round-trip"
 
 let test_message_malformed () =
-  checkb "garbage rejected" true (Result.is_error (Message.decode_to_manager "BLAH 1 2"));
-  checkb "bad seq rejected" true (Result.is_error (Message.decode_to_manager "RUN xyz f 1"))
+  let decode payload =
+    Message.V2.decode_requests (Message.V2.server_dec ()) payload
+  in
+  checkb "unknown record tag rejected" true (Result.is_error (decode "BLAH 1 2"));
+  checkb "truncated request rejected" true (Result.is_error (decode "\x01\x05"))
 
 (* --- Node manager --- *)
 

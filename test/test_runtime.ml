@@ -214,7 +214,7 @@ let test_deque_concurrent_steal_no_loss () =
 (* One campaign per target family, exported from every backend the
    runtime unifies — inline (jobs 1), work-stealing Domains (jobs 4),
    the async event loop (inflight 8) and a loopback remote manager
-   behind a proxy domain — and byte-diffed pairwise. This is the
+   on the event loop — and byte-diffed pairwise. This is the
    tentpole's contract: parallelism placement may change throughput,
    never a byte of the explored history. *)
 let matrix_exports ~tag ~iterations ~seed space mk_exec =

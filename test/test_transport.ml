@@ -1,7 +1,7 @@
 (* Tests for the remote-dispatch stack: frame codec, socketpair transport,
-   wire message codecs, the remote-manager proxy/server pair, and the
-   chaos (transport fault injection) harness — a fault-injection tool's
-   own transport gets tested under injected faults. *)
+   wire message codecs, the pipelined client/server pair, and the chaos
+   (transport fault injection) harness — a fault-injection tool's own
+   transport gets tested under injected faults. *)
 
 module Transport = Afex_cluster.Transport
 module Message = Afex_cluster.Message
@@ -56,6 +56,21 @@ let history (r : Session.result) =
       (Point.key c.Test_case.point, Outcome.status_to_string c.Test_case.status,
        c.Test_case.fitness))
     r.Session.executed
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let pool_history ?remotes ?inflight ?request_timeout_ms ~jobs ~seed () =
+  let exec = executor () in
+  let result, stats =
+    Pool.run ?remotes ?inflight ?request_timeout_ms ~jobs ~batch_size:16
+      ~iterations:150
+      (Config.fitness_guided ~seed ())
+      (Apache.space ()) (Pool.Pure exec)
+  in
+  (history result, stats)
 
 (* --- the frame codec --- *)
 
@@ -258,51 +273,74 @@ let test_handshake_codec () =
     [ ""; "WELCOME"; "WELCOME afex nope"; "HELLO afex 1" ]
 
 let test_serve_rejects_version_mismatch () =
-  let client, server = Transport.pair ~recv_timeout_ms:2000 () in
-  let manager = Node_manager.create ~id:0 ~executor:(executor ()) () in
-  let d = Domain.spawn (fun () -> RM.serve_connection manager server) in
-  (match client.Transport.send (Message.encode_hello ~version:999) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "send: %s" (Transport.string_of_error e));
-  (match Message.decode_greeting (get_ok "greeting" (client.Transport.recv ())) with
-  | Ok (Message.Reject _) -> ()
-  | _ -> Alcotest.fail "future protocol version must be rejected");
-  client.Transport.close ();
-  checkb "server reported the protocol error" true
-    (match Domain.join d with Error (RM.Protocol _) -> true | _ -> false)
+  (* The handshake is a strict version check: every version but 2 is
+     refused with a reason that names the one the manager speaks. *)
+  List.iter
+    (fun version ->
+      let client, server = Transport.pair ~recv_timeout_ms:2000 () in
+      let manager = Node_manager.create ~id:0 ~executor:(executor ()) () in
+      let d = Domain.spawn (fun () -> RM.serve_connection manager server) in
+      (match client.Transport.send (Message.encode_hello ~version) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "send: %s" (Transport.string_of_error e));
+      (match Message.decode_greeting (get_ok "greeting" (client.Transport.recv ())) with
+      | Ok (Message.Reject reason) ->
+          checkb
+            (Printf.sprintf "REJECT of v%d names version 2: %S" version reason)
+            true (contains reason "version 2")
+      | _ -> Alcotest.failf "protocol version %d must be rejected" version);
+      client.Transport.close ();
+      checkb
+        (Printf.sprintf "server reported the protocol error for v%d" version)
+        true
+        (match Domain.join d with Error (RM.Protocol _) -> true | _ -> false))
+    [ 1; 3; 999 ]
 
-let test_wire_session_survives_garbage () =
-  (* Full exchange against a live server domain: handshake, a garbage
-     line (answered, connection survives), a real scenario, shutdown. *)
+(* A dial whose far end has already greeted: the handshake completes (or
+   fails) without a server domain. [open_ends] keeps the server ends
+   alive until the test closes them. *)
+let pregreeted_dial ~greeting open_ends () =
   let client, server = Transport.pair ~recv_timeout_ms:2000 () in
-  let manager = Node_manager.create ~id:0 ~executor:(executor ()) () in
-  let d = Domain.spawn (fun () -> RM.serve_connection manager server) in
-  let send line =
-    match client.Transport.send line with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "send: %s" (Transport.string_of_error e)
+  ignore (server.Transport.send greeting);
+  open_ends := server :: !open_ends;
+  Ok client
+
+let test_client_refuses_old_welcome () =
+  let open_ends = ref [] in
+  let greeting = Message.encode_welcome ~version:1 in
+  let spec =
+    RM.spec ~max_attempts:3 ~backoff_ms:0.1 ~name:"v1-manager"
+      (pregreeted_dial ~greeting open_ends)
   in
-  send (Message.encode_hello ~version:Message.protocol_version);
-  (match Message.decode_greeting (get_ok "greeting" (client.Transport.recv ())) with
-  | Ok (Message.Welcome v) -> checki "version" Message.protocol_version v
-  | _ -> Alcotest.fail "expected WELCOME");
-  send "complete nonsense";
-  (match Message.decode_from_manager (get_ok "reply" (client.Transport.recv ())) with
-  | Ok (Message.Manager_error { seq; _ }) -> checki "undecodable -> seq -1" (-1) seq
-  | _ -> Alcotest.fail "garbage must be answered with a manager error");
+  let conn = RM.Pipelined.create spec ~total_blocks:100 in
   let scenario = List.hd (sample_scenarios 1) in
-  send (Message.encode_to_manager (Message.Run_scenario { seq = 4; scenario }));
-  (match Message.decode_from_manager (get_ok "reply" (client.Transport.recv ())) with
-  | Ok (Message.Scenario_result r) ->
-      checki "matching seq" 4 r.Message.seq;
-      checki "managers send new_blocks 0" 0 r.Message.new_blocks
-  | _ -> Alcotest.fail "expected a scenario result");
-  send (Message.encode_to_manager Message.Shutdown);
-  checkb "clean server exit" true (Domain.join d = Ok ());
-  checki "the manager ran exactly one test" 1 (Node_manager.tests_run manager);
-  client.Transport.close ()
+  for attempt = 1 to 3 do
+    checkb "submit fails" true
+      (match RM.Pipelined.submit conn ~tag:attempt scenario with
+      | Error (RM.Protocol _) -> true
+      | Ok () | Error _ -> false);
+    checki "a connection failure per dial" attempt (RM.Pipelined.failures conn)
+  done;
+  checkb "abandoned after max_attempts" true (RM.Pipelined.abandoned conn);
+  checki "three dials" 3 (RM.Pipelined.stats conn).RM.dials;
+  RM.Pipelined.close conn;
+  (* Through the pool: every test falls back locally. *)
+  let with_old, stats =
+    pool_history
+      ~remotes:
+        [
+          RM.spec ~max_attempts:2 ~backoff_ms:0.1 ~name:"v1-manager"
+            (pregreeted_dial ~greeting open_ends);
+        ]
+      ~jobs:1 ~seed:41 ()
+  in
+  let local, _ = pool_history ~jobs:1 ~seed:41 () in
+  List.iter (fun (tr : Transport.t) -> tr.Transport.close ()) !open_ends;
+  checkb "history equals local" true (with_old = local);
+  checki "nothing ran over the wire" 0 stats.Pool.remote_runs;
+  checkb "tests fell back locally" true (stats.Pool.remote_fallbacks > 0)
 
-(* --- from_manager codec: property round-trip --- *)
+(* --- the text report codec (the checkpoint journal's records) --- *)
 
 let statuses = [| Outcome.Passed; Outcome.Test_failed; Outcome.Crashed; Outcome.Hung |]
 
@@ -440,35 +478,6 @@ let test_from_manager_malformed () =
       "a perfectly ordinary sentence";
     ]
 
-let test_to_manager_total () =
-  (* Satellite: decode_to_manager must reject anything malformed. *)
-  let scenario = List.hd (sample_scenarios 1) in
-  let line = Message.encode_to_manager (Message.Run_scenario { seq = 9; scenario }) in
-  (match Message.decode_to_manager line with
-  | Ok (Message.Run_scenario r) ->
-      checki "seq" 9 r.seq;
-      checks "scenario" (Scenario.to_string scenario) (Scenario.to_string r.scenario)
-  | _ -> Alcotest.fail "RUN must round-trip");
-  checkb "shutdown round-trips" true
-    (Message.decode_to_manager (Message.encode_to_manager Message.Shutdown)
-    = Ok Message.Shutdown);
-  List.iter
-    (fun line ->
-      checkb
-        (Printf.sprintf "reject %S" (String.sub line 0 (min 30 (String.length line))))
-        true
-        (is_error (Message.decode_to_manager line)))
-    [
-      "";
-      " ";
-      "RUN";
-      "RUN 1";
-      "RUN x read 1";
-      "RUN -2 read 1";
-      "WALK 1 read 1";
-      "RUN 1 " ^ String.make (Message.max_line + 1) 'a';
-    ]
-
 let test_coverage_ranges () =
   let base = random_report (Rng.create 5) in
   List.iter
@@ -508,23 +517,78 @@ let test_outcome_report_roundtrip () =
   checkb "out-of-range coverage is a typed error" true
     (is_error (Message.outcome_of_report ~total_blocks:100 report))
 
-(* --- the remote-manager proxy over the loopback --- *)
+(* --- the pipelined client over the loopback --- *)
+
+(* The event loop's duties towards one connection, minus its timer
+   wheel: keep every unanswered scenario submitted, drain replies,
+   resubmit orphans, and declare the connection dead once it has been
+   silent for [stall_ms] (the loop's request timeout; generous by
+   default, so a slow host never fails a clean wire). Returns each
+   scenario's accepted result; a scenario still unanswered when the
+   connection is abandoned stays [None]. *)
+let pipelined_results ?(stall_ms = 2000.0) conn scenarios =
+  let results = Array.map (fun _ -> None) scenarios in
+  let on_wire = Array.map (fun _ -> false) scenarios in
+  let forget () =
+    List.iter (fun tag -> on_wire.(tag) <- false) (RM.Pipelined.take_orphans conn)
+  in
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  let last_progress = ref (Unix.gettimeofday ()) in
+  while
+    Array.exists Option.is_none results
+    && (not (RM.Pipelined.abandoned conn))
+    && Unix.gettimeofday () < deadline
+  do
+    Array.iteri
+      (fun tag scenario ->
+        if
+          results.(tag) = None && (not on_wire.(tag))
+          && RM.Pipelined.dispatchable conn && RM.Pipelined.has_credit conn
+        then
+          match RM.Pipelined.submit conn ~tag scenario with
+          | Ok () -> on_wire.(tag) <- true
+          | Error _ -> forget ())
+      scenarios;
+    let replies = RM.Pipelined.drain conn in
+    List.iter
+      (fun (tag, r) ->
+        results.(tag) <- Some r;
+        on_wire.(tag) <- false)
+      replies;
+    forget ();
+    let now = Unix.gettimeofday () in
+    if replies <> [] then last_progress := now
+    else if now -. !last_progress > stall_ms /. 1000.0 then begin
+      RM.Pipelined.fail conn;
+      forget ();
+      last_progress := now
+    end
+    else Unix.sleepf 0.0005
+  done;
+  results
 
 let test_loopback_outcome_equality () =
   let exec = executor () in
   let lb = RM.Loopback.create ~executor:exec () in
-  let rm = RM.create (RM.Loopback.spec lb) ~total_blocks:exec.Afex.Executor.total_blocks in
-  List.iter
-    (fun scenario ->
-      let remote = get_ok "run_scenario" (RM.run_scenario rm scenario) in
-      let local = exec.Afex.Executor.run_scenario scenario in
+  let conn =
+    RM.Pipelined.create (RM.Loopback.spec lb)
+      ~total_blocks:exec.Afex.Executor.total_blocks
+  in
+  let scenarios = Array.of_list (sample_scenarios 20) in
+  Array.iteri
+    (fun tag result ->
+      let remote = get_ok "remote run" (Option.get result) in
+      let local = exec.Afex.Executor.run_scenario scenarios.(tag) in
       checkb "remote outcome equals local outcome" true (outcome_equal remote local))
-    (sample_scenarios 20);
-  let s = RM.stats rm in
+    (pipelined_results conn scenarios);
+  let s = RM.Pipelined.stats conn in
   checki "20 requests" 20 s.RM.requests;
   checki "no retries on a clean wire" 0 s.RM.retries;
   checki "one dial" 1 s.RM.dials;
-  RM.close rm;
+  checkb "frames and bytes were counted" true
+    (s.RM.frames_out > 0 && s.RM.frames_in > 0 && s.RM.bytes_out > 0
+   && s.RM.bytes_in > 0);
+  RM.Pipelined.close conn;
   RM.Loopback.shutdown lb;
   checki "exactly one connection was made" 1 (RM.Loopback.connections lb)
 
@@ -534,20 +598,18 @@ let test_loopback_manager_error_not_retried () =
       (fun _ -> invalid_arg "executor exploded")
   in
   let lb = RM.Loopback.create ~executor:failing () in
-  let rm = RM.create (RM.Loopback.spec lb) ~total_blocks:10 in
-  let scenario = List.hd (sample_scenarios 1) in
-  (match RM.run_scenario rm scenario with
-  | Error (RM.Manager m) ->
-      checkb "the manager's message survives" true
-        (m = "executor exploded")
+  let conn = RM.Pipelined.create (RM.Loopback.spec lb) ~total_blocks:10 in
+  (match pipelined_results conn [| List.hd (sample_scenarios 1) |] with
+  | [| Some (Error (RM.Manager m)) |] ->
+      checkb "the manager's message survives" true (m = "executor exploded")
   | _ -> Alcotest.fail "a manager-side failure must surface as Manager");
-  let s = RM.stats rm in
+  let s = RM.Pipelined.stats conn in
   checki "manager errors are deterministic: no retry" 0 s.RM.retries;
   checki "counted" 1 s.RM.manager_errors;
-  RM.close rm;
+  RM.Pipelined.close conn;
   RM.Loopback.shutdown lb
 
-(* --- chaos: the dispatcher under transport fault injection --- *)
+(* --- chaos: the client under transport fault injection --- *)
 
 let mild_chaos =
   {
@@ -564,21 +626,30 @@ let run_under_chaos ~chaos_to_server ~chaos_to_client ~seed =
     RM.Loopback.create ?chaos_to_server ?chaos_to_client ~chaos_seed:seed
       ~recv_timeout_ms:40 ~executor:exec ()
   in
-  let rm =
-    RM.create
-      (RM.Loopback.spec ~max_attempts:10 ~backoff_ms:0.2 lb)
+  (* One request per frame each way, so the chaos has 15 frames to hit
+     in each direction rather than one coalesced frame. *)
+  let conn =
+    RM.Pipelined.create ~credit:1
+      (RM.Loopback.spec ~max_attempts:20 ~backoff_ms:0.2 lb)
       ~total_blocks:exec.Afex.Executor.total_blocks
   in
-  let scenarios = sample_scenarios 15 in
-  List.iter
-    (fun scenario ->
-      let remote = get_ok "run under chaos" (RM.run_scenario rm scenario) in
-      let local = exec.Afex.Executor.run_scenario scenario in
-      checkb "chaos never corrupts an accepted outcome" true
-        (outcome_equal remote local))
-    scenarios;
-  let s = RM.stats rm in
-  RM.close rm;
+  let scenarios = Array.of_list (sample_scenarios 15) in
+  let accepted = ref 0 in
+  Array.iteri
+    (fun tag result ->
+      match result with
+      | None -> ()
+      | Some r ->
+          incr accepted;
+          checkb "chaos never corrupts an accepted outcome" true
+            (outcome_equal (get_ok "accepted outcome" r)
+               (exec.Afex.Executor.run_scenario scenarios.(tag))))
+    (pipelined_results ~stall_ms:50.0 conn scenarios);
+  checkb "the connection was never written off" false
+    (RM.Pipelined.abandoned conn);
+  checki "every outcome made it through" 15 !accepted;
+  let s = RM.Pipelined.stats conn in
+  RM.Pipelined.close conn;
   RM.Loopback.shutdown lb;
   s
 
@@ -588,8 +659,7 @@ let test_chaos_on_requests () =
       ~chaos_to_server:(Some { mild_chaos with Transport.bitflip = 0.2 })
       ~chaos_to_client:None ~seed:11
   in
-  checki "all requests accounted" 15 s.RM.requests;
-  checkb "corruption forced retries" true (s.RM.retries > 0);
+  checkb "corruption forced connection failures" true (s.RM.retries > 0);
   checkb "reconnects happened" true (s.RM.dials > 1)
 
 let test_chaos_on_replies () =
@@ -597,40 +667,47 @@ let test_chaos_on_replies () =
     run_under_chaos ~chaos_to_server:None
       ~chaos_to_client:(Some mild_chaos) ~seed:23
   in
-  checki "all requests accounted" 15 s.RM.requests;
-  checkb "corrupted replies forced retries" true (s.RM.retries > 0)
+  checkb "corrupted replies forced connection failures" true (s.RM.retries > 0)
 
 let test_chaos_blackout_is_bounded () =
-  (* A wire that delivers nothing: the proxy must fail with a typed error
-     after its retry budget — never hang, never fake an outcome. *)
+  (* Managers that deliver nothing: the pool must write each one off
+     after its [max_attempts] connection failures and run every test
+     locally — never hang, never fake an outcome. One wire drops every
+     frame, so no handshake completes; one manager welcomes the client
+     and then ignores every request, so request timeouts fire. *)
+  let local, _ = pool_history ~jobs:1 ~seed:41 () in
+  let check_leg name remote =
+    let started = Unix.gettimeofday () in
+    let h, stats =
+      pool_history ~remotes:[ remote ] ~request_timeout_ms:20 ~jobs:1 ~seed:41 ()
+    in
+    checkb (name ^ ": the session finished promptly") true
+      (Unix.gettimeofday () -. started < 10.0);
+    checkb (name ^ ": history equals local") true (h = local);
+    checkb (name ^ ": tests fell back locally") true
+      (stats.Pool.remote_fallbacks > 0)
+  in
   let exec = executor () in
   let lb =
     RM.Loopback.create
       ~chaos_to_server:{ Transport.no_chaos with Transport.drop = 1.0 }
       ~recv_timeout_ms:30 ~executor:exec ()
   in
-  let rm =
-    RM.create
-      (RM.Loopback.spec ~max_attempts:3 ~backoff_ms:0.2 lb)
-      ~total_blocks:exec.Afex.Executor.total_blocks
+  check_leg "dropped wire" (RM.Loopback.spec ~max_attempts:3 ~backoff_ms:0.2 lb);
+  RM.Loopback.shutdown lb;
+  checki "abandoned after max_attempts dials" 3 (RM.Loopback.connections lb);
+  let open_ends = ref [] in
+  let silent =
+    RM.spec ~max_attempts:3 ~backoff_ms:0.2 ~name:"silent"
+      (pregreeted_dial
+         ~greeting:(Message.encode_welcome ~version:Message.protocol_version)
+         open_ends)
   in
-  (match RM.run_scenario rm (List.hd (sample_scenarios 1)) with
-  | Error (RM.Exhausted { attempts; _ }) -> checki "budget respected" 3 attempts
-  | Error _ -> Alcotest.fail "expected Exhausted after the retry budget"
-  | Ok _ -> Alcotest.fail "a dead wire cannot produce an outcome");
-  RM.close rm;
-  RM.Loopback.shutdown lb
+  check_leg "silent manager" silent;
+  checki "abandoned after max_attempts dials" 3 (List.length !open_ends);
+  List.iter (fun (tr : Transport.t) -> tr.Transport.close ()) !open_ends
 
 (* --- the pool with remote workers --- *)
-
-let pool_history ?remotes ~jobs ~seed () =
-  let exec = executor () in
-  let result, stats =
-    Pool.run ?remotes ~jobs ~batch_size:16 ~iterations:150
-      (Config.fitness_guided ~seed ())
-      (Apache.space ()) (Pool.Pure exec)
-  in
-  (history result, stats)
 
 let test_pool_remote_only_matches_local () =
   let exec = executor () in
@@ -651,14 +728,91 @@ let test_pool_mixed_matches_local () =
   let mixed, stats =
     pool_history
       ~remotes:[ RM.Loopback.spec lb1; RM.Loopback.spec lb2 ]
-      ~jobs:2 ~seed:41 ()
+      ~inflight:4 ~jobs:1 ~seed:41 ()
   in
   RM.Loopback.shutdown lb1;
   RM.Loopback.shutdown lb2;
   let local, _ = pool_history ~jobs:1 ~seed:41 () in
-  checkb "mixed local+remote history equals in-process history" true
-    (mixed = local);
+  checkb "two-manager history equals in-process history" true (mixed = local);
   checkb "remotes participated" true (stats.Pool.remote_runs > 0)
+
+(* Wraps [spec] so each connection it dials counts the requests riding
+   on it (requests sent minus replies received, read through a private
+   codec pair that sees exactly the client's frames); [peak] keeps the
+   maximum over all connections. *)
+let holding_spec (spec : RM.spec) peak =
+  let dial () =
+    match spec.RM.dial () with
+    | Error _ as e -> e
+    | Ok (tr : Transport.t) ->
+        let held = ref 0 and hello = ref true and greeting = ref true in
+        let sdec = Message.V2.server_dec () and cdec = Message.V2.client_dec () in
+        let sent payload =
+          if !hello then hello := false
+          else
+            List.iter
+              (function
+                | Message.Run_scenario _ ->
+                    incr held;
+                    peak := max !peak !held
+                | Message.Shutdown -> ())
+              (get_ok "request frame" (Message.V2.decode_requests sdec payload))
+        in
+        let received payload =
+          if !greeting then greeting := false
+          else
+            held :=
+              !held
+              - List.length
+                  (get_ok "reply frame" (Message.V2.decode_replies cdec payload))
+        in
+        let send payload =
+          let r = tr.Transport.send payload in
+          if r = Ok () then sent payload;
+          r
+        in
+        let recv () =
+          let r = tr.Transport.recv () in
+          (match r with Ok p -> received p | Error _ -> ());
+          r
+        in
+        let try_recv ~timeout_ms =
+          let r = tr.Transport.try_recv ~timeout_ms in
+          (match r with Ok (Some p) -> received p | Ok None | Error _ -> ());
+          r
+        in
+        Ok { tr with Transport.send; recv; try_recv }
+  in
+  { spec with RM.dial }
+
+let test_pool_one_request_per_manager () =
+  (* At the default inflight each manager holds one request at a time:
+     while the slow manager works on its test, the fast one takes the
+     others instead of the slow one queueing a second. *)
+  let exec = executor () in
+  let slow_exec =
+    Afex.Executor.sync_of_async
+      (Afex.Executor.delayed ~delay_ms:(fun _ -> 10.0) exec)
+  in
+  let fast = RM.Loopback.create ~name:"fast" ~executor:exec () in
+  let slow = RM.Loopback.create ~name:"slow" ~executor:slow_exec () in
+  let fast_peak = ref 0 and slow_peak = ref 0 in
+  let h, stats =
+    pool_history
+      ~remotes:
+        [
+          holding_spec (RM.Loopback.spec fast) fast_peak;
+          holding_spec (RM.Loopback.spec slow) slow_peak;
+        ]
+      ~jobs:0 ~seed:41 ()
+  in
+  RM.Loopback.shutdown fast;
+  RM.Loopback.shutdown slow;
+  let local, _ = pool_history ~jobs:1 ~seed:41 () in
+  checkb "two-manager history equals in-process history" true (h = local);
+  checki "the fast manager held one request at a time" 1 !fast_peak;
+  checki "the slow manager held one request at a time" 1 !slow_peak;
+  checki "no test ran locally" 0 stats.Pool.remote_fallbacks
 
 let test_pool_chaotic_remote_matches_local () =
   let exec = executor () in
@@ -669,7 +823,7 @@ let test_pool_chaotic_remote_matches_local () =
   let chaotic, _ =
     pool_history
       ~remotes:[ RM.Loopback.spec ~max_attempts:8 ~backoff_ms:0.2 lb ]
-      ~jobs:1 ~seed:41 ()
+      ~request_timeout_ms:40 ~jobs:1 ~seed:41 ()
   in
   RM.Loopback.shutdown lb;
   let local, _ = pool_history ~jobs:1 ~seed:41 () in
@@ -699,9 +853,14 @@ let test_pool_rejects_bad_worker_mix () =
   let pool = Pool.create ~remotes:[ RM.Loopback.spec lb ] ~jobs:0 (exec ()) in
   checki "jobs 0 with a remote is a valid pool" 0 (Pool.jobs pool);
   Pool.shutdown pool;
+  checkb "remotes with jobs > 1 rejected" true
+    (try
+       ignore (Pool.create ~remotes:[ RM.Loopback.spec lb ] ~jobs:2 (exec ()));
+       false
+     with Invalid_argument _ -> true);
   RM.Loopback.shutdown lb
 
-(* --- wire protocol v2: varints, stateful codecs, negotiation --- *)
+(* --- wire protocol v2: varints and stateful codecs --- *)
 
 module V2 = Message.V2
 
@@ -911,15 +1070,158 @@ let test_v2_desync_is_error () =
   checki "duplicate DICT did not grow the dictionary" 2
     (V2.client_dict_size cdec2)
 
+(* --- every wire decoder is total --- *)
+
+(* Valid payloads for the mutation half of the property: both handshake
+   lines, a request frame (a full record, then a delta record), a reply
+   frame (DICT, RESULT and ERROR records) and one framed stream. *)
+let wire_corpus () =
+  let scenarios = sample_scenarios 3 in
+  let requests =
+    let b = Buffer.create 256 in
+    let enc = V2.client_enc () in
+    List.iteri (fun seq s -> V2.encode_request enc b ~seq s) scenarios;
+    V2.encode_shutdown b;
+    Buffer.contents b
+  in
+  let replies =
+    let b = Buffer.create 256 in
+    let enc = V2.server_enc () in
+    List.iter
+      (fun i ->
+        V2.encode_reply enc b (Message.Scenario_result (random_report (Rng.create i))))
+      [ 1; 2 ];
+    V2.encode_reply enc b (Message.Manager_error { seq = 3; message = "boom" });
+    Buffer.contents b
+  in
+  [|
+    Message.encode_hello ~version:Message.protocol_version;
+    Message.encode_welcome ~version:Message.protocol_version;
+    Message.encode_reject ~reason:"unsupported protocol version 1";
+    requests;
+    replies;
+    Transport.Frame.encode requests ^ Transport.Frame.encode replies;
+  |]
+
+(* Codec state after one valid frame: a delta base on the server side, a
+   populated dictionary on the client side. *)
+let warm_server_dec () =
+  let dec = V2.server_dec () in
+  let b = Buffer.create 128 in
+  V2.encode_request (V2.client_enc ()) b ~seq:0 (List.hd (sample_scenarios 1));
+  ignore (V2.decode_requests dec (Buffer.contents b));
+  dec
+
+let warm_client_dec () =
+  let dec = V2.client_dec () in
+  let b = Buffer.create 128 in
+  V2.encode_reply (V2.server_enc ()) b
+    (Message.Scenario_result (random_report (Rng.create 9)));
+  ignore (V2.decode_replies dec (Buffer.contents b));
+  dec
+
+let frame_total prefix bytes =
+  let d = Transport.Frame.create () in
+  Transport.Frame.feed d prefix;
+  Transport.Frame.feed d bytes;
+  let rec drain () =
+    match Transport.Frame.next d with
+    | Ok (Some _) -> drain ()
+    | Ok None | Error _ -> true
+  in
+  drain ()
+
+(* A reply frame whose one report carries the given coverage runs
+   ([gap], [length - 1]) — shapes a valid encoder never produces. *)
+let reply_with_coverage runs =
+  let b = Buffer.create 64 in
+  let uv = V2.varint_encode b in
+  let fault =
+    Scenario.to_string
+      (Fault.to_scenario (Fault.make ~test_id:0 ~func:"read" ~call_number:1 ()))
+  in
+  (* DICT: base 0, one entry, the fault. *)
+  Buffer.add_char b '\x03';
+  uv 0;
+  uv 1;
+  uv (String.length fault);
+  Buffer.add_string b fault;
+  (* RESULT: seq 1, passed, 0 new blocks, 0.0 ms, fault id 0. *)
+  Buffer.add_char b '\x04';
+  uv 1;
+  Buffer.add_char b '\x00';
+  uv 0;
+  Buffer.add_string b (String.make 8 '\x00');
+  uv 0;
+  uv (List.length runs);
+  List.iter
+    (fun (gap, len1) ->
+      uv gap;
+      uv len1)
+    runs;
+  (* No stacks. *)
+  Buffer.add_string b "\x00\x00";
+  Buffer.contents b
+
+let test_wire_decoders_total () =
+  (* Two holes the property cannot reach by chance, found by reading
+     the coverage decoder: a run ending at [max_int] looped forever,
+     and about a kilobyte of runs could demand hundreds of millions of
+     list cells. *)
+  let coverage runs =
+    match V2.decode_replies (V2.client_dec ()) (reply_with_coverage runs) with
+    | Ok [ Message.Scenario_result r ] -> Ok r.Message.coverage
+    | Ok _ -> Error "wrong records"
+    | Error m -> Error m
+  in
+  checkb "a well-formed run decodes" true (coverage [ (3, 2) ] = Ok [ 3; 4; 5 ]);
+  checkb "a run ending at max_int is an error" true
+    (is_error (coverage [ (max_int - 1, 1) ]));
+  checkb "a run past max_int is an error" true
+    (is_error (coverage [ (0, 0); (max_int - 1, 0) ]));
+  checkb "runs beyond max_line blocks in total are an error" true
+    (is_error (coverage (List.init 300 (fun _ -> (0, 600_000)))));
+  let corpus = wire_corpus () in
+  let bytes_arb =
+    Prop.make
+      ~shrink:(fun s ->
+        let n = String.length s in
+        if n = 0 then []
+        else [ String.sub s 0 (n / 2); String.sub s 1 (n - 1); String.sub s 0 (n - 1) ])
+      ~show:(Printf.sprintf "%S")
+      (fun rng ->
+        if Rng.bernoulli rng 0.3 then
+          String.init (Rng.int rng 64) (fun _ -> Char.chr (Rng.int rng 256))
+        else begin
+          (* One byte of a valid payload replaced by a random one. *)
+          let b = Bytes.of_string corpus.(Rng.int rng (Array.length corpus)) in
+          Bytes.set b (Rng.int rng (Bytes.length b)) (Char.chr (Rng.int rng 256));
+          Bytes.to_string b
+        end)
+  in
+  let total f x = match f x with Ok _ | Error _ -> true in
+  let partial_frame = String.sub (Transport.Frame.encode "payload") 0 5 in
+  Prop.check ~count:3000 ~seed:2028 "wire decoders are total" bytes_arb (fun s ->
+      total Message.decode_hello s
+      && total Message.decode_greeting s
+      && total (V2.decode_requests (V2.server_dec ())) s
+      && total (V2.decode_requests (warm_server_dec ())) s
+      && total (V2.decode_replies (V2.client_dec ())) s
+      && total (V2.decode_replies (warm_client_dec ())) s
+      && frame_total "" s
+      && frame_total partial_frame s)
+
 let test_decoder_chunk_granularity () =
-  (* Satellite: the frame decoder fed v1 (text) and v2 (binary) frames
-     at every chunk granularity 1-7 bytes — chunks landing mid-header,
-     mid-payload and across frame boundaries — must produce identical
-     results. *)
-  let v1_payloads =
+  (* The frame decoder fed text (handshake, journal line) and binary
+     frames at every chunk granularity 1-7 bytes — chunks landing
+     mid-header, mid-payload and across frame boundaries — must produce
+     identical results. The first three payloads are not replies. *)
+  let other_payloads =
     [
-      Message.encode_hello ~version:1;
-      Message.encode_to_manager Message.Shutdown;
+      Message.encode_hello ~version:Message.protocol_version;
+      (let b = Buffer.create 1 in
+       V2.encode_shutdown b;
+       Buffer.contents b);
       Message.encode_from_manager
         (Message.Scenario_result (random_report (Rng.create 2)));
     ]
@@ -930,7 +1232,7 @@ let test_decoder_chunk_granularity () =
     V2.encode_reply senc b (Message.Scenario_result (random_report (Rng.create i)));
     Buffer.contents b
   in
-  let payloads = v1_payloads @ List.map v2_payload [ 3; 4; 5 ] in
+  let payloads = other_payloads @ List.map v2_payload [ 3; 4; 5 ] in
   let stream = String.concat "" (List.map Transport.Frame.encode payloads) in
   let reference = get_ok "whole-stream decode" (decode_all stream) in
   checkb "whole-stream decode returns the inputs" true (reference = payloads);
@@ -939,7 +1241,7 @@ let test_decoder_chunk_granularity () =
     let cdec = V2.client_dec () in
     List.concat_map
       (fun p -> get_ok "v2 payload decode" (V2.decode_replies cdec p))
-      (List.filteri (fun i _ -> i >= List.length v1_payloads) ps)
+      (List.filteri (fun i _ -> i >= List.length other_payloads) ps)
   in
   let reference_replies = decode_v2_tail reference in
   checki "three v2 replies in the stream" 3 (List.length reference_replies);
@@ -971,56 +1273,6 @@ let test_decoder_chunk_granularity () =
       true
       (decode_v2_tail got = reference_replies)
   done
-
-let test_wire_negotiation_downgrade () =
-  let exec = executor () in
-  let total_blocks = exec.Afex.Executor.total_blocks in
-  let scenarios = sample_scenarios 5 in
-  let against ?wire ~wire_max () =
-    let lb = RM.Loopback.create ~wire_max ~executor:exec () in
-    let rm = RM.create (RM.Loopback.spec ?wire lb) ~total_blocks in
-    List.iter
-      (fun scenario ->
-        let remote = get_ok "run_scenario" (RM.run_scenario rm scenario) in
-        checkb "outcome equal across negotiation" true
-          (outcome_equal remote (exec.Afex.Executor.run_scenario scenario)))
-      scenarios;
-    let s = RM.stats rm in
-    RM.close rm;
-    RM.Loopback.shutdown lb;
-    s
-  in
-  (* A v2 client meeting a v1-only manager: rejected, redials offering
-     v1, counts the downgrade — and the outcomes are unaffected. *)
-  let s = against ~wire_max:1 () in
-  checki "negotiated down to v1" 1 s.RM.wire;
-  checki "the downgrade was counted" 1 s.RM.wire_downgrades;
-  (* A client pinned to v1 against a v2-capable manager: plain v1, no
-     downgrade (nothing was rejected). *)
-  let s = against ~wire:1 ~wire_max:Message.protocol_version_max () in
-  checki "pinned v1 negotiates v1" 1 s.RM.wire;
-  checki "pinning is not a downgrade" 0 s.RM.wire_downgrades;
-  (* Both sides v2: the default. *)
-  let s = against ~wire_max:Message.protocol_version_max () in
-  checki "v2 negotiated by default" 2 s.RM.wire;
-  checki "no downgrade" 0 s.RM.wire_downgrades;
-  checkb "frames were counted" true (s.RM.frames_out > 0 && s.RM.frames_in > 0);
-  checkb "bytes were counted" true (s.RM.bytes_out > 0 && s.RM.bytes_in > 0);
-  (* Spec validation: versions this build cannot speak are caught at
-     construction, not on the wire. *)
-  let dead () = Error (Transport.Io "unused") in
-  List.iter
-    (fun f ->
-      checkb "invalid spec rejected" true
-        (try
-           ignore (f ());
-           false
-         with Invalid_argument _ -> true))
-    [
-      (fun () -> RM.spec ~wire:0 ~name:"x" dead);
-      (fun () -> RM.spec ~wire:(Message.protocol_version_max + 1) ~name:"x" dead);
-      (fun () -> RM.spec ~flush_bytes:0 ~name:"x" dead);
-    ]
 
 let test_pipelined_coalescing () =
   (* Several submits under the default 8 KiB flush threshold sit in the
@@ -1066,33 +1318,6 @@ let test_pipelined_coalescing () =
   RM.Pipelined.close conn;
   RM.Loopback.shutdown lb
 
-let test_pool_wire_version_matrix () =
-  (* The acceptance matrix in-process: explored histories over v2, v1,
-     and a forced v2->v1 downgrade are all byte-identical to local.
-     (The chaos leg rides [test_pool_chaotic_remote_matches_local],
-     which negotiates v2 by default.) *)
-  let exec = executor () in
-  let local, _ = pool_history ~jobs:1 ~seed:41 () in
-  let leg ?wire ?wire_max () =
-    let lb = RM.Loopback.create ?wire_max ~executor:exec () in
-    let h, stats =
-      pool_history ~remotes:[ RM.Loopback.spec ?wire lb ] ~jobs:0 ~seed:41 ()
-    in
-    RM.Loopback.shutdown lb;
-    (h, stats)
-  in
-  let v2, s2 = leg () in
-  checkb "v2 history equals local" true (v2 = local);
-  checki "no downgrade when both sides speak v2" 0 s2.Pool.wire_downgrades;
-  let v1, s1 = leg ~wire:1 () in
-  checkb "pinned-v1 history equals local" true (v1 = local);
-  checki "pinning is not a downgrade" 0 s1.Pool.wire_downgrades;
-  let down, s0 = leg ~wire_max:1 () in
-  checkb "downgraded history equals local" true (down = local);
-  checkb "the pool surfaced the downgrade" true (s0.Pool.wire_downgrades >= 1);
-  checkb "the downgraded wire still carried the runs" true
-    (s0.Pool.remote_runs > 0)
-
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -1109,11 +1334,10 @@ let suite =
       ("chaos mangler is seeded", test_chaos_mangler_deterministic);
       ("handshake codec", test_handshake_codec);
       ("version mismatch is rejected", test_serve_rejects_version_mismatch);
-      ("wire session survives garbage", test_wire_session_survives_garbage);
+      ("client refuses a v1 welcome", test_client_refuses_old_welcome);
       ("from_manager round-trip (property)", test_from_manager_roundtrip_property);
       ("manager errors round-trip", test_manager_error_roundtrip);
       ("from_manager rejects malformed lines", test_from_manager_malformed);
-      ("to_manager is total", test_to_manager_total);
       ("coverage range codec", test_coverage_ranges);
       ("outcome <-> report round-trip", test_outcome_report_roundtrip);
       ("loopback outcome equality", test_loopback_outcome_equality);
@@ -1123,6 +1347,7 @@ let suite =
       ("total blackout is bounded", test_chaos_blackout_is_bounded);
       ("pool: remote-only matches local", test_pool_remote_only_matches_local);
       ("pool: mixed matches local", test_pool_mixed_matches_local);
+      ("pool: one request per manager by default", test_pool_one_request_per_manager);
       ("pool: chaotic remote matches local", test_pool_chaotic_remote_matches_local);
       ("pool: dead remote falls back", test_pool_dead_remote_falls_back);
       ("pool: rejects bad worker mix", test_pool_rejects_bad_worker_mix);
@@ -1132,7 +1357,6 @@ let suite =
       ("v2: dictionary interning reaches steady state", test_v2_dict_interning);
       ("v2: desync is an error, never a wrong report", test_v2_desync_is_error);
       ("frame decoder at chunk granularities 1-7", test_decoder_chunk_granularity);
-      ("wire negotiation and downgrade", test_wire_negotiation_downgrade);
+      ("wire decoders are total (property)", test_wire_decoders_total);
       ("pipelined requests coalesce into frames", test_pipelined_coalescing);
-      ("pool: wire version matrix matches local", test_pool_wire_version_matrix);
     ]
