@@ -94,9 +94,9 @@ while [ "$interrupted" -lt 3 ]; do
     continue
   fi
   interrupted=$((interrupted + 1))
-  wal_lines=$(wc -l < "$dir/wal.log")
+  wal_bytes=$(wc -c < "$dir/wal.log")
   log_bytes=$(log_size "$dir")
-  echo "crash_resume: kill #$interrupted at ${delay_ms} ms (attempt $attempt): $wal_lines journal lines past the last snapshot, records.log $log_bytes bytes"
+  echo "crash_resume: kill #$interrupted at ${delay_ms} ms (attempt $attempt): journal $wal_bytes bytes past the last snapshot, records.log $log_bytes bytes"
   run --resume "$dir" --export-json "$dir/res.json" --export-csv "$dir/res.csv" | grep '^checkpoint:'
   cmp "$work/base.json" "$dir/res.json"
   cmp "$work/base.csv" "$dir/res.csv"
@@ -128,8 +128,8 @@ while [ "$logged" -eq 0 ]; do
     continue
   fi
   logged=1
-  wal_lines=$(wc -l < "$dir/wal.log")
-  echo "crash_resume: kill after logging (attempt $attempt): $wal_lines journal lines past the last snapshot, records.log $(log_size "$dir") bytes"
+  wal_bytes=$(wc -c < "$dir/wal.log")
+  echo "crash_resume: kill after logging (attempt $attempt): journal $wal_bytes bytes past the last snapshot, records.log $(log_size "$dir") bytes"
   run --resume "$dir" --export-json "$dir/res.json" --export-csv "$dir/res.csv" | grep '^checkpoint:'
   cmp "$work/base.json" "$dir/res.json"
   cmp "$work/base.csv" "$dir/res.csv"

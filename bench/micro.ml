@@ -104,8 +104,8 @@ let feedback_weight_test () =
   Test.make ~name:"feedback weight query (200 distinct)"
     (Staged.stage (fun () -> ignore (Afex_quality.Feedback.weight fb probe)))
 
-(* --- report codec hot paths: one steady-state run_report, as the
-   checkpoint journal's text line and as a wire record --- *)
+(* --- report codec hot paths: one steady-state run_report as a wire
+   record --- *)
 
 module Message = Afex_cluster.Message
 
@@ -129,16 +129,6 @@ let wire_report () =
     crash_stack = Some [ "libc.so:abort"; "handle_fatal (derror.cc:10)"; "main" ];
     duration_ms = 12.5;
   }
-
-let journal_encode_test () =
-  let r = Message.Scenario_result (wire_report ()) in
-  Test.make ~name:"run_report encode (journal text)"
-    (Staged.stage (fun () -> ignore (Message.encode_from_manager r)))
-
-let journal_decode_test () =
-  let line = Message.encode_from_manager (Message.Scenario_result (wire_report ())) in
-  Test.make ~name:"run_report decode (journal text)"
-    (Staged.stage (fun () -> ignore (Message.decode_from_manager line)))
 
 let wire_encode_test () =
   (* Steady state: the dictionary is warm, the buffer is reused — the
@@ -173,12 +163,11 @@ let varint_roundtrip_test () =
   Test.make ~name:"varint round-trip (8 values)"
     (Staged.stage (fun () ->
          Buffer.clear b;
-         Array.iter (Message.V2.varint_encode b) values;
-         let s = Buffer.contents b in
-         let pos = ref 0 in
+         Array.iter (Message.add_uv b) values;
+         let c = { Message.data = Buffer.contents b; pos = 0 } in
          for _ = 1 to Array.length values do
-           match Message.V2.varint_decode s ~pos:!pos with
-           | Ok (_, next) -> pos := next
+           match Message.read_uv c with
+           | Ok _ -> ()
            | Error e -> failwith e
          done))
 
@@ -203,8 +192,6 @@ let tests () =
       index_observe_test ();
       feedback_weight_test ();
       parse_test ();
-      journal_encode_test ();
-      journal_decode_test ();
       wire_encode_test ();
       wire_decode_test ();
       varint_roundtrip_test ();

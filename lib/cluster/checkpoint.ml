@@ -11,61 +11,99 @@ exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-(* {2 Field helpers}
+(* {2 Fields}
 
-   Every token is either produced by [Message.escape] (no spaces, no
-   commas) or is a number, so whole-line [split_on_char ' '] and
-   comma-joined sub-lists never collide with payload bytes. *)
+   All three files are built from {!Message}'s field codecs, the ones
+   the wire uses. Decoders read field after field and raise [Bad] at
+   the first malformed one; the entry points turn it into [Error]. *)
 
-let nat what s =
-  match int_of_string_opt s with
-  | Some v when v >= 0 -> v
-  | _ -> bad "%s: bad integer %S" what s
+let get what = function Ok v -> v | Error m -> bad "%s: %s" what m
+let uv what c = get what (Message.read_uv c)
+let f64 what c = get what (Message.read_f64 c)
+let str what c = get what (Message.read_str c)
 
-let fl what s =
-  match float_of_string_opt s with Some v -> v | None -> bad "%s: bad float %S" what s
+(* A list is its length, then its elements. Every element takes at
+   least one byte, so a length beyond the bytes left is damage, not a
+   request for a giant list. *)
+let add_list add b l =
+  Message.add_uv b (List.length l);
+  List.iter (add b) l
 
-let hex64 what s =
-  match Int64.of_string_opt ("0x" ^ s) with
-  | Some v -> v
-  | None -> bad "%s: bad hex word %S" what s
+let read_n n read c =
+  if n > Message.remaining c then bad "%d elements overrun the record" n;
+  let rec go acc k = if k = 0 then List.rev acc else go (read c :: acc) (k - 1) in
+  go [] n
 
-let ints_to = function
-  | [] -> "-"
-  | l -> String.concat "," (List.map string_of_int l)
+let read_list read c = read_n (uv "list length" c) read c
+let add_ints b l = add_list Message.add_uv b l
+let read_ints what c = read_list (uv what) c
+let add_int_array b a = add_ints b (Array.to_list a)
+let read_int_array what c = Array.of_list (read_ints what c)
 
-let ints_of what = function
-  | "-" -> []
-  | s -> List.map (nat what) (String.split_on_char ',' s)
+let add_pair b (x, y) =
+  Message.add_uv b x;
+  Message.add_uv b y
 
-let floats_to = function
-  | [] -> "-"
-  | l -> String.concat "," (List.map (Printf.sprintf "%h") l)
+let read_pair what c =
+  let x = uv what c in
+  (x, uv what c)
 
-let floats_of what = function
-  | "-" -> []
-  | s -> List.map (fl what) (String.split_on_char ',' s)
+(* An optional count is 0 when absent, else the count plus one. *)
+let add_opt b = function
+  | None -> Message.add_uv b 0
+  | Some n -> Message.add_uv b (n + 1)
 
-let unescape what s =
-  match Message.unescape s with Ok v -> v | Error m -> bad "%s: %s" what m
+let read_opt what c = match uv what c with 0 -> None | n -> Some (n - 1)
+let add_point b p = add_ints b (Point.to_list p)
 
-let point_of_token what s =
-  let key = unescape what s in
-  if key = "" then bad "%s: empty point" what;
-  Point.of_list (List.map (nat what) (String.split_on_char ',' key))
+let read_point what c =
+  match read_ints what c with [] -> bad "%s: empty point" what | l -> Point.of_list l
 
-let opt_axis = function
-  | None -> "-"
-  | Some a -> string_of_int a
+let add_stack b = function
+  | None -> add_opt b None
+  | Some frames ->
+      add_opt b (Some (List.length frames));
+      List.iter (Message.add_str b) frames
 
-let axis_of = function
-  | "-" -> None
-  | s -> Some (nat "mutated axis" s)
+let read_stack what c =
+  Option.map (fun n -> read_n n (str what) c) (read_opt what c)
 
-let split2 s =
-  match String.index_opt s ' ' with
-  | None -> (s, "")
-  | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+(* {2 The record codec}
+
+   One [Test_case.t]: the snapshot's records and the record log's. *)
+
+let add_record b (c : Test_case.t) =
+  add_point b c.point;
+  Message.add_uv b c.birth;
+  add_opt b c.mutated_axis;
+  Message.add_status b c.status ~triggered:c.triggered;
+  Message.add_uv b c.new_blocks;
+  Message.add_f64 b c.impact;
+  Message.add_f64 b c.fitness;
+  Message.add_f64 b c.duration_ms;
+  Message.add_str b (Message.fault_to_string c.fault);
+  add_stack b c.injection_stack;
+  add_stack b c.crash_stack
+
+let read_record c =
+  let point = read_point "record point" c in
+  let birth = uv "record birth" c in
+  let mutated_axis = read_opt "mutated axis" c in
+  let status, triggered = get "record status" (Message.read_status c) in
+  let new_blocks = uv "record new blocks" c in
+  let impact = f64 "record impact" c in
+  let fitness = f64 "record fitness" c in
+  let duration_ms = f64 "record duration" c in
+  let fault = get "record fault" (Message.fault_of_string (str "record fault" c)) in
+  let injection_stack = read_stack "injection stack" c in
+  let crash_stack = read_stack "crash stack" c in
+  {
+    Test_case.point; fault; status; triggered; impact; fitness; birth;
+    mutated_axis; injection_stack; crash_stack; new_blocks; duration_ms;
+  }
+
+let u32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFF_FFFF
+let add_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
 
 module Snapshot = struct
   type mark = { logged : int; log_bytes : int }
@@ -77,423 +115,224 @@ module Snapshot = struct
     explorer : Explorer.Snapshot.t;
   }
 
-  (* Version 5: the globals line carries only the master RNG position
-     (version 4 also kept a window-controller line and a round count).
-     Version 4 moved the records older than every queued test out to the
-     append-only [records.log] and added the mark that vouches for a
-     prefix of it. Older snapshots are refused by the header rather than
-     resumed against state they do not describe. *)
-  let header = "afex-checkpoint 5"
+  (* The header line, then one fixed-order sequence of fields and a
+     checksum of everything before it. Other versions are refused by the
+     header rather than resumed against state they do not describe. *)
+  let header = "afex-checkpoint 6"
 
-  let record_to_line (c : Test_case.t) =
-    Printf.sprintf "r %s %d %s %s %s %d %h %h %h %s %s %s"
-      (Message.escape (Point.key c.Test_case.point))
-      c.birth (opt_axis c.mutated_axis)
-      (Message.status_token c.status)
-      (if c.triggered then "T" else "N")
-      c.new_blocks c.impact c.fitness c.duration_ms
-      (Message.encode_fault c.fault)
-      (Message.encode_stack c.injection_stack)
-      (Message.encode_stack c.crash_stack)
+  let add_index b (d : Index.dump) =
+    add_list add_int_array b d.d_entries;
+    add_ints b d.d_parent;
+    add_ints b d.d_items
 
-  let record_of_tokens = function
-    | [
-        point; birth; axis; status; triggered; new_blocks; impact; fitness; dur;
-        fault; istack; cstack;
-      ] ->
-        let status =
-          match Message.status_of_token status with
-          | Ok s -> s
-          | Error m -> bad "record status: %s" m
-        in
-        let fault =
-          match Message.decode_fault fault with
-          | Ok f -> f
-          | Error m -> bad "record fault: %s" m
-        in
-        let stack what s =
-          match Message.decode_stack s with
-          | Ok v -> v
-          | Error m -> bad "record %s: %s" what m
-        in
-        let triggered =
-          match triggered with
-          | "T" -> true
-          | "N" -> false
-          | s -> bad "record triggered flag: %S" s
-        in
-        {
-          Test_case.point = point_of_token "record point" point;
-          fault;
-          status;
-          triggered;
-          impact = fl "record impact" impact;
-          fitness = fl "record fitness" fitness;
-          birth = nat "record birth" birth;
-          mutated_axis = axis_of axis;
-          injection_stack = stack "injection stack" istack;
-          crash_stack = stack "crash stack" cstack;
-          new_blocks = nat "record new blocks" new_blocks;
-          duration_ms = fl "record duration" dur;
-        }
-    | _ -> bad "record line: expected 12 fields"
-
-  let index_to_lines buf prefix (d : Index.dump) =
-    let line fmt =
-      Printf.ksprintf
-        (fun l ->
-          Buffer.add_string buf l;
-          Buffer.add_char buf '\n')
-        fmt
-    in
-    List.iter
-      (fun e ->
-        line "%se %d %s" prefix (Array.length e) (ints_to (Array.to_list e)))
-      d.Index.d_entries;
-    line "%sp %s" prefix (ints_to d.Index.d_parent);
-    line "%si %s" prefix (ints_to d.Index.d_items)
+  let read_index what c =
+    let d_entries = read_list (read_int_array what) c in
+    let d_parent = read_ints what c in
+    { Index.d_entries; d_parent; d_items = read_ints what c }
 
   let encode t =
-    let buf = Buffer.create 4096 in
-    let line fmt =
-      Printf.ksprintf
-        (fun l ->
-          Buffer.add_string buf l;
-          Buffer.add_char buf '\n')
-        fmt
-    in
-    line "%s" header;
-    List.iter
-      (fun (k, v) -> line "m %s %s" (Message.escape k) (Message.escape v))
-      t.meta;
-    line "g %Lx" t.master_state;
+    let b = Buffer.create 4096 in
+    Buffer.add_string b header;
+    Buffer.add_char b '\n';
+    add_list
+      (fun b (k, v) ->
+        Message.add_str b k;
+        Message.add_str b v)
+      b t.meta;
+    Message.add_i64 b t.master_state;
+    add_pair b (t.mark.logged, t.mark.log_bytes);
     let x = t.explorer in
-    line "x %Lx %d %d %d %d %d %d %h %d" x.Explorer.Snapshot.rng_state x.issued
-      x.iterations x.failed x.crashed x.hung x.triggered x.simulated_ms
-      x.cursor_consumed;
-    line "l %d %d" t.mark.logged t.mark.log_bytes;
-    line "c %s" (Message.encode_coverage x.covered);
-    List.iter
-      (fun c ->
-        Buffer.add_string buf (record_to_line c);
-        Buffer.add_char buf '\n')
-      x.records;
-    line "q %s" (ints_to x.queue);
-    List.iter (fun p -> line "d %s" (Message.escape (Point.key p))) x.seeds;
-    Array.iteri
-      (fun axis samples ->
-        line "v %d %d %s" axis (List.length samples) (floats_to samples))
-      x.sensitivity;
-    Array.iter (fun f -> line "f %s" (Message.escape f)) x.intern_frames;
-    List.iter
-      (fun toks ->
-        line "w %d %s" (Array.length toks) (ints_to (Array.to_list toks)))
-      x.feedback;
-    index_to_lines buf "F" x.failure_index;
-    index_to_lines buf "C" x.crash_index;
-    (match x.rarity with
-    | None -> ()
-    | Some (tests, pairs) ->
-        line "y %d %s %s" tests
-          (ints_to (List.map fst pairs))
-          (ints_to (List.map snd pairs));
-        line "Y %s %s"
-          (ints_to (List.map fst x.rare_blocks))
-          (ints_to (List.map snd x.rare_blocks)));
-    (let m = x.mutator in
-     line "M %d %d %d %d %d" m.Afex.Mutator.proposals m.Afex.Mutator.masked
-       m.Afex.Mutator.rejects m.Afex.Mutator.masked_rejects
-       m.Afex.Mutator.random_fallbacks);
-    let body = Buffer.contents buf in
-    body ^ Printf.sprintf "k %08x\n" (Transport.checksum body)
+    Message.add_i64 b x.rng_state;
+    List.iter (Message.add_uv b)
+      [ x.issued; x.iterations; x.failed; x.crashed; x.hung; x.triggered ];
+    Message.add_f64 b x.simulated_ms;
+    Message.add_uv b x.cursor_consumed;
+    Message.add_coverage b x.covered;
+    add_list add_record b x.records;
+    add_ints b x.queue;
+    add_list add_point b x.seeds;
+    add_list (add_list Message.add_f64) b (Array.to_list x.sensitivity);
+    add_list Message.add_str b (Array.to_list x.intern_frames);
+    add_list add_int_array b x.feedback;
+    add_index b x.failure_index;
+    add_index b x.crash_index;
+    add_opt b (Option.map fst x.rarity);
+    Option.iter (fun (_, pairs) -> add_list add_pair b pairs) x.rarity;
+    add_list add_pair b x.rare_blocks;
+    let m = x.mutator in
+    List.iter (Message.add_uv b)
+      [ m.proposals; m.masked; m.rejects; m.masked_rejects; m.random_fallbacks ];
+    add_u32 b (Transport.checksum (Buffer.contents b));
+    Buffer.contents b
 
-  (* Mutable accumulator for the one-pass body parse. *)
-  type partial = {
-    mutable p_meta_rev : (string * string) list;
-    mutable p_globals : int64 option;
-    mutable p_x : (int64 * int * int * int * int * int * int * float * int) option;
-    mutable p_mark : mark option;
-    mutable p_covered : int list option;
-    mutable p_records_rev : Test_case.t list;
-    mutable p_queue : int list option;
-    mutable p_seeds_rev : Point.t list;
-    mutable p_sens_rev : float list list;
-    mutable p_frames_rev : string list;
-    mutable p_fb_rev : int array list;
-    mutable p_fe_rev : int array list;
-    mutable p_fp : int list option;
-    mutable p_fi : int list option;
-    mutable p_ce_rev : int array list;
-    mutable p_cp : int list option;
-    mutable p_ci : int list option;
-    mutable p_rarity : (int * (int * int) list) option;
-    mutable p_rareb : (int * int) list option;
-    mutable p_mut : Afex.Mutator.stats option;
-  }
-
-  let tokens_array what n toks =
-    let l = ints_of what toks in
-    if List.length l <> n then bad "%s: expected %d tokens" what n;
-    Array.of_list l
-
-  let parse_line p line =
-    match String.split_on_char ' ' line with
-    | "m" :: [ k; v ] ->
-        p.p_meta_rev <- (unescape "meta key" k, unescape "meta value" v) :: p.p_meta_rev
-    | "g" :: [ master ] ->
-        if p.p_globals <> None then bad "duplicate globals line";
-        p.p_globals <- Some (hex64 "master rng" master)
-    | "x" :: [ rng; issued; iter; failed; crashed; hung; trig; sim; cursor ] ->
-        if p.p_x <> None then bad "duplicate explorer line";
-        p.p_x <-
-          Some
-            ( hex64 "explorer rng" rng,
-              nat "issued" issued,
-              nat "iterations" iter,
-              nat "failed" failed,
-              nat "crashed" crashed,
-              nat "hung" hung,
-              nat "triggered" trig,
-              fl "simulated ms" sim,
-              nat "cursor" cursor )
-    | "l" :: [ logged; bytes ] ->
-        if p.p_mark <> None then bad "duplicate record-log mark";
-        p.p_mark <-
-          Some
-            {
-              logged = nat "logged records" logged;
-              log_bytes = nat "log bytes" bytes;
-            }
-    | "c" :: [ cov ] -> (
-        if p.p_covered <> None then bad "duplicate coverage line";
-        match Message.decode_coverage cov with
-        | Ok l -> p.p_covered <- Some l
-        | Error m -> bad "coverage: %s" m)
-    | "r" :: rest -> p.p_records_rev <- record_of_tokens rest :: p.p_records_rev
-    | "q" :: [ ids ] ->
-        if p.p_queue <> None then bad "duplicate queue line";
-        p.p_queue <- Some (ints_of "queue" ids)
-    | "d" :: [ pt ] -> p.p_seeds_rev <- point_of_token "seed" pt :: p.p_seeds_rev
-    | "v" :: [ axis; n; samples ] ->
-        let axis = nat "sensitivity axis" axis in
-        if axis <> List.length p.p_sens_rev then
-          bad "sensitivity axis %d out of order" axis;
-        let l = floats_of "sensitivity samples" samples in
-        if List.length l <> nat "sensitivity count" n then
-          bad "sensitivity axis %d: sample count mismatch" axis;
-        p.p_sens_rev <- l :: p.p_sens_rev
-    | "f" :: [ frame ] ->
-        p.p_frames_rev <- unescape "intern frame" frame :: p.p_frames_rev
-    | "w" :: [ n; toks ] ->
-        p.p_fb_rev <-
-          tokens_array "feedback trace" (nat "feedback count" n) toks :: p.p_fb_rev
-    | "Fe" :: [ n; toks ] ->
-        p.p_fe_rev <-
-          tokens_array "failure-index entry" (nat "entry count" n) toks
-          :: p.p_fe_rev
-    | "Fp" :: [ l ] ->
-        if p.p_fp <> None then bad "duplicate failure-index parents";
-        p.p_fp <- Some (ints_of "failure-index parents" l)
-    | "Fi" :: [ l ] ->
-        if p.p_fi <> None then bad "duplicate failure-index items";
-        p.p_fi <- Some (ints_of "failure-index items" l)
-    | "Ce" :: [ n; toks ] ->
-        p.p_ce_rev <-
-          tokens_array "crash-index entry" (nat "entry count" n) toks :: p.p_ce_rev
-    | "Cp" :: [ l ] ->
-        if p.p_cp <> None then bad "duplicate crash-index parents";
-        p.p_cp <- Some (ints_of "crash-index parents" l)
-    | "Ci" :: [ l ] ->
-        if p.p_ci <> None then bad "duplicate crash-index items";
-        p.p_ci <- Some (ints_of "crash-index items" l)
-    | "y" :: [ tests; blocks; counts ] ->
-        if p.p_rarity <> None then bad "duplicate rarity line";
-        let b = ints_of "rarity blocks" blocks
-        and c = ints_of "rarity counts" counts in
-        if List.length b <> List.length c then
-          bad "rarity histogram: %d blocks against %d counts" (List.length b)
-            (List.length c);
-        p.p_rarity <- Some (nat "rarity tests" tests, List.combine b c)
-    | "Y" :: [ births; blocks ] ->
-        if p.p_rareb <> None then bad "duplicate rare-block line";
-        let b = ints_of "rare-block births" births
-        and k = ints_of "rare-block ids" blocks in
-        if List.length b <> List.length k then
-          bad "rare blocks: %d births against %d blocks" (List.length b)
-            (List.length k);
-        p.p_rareb <- Some (List.combine b k)
-    | "M" :: [ pr; ma; re; mr; rf ] ->
-        if p.p_mut <> None then bad "duplicate mutator line";
-        p.p_mut <-
-          Some
-            {
-              Afex.Mutator.proposals = nat "mutator proposals" pr;
-              masked = nat "mutator masked" ma;
-              rejects = nat "mutator rejects" re;
-              masked_rejects = nat "mutator masked rejects" mr;
-              random_fallbacks = nat "mutator fallbacks" rf;
-            }
-    | tag :: _ -> bad "unknown line tag %S" tag
-    | [] -> bad "empty line"
-
-  let parse_body body =
-    match String.split_on_char '\n' body with
-    | first :: rest when first = header ->
-        let p =
-          {
-            p_meta_rev = []; p_globals = None; p_x = None;
-            p_mark = None; p_covered = None; p_records_rev = []; p_queue = None;
-            p_seeds_rev = []; p_sens_rev = []; p_frames_rev = []; p_fb_rev = [];
-            p_fe_rev = []; p_fp = None; p_fi = None; p_ce_rev = []; p_cp = None;
-            p_ci = None; p_rarity = None; p_rareb = None; p_mut = None;
-          }
-        in
-        List.iter (fun line -> if line <> "" then parse_line p line) rest;
-        let req what = function Some v -> v | None -> bad "missing %s" what in
-        let master_state = req "globals line" p.p_globals in
-        let rng_state, issued, iterations, failed, crashed, hung, triggered,
-            simulated_ms, cursor_consumed =
-          req "explorer line" p.p_x
-        in
+  let parse c =
+    let meta =
+      read_list
+        (fun c ->
+          let k = str "meta key" c in
+          (k, str "meta value" c))
+        c
+    in
+    let master_state = get "master rng" (Message.read_i64 c) in
+    let logged, log_bytes = read_pair "record-log mark" c in
+    let rng_state = get "explorer rng" (Message.read_i64 c) in
+    let issued = uv "issued" c in
+    let iterations = uv "iterations" c in
+    let failed = uv "failed" c in
+    let crashed = uv "crashed" c in
+    let hung = uv "hung" c in
+    let triggered = uv "triggered" c in
+    let simulated_ms = f64 "simulated ms" c in
+    let cursor_consumed = uv "cursor" c in
+    let covered = get "coverage" (Message.read_coverage c) in
+    let records = read_list read_record c in
+    let queue = read_ints "queue" c in
+    let seeds = read_list (read_point "seed") c in
+    let sensitivity = read_list (read_list (f64 "sensitivity sample")) c in
+    let intern_frames = read_list (str "intern frame") c in
+    let feedback = read_list (read_int_array "feedback trace") c in
+    let failure_index = read_index "failure index" c in
+    let crash_index = read_index "crash index" c in
+    let rarity =
+      Option.map
+        (fun tests -> (tests, read_list (read_pair "rarity histogram") c))
+        (read_opt "rarity tests" c)
+    in
+    let rare_blocks = read_list (read_pair "rare blocks") c in
+    let proposals = uv "mutator proposals" c in
+    let masked = uv "mutator masked" c in
+    let rejects = uv "mutator rejects" c in
+    let masked_rejects = uv "mutator masked rejects" c in
+    let random_fallbacks = uv "mutator fallbacks" c in
+    if Message.remaining c > 0 then bad "%d trailing bytes" (Message.remaining c);
+    {
+      meta;
+      master_state;
+      mark = { logged; log_bytes };
+      explorer =
         {
-          meta = List.rev p.p_meta_rev;
-          master_state;
-          mark = req "record-log mark" p.p_mark;
-          explorer =
+          Explorer.Snapshot.rng_state; issued; iterations; failed; crashed;
+          hung; triggered; simulated_ms; cursor_consumed; covered; records;
+          queue; seeds; sensitivity = Array.of_list sensitivity;
+          intern_frames = Array.of_list intern_frames; feedback;
+          failure_index; crash_index; rarity; rare_blocks;
+          mutator =
             {
-              Explorer.Snapshot.rng_state; issued; iterations; failed; crashed;
-              hung; triggered; simulated_ms; cursor_consumed;
-              covered = req "coverage line" p.p_covered;
-              records = List.rev p.p_records_rev;
-              queue = req "queue line" p.p_queue;
-              seeds = List.rev p.p_seeds_rev;
-              sensitivity = Array.of_list (List.rev p.p_sens_rev);
-              intern_frames = Array.of_list (List.rev p.p_frames_rev);
-              feedback = List.rev p.p_fb_rev;
-              failure_index =
-                {
-                  Index.d_entries = List.rev p.p_fe_rev;
-                  d_parent = req "failure-index parents" p.p_fp;
-                  d_items = req "failure-index items" p.p_fi;
-                };
-              crash_index =
-                {
-                  Index.d_entries = List.rev p.p_ce_rev;
-                  d_parent = req "crash-index parents" p.p_cp;
-                  d_items = req "crash-index items" p.p_ci;
-                };
-              rarity = p.p_rarity;
-              rare_blocks = Option.value p.p_rareb ~default:[];
-              mutator = req "mutator line" p.p_mut;
+              Afex.Mutator.proposals; masked; rejects; masked_rejects;
+              random_fallbacks;
             };
-        }
-    | first :: _ -> bad "bad header %S (expected %S)" first header
-    | [] -> bad "empty snapshot"
+        };
+    }
 
   let decode contents =
     let err m = Error ("checkpoint snapshot: " ^ m) in
     let len = String.length contents in
+    let start = String.length header + 1 in
     if len = 0 then err "empty file"
-    else if contents.[len - 1] <> '\n' then err "truncated (no final newline)"
+    else if not (String.starts_with ~prefix:(header ^ "\n") contents) then
+      let line = Option.value (String.index_opt contents '\n') ~default:len in
+      err
+        (Printf.sprintf "bad header %S (expected %S)"
+           (String.sub contents 0 (min line 64))
+           header)
+    else if len < start + 4 then err "truncated (no checksum trailer)"
     else
-      match String.rindex_from_opt contents (len - 2) '\n' with
-      | None -> err "missing checksum trailer"
-      | Some p -> (
-          let trailer = String.sub contents (p + 1) (len - p - 2) in
-          let body = String.sub contents 0 (p + 1) in
-          match String.split_on_char ' ' trailer with
-          | [ "k"; hex ] -> (
-              match int_of_string_opt ("0x" ^ hex) with
-              | Some crc when crc = Transport.checksum body -> (
-                  try Ok (parse_body body) with
-                  | Bad m -> err m
-                  | Invalid_argument m -> err m)
-              | Some _ -> err "checksum mismatch — the snapshot is corrupt"
-              | None -> err "malformed checksum trailer")
-          | _ -> err "missing checksum trailer")
+      let data = String.sub contents 0 (len - 4) in
+      if Transport.checksum data <> u32 contents (len - 4) then
+        err "checksum mismatch — the snapshot is corrupt"
+      else
+        try Ok (parse { Message.data; pos = start }) with Bad m -> err m
 end
 
-(* {2 Checksummed lines}
+(* {2 Record framing}
 
-   The journal and the record log share one line format,
-   [%08x payload\n]: the checksum of the payload, a space, the payload. *)
+   The journal and the record log frame each record alike: a 12-byte
+   header (the payload's length, the checksum of those 4 length bytes
+   and the checksum of the payload, each 4 bytes big-endian), then the
+   payload. The length has a check of its own, so a damaged length
+   inside a file is refused as damage instead of passing for a record
+   that the end of the file cut off. *)
 
-let checked_line payload =
-  Printf.sprintf "%08x %s\n" (Transport.checksum payload) payload
+let header_bytes = 12
 
-(* The payload of one line (without its newline), or [Bad]. *)
-let verified_payload what line =
-  let crc, payload = split2 line in
-  if String.length crc <> 8 then bad "%s line: missing checksum" what;
-  match int_of_string_opt ("0x" ^ crc) with
-  | Some c when c = Transport.checksum payload -> payload
-  | Some _ -> bad "%s line: checksum mismatch" what
-  | None -> bad "%s line: malformed checksum" what
+(* One framed record, whose payload [fill] writes. *)
+let framed fill =
+  let b = Buffer.create 256 in
+  fill b;
+  let payload = Buffer.contents b in
+  Buffer.clear b;
+  add_u32 b (String.length payload);
+  add_u32 b (Transport.checksum (Buffer.contents b));
+  add_u32 b (Transport.checksum payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(* The record at [pos], decoded: [`Cut] when the end of [s] cuts it
+   off, [`Bad (reason, next)] when its payload fails the checksum or
+   [decode]. A damaged length is [Bad], since nothing after it can be
+   located. *)
+let unframe decode s pos =
+  let left = String.length s - pos in
+  if left < header_bytes then `Cut
+  else begin
+    let n = u32 s pos in
+    if u32 s (pos + 4) <> Transport.checksum (String.sub s pos 4) then
+      bad "damaged record length at byte %d" pos;
+    if left - header_bytes < n then `Cut
+    else
+      let next = pos + header_bytes + n in
+      let payload = String.sub s (pos + header_bytes) n in
+      match
+        if u32 s (pos + 8) <> Transport.checksum payload then
+          bad "checksum mismatch";
+        decode payload
+      with
+      | v -> `Record (v, next)
+      | exception Bad m -> `Bad (m, next)
+  end
 
 (* {2 The write-ahead journal}
 
-   Headerless since checkpoint version 3: one [o <key> <msg>] line per
-   released outcome, keyed by the absolute iteration carried inside the
-   encoded run report. Outcomes are journaled at reorder-buffer release,
-   so a well-formed journal is strictly seq-ascending — no batch framing
-   is needed to replay it. *)
+   One framed record per released outcome: the candidate's point key,
+   then the outcome as one wire reply ({!Message.V2.encode_reply}),
+   encoded with fresh codec state so that each record decodes on its
+   own. Outcomes are journaled at reorder-buffer release, so a
+   well-formed journal is strictly seq-ascending. *)
 
-let parse_payload payload =
-  let tag, rest = split2 payload in
-  match tag with
-  | "o" -> (
-      let pt, msg = split2 rest in
-      let key = unescape "journal point" pt in
-      match Message.decode_from_manager msg with
-      | Ok (Message.Scenario_result r) ->
-          if r.Message.seq < 1 then bad "journal outcome: bad sequence number";
-          (r.Message.seq, key, r)
-      | Ok (Message.Manager_error _) -> bad "journal outcome: manager error"
-      | Error m -> bad "journal outcome: %s" m)
-  | t -> bad "unknown journal record %S" t
+let read_outcome payload =
+  let c = { Message.data = payload; pos = 0 } in
+  let key = str "journal point" c in
+  match
+    Message.V2.decode_replies (Message.V2.client_dec ())
+      (String.sub payload c.pos (Message.remaining c))
+  with
+  | Ok [ Message.Scenario_result r ] ->
+      if r.Message.seq < 1 then bad "journal outcome: bad sequence number";
+      (r.Message.seq, key, r)
+  | Ok _ -> bad "journal record: not one outcome"
+  | Error m -> bad "journal outcome: %s" m
 
-let parse_wal_line line = parse_payload (verified_payload "journal" line)
-
-(* Scan the journal: complete lines parse in order; a torn or corrupt
-   FINAL line is the crash signature and is dropped (the truncation point
-   is returned), while damage anywhere earlier is refused — the journal
-   is append-only, so only its tail can legitimately be half-written. *)
+(* Scan the journal: records decode in order; one cut off by the end of
+   the file, or a bad FINAL record, is the crash signature and is
+   dropped (the truncation point is returned), while damage anywhere
+   earlier is refused — the journal is append-only, so only its tail
+   can legitimately be half-written. *)
 let parse_wal contents =
   let len = String.length contents in
-  let rec lines acc start =
-    if start >= len then List.rev acc
-    else
-      match String.index_from_opt contents start '\n' with
-      | None -> List.rev acc (* trailing bytes without newline: torn tail *)
-      | Some e -> lines ((String.sub contents start (e - start), start) :: acc) (e + 1)
+  let torn acc pos m =
+    Log.warn (fun f -> f "dropping torn journal tail: %s" m);
+    (List.rev acc, pos)
   in
-  let all = lines [] 0 in
-  let n = List.length all in
-  let records = ref [] in
-  let valid_end = ref len in
-  (try
-     List.iteri
-       (fun i (line, start) ->
-         match parse_wal_line line with
-         | r -> records := r :: !records
-         | exception Bad m ->
-             if i = n - 1 then begin
-               Log.warn (fun f -> f "dropping torn journal tail: %s" m);
-               valid_end := start;
-               raise Exit
-             end
-             else bad "journal record %d: %s" (i + 1) m)
-       all
-   with Exit -> ());
-  (match all with
-  | [] -> valid_end := 0
-  | _ when !valid_end = len ->
-      (* complete lines all parsed; drop any trailing half-line *)
-      let _, last_start = List.nth all (n - 1) in
-      let last_end = String.index_from contents last_start '\n' + 1 in
-      valid_end := last_end
-  | _ -> ());
-  (List.rev !records, !valid_end)
+  let rec go acc k pos =
+    if pos = len then (List.rev acc, pos)
+    else
+      match unframe read_outcome contents pos with
+      | `Record (r, next) -> go (r :: acc) (k + 1) next
+      | `Cut -> torn acc pos "a record runs past the end of the file"
+      | `Bad (m, next) when next = len -> torn acc pos m
+      | `Bad (m, _) -> bad "journal record %d: %s" k m
+  in
+  go [] 1 0
 
 (* The replayable tail: outcomes with [seq <= since] are stale — they
    were released before the snapshot and survive only inside the crash
@@ -516,10 +355,10 @@ let wal_tail ~since records =
 
 (* {2 The record log}
 
-   [records.log] holds records 1..n in birth order, one checksummed
-   [r ...] line each (the snapshot's record codec). A record is logged
-   once it is older than every queued test: only aging changes a record
-   (its fitness), only queued records age, and no record re-enters the
+   [records.log] holds records 1..n in birth order, one framed record
+   each (the snapshot's record codec). A record is logged once it is
+   older than every queued test: only aging changes a record (its
+   fitness), only queued records age, and no record re-enters the
    queue, so a logged record is final. *)
 
 (* The highest birth whose record is final: the oldest queued birth
@@ -530,39 +369,36 @@ let frontier (x : Explorer.Snapshot.t) =
   | [] -> x.Explorer.Snapshot.iterations
   | q -> List.fold_left min max_int q - 1
 
-let record_of_log_line line =
-  match String.split_on_char ' ' (verified_payload "record log" line) with
-  | "r" :: rest -> Snapshot.record_of_tokens rest
-  | _ -> bad "record log line: not a record"
+let read_logged payload =
+  let c = { Message.data = payload; pos = 0 } in
+  let r = read_record c in
+  if Message.remaining c > 0 then bad "trailing bytes";
+  r
 
 (* The records a mark vouches for, newest first: exactly [logged] whole
-   lines in the first [log_bytes] bytes, births 1..logged. Bytes past
+   records in the first [log_bytes] bytes, births 1..logged. Bytes past
    the mark are not read — they are a crash's half-finished append. *)
 let parse_log contents (m : Snapshot.mark) =
-  if String.length contents < m.Snapshot.log_bytes then
+  if String.length contents < m.log_bytes then
     bad "records.log holds %d bytes, short of the %d its mark vouches for"
-      (String.length contents) m.Snapshot.log_bytes;
-  let rec lines acc n start =
-    if start = m.Snapshot.log_bytes then begin
-      if n <> m.Snapshot.logged then
+      (String.length contents) m.log_bytes;
+  let rec go acc n pos =
+    if pos = m.log_bytes then begin
+      if n <> m.logged then
         bad "records.log holds %d records where the mark vouches for %d" n
-          m.Snapshot.logged;
+          m.logged;
       acc
     end
     else
-      match String.index_from_opt contents start '\n' with
-      | Some e when e < m.Snapshot.log_bytes ->
-          let c =
-            try record_of_log_line (String.sub contents start (e - start))
-            with Bad msg -> bad "records.log record %d: %s" (n + 1) msg
-          in
-          if c.Test_case.birth <> n + 1 then
-            bad "records.log record %d carries birth %d" (n + 1)
-              c.Test_case.birth;
-          lines (c :: acc) (n + 1) (e + 1)
-      | Some _ | None -> bad "records.log: the mark ends inside a line"
+      match unframe read_logged contents pos with
+      | `Record ((c : Test_case.t), next) when next <= m.log_bytes ->
+          if c.birth <> n + 1 then
+            bad "records.log record %d carries birth %d" (n + 1) c.birth;
+          go (c :: acc) (n + 1) next
+      | `Record _ | `Cut -> bad "records.log: the mark ends inside a record"
+      | `Bad (msg, _) -> bad "records.log record %d: %s" (n + 1) msg
   in
-  lines [] 0 0
+  go [] 0 0
 
 (* {2 The checkpoint handle} *)
 
@@ -655,15 +491,17 @@ let verify_meta ~current ~stored =
              k
              (show (List.assoc_opt k stored))
              k v)
-    | None ->
-        let k, v =
-          List.find (fun (k, v) -> List.assoc_opt k current <> Some v) stored
-        in
-        Error
-          (Printf.sprintf
-             "checkpoint was taken with %s=%s, which this invocation does not \
-              set — flags that shape the search must match to resume"
-             k v)
+    | None -> (
+        match
+          List.find_opt (fun (k, v) -> List.assoc_opt k current <> Some v) stored
+        with
+        | Some (k, v) ->
+            Error
+              (Printf.sprintf
+                 "checkpoint was taken with %s=%s, which this invocation does \
+                  not set — flags that shape the search must match to resume"
+                 k v)
+        | None -> Error "checkpoint metadata repeats a key: the snapshot is corrupt")
   end
 
 (* The snapshot with the logged records put back in front of its own,
@@ -764,12 +602,11 @@ let write_all what fd s =
     failwith ("checkpoint: short " ^ what ^ " write")
 
 let append_outcome t ~point_key ~seq outcome =
-  let msg =
-    Message.encode_from_manager
-      (Message.Scenario_result (Message.report_of_outcome ~seq outcome))
-  in
   write_all "journal" t.wal_fd
-    (checked_line (String.concat " " [ "o"; Message.escape point_key; msg ]));
+    (framed (fun b ->
+         Message.add_str b point_key;
+         Message.V2.encode_reply (Message.V2.server_enc ()) b
+           (Message.Scenario_result (Message.report_of_outcome ~seq outcome))));
   t.appends <- t.appends + 1;
   t.hooks.on_append t.appends
 
@@ -779,8 +616,8 @@ let freeze t (x : Explorer.Snapshot.t) =
   let f = frontier x in
   let buf = Buffer.create 4096 in
   let rec go n = function
-    | (c : Test_case.t) :: rest when c.Test_case.birth <= f ->
-        Buffer.add_string buf (checked_line (Snapshot.record_to_line c));
+    | (c : Test_case.t) :: rest when c.birth <= f ->
+        Buffer.add_string buf (framed (fun b -> add_record b c));
         go (n + 1) rest
     | live -> (n, live)
   in

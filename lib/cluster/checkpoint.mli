@@ -2,10 +2,11 @@
     log of final records, and a write-ahead journal of reported
     outcomes.
 
-    A checkpoint directory holds three files:
+    All three files are built from {!Message}'s binary field codecs,
+    the ones the wire uses. A checkpoint directory holds:
 
     - [records.log] — the records that can no longer change, in birth
-      order, one checksummed line each. Aging is the only thing that
+      order, one framed record each. Aging is the only thing that
       changes a record (its fitness), only queued records age, and no
       record re-enters the queue, so every record older than the oldest
       queued one is final. The highest such birth is the {e frontier}:
@@ -18,14 +19,23 @@
       a quiescent reorder-buffer watermark (released = submitted): the
       records above the frontier, plus a {e mark} naming how many
       records and bytes of [records.log] it vouches for. Written
-      atomically (temp file + [rename]) in a versioned, checksummed,
-      line-oriented codec built from the {!Message} field codecs and the
-      {!Transport} CRC discipline.
-    - [wal.log] — one checksummed line per released outcome since the
-      last snapshot, appended {e before} progress is considered durable.
-      Outcomes release in submission order, so the journal is strictly
-      ascending in the absolute iteration each line carries; no batch
-      framing is needed.
+      atomically (temp file + [rename]): an [afex-checkpoint 6] header
+      line, one fixed-order sequence of fields, and a checksum of
+      everything before it.
+    - [wal.log] — one framed record per released outcome since the last
+      snapshot, appended {e before} progress is considered durable: the
+      candidate's point key, then the outcome as one
+      {!Message.V2.encode_reply} record with fresh codec state, so every
+      record decodes on its own. Outcomes release in submission order,
+      so the journal is strictly ascending in the absolute iteration
+      each record carries; no batch framing is needed.
+
+    The record log and the snapshot share one record codec. The journal
+    and the record log share one framing: the payload's length, a
+    checksum of that length and a checksum of the payload. Only a record
+    cut off by the end of the file, or a bad final journal record,
+    counts as a crash's torn tail; any other damage, a damaged length
+    included, is refused.
 
     A snapshot appends to [records.log], then renames [snapshot.afex]
     into place, then truncates [wal.log]. Kill the process anywhere —
@@ -60,14 +70,14 @@ module Snapshot : sig
   }
 
   val encode : t -> string
-  (** Versioned ([afex-checkpoint 5]), checksummed, line-oriented; the
-      exact bytes written to [snapshot.afex]. Encoding is a pure function
-      of the snapshot, so equal states produce equal files. *)
+  (** Versioned ([afex-checkpoint 6]) and checksummed; the exact bytes
+      written to [snapshot.afex]. Encoding is a pure function of the
+      snapshot, so equal states produce equal files. *)
 
   val decode : string -> (t, string) result
-  (** Total inverse of {!encode}: truncation, bit flips, unknown
-      versions (versions 3 and 4 included) and structural damage all return
-      [Error], never raise. *)
+  (** Total inverse of {!encode}: truncation, bit flips, other versions
+      (the text format of version 5 and older included) and structural
+      damage all return [Error], never raise. *)
 end
 
 type hooks = {
@@ -102,11 +112,11 @@ val resume :
   (t, string) result
 (** Load [dir]'s snapshot, verify the campaign metadata matches, check
     that [records.log] holds what the snapshot's mark vouches for (every
-    line checksum inside the mark, births [1 .. logged]; a short,
+    record checksum inside the mark, births [1 .. logged]; a short,
     missing or damaged log is an [Error]) and drop its bytes past the
-    mark, parse the journal tail (dropping at most one torn final line,
-    rejecting any other corruption), and queue the journaled outcomes
-    for replay. Journal entries for iterations the snapshot already
+    mark, decode the journal tail (dropping at most one torn final
+    record, rejecting any other corruption), and queue the journaled
+    outcomes for replay. Journal entries for iterations the snapshot already
     covers — possible when the crash hit between the snapshot rename and
     the journal truncation — are discarded; what remains must continue
     contiguously from the snapshot's iteration count. *)
@@ -134,7 +144,7 @@ val due : t -> iterations:int -> bool
 val append_outcome :
   t -> point_key:string -> seq:int -> Afex_injector.Outcome.t -> unit
 (** Journal one released outcome ([seq] is the absolute iteration
-    number). One checksummed line, one [write]. *)
+    number). One framed record, one [write]. *)
 
 val write_snapshot : t -> master_state:int64 -> Afex.Explorer.t -> unit
 (** Capture the explorer (walking its records only down to the mark),

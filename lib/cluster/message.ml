@@ -5,71 +5,211 @@ module Outcome = Afex_injector.Outcome
 module Bitset = Afex_stats.Bitset
 
 let protocol_version = 2
+(* The largest string field or coverage list a decoder accepts. *)
 let max_line = 1 lsl 20
+let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
-(* Percent-escaping: stack frames and error messages may contain       *)
-(* anything (spaces, commas, newlines, non-ASCII); the text formats    *)
-(* tokenize on spaces and join list elements with commas, so both      *)
-(* must be escaped along with control and non-ASCII bytes.             *)
+(* Field codecs: the wire's, and the checkpoint files'                 *)
 (* ------------------------------------------------------------------ *)
 
-let[@inline] plain ch = ch > ' ' && ch < '\x7f' && ch <> '%' && ch <> ','
+(* Scalars are LEB128 varints (zigzag for signed), strings are
+   length-prefixed raw bytes with no escaping, and 64-bit words are
+   big-endian. Readers advance a cursor and return [Error] on
+   truncation, overflow or an unknown code; they never raise. *)
 
-(* Most tokens need no escaping and come back unchanged; otherwise the
-   result is sized exactly and filled without formatting calls. *)
-let escape s =
-  let n = String.length s in
-  let escaped = ref 0 in
-  for i = 0 to n - 1 do
-    if not (plain (String.unsafe_get s i)) then incr escaped
-  done;
-  if !escaped = 0 then s
-  else begin
-    let b = Bytes.create (n + (2 * !escaped)) in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      let ch = String.unsafe_get s i in
-      if plain ch then begin
-        Bytes.unsafe_set b !j ch;
-        incr j
-      end
-      else begin
-        let c = Char.code ch in
-        Bytes.unsafe_set b !j '%';
-        Bytes.unsafe_set b (!j + 1) "0123456789ABCDEF".[c lsr 4];
-        Bytes.unsafe_set b (!j + 2) "0123456789ABCDEF".[c land 15];
-        j := !j + 3
-      end
-    done;
-    Bytes.unsafe_to_string b
-  end
-
-let hex_digit = function
-  | '0' .. '9' as c -> Some (Char.code c - Char.code '0')
-  | 'a' .. 'f' as c -> Some (Char.code c - Char.code 'a' + 10)
-  | 'A' .. 'F' as c -> Some (Char.code c - Char.code 'A' + 10)
-  | _ -> None
-
-let unescape s =
-  let n = String.length s in
-  let b = Buffer.create n in
-  let rec go i =
-    if i >= n then Ok (Buffer.contents b)
-    else if s.[i] = '%' then
-      if i + 2 >= n then Error (Printf.sprintf "truncated escape in %S" s)
-      else
-        match hex_digit s.[i + 1], hex_digit s.[i + 2] with
-        | Some hi, Some lo ->
-            Buffer.add_char b (Char.chr ((hi * 16) + lo));
-            go (i + 3)
-        | _ -> Error (Printf.sprintf "malformed escape in %S" s)
+let add_uv b n =
+  if n < 0 then invalid_arg "Message: negative varint";
+  let rec go n =
+    if n < 0x80 then Buffer.add_char b (Char.chr n)
     else begin
-      Buffer.add_char b s.[i];
-      go (i + 1)
+      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+      go (n lsr 7)
     end
   in
-  go 0
+  go n
+
+let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
+let unzigzag n = (n lsr 1) lxor (- (n land 1))
+
+(* The zigzag of an extreme int ([min_int], [max_int]) occupies all 63
+   bits and is negative as an OCaml int, so signed varints LEB128 the
+   raw bit pattern with logical shifts instead of going through
+   [add_uv]'s non-negative domain. *)
+let add_bits b n =
+  let rec go n =
+    if n >= 0 && n < 0x80 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+      go (n lsr 7)
+    end
+  in
+  go n
+
+let add_sv b n = add_bits b (zigzag n)
+
+let add_str b s =
+  add_uv b (String.length s);
+  Buffer.add_string b s
+
+let add_i64 = Buffer.add_int64_be
+let add_f64 b f = add_i64 b (Int64.bits_of_float f)
+
+type cursor = { data : string; mutable pos : int }
+
+let remaining c = String.length c.data - c.pos
+
+let read_byte c =
+  if c.pos >= String.length c.data then Error "truncated record"
+  else begin
+    let v = Char.code c.data.[c.pos] in
+    c.pos <- c.pos + 1;
+    Ok v
+  end
+
+let read_uv c =
+  let rec go acc shift =
+    if shift > Sys.int_size - 1 then Error "varint overflow"
+    else
+      match read_byte c with
+      | Error _ -> Error "truncated varint"
+      | Ok byte ->
+          let acc = acc lor ((byte land 0x7f) lsl shift) in
+          if byte land 0x80 = 0 then
+            if acc < 0 then Error "varint overflow" else Ok acc
+          else go acc (shift + 7)
+  in
+  go 0 0
+
+(* [read_uv]'s mirror for the full 63-bit pattern: the accumulator may
+   legitimately go negative on the 9th byte (bit 62 is the sign bit). *)
+let read_bits c =
+  let rec go acc shift =
+    if shift >= Sys.int_size then Error "varint overflow"
+    else
+      match read_byte c with
+      | Error _ -> Error "truncated varint"
+      | Ok byte ->
+          let acc = acc lor ((byte land 0x7f) lsl shift) in
+          if byte land 0x80 = 0 then Ok acc else go acc (shift + 7)
+  in
+  go 0 0
+
+let read_sv c = Result.map unzigzag (read_bits c)
+
+let read_str c =
+  let* n = read_uv c in
+  if n > max_line then Error "oversized string"
+  else if n > remaining c then Error "truncated string"
+  else begin
+    let s = String.sub c.data c.pos n in
+    c.pos <- c.pos + n;
+    Ok s
+  end
+
+let read_i64 c =
+  if remaining c < 8 then Error "truncated 64-bit word"
+  else begin
+    let v = String.get_int64_be c.data c.pos in
+    c.pos <- c.pos + 8;
+    Ok v
+  end
+
+let read_f64 c = Result.map Int64.float_of_bits (read_i64 c)
+
+(* Coverage as run-length varints — run count, then per run the gap
+   from the previous run's end (the first run ships its absolute
+   start) and the run length minus one. Coverage is overwhelmingly
+   contiguous stretches of block indices, so a run costs ~2 bytes
+   regardless of its length, where per-block gap encoding pays for
+   every block. *)
+let add_coverage b cov =
+  let rec runs acc start last = function
+    | [] -> List.rev ((start, last) :: acc)
+    | i :: rest ->
+        if i <= last then
+          invalid_arg "Message: coverage must be strictly ascending"
+        else if i = last + 1 then runs acc start i rest
+        else runs ((start, last) :: acc) i i rest
+  in
+  match cov with
+  | [] -> add_uv b 0
+  | first :: rest ->
+      let rs = runs [] first first rest in
+      add_uv b (List.length rs);
+      ignore
+        (List.fold_left
+           (fun prev_end (s, e) ->
+             (match prev_end with
+             | None -> add_uv b s
+             | Some p -> add_uv b (s - p - 1));
+             add_uv b (e - s);
+             Some e)
+           None rs)
+
+let rec fill acc i last = if i > last then acc else fill (i :: acc) (i + 1) last
+
+(* The loop runs once per coverage run of every report, so it matches
+   on results instead of allocating [let*] closures. *)
+let read_coverage c =
+  let* nruns = read_uv c in
+  if nruns > remaining c then Error "truncated coverage"
+  else
+    let rec go acc total prev_end k =
+      if k = 0 then Ok (List.rev acc)
+      else
+        match read_uv c with
+        | Error m -> Error m
+        | Ok gap -> (
+            let start = if prev_end < 0 then gap else prev_end + 1 + gap in
+            match read_uv c with
+            | Error m -> Error m
+            | Ok len1 ->
+                (* A few bytes must not conjure a giant list: the runs
+                   together are bounded like every other length field.
+                   Indices stay below [max_int], so [fill]'s [i + 1]
+                   cannot wrap. *)
+                if len1 >= max_line - total then Error "oversized coverage"
+                else if start < 0 || start >= max_int - len1 then
+                  Error "coverage overflow"
+                else
+                  let last = start + len1 in
+                  go (fill acc start last) (total + len1 + 1) last (k - 1))
+    in
+    go [] 0 (-1) nruns
+
+(* One byte: the status code in the low two bits, the triggered flag
+   in the third. *)
+let add_status b status ~triggered =
+  let code =
+    match status with
+    | Outcome.Passed -> 0
+    | Outcome.Test_failed -> 1
+    | Outcome.Crashed -> 2
+    | Outcome.Hung -> 3
+  in
+  Buffer.add_char b (Char.chr (code lor if triggered then 4 else 0))
+
+let read_status c =
+  let* flags = read_byte c in
+  if flags land lnot 7 <> 0 then
+    Error (Printf.sprintf "unknown status flags %#x" flags)
+  else
+    let status =
+      match flags land 3 with
+      | 0 -> Outcome.Passed
+      | 1 -> Outcome.Test_failed
+      | 2 -> Outcome.Crashed
+      | _ -> Outcome.Hung
+    in
+    Ok (status, flags land 4 <> 0)
+
+let fault_to_string f = Scenario.to_string (Fault.to_scenario f)
+
+let fault_of_string s =
+  match Scenario.of_string s with
+  | Error e -> Error e
+  | Ok scenario -> Fault.of_scenario scenario
 
 (* ------------------------------------------------------------------ *)
 (* Handshake                                                           *)
@@ -88,17 +228,22 @@ let decode_hello line =
   | _ -> Error (Printf.sprintf "malformed hello %S" line)
 
 let encode_welcome ~version = Printf.sprintf "WELCOME afex %d" version
-let encode_reject ~reason = "REJECT " ^ escape reason
+
+(* The handshake line is one frame, so the reason needs no escaping. *)
+let encode_reject ~reason = "REJECT " ^ reason
 
 let decode_greeting line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "WELCOME"; "afex"; v ] -> (
-      match int_of_string_opt v with
-      | Some v when v >= 0 -> Ok (Welcome v)
-      | Some _ | None -> Error (Printf.sprintf "malformed welcome version %S" v))
-  | [ "REJECT"; reason ] -> Result.map (fun r -> Reject r) (unescape reason)
-  | [ "REJECT" ] -> Ok (Reject "")
-  | _ -> Error (Printf.sprintf "malformed greeting %S" line)
+  if String.starts_with ~prefix:"REJECT " line then
+    Ok (Reject (String.sub line 7 (String.length line - 7)))
+  else
+    match String.split_on_char ' ' (String.trim line) with
+    | [ "WELCOME"; "afex"; v ] -> (
+        match int_of_string_opt v with
+        | Some v when v >= 0 -> Ok (Welcome v)
+        | Some _ | None ->
+            Error (Printf.sprintf "malformed welcome version %S" v))
+    | [ "REJECT" ] -> Ok (Reject "")
+    | _ -> Error (Printf.sprintf "malformed greeting %S" line)
 
 (* ------------------------------------------------------------------ *)
 (* Explorer -> manager                                                 *)
@@ -109,8 +254,7 @@ type to_manager =
   | Shutdown
 
 (* ------------------------------------------------------------------ *)
-(* Manager -> explorer, and the text report codec the checkpoint       *)
-(* journal stores outcomes in                                          *)
+(* Manager -> explorer                                                 *)
 (* ------------------------------------------------------------------ *)
 
 type run_report = {
@@ -128,115 +272,6 @@ type run_report = {
 type from_manager =
   | Scenario_result of run_report
   | Manager_error of { seq : int; message : string }
-
-let status_token = function
-  | Outcome.Passed -> "P"
-  | Outcome.Test_failed -> "F"
-  | Outcome.Crashed -> "C"
-  | Outcome.Hung -> "H"
-
-let status_of_token = function
-  | "P" -> Ok Outcome.Passed
-  | "F" -> Ok Outcome.Test_failed
-  | "C" -> Ok Outcome.Crashed
-  | "H" -> Ok Outcome.Hung
-  | t -> Error (Printf.sprintf "unknown status token %S" t)
-
-(* Stacks: "-" = None; "@<count>:<comma-joined escaped frames>" = Some.
-   The explicit count disambiguates [Some []] from [Some [""]]. *)
-
-let encode_stack = function
-  | None -> "-"
-  | Some frames ->
-      Printf.sprintf "@%d:%s" (List.length frames)
-        (String.concat "," (List.map escape frames))
-
-let decode_stack s =
-  if String.equal s "-" then Ok None
-  else if String.length s >= 1 && s.[0] = '@' then begin
-    match String.index_opt s ':' with
-    | None -> Error (Printf.sprintf "stack %S has no frame count" s)
-    | Some colon -> (
-        let joined = String.sub s (colon + 1) (String.length s - colon - 1) in
-        match int_of_string_opt (String.sub s 1 (colon - 1)) with
-        | None -> Error (Printf.sprintf "malformed frame count in %S" s)
-        | Some n when n < 0 ->
-            Error (Printf.sprintf "negative frame count in %S" s)
-        | Some 0 ->
-            if String.equal joined "" then Ok (Some [])
-            else Error (Printf.sprintf "frames after a zero count in %S" s)
-        | Some n ->
-            let parts = String.split_on_char ',' joined in
-            if List.length parts <> n then
-              Error
-                (Printf.sprintf "stack %S declares %d frames, carries %d" s n
-                   (List.length parts))
-            else begin
-              let rec unescape_all acc = function
-                | [] -> Ok (Some (List.rev acc))
-                | p :: rest -> (
-                    match unescape p with
-                    | Ok f -> unescape_all (f :: acc) rest
-                    | Error e -> Error e)
-              in
-              unescape_all [] parts
-            end)
-  end
-  else Error (Printf.sprintf "malformed stack %S" s)
-
-(* Coverage: "-" = empty; otherwise comma-joined runs "a" / "a-b" over
-   the ascending block indices. *)
-
-let encode_coverage = function
-  | [] -> "-"
-  | first :: rest ->
-      let b = Buffer.create 64 in
-      let emit lo hi =
-        if Buffer.length b > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (string_of_int lo);
-        if lo <> hi then begin
-          Buffer.add_char b '-';
-          Buffer.add_string b (string_of_int hi)
-        end
-      in
-      let rec runs lo hi = function
-        | [] -> emit lo hi
-        | i :: rest ->
-            if i = hi + 1 then runs lo i rest
-            else begin
-              emit lo hi;
-              runs i i rest
-            end
-      in
-      runs first first rest;
-      Buffer.contents b
-
-let decode_coverage s =
-  if String.equal s "-" then Ok []
-  else begin
-    let piece p =
-      match String.index_opt p '-' with
-      | None -> (
-          match int_of_string_opt p with
-          | Some v when v >= 0 -> Ok [ v ]
-          | Some _ | None -> Error (Printf.sprintf "malformed block index %S" p))
-      | Some dash -> (
-          let a = String.sub p 0 dash in
-          let b = String.sub p (dash + 1) (String.length p - dash - 1) in
-          match int_of_string_opt a, int_of_string_opt b with
-          | Some lo, Some hi when lo >= 0 && hi >= lo ->
-              Ok (List.init (hi - lo + 1) (fun i -> lo + i))
-          | _ -> Error (Printf.sprintf "malformed block range %S" p))
-    in
-    let rec go acc = function
-      | [] -> Ok (List.concat (List.rev acc))
-      | p :: rest -> (
-          match piece p with Ok l -> go (l :: acc) rest | Error e -> Error e)
-    in
-    go [] (String.split_on_char ',' s)
-  end
-
-let encode_fault f = escape (Scenario.to_string (Fault.to_scenario f))
 
 let report_of_outcome ~seq (o : Outcome.t) =
   {
@@ -274,100 +309,13 @@ let outcome_of_report ~total_blocks r =
         }
   | exception Invalid_argument m -> Error m
 
-let encode_from_manager = function
-  | Manager_error { seq; message } ->
-      Printf.sprintf "ERROR %d %s" seq (escape message)
-  | Scenario_result r ->
-      (* %h (hexadecimal float) round-trips the duration exactly. *)
-      Printf.sprintf "RESULT %d %s %s %d %h %s %s %s %s" r.seq
-        (status_token r.status)
-        (if r.triggered then "T" else "N")
-        r.new_blocks r.duration_ms (encode_fault r.fault)
-        (encode_coverage r.coverage)
-        (encode_stack r.injection_stack)
-        (encode_stack r.crash_stack)
-
-let decode_fault s =
-  match unescape s with
-  | Error e -> Error e
-  | Ok line -> (
-      match Scenario.of_string line with
-      | Error e -> Error e
-      | Ok scenario -> Fault.of_scenario scenario)
-
-let decode_from_manager line =
-  if String.length line > max_line then
-    Error
-      (Printf.sprintf "oversized message: %d bytes exceeds the %d-byte limit"
-         (String.length line) max_line)
-  else begin
-    match String.split_on_char ' ' (String.trim line) with
-    | [ "ERROR"; seq ] -> (
-        (* an empty message escapes to the empty string, which trimming ate *)
-        match int_of_string_opt seq with
-        | Some seq -> Ok (Manager_error { seq; message = "" })
-        | None -> Error (Printf.sprintf "malformed sequence number %S" seq))
-    | [ "ERROR"; seq; message ] -> (
-        let ( let* ) = Result.bind in
-        let* seq =
-          match int_of_string_opt seq with
-          | Some s -> Ok s
-          | None -> Error (Printf.sprintf "malformed sequence number %S" seq)
-        in
-        let* message = unescape message in
-        Ok (Manager_error { seq; message }))
-    | [ "RESULT"; seq; status; triggered; new_blocks; duration; fault; coverage;
-        istack; cstack ] -> (
-        let ( let* ) = Result.bind in
-        let int_field name v =
-          match int_of_string_opt v with
-          | Some i -> Ok i
-          | None -> Error (Printf.sprintf "malformed %s %S" name v)
-        in
-        let* seq = int_field "sequence number" seq in
-        let* status = status_of_token status in
-        let* triggered =
-          match triggered with
-          | "T" -> Ok true
-          | "N" -> Ok false
-          | t -> Error (Printf.sprintf "malformed triggered flag %S" t)
-        in
-        let* new_blocks = int_field "new-blocks count" new_blocks in
-        let* duration_ms =
-          match float_of_string_opt duration with
-          | Some f -> Ok f
-          | None -> Error (Printf.sprintf "malformed duration %S" duration)
-        in
-        let* fault = decode_fault fault in
-        let* coverage = decode_coverage coverage in
-        let* injection_stack = decode_stack istack in
-        let* crash_stack = decode_stack cstack in
-        Ok
-          (Scenario_result
-             {
-               seq;
-               status;
-               triggered;
-               new_blocks;
-               fault;
-               coverage;
-               injection_stack;
-               crash_stack;
-               duration_ms;
-             }))
-    | "RESULT" :: _ -> Error "RESULT carries the wrong number of fields"
-    | _ -> Error (Printf.sprintf "unknown message %S" (String.trim line))
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Wire protocol v2: binary records, coalesced several to a frame      *)
 (* ------------------------------------------------------------------ *)
 
-(* A frame payload is a concatenation of tagged binary records
-   instead of one percent-escaped text line. Scalars are LEB128
-   varints (zigzag for signed), strings are length-prefixed raw bytes
-   — no escaping. Two pieces of per-connection state make steady-state
-   records small: the server interns stack frames into a dictionary it
+(* A frame payload is a concatenation of tagged binary records built
+   from the field codecs above. Two pieces of per-connection state make
+   steady-state records small: the server interns stack frames into a dictionary it
    grows with incremental DICT records (reports then carry int ids),
    and the client delta-encodes each scenario against the previous one
    it sent on that connection (mutations touch few axes). Both sides
@@ -384,136 +332,11 @@ let decode_from_manager line =
    is desync). *)
 
 module V2 = struct
-  let ( let* ) = Result.bind
-
   let tag_request = 0x01
   let tag_shutdown = 0x02
   let tag_dict = 0x03
   let tag_result = 0x04
   let tag_error = 0x05
-
-  (* -- primitives ------------------------------------------------- *)
-
-  let add_uv b n =
-    if n < 0 then invalid_arg "Message.V2: negative varint";
-    let rec go n =
-      if n < 0x80 then Buffer.add_char b (Char.chr n)
-      else begin
-        Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-        go (n lsr 7)
-      end
-    in
-    go n
-
-  let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
-  let unzigzag n = (n lsr 1) lxor (- (n land 1))
-
-  (* The zigzag of an extreme int ([min_int], [max_int]) occupies all 63
-     bits and is negative as an OCaml int, so signed varints LEB128 the
-     raw bit pattern with logical shifts instead of going through
-     [add_uv]'s non-negative domain. *)
-  let add_bits b n =
-    let rec go n =
-      if n >= 0 && n < 0x80 then Buffer.add_char b (Char.chr n)
-      else begin
-        Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-        go (n lsr 7)
-      end
-    in
-    go n
-
-  let add_sv b n = add_bits b (zigzag n)
-
-  let add_str b s =
-    add_uv b (String.length s);
-    Buffer.add_string b s
-
-  let add_f64 b f =
-    let bits = Int64.bits_of_float f in
-    for i = 7 downto 0 do
-      Buffer.add_char b
-        (Char.chr
-           (Int64.to_int
-              (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
-    done
-
-  type cursor = { data : string; mutable pos : int }
-
-  let remaining c = String.length c.data - c.pos
-
-  let read_byte c =
-    if c.pos >= String.length c.data then Error "truncated record"
-    else begin
-      let v = Char.code c.data.[c.pos] in
-      c.pos <- c.pos + 1;
-      Ok v
-    end
-
-  let read_uv c =
-    let rec go acc shift =
-      if shift > Sys.int_size - 1 then Error "varint overflow"
-      else
-        match read_byte c with
-        | Error _ -> Error "truncated varint"
-        | Ok byte ->
-            let acc = acc lor ((byte land 0x7f) lsl shift) in
-            if byte land 0x80 = 0 then
-              if acc < 0 then Error "varint overflow" else Ok acc
-            else go acc (shift + 7)
-    in
-    go 0 0
-
-  (* [read_uv]'s mirror for the full 63-bit pattern: the accumulator may
-     legitimately go negative on the 9th byte (bit 62 is the sign bit). *)
-  let read_bits c =
-    let rec go acc shift =
-      if shift >= Sys.int_size then Error "varint overflow"
-      else
-        match read_byte c with
-        | Error _ -> Error "truncated varint"
-        | Ok byte ->
-            let acc = acc lor ((byte land 0x7f) lsl shift) in
-            if byte land 0x80 = 0 then Ok acc else go acc (shift + 7)
-    in
-    go 0 0
-
-  let read_sv c = Result.map unzigzag (read_bits c)
-
-  let read_str c =
-    let* n = read_uv c in
-    if n > max_line then Error "oversized string"
-    else if n > remaining c then Error "truncated string"
-    else begin
-      let s = String.sub c.data c.pos n in
-      c.pos <- c.pos + n;
-      Ok s
-    end
-
-  let read_f64 c =
-    if remaining c < 8 then Error "truncated float"
-    else begin
-      let bits = ref 0L in
-      for _ = 1 to 8 do
-        bits :=
-          Int64.logor (Int64.shift_left !bits 8)
-            (Int64.of_int (Char.code c.data.[c.pos]));
-        c.pos <- c.pos + 1
-      done;
-      Ok (Int64.float_of_bits !bits)
-    end
-
-  (* Position-based wrappers for tests and micro-benches. *)
-
-  let varint_encode = add_uv
-  let svarint_encode = add_sv
-
-  let varint_decode s ~pos =
-    let c = { data = s; pos } in
-    Result.map (fun v -> (v, c.pos)) (read_uv c)
-
-  let svarint_decode s ~pos =
-    let c = { data = s; pos } in
-    Result.map (fun v -> (v, c.pos)) (read_sv c)
 
   (* -- values and scenarios --------------------------------------- *)
 
@@ -701,19 +524,6 @@ module V2 = struct
 
   (* -- server -> client ------------------------------------------- *)
 
-  let status_code = function
-    | Outcome.Passed -> 0
-    | Outcome.Test_failed -> 1
-    | Outcome.Crashed -> 2
-    | Outcome.Hung -> 3
-
-  let status_of_code = function
-    | 0 -> Ok Outcome.Passed
-    | 1 -> Ok Outcome.Test_failed
-    | 2 -> Ok Outcome.Crashed
-    | 3 -> Ok Outcome.Hung
-    | n -> Error (Printf.sprintf "unknown status code %d" n)
-
   type server_enc = {
     interned : (string, int) Hashtbl.t;
     mutable next_id : int;
@@ -731,68 +541,6 @@ module V2 = struct
         enc.next_id <- id + 1;
         pending := frame :: !pending;
         id
-
-  (* Coverage as run-length varints — run count, then per run the gap
-     from the previous run's end (the first run ships its absolute
-     start) and the run length minus one. Coverage is overwhelmingly
-     contiguous stretches of block indices, so a run costs ~2 bytes
-     regardless of its length: the binary-density counterpart of the
-     text codec's "a-b" ranges, which per-block gap encoding loses
-     badly to. *)
-  let add_coverage b cov =
-    let rec runs acc start last = function
-      | [] -> List.rev ((start, last) :: acc)
-      | i :: rest ->
-          if i <= last then
-            invalid_arg "Message.V2: coverage must be strictly ascending"
-          else if i = last + 1 then runs acc start i rest
-          else runs ((start, last) :: acc) i i rest
-    in
-    match cov with
-    | [] -> add_uv b 0
-    | first :: rest ->
-        let rs = runs [] first first rest in
-        add_uv b (List.length rs);
-        ignore
-          (List.fold_left
-             (fun prev_end (s, e) ->
-               (match prev_end with
-               | None -> add_uv b s
-               | Some p -> add_uv b (s - p - 1));
-               add_uv b (e - s);
-               Some e)
-             None rs)
-
-  let rec fill acc i last = if i > last then acc else fill (i :: acc) (i + 1) last
-
-  (* The loop runs once per coverage run of every report, so it matches
-     on results instead of allocating [let*] closures. *)
-  let read_coverage c =
-    let* nruns = read_uv c in
-    if nruns > remaining c then Error "truncated coverage"
-    else
-      let rec go acc total prev_end k =
-        if k = 0 then Ok (List.rev acc)
-        else
-          match read_uv c with
-          | Error m -> Error m
-          | Ok gap -> (
-              let start = if prev_end < 0 then gap else prev_end + 1 + gap in
-              match read_uv c with
-              | Error m -> Error m
-              | Ok len1 ->
-                  (* A few bytes must not conjure a giant list: the runs
-                     together are bounded like every other length field.
-                     Indices stay below [max_int], so [fill]'s [i + 1]
-                     cannot wrap. *)
-                  if len1 >= max_line - total then Error "oversized coverage"
-                  else if start < 0 || start >= max_int - len1 then
-                    Error "coverage overflow"
-                  else
-                    let last = start + len1 in
-                    go (fill acc start last) (total + len1 + 1) last (k - 1))
-      in
-      go [] 0 (-1) nruns
 
   let add_stack_ids b = function
     | None -> Buffer.add_char b '\x00'
@@ -817,9 +565,7 @@ module V2 = struct
     | Scenario_result r ->
         let pending = ref [] in
         let base = enc.next_id in
-        let fault_id =
-          intern enc pending (Scenario.to_string (Fault.to_scenario r.fault))
-        in
+        let fault_id = intern enc pending (fault_to_string r.fault) in
         let ids = Option.map (List.map (intern enc pending)) in
         let istack = ids r.injection_stack in
         let cstack = ids r.crash_stack in
@@ -832,8 +578,7 @@ module V2 = struct
         end;
         Buffer.add_char b (Char.chr tag_result);
         add_uv b r.seq;
-        Buffer.add_char b
-          (Char.chr (status_code r.status lor (if r.triggered then 4 else 0)));
+        add_status b r.status ~triggered:r.triggered;
         add_uv b r.new_blocks;
         add_f64 b r.duration_ms;
         add_uv b fault_id;
@@ -923,13 +668,8 @@ module V2 = struct
         end
         else if tag = tag_result then begin
           let* seq = read_uv c in
-          let* flags = read_byte c in
-          if flags land lnot 7 <> 0 then
-            Error (Printf.sprintf "unknown result flags %#x" flags)
-          else
-            let* status = status_of_code (flags land 3) in
-            let triggered = flags land 4 <> 0 in
-            let* new_blocks = read_uv c in
+          let* status, triggered = read_status c in
+          let* new_blocks = read_uv c in
             let* duration_ms = read_f64 c in
             let* fault_id = read_uv c in
             let* fault_s =
@@ -941,11 +681,7 @@ module V2 = struct
                      fault_id dec.n_frames)
               else Ok dec.frames.(fault_id)
             in
-            let* fault =
-              match Scenario.of_string fault_s with
-              | Error e -> Error e
-              | Ok scenario -> Fault.of_scenario scenario
-            in
+            let* fault = fault_of_string fault_s in
             let* coverage = read_coverage c in
             let* injection_stack = read_stack dec c in
             let* crash_stack = read_stack dec c in

@@ -10,52 +10,70 @@
     for any other version, [REJECT] with a readable reason, and from
     then on each frame packs several varint-encoded binary records.
 
-    The line-oriented text codec for reports ({!encode_from_manager},
-    {!decode_from_manager}) and its field codecs are not a wire
-    version: they are the record format of the checkpoint journal and
-    snapshot, kept here because they encode the same data. *)
+    The {!Checkpoint} files store the same report data with the same
+    {{!field_codecs}field codecs}: the journal holds {!V2.encode_reply}
+    records, and the snapshot and record log are built field by field
+    from the codecs below. *)
 
 val protocol_version : int
 (** The one wire protocol version (2): the only one [HELLO] offers and
     the only one a manager welcomes. *)
 
-val max_line : int
-(** Maximum accepted length of one protocol line (1 MiB); longer input is
-    rejected by the decoders rather than parsed. *)
+(** {2:field_codecs Field codecs}
 
-(** {2 Field codecs}
+    The binary building blocks of {!V2} and of the checkpoint files.
+    Writers append to a [Buffer.t]; readers advance a {!cursor} and are
+    total: truncation, overflow and unknown codes are [Error]. *)
 
-    The building blocks of the text report codec, exposed so the
-    checkpoint snapshot and the outcome write-ahead journal encode the
-    same data the same way — and inherit decoders that are already
-    total. *)
+val add_uv : Buffer.t -> int -> unit
+(** LEB128. @raise Invalid_argument on negative input. *)
 
-val escape : string -> string
-(** Percent-escape: the result contains no spaces, commas, [%], control
-    or non-ASCII bytes, so it is safe as one token of a line. *)
+val add_sv : Buffer.t -> int -> unit
+(** Zigzag + LEB128; any [int]. *)
 
-val unescape : string -> (string, string) result
-(** Total inverse of {!escape}. *)
+val add_str : Buffer.t -> string -> unit
+(** Length varint, then the raw bytes. *)
 
-val status_token : Afex_injector.Outcome.status -> string
-val status_of_token : string -> (Afex_injector.Outcome.status, string) result
+val add_i64 : Buffer.t -> int64 -> unit
+(** 8 bytes, big-endian. *)
 
-val encode_stack : string list option -> string
-(** ["-"] for [None]; ["@<count>:<comma-joined escaped frames>"]
-    otherwise. *)
+val add_f64 : Buffer.t -> float -> unit
+(** The IEEE bits as {!add_i64}: round-trips exactly. *)
 
-val decode_stack : string -> (string list option, string) result
+val add_coverage : Buffer.t -> int list -> unit
+(** Strictly ascending block indices as run-length varints.
+    @raise Invalid_argument if the list is not strictly ascending. *)
 
-val encode_coverage : int list -> string
-(** Ascending block indices as comma-joined runs (["a"], ["a-b"]); ["-"]
-    when empty. *)
+val add_status :
+  Buffer.t -> Afex_injector.Outcome.status -> triggered:bool -> unit
+(** One byte: the status code and the triggered flag. *)
 
-val decode_coverage : string -> (int list, string) result
+val fault_to_string : Afex_injector.Fault.t -> string
+(** The fault as its scenario string, the form both the wire's
+    dictionary and the checkpoint records carry. *)
 
-val encode_fault : Afex_injector.Fault.t -> string
-(** The fault as one escaped token (its scenario wire form). *)
+val fault_of_string : string -> (Afex_injector.Fault.t, string) result
 
-val decode_fault : string -> (Afex_injector.Fault.t, string) result
+type cursor = { data : string; mutable pos : int }
+(** A read position in [data]. *)
+
+val remaining : cursor -> int
+val read_uv : cursor -> (int, string) result
+val read_sv : cursor -> (int, string) result
+
+val read_str : cursor -> (string, string) result
+(** [Error] beyond 1 MiB. *)
+
+val read_i64 : cursor -> (int64, string) result
+val read_f64 : cursor -> (float, string) result
+
+val read_coverage : cursor -> (int list, string) result
+(** [Error] when the runs hold 1 Mi blocks or more, or end past
+    [max_int]. *)
+
+val read_status :
+  cursor -> (Afex_injector.Outcome.status * bool, string) result
+(** The status and the triggered flag. *)
 
 (** {2 Handshake} *)
 
@@ -105,22 +123,11 @@ val outcome_of_report :
 (** Rebuild the full outcome on the explorer side. [Error] if a coverage
     index falls outside [\[0, total_blocks)]. *)
 
-val encode_from_manager : from_manager -> string
-(** The checkpoint journal's record codec: one text line. Stack frames
-    and error messages are percent-escaped, so newlines, spaces, commas
-    and non-ASCII bytes round-trip; the duration is carried as a
-    hexadecimal float and round-trips exactly. Never sent on the
-    wire. *)
-
-val decode_from_manager : string -> (from_manager, string) result
-(** Total inverse of {!encode_from_manager}. *)
-
 (** {2 Wire protocol v2}
 
-    The binary wire codec. A frame payload is a
-    concatenation of tagged records — requests and reports coalesce,
-    many to a frame — with LEB128 varint scalars and length-prefixed raw
-    strings instead of percent-escaped text. Each direction carries
+    The binary wire codec. A frame payload is a concatenation of tagged
+    records built from the {{!field_codecs}field codecs} — requests and
+    reports coalesce, many to a frame. Each direction carries
     per-connection codec state:
 
     - the server interns stack frames and fault descriptors into a
@@ -140,19 +147,6 @@ val decode_from_manager : string -> (from_manager, string) result
     protocol: the peer resets and falls back like any transport fault. *)
 
 module V2 : sig
-  (** {3 Varints} — exposed for tests and micro-benches. *)
-
-  val varint_encode : Buffer.t -> int -> unit
-  (** LEB128. @raise Invalid_argument on negative input. *)
-
-  val svarint_encode : Buffer.t -> int -> unit
-  (** Zigzag + LEB128; any [int]. *)
-
-  val varint_decode : string -> pos:int -> (int * int, string) result
-  (** [(value, next_pos)]; total — truncation and overflow are [Error]. *)
-
-  val svarint_decode : string -> pos:int -> (int * int, string) result
-
   (** {3 Client -> server} *)
 
   type client_enc

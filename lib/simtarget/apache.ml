@@ -42,13 +42,8 @@ let plant_strdup_oom target =
      module-loading test groups; each such test registers several modules,
      so the first few strdup calls all pass through the buggy site. *)
   let reached = [ 30; 31; 32; 33; 34; 35; 36; 37; 38; 39; 40; 41 ] in
-  let target =
-    List.fold_left
-      (fun acc test_id ->
-        let acc = Gen.splice acc ~test_id ~pos:2 ~site ~repeat:2 in
-        Gen.splice acc ~test_id ~pos:14 ~site ~repeat:1)
-      target reached
-  in
+  let target = Gen.splice target ~test_ids:reached ~pos:2 ~site ~repeat:2 in
+  let target = Gen.splice target ~test_ids:reached ~pos:14 ~site ~repeat:1 in
   (target, site)
 
 (* A latent multi-fault bug: the error-log writer handles a failed write
@@ -102,11 +97,7 @@ let plant_latent_log target =
     if window_sum start > window_sum !best then best := start
   done;
   let reached = List.init width (fun i -> !best + i) in
-  let target =
-    List.fold_left
-      (fun acc test_id -> Gen.splice acc ~test_id ~pos:20 ~site ~repeat:3)
-      target reached
-  in
+  let target = Gen.splice target ~test_ids:reached ~pos:20 ~site ~repeat:3 in
   (target, site)
 
 let build () =

@@ -53,11 +53,11 @@ let with_xmalloc target ~utility =
       ~behavior:(Behavior.always Behavior.Test_fails)
       ~recovery_blocks:1
   in
-  Array.fold_left
-    (fun acc (test : Sim_test.t) ->
-      let acc = Gen.splice acc ~test_id:test.Sim_test.id ~pos:1 ~site:xmalloc_site ~repeat:1 in
-      Gen.splice acc ~test_id:test.Sim_test.id ~pos:6 ~site:xmalloc_site ~repeat:1)
-    target (Target.tests target)
+  let test_ids =
+    Array.to_list (Array.map (fun (t : Sim_test.t) -> t.Sim_test.id) (Target.tests target))
+  in
+  let target = Gen.splice target ~test_ids ~pos:1 ~site:xmalloc_site ~repeat:1 in
+  Gen.splice target ~test_ids ~pos:6 ~site:xmalloc_site ~repeat:1
 
 let build_ls () = Gen.generate ls_config
 

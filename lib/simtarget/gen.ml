@@ -304,19 +304,26 @@ let add_callsite target ~module_name ~func ~location ~stack ~behavior ~recovery_
   in
   (target, id)
 
-let splice target ~test_id ~pos ~site ~repeat =
+let splice target ~test_ids ~pos ~site ~repeat =
   let tests = Array.copy (Target.tests target) in
-  let t = tests.(test_id) in
-  let trace = t.Sim_test.trace in
-  let pos = max 0 (min (Array.length trace) pos) in
-  let insertion = Array.make repeat site in
-  let trace' =
-    Array.concat
-      [ Array.sub trace 0 pos; insertion; Array.sub trace pos (Array.length trace - pos) ]
-  in
-  tests.(test_id) <-
-    Sim_test.make ~id:t.Sim_test.id ~name:t.Sim_test.name ~group:t.Sim_test.group
-      ~trace:trace' ~duration_ms:t.Sim_test.duration_ms;
+  List.iter
+    (fun test_id ->
+      let t = tests.(test_id) in
+      let trace = t.Sim_test.trace in
+      let pos = max 0 (min (Array.length trace) pos) in
+      let trace' =
+        Array.concat
+          [
+            Array.sub trace 0 pos;
+            Array.make repeat site;
+            Array.sub trace pos (Array.length trace - pos);
+          ]
+      in
+      tests.(test_id) <-
+        Sim_test.make ~id:t.Sim_test.id ~name:t.Sim_test.name
+          ~group:t.Sim_test.group ~trace:trace'
+          ~duration_ms:t.Sim_test.duration_ms)
+    test_ids;
   Target.make ~name:(Target.name target) ~version:(Target.version target)
     ~callsites:(Target.callsites target) ~tests ~total_blocks:(Target.total_blocks target)
 

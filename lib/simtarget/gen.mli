@@ -79,9 +79,10 @@ val add_callsite :
     returns the new target and the site's id. *)
 
 val splice :
-  Target.t -> test_id:int -> pos:int -> site:int -> repeat:int -> Target.t
-(** Inserts [repeat] visits to [site] into a test's trace at position
-    [pos] (clamped to the trace length). *)
+  Target.t -> test_ids:int list -> pos:int -> site:int -> repeat:int -> Target.t
+(** Inserts [repeat] visits to [site] into each listed test's trace at
+    position [pos] (clamped to the trace length), in list order. The
+    target is copied and validated once, however many tests change. *)
 
 val merge : name:string -> version:string -> Target.t list -> Target.t
 (** Concatenates several targets into one suite: callsite ids, block ids and

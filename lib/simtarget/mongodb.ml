@@ -78,9 +78,7 @@ let plant_v20_crash target =
            [ ("ENOSPC", Behavior.Crash { in_recovery = true }) ])
       ~recovery_blocks:2
   in
-  List.fold_left
-    (fun acc test_id -> Gen.splice acc ~test_id ~pos:4 ~site ~repeat:2)
-    target (List.init 24 (fun i -> 8 + i))
+  Gen.splice target ~test_ids:(List.init 24 (fun i -> 8 + i)) ~pos:4 ~site ~repeat:2
 
 let memo_v08 = lazy (Gen.generate config_v08)
 let memo_v20 = lazy (plant_v20_crash (Gen.generate config_v20))

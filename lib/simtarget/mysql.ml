@@ -57,11 +57,7 @@ let plant_double_unlock target =
       [ 410; 500; 620; 750; 880; 1010 ]
   in
   let reached = List.filter in_ranges (List.init 1147 (fun i -> i)) in
-  let target =
-    List.fold_left
-      (fun acc test_id -> Gen.splice acc ~test_id ~pos:0 ~site ~repeat:2)
-      target reached
-  in
+  let target = Gen.splice target ~test_ids:reached ~pos:0 ~site ~repeat:2 in
   (target, site)
 
 let plant_errmsg target =
@@ -83,11 +79,7 @@ let plant_errmsg target =
      remaining tests reuse a running server. *)
   let in_ranges id = id mod 60 < 30 in
   let reached = List.filter in_ranges (List.init 1147 (fun i -> i)) in
-  let target =
-    List.fold_left
-      (fun acc test_id -> Gen.splice acc ~test_id ~pos:0 ~site ~repeat:1)
-      target reached
-  in
+  let target = Gen.splice target ~test_ids:reached ~pos:0 ~site ~repeat:1 in
   (target, site)
 
 let build () =

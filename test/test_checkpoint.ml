@@ -14,7 +14,6 @@ module Rng = Afex_stats.Rng
 module Apache = Afex_simtarget.Apache
 module Mysql = Afex_simtarget.Mysql
 module Bitset = Afex_stats.Bitset
-module Message = Afex_cluster.Message
 
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
@@ -59,7 +58,26 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-(* Deliberately awkward metadata: escaping must survive the round trip. *)
+(* The framed records of a journal or record log, whole: each is a
+   12-byte header that starts with the payload length, then the
+   payload. *)
+let framed_records s =
+  let rec go acc pos =
+    if pos >= String.length s then List.rev acc
+    else
+      let n = Int32.to_int (String.get_int32_be s pos) land 0xFFFF_FFFF in
+      let next = min (String.length s) (pos + 12 + n) in
+      go (String.sub s pos (next - pos) :: acc) next
+  in
+  go [] 0
+
+let flip_byte s i =
+  let b = Bytes.of_string s in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x04));
+  Bytes.to_string b
+
+(* Deliberately awkward metadata: spaces, tabs, newlines, [%] and
+   backslashes must survive the round trip. *)
 let meta =
   [
     ("format", "1");
@@ -267,40 +285,28 @@ let test_meta_mismatch_rejected () =
       | Ok _ -> Alcotest.fail "resume under a different seed must be refused"
       | Error e -> checkb "names the mismatched key" true (contains e "seed"))
 
-(* A version-4 snapshot still carries the window controller's round
-   count on its globals line. Rewrite a real snapshot into that shape,
-   checksum and all, so only the header can refuse it. *)
-let as_version_4 bytes =
-  let body_end = String.rindex_from bytes (String.length bytes - 2) '\n' + 1 in
-  let body =
-    String.split_on_char '\n' (String.sub bytes 0 body_end)
-    |> List.map (fun line ->
-           if line = "afex-checkpoint 5" then "afex-checkpoint 4"
-           else if String.length line > 2 && String.sub line 0 2 = "g " then
-             "g 0 " ^ String.sub line 2 (String.length line - 2)
-           else line)
-    |> String.concat "\n"
-  in
-  body ^ Printf.sprintf "k %08x\n" (Afex_cluster.Transport.checksum body)
-
-let test_version_4_refused () =
-  let expected = "expected \"afex-checkpoint 5\"" in
-  (match Checkpoint.Snapshot.decode (as_version_4 (Lazy.force sample_bytes)) with
-  | Ok _ -> Alcotest.fail "a version-4 snapshot must be refused"
+(* A version-5 checkpoint as the text-format release wrote it
+   ([explore -t apache -n 40 --seed 7 --checkpoint]): the decoder and
+   resume must both refuse it by its header. *)
+let test_version_5_refused () =
+  let golden = Filename.concat "golden" "checkpoint_v5" in
+  let expected = "afex-checkpoint 6" in
+  (match
+     Checkpoint.Snapshot.decode
+       (read_file (Filename.concat golden "snapshot.afex"))
+   with
+  | Ok _ -> Alcotest.fail "a version-5 snapshot must be refused"
   | Error e -> checkb "names the expected header" true (contains e expected));
   with_dir (fun dir ->
-      (match Checkpoint.start ~dir meta with
-      | Error e -> Alcotest.fail e
-      | Ok cp ->
-          Checkpoint.write_snapshot cp ~master_state:1L
-            (Explorer.create (Config.fitness_guided ~seed:1 ()) (space ())
-               (executor ()));
-          Checkpoint.close cp);
-      let path = Filename.concat dir "snapshot.afex" in
-      write_file path (as_version_4 (read_file path));
+      List.iter
+        (fun f ->
+          write_file (Filename.concat dir f)
+            (read_file (Filename.concat golden f)))
+        [ "snapshot.afex"; "records.log"; "wal.log" ];
       match Checkpoint.resume ~dir meta with
-      | Ok _ -> Alcotest.fail "resume of a version-4 checkpoint must be refused"
-      | Error e -> checkb "resume names the expected header" true (contains e expected))
+      | Ok _ -> Alcotest.fail "resume of a version-5 checkpoint must be refused"
+      | Error e ->
+          checkb "resume names the expected header" true (contains e expected))
 
 (* ---- crash-point sweep over a real pooled campaign ------------------- *)
 
@@ -485,19 +491,29 @@ let test_double_crash () =
 let test_torn_wal_tail_tolerated () =
   let config = Config.fitness_guided ~seed:7 () in
   let base_json, _ = session_exports config in
-  with_dir (fun dir ->
-      checkb "crashed" true
-        (crash_at ~dir ~config
-           {
-             Checkpoint.no_hooks with
-             Checkpoint.on_append = (fun n -> if n = 40 then raise Crash);
-           });
-      (* Tear the final journal line, as a crash mid-write would. *)
-      let wal = Filename.concat dir "wal.log" in
-      let bytes = read_file wal in
-      write_file wal (String.sub bytes 0 (String.length bytes - 7));
-      let json, _ = resume_to_end ~dir ~config in
-      checks "torn tail re-executed, export identical" base_json json)
+  List.iter
+    (fun (what, cut) ->
+      with_dir (fun dir ->
+          checkb "crashed" true
+            (crash_at ~dir ~config
+               {
+                 Checkpoint.no_hooks with
+                 Checkpoint.on_append = (fun n -> if n = 40 then raise Crash);
+               });
+          (* Tear the final journal record, as a crash mid-write would. *)
+          let wal = Filename.concat dir "wal.log" in
+          let bytes = read_file wal in
+          write_file wal (String.sub bytes 0 (cut bytes));
+          let json, _ = resume_to_end ~dir ~config in
+          checks (what ^ ": torn tail re-executed, export identical") base_json
+            json))
+    [
+      ("cut inside the last payload", fun b -> String.length b - 7);
+      ( "cut inside the last header",
+        fun b ->
+          let last = List.hd (List.rev (framed_records b)) in
+          String.length b - String.length last + 5 );
+    ]
 
 let test_corrupt_wal_interior_rejected () =
   let config = Config.fitness_guided ~seed:7 () in
@@ -509,13 +525,19 @@ let test_corrupt_wal_interior_rejected () =
              Checkpoint.on_append = (fun n -> if n = 40 then raise Crash);
            });
       let wal = Filename.concat dir "wal.log" in
-      let bytes = Bytes.of_string (read_file wal) in
-      (* Flip a byte in the middle of the journal, not on the last line. *)
-      Bytes.set bytes (Bytes.length bytes / 3) '\xff';
-      write_file wal (Bytes.to_string bytes);
-      match Checkpoint.resume ~every:25 ~dir meta with
-      | Ok _ -> Alcotest.fail "interior journal corruption must be rejected"
-      | Error _ -> ())
+      let bytes = read_file wal in
+      let second = String.length (List.hd (framed_records bytes)) in
+      List.iter
+        (fun (what, at) ->
+          (* Damage before the last record: never a torn tail. *)
+          write_file wal (flip_byte bytes at);
+          match Checkpoint.resume ~every:25 ~dir meta with
+          | Ok _ -> Alcotest.failf "%s must be rejected" what
+          | Error _ -> ())
+        [
+          ("a flipped byte a third into the journal", String.length bytes / 3);
+          ("a flipped length byte in the second record", second + 3);
+        ])
 
 (* ---- record-log damage ------------------------------------------------ *)
 
@@ -532,8 +554,8 @@ let test_record_log_damage_rejected () =
            });
       let path = Filename.concat dir "records.log" in
       let log = read_file path in
-      let lines = String.split_on_char '\n' log in
-      checkb "several records logged" true (List.length lines > 3);
+      let records = framed_records log in
+      checkb "several records logged" true (List.length records > 3);
       let refused what damage =
         damage ();
         (match Checkpoint.resume ~every:25 ~dir meta with
@@ -546,67 +568,123 @@ let test_record_log_damage_rejected () =
       refused "log shorter than the mark" (fun () ->
           write_file path (String.sub log 0 (String.length log - 1)));
       refused "flipped byte inside the mark" (fun () ->
-          let b = Bytes.of_string log in
-          let i = String.length log / 2 in
-          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x04));
-          write_file path (Bytes.to_string b));
+          write_file path (flip_byte log (String.length log / 2)));
       refused "missing log under a non-zero mark" (fun () -> Sys.remove path);
-      refused "lines out of birth order" (fun () ->
-          match lines with
-          | a :: b :: rest ->
-              write_file path (String.concat "\n" (b :: a :: rest))
+      refused "records out of birth order" (fun () ->
+          match records with
+          | a :: b :: rest -> write_file path (String.concat "" (b :: a :: rest))
           | _ -> assert false);
       (* The untouched log still resumes. *)
       match Checkpoint.resume ~every:25 ~dir meta with
       | Ok cp -> Checkpoint.close cp
       | Error e -> Alcotest.fail e)
 
-(* ---- journal-line encoders -------------------------------------------- *)
+(* ---- every checkpoint decoder is total -------------------------------- *)
 
-(* The encoders a journal line is built from, as they stood before they
-   were rewritten for speed: the rewrites must produce the same bytes,
-   so wal.log and the wire format do not change. *)
-module Reference = struct
-  let to_list b =
-    let acc = ref [] in
-    for i = Bitset.capacity b - 1 downto 0 do
-      if Bitset.mem b i then acc := i :: !acc
-    done;
-    !acc
+let files = [ "snapshot.afex"; "records.log"; "wal.log" ]
 
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun ch ->
-        let c = Char.code ch in
-        if c > 0x20 && c < 0x7f && ch <> '%' && ch <> ',' then
-          Buffer.add_char b ch
-        else Buffer.add_string b (Printf.sprintf "%%%02X" c))
-      s;
-    Buffer.contents b
+(* One file of a crashed campaign's checkpoint damaged — replaced by
+   random bytes, or one byte of it replaced — must reach every decoder
+   behind resume without an exception escaping. Half the cases damage
+   the snapshot, and half of its byte replacements get a fresh
+   checksum, so they reach the structural decoder and, when that
+   accepts them, Explorer.restore. *)
+let test_decoders_total () =
+  let config = Config.fitness_guided ~seed:7 () in
+  with_dir (fun dir ->
+      checkb "crashed" true
+        (crash_at ~dir ~config
+           {
+             Checkpoint.no_hooks with
+             Checkpoint.on_append = (fun n -> if n = 260 then raise Crash);
+           });
+      let real = List.map (fun f -> (f, read_file (Filename.concat dir f))) files in
+      let damaged (file, damage) =
+        match damage with
+        | `Noise s -> s
+        | `Replace (i, c, rechecksum) ->
+            let b = Bytes.of_string (List.assoc file real) in
+            Bytes.set b i c;
+            let s = Bytes.to_string b in
+            if not rechecksum then s
+            else begin
+              let body = String.sub s 0 (String.length s - 4) in
+              let crc = Bytes.create 4 in
+              Bytes.set_int32_be crc 0
+                (Int32.of_int (Afex_cluster.Transport.checksum body));
+              body ^ Bytes.to_string crc
+            end
+      in
+      let run ((file, _) as case) =
+        List.iter
+          (fun (f, s) ->
+            write_file (Filename.concat dir f)
+              (if f = file then damaged case else s))
+          real;
+        (match
+           Checkpoint.Snapshot.decode
+             (read_file (Filename.concat dir "snapshot.afex"))
+         with
+        | Ok _ | Error _ -> ());
+        match Checkpoint.resume ~every:25 ~dir meta with
+        | Error _ -> ()
+        | Ok cp -> (
+            Checkpoint.close cp;
+            match Checkpoint.loaded_snapshot cp with
+            | None -> ()
+            | Some snap -> (
+                match
+                  Explorer.restore config (space ()) (executor ())
+                    snap.Checkpoint.Snapshot.explorer
+                with
+                | Ok _ | Error _ -> ()))
+      in
+      let show ((file, damage) as case) =
+        Printf.sprintf "%s %s%s" file
+          (match damage with
+          | `Noise s -> Printf.sprintf "replaced by %S" s
+          | `Replace (i, c, rechecksum) ->
+              Printf.sprintf "byte %d set to %#x%s" i (Char.code c)
+                (if rechecksum then ", re-checksummed" else ""))
+          (match run case with
+          | () -> ""
+          | exception e -> " raises " ^ Printexc.to_string e)
+      in
+      let arb =
+        Prop.make ~show (fun rng ->
+            let file =
+              if Rng.bernoulli rng 0.5 then "snapshot.afex"
+              else List.nth files (1 + Rng.int rng 2)
+            in
+            let size = String.length (List.assoc file real) in
+            if size = 0 || Rng.bernoulli rng 0.2 then
+              ( file,
+                `Noise
+                  (String.init (Rng.int rng 64) (fun _ ->
+                       Char.chr (Rng.int rng 256))) )
+            else
+              ( file,
+                `Replace
+                  ( Rng.int rng size,
+                    Char.chr (Rng.int rng 256),
+                    file = "snapshot.afex" && Rng.bernoulli rng 0.5 ) ))
+      in
+      Prop.check ~count:500 ~seed:2029 "checkpoint decoders are total" arb
+        (fun case ->
+          run case;
+          true))
 
-  let encode_coverage = function
-    | [] -> "-"
-    | first :: rest ->
-        let b = Buffer.create 64 in
-        let emit lo hi =
-          if Buffer.length b > 0 then Buffer.add_char b ',';
-          if lo = hi then Buffer.add_string b (string_of_int lo)
-          else Buffer.add_string b (Printf.sprintf "%d-%d" lo hi)
-        in
-        let lo, hi =
-          List.fold_left
-            (fun (lo, hi) i ->
-              if i = hi + 1 then (lo, i)
-              else begin
-                emit lo hi;
-                (i, i)
-              end)
-            (first, first) rest
-        in
-        emit lo hi;
-        Buffer.contents b
-end
+(* ---- journal encoders ------------------------------------------------ *)
+
+(* A journal record carries the outcome's coverage as
+   [Bitset.to_list], rewritten for speed: it must still list the set
+   bits in order, as the bit-by-bit scan did. *)
+let reference_to_list b =
+  let acc = ref [] in
+  for i = Bitset.capacity b - 1 downto 0 do
+    if Bitset.mem b i then acc := i :: !acc
+  done;
+  !acc
 
 let test_encoders_match_reference () =
   Prop.check ~count:300 "Bitset.to_list matches the bit-by-bit scan"
@@ -615,22 +693,7 @@ let test_encoders_match_reference () =
     (fun (capacity, bits) ->
       let b = Bitset.create capacity in
       List.iter (fun i -> if i < capacity then Bitset.set b i) bits;
-      Bitset.to_list b = Reference.to_list b);
-  Prop.check ~count:300 "Message.escape matches the Printf encoder"
-    (Prop.pair Prop.bool (Prop.list ~max_length:40 (Prop.int_range 0 255)))
-    (fun (printable, codes) ->
-      (* Printable strings often need no escaping at all. *)
-      let code c = if printable then 0x21 + (c mod 94) else c in
-      let s =
-        String.of_seq (Seq.map (fun c -> Char.chr (code c)) (List.to_seq codes))
-      in
-      String.equal (Message.escape s) (Reference.escape s));
-  Prop.check ~count:300 "Message.encode_coverage matches the Printf encoder"
-    (Prop.pair Prop.bool (Prop.list ~max_length:40 (Prop.int_range (-5) 60)))
-    (fun (ascending, l) ->
-      (* Block lists are ascending in use; any list must still agree. *)
-      let l = if ascending then List.sort_uniq compare l else l in
-      String.equal (Message.encode_coverage l) (Reference.encode_coverage l))
+      Bitset.to_list b = reference_to_list b)
 
 (* ---- snapshot cost ---------------------------------------------------- *)
 
@@ -695,7 +758,7 @@ let test_snapshot_cost_tracks_new_tests () =
         Alcotest.(check int)
           (Printf.sprintf "%d tests: the log holds the mark's count" n)
           mark.Checkpoint.Snapshot.logged
-          (List.length (String.split_on_char '\n' log) - 1);
+          (List.length (framed_records log));
         words)
   in
   let short = run 2_000 in
@@ -740,7 +803,7 @@ let suite =
     ("start refuses an existing checkpoint", `Quick, test_start_refuses_existing);
     ("resume refuses an empty directory", `Quick, test_resume_refuses_empty);
     ("resume rejects mismatched campaign metadata", `Quick, test_meta_mismatch_rejected);
-    ("version-4 checkpoints are refused", `Quick, test_version_4_refused);
+    ("version-5 checkpoints are refused", `Quick, test_version_5_refused);
     ("kill-point sweep resumes byte-identically", `Quick, test_kill_point_sweep);
     ("crash between rename and truncate recovers", `Quick,
       test_crash_between_rename_and_truncate);
@@ -748,6 +811,7 @@ let suite =
     ("crash between log append and rename recovers", `Quick,
       test_crash_between_log_append_and_rename);
     ("damaged record log rejected", `Quick, test_record_log_damage_rejected);
+    ("checkpoint decoders are total (property)", `Quick, test_decoders_total);
     ("journal encoders match reference", `Quick, test_encoders_match_reference);
     ("snapshot cost tracks new tests", `Quick,
       test_snapshot_cost_tracks_new_tests);

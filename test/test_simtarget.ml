@@ -177,13 +177,30 @@ let test_gen_add_callsite_and_splice () =
   in
   checki "site appended" (Array.length (Target.callsites t) - 1) site;
   checki "blocks grew" (blocks_before + 5) (Target.total_blocks t);
+  (* One batched splice per position equals the per-test fold, also
+     with two positions per test, as apache plants its strdup bug. *)
+  let ids = [ 0; 3; 4; 7; 19 ] in
+  let per_test =
+    List.fold_left
+      (fun acc id ->
+        let acc = Gen.splice acc ~test_ids:[ id ] ~pos:2 ~site ~repeat:2 in
+        Gen.splice acc ~test_ids:[ id ] ~pos:14 ~site ~repeat:1)
+      t ids
+  in
+  let batched =
+    Gen.splice
+      (Gen.splice t ~test_ids:ids ~pos:2 ~site ~repeat:2)
+      ~test_ids:ids ~pos:14 ~site ~repeat:1
+  in
+  let traces t = Array.map (fun (c : Sim_test.t) -> c.Sim_test.trace) (Target.tests t) in
+  checkb "batched splice = per-test fold" true (traces batched = traces per_test);
   let trace_before = Array.length (Target.test t 0).Sim_test.trace in
-  let t = Gen.splice t ~test_id:0 ~pos:2 ~site ~repeat:3 in
+  let t = Gen.splice t ~test_ids:[ 0 ] ~pos:2 ~site ~repeat:3 in
   let test0 = Target.test t 0 in
   checki "trace grew" (trace_before + 3) (Array.length test0.Sim_test.trace);
   checki "spliced at pos" site test0.Sim_test.trace.(2);
   (* splice positions are clamped *)
-  let t = Gen.splice t ~test_id:0 ~pos:100_000 ~site ~repeat:1 in
+  let t = Gen.splice t ~test_ids:[ 0 ] ~pos:100_000 ~site ~repeat:1 in
   let test0 = Target.test t 0 in
   checki "clamped splice at end" site
     test0.Sim_test.trace.(Array.length test0.Sim_test.trace - 1)

@@ -258,9 +258,12 @@ let test_handshake_codec () =
   checkb "welcome round-trips" true
     (Message.decode_greeting (Message.encode_welcome ~version:1)
     = Ok (Message.Welcome 1));
-  (match Message.decode_greeting (Message.encode_reject ~reason:"v2 only\nsorry") with
-  | Ok (Message.Reject r) -> checks "reject reason survives" "v2 only\nsorry" r
-  | _ -> Alcotest.fail "reject must decode");
+  List.iter
+    (fun reason ->
+      match Message.decode_greeting (Message.encode_reject ~reason) with
+      | Ok (Message.Reject r) -> checks "reject reason survives" reason r
+      | _ -> Alcotest.failf "reject %S must decode" reason)
+    [ "v2 only\nsorry"; " spaced  out \n 100% raw "; "" ];
   List.iter
     (fun line ->
       checkb (Printf.sprintf "malformed hello %S" line) true
@@ -340,7 +343,7 @@ let test_client_refuses_old_welcome () =
   checki "nothing ran over the wire" 0 stats.Pool.remote_runs;
   checkb "tests fell back locally" true (stats.Pool.remote_fallbacks > 0)
 
-(* --- the text report codec (the checkpoint journal's records) --- *)
+(* --- random reports for the codec properties --- *)
 
 let statuses = [| Outcome.Passed; Outcome.Test_failed; Outcome.Crashed; Outcome.Hung |]
 
@@ -424,79 +427,21 @@ let report_arb =
          else []);
       ]
   in
-  let show r = Message.encode_from_manager (Message.Scenario_result r) in
+  let show (r : Message.run_report) =
+    let stack = function
+      | None -> "-"
+      | Some frames -> Printf.sprintf "%S" (String.concat "|" frames)
+    in
+    Printf.sprintf "seq %d, %s%s, %d new, %h ms, %S, coverage [%s], %s, %s"
+      r.seq
+      (Outcome.status_to_string r.status)
+      (if r.triggered then " (triggered)" else "")
+      r.new_blocks r.duration_ms
+      (Message.fault_to_string r.fault)
+      (String.concat ";" (List.map string_of_int r.coverage))
+      (stack r.injection_stack) (stack r.crash_stack)
+  in
   Prop.make ~shrink ~show random_report
-
-let test_from_manager_roundtrip_property () =
-  Prop.check ~count:200 ~seed:2026 "from_manager round-trip" report_arb (fun r ->
-      let line = Message.encode_from_manager (Message.Scenario_result r) in
-      (not (String.contains line '\n'))
-      &&
-      match Message.decode_from_manager line with
-      | Ok (Message.Scenario_result r') -> r' = r
-      | Ok (Message.Manager_error _) | Error _ -> false)
-
-let test_manager_error_roundtrip () =
-  List.iter
-    (fun (seq, message) ->
-      let line =
-        Message.encode_from_manager (Message.Manager_error { seq; message })
-      in
-      match Message.decode_from_manager line with
-      | Ok (Message.Manager_error { seq = seq'; message = message' }) ->
-          checki "seq" seq seq';
-          checks "message" message message'
-      | _ -> Alcotest.failf "manager error %S did not round-trip" message)
-    [
-      (1, "plain failure");
-      (-1, "could not decode the request");
-      (7, "");
-      (12, "multi\nline\nerror");
-      (3, "r\xc3\xa9seau d\xc3\xa9connect\xc3\xa9 100%");
-    ]
-
-let test_from_manager_malformed () =
-  List.iter
-    (fun line ->
-      checkb (Printf.sprintf "reject %S" line) true
-        (is_error (Message.decode_from_manager line)))
-    [
-      "";
-      "RESULT";
-      "RESULT 1 P";
-      "RESULT x P T 0 0x1p1 f @0: @0: @0:";  (* bad seq *)
-      "RESULT 1 Q T 0 0x1p1 f @0: @0: @0:";  (* unknown status token *)
-      "RESULT 1 P X 0 0x1p1 f @0: @0: @0:";  (* bad triggered flag *)
-      "RESULT 1 P T zz 0x1p1 f @0: @0: @0:"; (* bad new_blocks *)
-      "RESULT 1 P T 0 fast f @0: @0: @0:";   (* bad duration *)
-      "RESULT 1 P T 0 0x1p1 f 3-1 @0: @0:";  (* descending coverage range *)
-      "RESULT 1 P T 0 0x1p1 f -3 @0: @0:";   (* negative coverage *)
-      "RESULT 1 P T 0 0x1p1 f 0,1 @nope: @0:"; (* bad stack count *)
-      "ERROR";
-      "ERROR x boom";
-      "HELLO afex 1";
-      "a perfectly ordinary sentence";
-    ]
-
-let test_coverage_ranges () =
-  let base = random_report (Rng.create 5) in
-  List.iter
-    (fun coverage ->
-      let r = { base with Message.coverage } in
-      match Message.decode_from_manager
-              (Message.encode_from_manager (Message.Scenario_result r))
-      with
-      | Ok (Message.Scenario_result r') ->
-          checkb "coverage round-trips" true (r'.Message.coverage = coverage)
-      | _ -> Alcotest.fail "coverage variant did not decode")
-    [
-      [];
-      [ 0 ];
-      [ 399 ];
-      [ 0; 1; 2; 3; 4 ];
-      [ 7; 9; 11 ];
-      [ 0; 1; 2; 50; 51; 52; 53; 400 ];
-    ]
 
 let test_outcome_report_roundtrip () =
   let exec = executor () in
@@ -865,20 +810,14 @@ let test_pool_rejects_bad_worker_mix () =
 module V2 = Message.V2
 
 let test_varint_properties () =
-  let roundtrip_uv n =
+  let roundtrip add read n =
     let b = Buffer.create 10 in
-    V2.varint_encode b n;
-    match V2.varint_decode (Buffer.contents b) ~pos:0 with
-    | Ok (v, next) -> v = n && next = Buffer.length b
-    | Error _ -> false
+    add b n;
+    let c = { Message.data = Buffer.contents b; pos = 0 } in
+    read c = Ok n && Message.remaining c = 0
   in
-  let roundtrip_sv n =
-    let b = Buffer.create 10 in
-    V2.svarint_encode b n;
-    match V2.svarint_decode (Buffer.contents b) ~pos:0 with
-    | Ok (v, next) -> v = n && next = Buffer.length b
-    | Error _ -> false
-  in
+  let roundtrip_uv = roundtrip Message.add_uv Message.read_uv in
+  let roundtrip_sv = roundtrip Message.add_sv Message.read_sv in
   (* Every byte-length boundary by hand, then random magnitudes. *)
   List.iter
     (fun n -> checkb (Printf.sprintf "uv %d round-trips" n) true (roundtrip_uv n))
@@ -898,15 +837,14 @@ let test_varint_properties () =
       roundtrip_uv (abs n));
   Prop.check ~count:300 ~seed:8 "signed varint round-trip" any_int roundtrip_sv;
   (* Totality: truncation, overflow, and the encoder's domain. *)
-  checkb "truncated varint is an error" true
-    (is_error (V2.varint_decode "\x80" ~pos:0));
-  checkb "pos past the end is an error" true
-    (is_error (V2.varint_decode "" ~pos:0));
+  let read_uv data = Message.read_uv { Message.data; pos = 0 } in
+  checkb "truncated varint is an error" true (is_error (read_uv "\x80"));
+  checkb "empty input is an error" true (is_error (read_uv ""));
   checkb "overflowing varint is an error" true
-    (is_error (V2.varint_decode (String.make 10 '\xff') ~pos:0));
+    (is_error (read_uv (String.make 10 '\xff')));
   checkb "negative unsigned encode is rejected" true
     (try
-       V2.varint_encode (Buffer.create 4) (-1);
+       Message.add_uv (Buffer.create 4) (-1);
        false
      with Invalid_argument _ -> true)
 
@@ -982,6 +920,26 @@ let test_v2_reply_roundtrip_property () =
       match V2.decode_replies cdec (Buffer.contents b) with
       | Ok [ Message.Scenario_result r' ] -> r' = r
       | _ -> false);
+  (* Coverage shapes by hand: empty, the first and a far block,
+     contiguous runs, and strays. *)
+  let base = random_report (Rng.create 5) in
+  List.iter
+    (fun coverage ->
+      let b = Buffer.create 256 in
+      V2.encode_reply (V2.server_enc ()) b
+        (Message.Scenario_result { base with Message.coverage });
+      match V2.decode_replies (V2.client_dec ()) (Buffer.contents b) with
+      | Ok [ Message.Scenario_result r ] ->
+          checkb "coverage round-trips" true (r.Message.coverage = coverage)
+      | _ -> Alcotest.fail "coverage variant did not decode")
+    [
+      [];
+      [ 0 ];
+      [ 399 ];
+      [ 0; 1; 2; 3; 4 ];
+      [ 7; 9; 11 ];
+      [ 0; 1; 2; 50; 51; 52; 53; 400 ];
+    ];
   List.iter
     (fun (seq, message) ->
       let b = Buffer.create 64 in
@@ -992,7 +950,13 @@ let test_v2_reply_roundtrip_property () =
           checki "error seq" seq seq';
           checks "error message" message message'
       | _ -> Alcotest.failf "manager error %S did not round-trip" message)
-    [ (1, "plain failure"); (-1, "undecodable"); (7, ""); (3, "multi\nline") ]
+    [
+      (1, "plain failure");
+      (-1, "undecodable");
+      (7, "");
+      (3, "multi\nline");
+      (4, "r\xc3\xa9seau d\xc3\xa9connect\xc3\xa9 100%");
+    ]
 
 let test_v2_dict_interning () =
   (* One connection's worth of codec state: the first report announces
@@ -1135,7 +1099,7 @@ let frame_total prefix bytes =
    ([gap], [length - 1]) — shapes a valid encoder never produces. *)
 let reply_with_coverage runs =
   let b = Buffer.create 64 in
-  let uv = V2.varint_encode b in
+  let uv = Message.add_uv b in
   let fault =
     Scenario.to_string
       (Fault.to_scenario (Fault.make ~test_id:0 ~func:"read" ~call_number:1 ()))
@@ -1212,18 +1176,17 @@ let test_wire_decoders_total () =
       && frame_total partial_frame s)
 
 let test_decoder_chunk_granularity () =
-  (* The frame decoder fed text (handshake, journal line) and binary
-     frames at every chunk granularity 1-7 bytes — chunks landing
-     mid-header, mid-payload and across frame boundaries — must produce
-     identical results. The first three payloads are not replies. *)
+  (* The frame decoder fed text (handshake lines) and binary frames at
+     every chunk granularity 1-7 bytes — chunks landing mid-header,
+     mid-payload and across frame boundaries — must produce identical
+     results. The first three payloads are not replies. *)
   let other_payloads =
     [
       Message.encode_hello ~version:Message.protocol_version;
       (let b = Buffer.create 1 in
        V2.encode_shutdown b;
        Buffer.contents b);
-      Message.encode_from_manager
-        (Message.Scenario_result (random_report (Rng.create 2)));
+      Message.encode_reject ~reason:"unsupported protocol version 1\nbye";
     ]
   in
   let senc = V2.server_enc () in
@@ -1335,10 +1298,6 @@ let suite =
       ("handshake codec", test_handshake_codec);
       ("version mismatch is rejected", test_serve_rejects_version_mismatch);
       ("client refuses a v1 welcome", test_client_refuses_old_welcome);
-      ("from_manager round-trip (property)", test_from_manager_roundtrip_property);
-      ("manager errors round-trip", test_manager_error_roundtrip);
-      ("from_manager rejects malformed lines", test_from_manager_malformed);
-      ("coverage range codec", test_coverage_ranges);
       ("outcome <-> report round-trip", test_outcome_report_roundtrip);
       ("loopback outcome equality", test_loopback_outcome_equality);
       ("manager errors are not retried", test_loopback_manager_error_not_retried);
