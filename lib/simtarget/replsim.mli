@@ -102,6 +102,12 @@ val make :
   cluster
 (** Builds the cluster, precomputes the seeded churn schedule, and runs
     the fault-free baseline once (memoized; exposed via {!baseline}).
+    While the baseline runs, [make] also keeps its state at the start of
+    every 16th round (at most 64 times, spread evenly over longer runs):
+    replica records, coverage and counters. Each snapshot stores the
+    longest replica log once and shares it with every replica whose log
+    is a prefix of it; ledger and leader trace are read from the
+    baseline's own arrays.
     Defaults: rounds 400, seed 42, churn every 7 rounds, recovery 5
     rounds, backup every 8, drop window 6, liveness 30, 0.05 ms/round.
     @raise Invalid_argument on [n < 3], [rounds < 1], a non-positive
@@ -110,6 +116,9 @@ val make :
 
 val config : cluster -> config
 val baseline : cluster -> run_result
+(** The fault-free run. Its [leader_trace] is the array runs resume
+    from: read it, never write it. *)
+
 val churn_schedule : cluster -> (int * int) list
 (** [(round, replica)] recovery events, chronological. *)
 
@@ -123,7 +132,11 @@ val total_blocks : cluster -> int
 
 val run : cluster -> faults:fault list -> run_result
 (** Simulates the configured rounds with the given faults armed,
-    stopping at the first invariant violation. Pure and deterministic.
+    stopping at the first invariant violation. Before its earliest fault
+    a run repeats the baseline, so it starts from the last snapshot at or
+    before that fault instead of from round 0; the result is the same.
+    Pure and deterministic. Each run builds its own state and only reads
+    the snapshots, so runs on several domains may share one cluster.
     @raise Invalid_argument on an out-of-range round, replica or peer. *)
 
 val deep_invariants : string list

@@ -510,6 +510,30 @@ let test_explorer_allocation_gate () =
     Alcotest.failf "explorer next+report allocates %.0f words per step (ceiling 450)"
       words
 
+(* The replsim executor on the benchmark's cluster: decode a two-arm
+   scenario, simulate, build the outcome. The simulator allocated about
+   66,000 words per run, mostly a closure per message it checked for
+   loss; its rounds now allocate nothing short of a violation, and a
+   run allocates about 490
+   words (its logs, ledger and leader trace are too large for the minor
+   heap and are not counted). The ceiling is about twice that. *)
+let test_replsim_executor_allocation_gate () =
+  let module Replsim = Afex_simtarget.Replsim in
+  let module Replfault = Afex_injector.Replfault in
+  let cluster = Replsim.make ~n:12 ~rounds:300 ~seed:11 () in
+  let sub = Replfault.multi_space ~arms:2 cluster in
+  let rng = Afex_stats.Rng.create 7 in
+  let runs = 500 in
+  let scenarios =
+    List.init runs (fun _ -> Subspace.values sub (Subspace.random_point rng sub))
+  in
+  let before = Gc.minor_words () in
+  List.iter (fun s -> ignore (Replfault.run_scenario cluster s)) scenarios;
+  let words = (Gc.minor_words () -. before) /. float_of_int runs in
+  if words > 1000.0 then
+    Alcotest.failf "replsim run_scenario allocates %.0f words per run (ceiling 1,000)"
+      words
+
 (* --- Exhausted spaces ---
 
    Once History holds every point of a hole-free subspace, no random draw
@@ -629,6 +653,7 @@ let suite =
       ("pinned history mysql", test_pinned_history_mysql);
       ("pinned history apache", test_pinned_history_apache);
       ("explorer allocation gate", test_explorer_allocation_gate);
+      ("replsim executor allocation gate", test_replsim_executor_allocation_gate);
       ("pinned history apache saturated", test_pinned_history_apache_saturated);
       ("exhausted space matches reference loop", test_exhausted_matches_reference_loop);
       ("saturated explorer allocation gate", test_saturated_explorer_allocation_gate);

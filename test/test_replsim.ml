@@ -566,6 +566,197 @@ let test_checkpoint_resume_mid_campaign () =
               checks "JSON identical after resume" base_json json;
               checks "CSV identical after resume" base_csv csv))
 
+(* --- pinned results -------------------------------------------------------
+
+   [Replsim.run] starts each run from a snapshot of the baseline, taken
+   every 16 rounds, instead of from round 0. These digests were computed
+   by the simulator that always started at round 0. They cover every
+   field of every result, over fault sets aimed at the seams of that
+   change ([seam_fault]) and over the seeder's correlated candidates,
+   which reach violations. Of the last two clusters, one is shorter
+   than one snapshot interval, and the other starves its quorum under
+   churn alone: its baseline violates liveness at round 115, where its
+   snapshots stop. *)
+
+let snapshot_cadence = 16
+let big = Replsim.make ~n:12 ~rounds:300 ~seed:11 ()
+
+let starved =
+  Replsim.make ~n:5 ~rounds:200 ~seed:7 ~churn_period:3 ~recovery_rounds:5
+    ~liveness_k:4 ()
+
+(* A fault aimed at the seams of a resumed run: the first or last round,
+   a snapshot boundary or a round either side of it, or, for a drop, a
+   window that spans a boundary. *)
+let seam_fault rng ~n ~rounds ~drop_window =
+  let module Rng = Afex_stats.Rng in
+  let clamp r = max 0 (min (rounds - 1) r) in
+  let boundary () =
+    snapshot_cadence * (1 + Rng.int rng (max 1 ((rounds - 1) / snapshot_cadence)))
+  in
+  let kind = Rng.pick_list rng Replsim.all_kinds in
+  let round =
+    match (kind, Rng.int rng 4) with
+    | Replsim.Drop_acks, (0 | 1) ->
+        clamp (boundary () - 1 - Rng.int rng (max 1 (drop_window - 1)))
+    | _, 0 -> if Rng.bool rng then 0 else rounds - 1
+    | _, (1 | 2) -> clamp (boundary () + Rng.int rng 3 - 1)
+    | _ -> Rng.int rng rounds
+  in
+  let replica = Rng.int rng n in
+  let peer = Rng.int rng n in
+  { Replsim.round; replica; kind; peer }
+
+let fault_sets c ~count ~seed =
+  let k = Replsim.config c in
+  let rng = Afex_stats.Rng.create seed in
+  let random =
+    List.init count (fun _ ->
+        List.init
+          (1 + Afex_stats.Rng.int rng 3)
+          (fun _ ->
+            seam_fault rng ~n:k.Replsim.n ~rounds:k.Replsim.rounds
+              ~drop_window:k.Replsim.drop_window))
+  in
+  let sub = Replfault.multi_space ~arms:2 c in
+  let seeded =
+    List.map
+      (fun p -> Result.get_ok (Replfault.faults_of_scenario (Subspace.values sub p)))
+      (Replfault.seed_points ~arms:2 c)
+  in
+  random @ seeded
+
+let add_result b (r : Replsim.run_result) =
+  Printf.bprintf b "%d %d %d %d %b %Lx " r.Replsim.rounds_run r.Replsim.commits
+    r.Replsim.elections r.Replsim.recoveries r.Replsim.triggered
+    (Int64.bits_of_float r.Replsim.elapsed_ms);
+  (match r.Replsim.violation with
+  | None -> Buffer.add_char b '-'
+  | Some v ->
+      Printf.bprintf b "%s@%d/%d:%s" v.Replsim.invariant v.Replsim.v_round
+        v.Replsim.v_replica (String.concat ";" v.Replsim.site));
+  Printf.bprintf b " %d:" (Bitset.capacity r.Replsim.coverage);
+  Bitset.iter (Printf.bprintf b "%d,") r.Replsim.coverage;
+  Buffer.add_char b ' ';
+  Array.iter (Printf.bprintf b "%d,") r.Replsim.leader_trace;
+  Buffer.add_char b '\n'
+
+let run_digest c faults =
+  let b = Buffer.create (1 lsl 20) in
+  let violations = ref 0 in
+  List.iter
+    (fun faults ->
+      let r = Replsim.run c ~faults in
+      if r.Replsim.violation <> None then incr violations;
+      add_result b r)
+    faults;
+  (Digest.to_hex (Digest.string (Buffer.contents b)), !violations)
+
+let test_pinned_run_digests () =
+  List.iter
+    (fun (name, c, seed, expected) ->
+      let digest, violations = run_digest c (fault_sets c ~count:3_000 ~seed) in
+      checkb (name ^ " reaches violations") true (violations > 0);
+      checks (name ^ " results") expected digest)
+    [
+      ("n=12/300", big, 1, "c451bc6969a23cd42e82d29407c56f5a");
+      ("n=7/160", cluster, 2, "3bc8ecdc96e1fe6f9a1e27dda1754e14");
+      ( "n=5/12",
+        Replsim.make ~n:5 ~rounds:12 ~seed:3 (),
+        3,
+        "dcae52441b94ed75ce27e128d69103ee" );
+      ("n=5/200 starved", starved, 4, "1eb0ec5daba40f345111ce7d5f7f0129");
+    ]
+
+let test_pinned_rarity_session () =
+  let r =
+    Session.run ~iterations:2_000
+      (Config.with_rarity ~mask:true (Config.fitness_guided ~seed:701 ()))
+      (Replfault.multi_space ~arms:2 big)
+      (executor big)
+  in
+  checki "tests" 2_000 (List.length r.Session.executed);
+  checks "n=12/300 rarity session, seed 701" "89d66eb71bfc502a2f0a299dc804efe9"
+    (Test_core.history_digest r)
+
+(* --- resumed runs --------------------------------------------------------- *)
+
+(* No replica sends a message to itself, so a Drop_acks fault whose peer
+   is its own replica changes nothing. At round 0 it makes the run start
+   from round 0 instead of from the baseline snapshot before its earliest
+   real fault. *)
+let from_round_0 faults =
+  { Replsim.round = 0; replica = 0; kind = Replsim.Drop_acks; peer = 0 } :: faults
+
+let show_fault (rf : Replsim.fault) =
+  Printf.sprintf "{%d, %d, %s, %d}" rf.Replsim.round rf.Replsim.replica
+    (Replsim.kind_to_string rf.Replsim.kind)
+    rf.Replsim.peer
+
+(* A valid cluster of up to 9 replicas and 200 rounds, and up to three
+   seam-aimed faults on it. *)
+let arb_cluster_run =
+  let module Rng = Afex_stats.Rng in
+  Prop.make
+    ~show:(fun ((n, rounds, seed, cp, rr, bp, dw, lk), faults) ->
+      Printf.sprintf
+        "make ~n:%d ~rounds:%d ~seed:%d ~churn_period:%d ~recovery_rounds:%d \
+         ~backup_period:%d ~drop_window:%d ~liveness_k:%d, faults [%s]"
+        n rounds seed cp rr bp dw lk
+        (String.concat "; " (List.map show_fault faults)))
+    (fun rng ->
+      let n = Rng.int_in rng 3 9 and rounds = Rng.int_in rng 1 200 in
+      let cp = Rng.int_in rng 1 9 and drop_window = Rng.int_in rng 1 8 in
+      let params =
+        ( n,
+          rounds,
+          Rng.int rng 1000,
+          cp,
+          Rng.int_in rng 1 ((2 * cp) - 1),
+          Rng.int_in rng 1 10,
+          drop_window,
+          Rng.int_in rng 1 40 )
+      in
+      let faults =
+        List.init (Rng.int rng 4) (fun _ -> seam_fault rng ~n ~rounds ~drop_window)
+      in
+      (params, faults))
+
+let test_prop_resume_equals_round_0 () =
+  Prop.check ~count:300 "a resumed run equals a run from round 0" arb_cluster_run
+    (fun ((n, rounds, seed, churn_period, recovery_rounds, backup_period, drop_window,
+           liveness_k), faults) ->
+      let c =
+        Replsim.make ~rounds ~seed ~churn_period ~recovery_rounds ~backup_period
+          ~drop_window ~liveness_k ~n ()
+      in
+      Replsim.run c ~faults = Replsim.run c ~faults:(from_round_0 faults))
+
+let test_runs_shared_across_domains () =
+  let sets = fault_sets big ~count:300 ~seed:5 in
+  let run_all () = List.map (fun faults -> Replsim.run big ~faults) sets in
+  let sequential = run_all () in
+  let d1 = Domain.spawn run_all and d2 = Domain.spawn run_all in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  checkb "first domain = sequential" true (r1 = sequential);
+  checkb "second domain = sequential" true (r2 = sequential)
+
+(* [make] keeps at most 64 baseline snapshots, and each stores every
+   distinct replica log once, so a cluster's memory grows linearly in
+   its rounds. At n=120 and 1,200 rounds (the full size of
+   [bench replsim]) the cluster holds about 176,000 words; a copy of
+   every replica's log every 16 rounds would hold 5.3 million. *)
+let test_snapshot_memory_bounded () =
+  let words rounds =
+    Obj.reachable_words (Obj.repr (Replsim.make ~n:120 ~rounds ~seed:11 ()))
+  in
+  let w1200 = words 1200 and w2400 = words 2400 in
+  if w1200 > 350_000 then
+    Alcotest.failf "n=120/1200 cluster holds %d words (ceiling 350,000)" w1200;
+  if w2400 >= 2 * w1200 then
+    Alcotest.failf "doubling the rounds took the cluster from %d to %d words" w1200
+      w2400
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -596,4 +787,9 @@ let suite =
     ("history identical across jobs", test_history_identical_across_jobs);
     ("history identical across inflight", test_history_identical_across_inflight);
     ("checkpoint/resume mid-campaign", test_checkpoint_resume_mid_campaign);
+    ("pinned run digests", test_pinned_run_digests);
+    ("pinned rarity session", test_pinned_rarity_session);
+    ("prop resume equals round 0", test_prop_resume_equals_round_0);
+    ("runs shared across domains", test_runs_shared_across_domains);
+    ("snapshot memory bounded", test_snapshot_memory_bounded);
   ]
