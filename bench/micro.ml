@@ -122,8 +122,12 @@ let wire_report () =
       Fault.make ~test_id:17 ~func:"read" ~call_number:3 ~errno:"EIO"
         ~retval:(-1) ();
     coverage =
-      List.sort_uniq compare
-        (List.init 60 (fun i -> i) @ List.init 40 (fun _ -> Rng.int rng 400));
+      (let b = Bitset.create 400 in
+       Bitset.set_run b 0 59;
+       for _ = 1 to 40 do
+         Bitset.set b (Rng.int rng 400)
+       done;
+       b);
     injection_stack =
       Some [ "libc.so:read"; "read_texts (derror.cc:104)"; "init (x.c:3)"; "main" ];
     crash_stack = Some [ "libc.so:abort"; "handle_fatal (derror.cc:10)"; "main" ];

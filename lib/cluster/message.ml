@@ -5,7 +5,8 @@ module Outcome = Afex_injector.Outcome
 module Bitset = Afex_stats.Bitset
 
 let protocol_version = 2
-(* The largest string field or coverage list a decoder accepts. *)
+(* The largest string field a decoder accepts, and the bound on a
+   decoded block index. *)
 let max_line = 1 lsl 20
 let ( let* ) = Result.bind
 
@@ -16,36 +17,26 @@ let ( let* ) = Result.bind
 (* Scalars are LEB128 varints (zigzag for signed), strings are
    length-prefixed raw bytes with no escaping, and 64-bit words are
    big-endian. Readers advance a cursor and return [Error] on
-   truncation, overflow or an unknown code; they never raise. *)
+   truncation, overflow or an unknown code; they never raise. The
+   varint loops are top-level functions, so a call allocates no
+   closure. *)
+
+(* LEB128 of the raw 63-bit pattern, with logical shifts: the zigzag of
+   an extreme int ([min_int], [max_int]) occupies all 63 bits and is
+   negative as an OCaml int. *)
+let rec add_bits b n =
+  if n >= 0 && n < 0x80 then Buffer.add_char b (Char.chr n)
+  else begin
+    Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+    add_bits b (n lsr 7)
+  end
 
 let add_uv b n =
   if n < 0 then invalid_arg "Message: negative varint";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char b (Char.chr n)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  add_bits b n
 
 let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
 let unzigzag n = (n lsr 1) lxor (- (n land 1))
-
-(* The zigzag of an extreme int ([min_int], [max_int]) occupies all 63
-   bits and is negative as an OCaml int, so signed varints LEB128 the
-   raw bit pattern with logical shifts instead of going through
-   [add_uv]'s non-negative domain. *)
-let add_bits b n =
-  let rec go n =
-    if n >= 0 && n < 0x80 then Buffer.add_char b (Char.chr n)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
-
 let add_sv b n = add_bits b (zigzag n)
 
 let add_str b s =
@@ -67,33 +58,43 @@ let read_byte c =
     Ok v
   end
 
+(* An unsigned varint, or a negative code on failure: the coverage
+   loops read two per run and stay clear of [result] boxes. *)
+let truncated_uv = -1
+let overflowed_uv = -2
+
+let rec uv_from c acc shift =
+  if shift > Sys.int_size - 1 then overflowed_uv
+  else if c.pos >= String.length c.data then truncated_uv
+  else begin
+    let byte = Char.code (String.unsafe_get c.data c.pos) in
+    c.pos <- c.pos + 1;
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte land 0x80 <> 0 then uv_from c acc (shift + 7)
+    else if acc < 0 then overflowed_uv
+    else acc
+  end
+
+let uv_error code =
+  if code = truncated_uv then "truncated varint" else "varint overflow"
+
 let read_uv c =
-  let rec go acc shift =
-    if shift > Sys.int_size - 1 then Error "varint overflow"
-    else
-      match read_byte c with
-      | Error _ -> Error "truncated varint"
-      | Ok byte ->
-          let acc = acc lor ((byte land 0x7f) lsl shift) in
-          if byte land 0x80 = 0 then
-            if acc < 0 then Error "varint overflow" else Ok acc
-          else go acc (shift + 7)
-  in
-  go 0 0
+  let n = uv_from c 0 0 in
+  if n >= 0 then Ok n else Error (uv_error n)
 
 (* [read_uv]'s mirror for the full 63-bit pattern: the accumulator may
    legitimately go negative on the 9th byte (bit 62 is the sign bit). *)
-let read_bits c =
-  let rec go acc shift =
-    if shift >= Sys.int_size then Error "varint overflow"
-    else
-      match read_byte c with
-      | Error _ -> Error "truncated varint"
-      | Ok byte ->
-          let acc = acc lor ((byte land 0x7f) lsl shift) in
-          if byte land 0x80 = 0 then Ok acc else go acc (shift + 7)
-  in
-  go 0 0
+let rec bits_from c acc shift =
+  if shift >= Sys.int_size then Error "varint overflow"
+  else if c.pos >= String.length c.data then Error "truncated varint"
+  else begin
+    let byte = Char.code (String.unsafe_get c.data c.pos) in
+    c.pos <- c.pos + 1;
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte land 0x80 = 0 then Ok acc else bits_from c acc (shift + 7)
+  end
+
+let read_bits c = bits_from c 0 0
 
 let read_sv c = Result.map unzigzag (read_bits c)
 
@@ -122,61 +123,57 @@ let read_f64 c = Result.map Int64.float_of_bits (read_i64 c)
    start) and the run length minus one. Coverage is overwhelmingly
    contiguous stretches of block indices, so a run costs ~2 bytes
    regardless of its length, where per-block gap encoding pays for
-   every block. *)
+   every block. Both directions go straight between the bitset's bytes
+   and the varints. *)
 let add_coverage b cov =
-  let rec runs acc start last = function
-    | [] -> List.rev ((start, last) :: acc)
-    | i :: rest ->
-        if i <= last then
-          invalid_arg "Message: coverage must be strictly ascending"
-        else if i = last + 1 then runs acc start i rest
-        else runs ((start, last) :: acc) i i rest
-  in
-  match cov with
-  | [] -> add_uv b 0
-  | first :: rest ->
-      let rs = runs [] first first rest in
-      add_uv b (List.length rs);
-      ignore
-        (List.fold_left
-           (fun prev_end (s, e) ->
-             (match prev_end with
-             | None -> add_uv b s
-             | Some p -> add_uv b (s - p - 1));
-             add_uv b (e - s);
-             Some e)
-           None rs)
+  add_uv b (Bitset.fold_runs (fun n _ _ -> n + 1) 0 cov);
+  ignore
+    (Bitset.fold_runs
+       (fun prev_end first last ->
+         add_uv b (first - prev_end - 1);
+         add_uv b (last - first);
+         last)
+       (-1) cov)
 
-let rec fill acc i last = if i > last then acc else fill (i :: acc) (i + 1) last
-
-(* The loop runs once per coverage run of every report, so it matches
-   on results instead of allocating [let*] closures. *)
-let read_coverage c =
-  let* nruns = read_uv c in
-  if nruns > remaining c then Error "truncated coverage"
+(* Validate [k] runs and return where the last one ends. A few bytes
+   must not conjure a giant bitset, so every block index stays below
+   [max_line]; the comparisons are arranged so no sum can wrap. *)
+let rec coverage_end c prev_end k =
+  if k = 0 then Ok prev_end
   else
-    let rec go acc total prev_end k =
-      if k = 0 then Ok (List.rev acc)
-      else
-        match read_uv c with
-        | Error m -> Error m
-        | Ok gap -> (
-            let start = if prev_end < 0 then gap else prev_end + 1 + gap in
-            match read_uv c with
-            | Error m -> Error m
-            | Ok len1 ->
-                (* A few bytes must not conjure a giant list: the runs
-                   together are bounded like every other length field.
-                   Indices stay below [max_int], so [fill]'s [i + 1]
-                   cannot wrap. *)
-                if len1 >= max_line - total then Error "oversized coverage"
-                else if start < 0 || start >= max_int - len1 then
-                  Error "coverage overflow"
-                else
-                  let last = start + len1 in
-                  go (fill acc start last) (total + len1 + 1) last (k - 1))
-    in
-    go [] 0 (-1) nruns
+    let gap = uv_from c 0 0 in
+    if gap < 0 then Error (uv_error gap)
+    else
+      let len1 = uv_from c 0 0 in
+      if len1 < 0 then Error (uv_error len1)
+      else if
+        gap >= max_line - prev_end - 1
+        || len1 >= max_line - prev_end - 1 - gap
+      then Error "oversized coverage"
+      else coverage_end c (prev_end + 1 + gap + len1) (k - 1)
+
+(* The second pass, over runs [coverage_end] accepted. *)
+let rec set_runs c bits prev_end k =
+  if k > 0 then begin
+    let start = prev_end + 1 + uv_from c 0 0 in
+    let last = start + uv_from c 0 0 in
+    Bitset.set_run bits start last;
+    set_runs c bits last (k - 1)
+  end
+
+let read_coverage c =
+  let nruns = uv_from c 0 0 in
+  if nruns < 0 then Error (uv_error nruns)
+  else if nruns > remaining c then Error "truncated coverage"
+  else
+    let runs = c.pos in
+    match coverage_end c (-1) nruns with
+    | Error m -> Error m
+    | Ok last ->
+        let bits = Bitset.create (last + 1) in
+        c.pos <- runs;
+        set_runs c bits (-1) nruns;
+        Ok bits
 
 (* One byte: the status code in the low two bits, the triggered flag
    in the third. *)
@@ -263,7 +260,7 @@ type run_report = {
   triggered : bool;
   new_blocks : int;
   fault : Fault.t;
-  coverage : int list;
+  coverage : Bitset.t;
   injection_stack : string list option;
   crash_stack : string list option;
   duration_ms : float;
@@ -280,34 +277,31 @@ let report_of_outcome ~seq (o : Outcome.t) =
     triggered = o.Outcome.triggered;
     new_blocks = 0 (* the explorer recomputes against its own coverage *);
     fault = o.Outcome.fault;
-    coverage = Bitset.to_list o.Outcome.coverage;
+    coverage = o.Outcome.coverage;
     injection_stack = o.Outcome.injection_stack;
     crash_stack = o.Outcome.crash_stack;
     duration_ms = o.Outcome.duration_ms;
   }
 
+(* A decoded bitset ends at its highest block, so a capacity beyond
+   [total_blocks] names a block outside the target. *)
 let outcome_of_report ~total_blocks r =
-  let coverage = Bitset.create total_blocks in
-  match
-    List.iter
-      (fun i ->
-        if i < 0 || i >= total_blocks then
-          invalid_arg (Printf.sprintf "block index %d outside [0,%d)" i total_blocks)
-        else Bitset.set coverage i)
-      r.coverage
-  with
-  | () ->
-      Ok
-        {
-          Outcome.fault = r.fault;
-          status = r.status;
-          triggered = r.triggered;
-          coverage;
-          injection_stack = r.injection_stack;
-          crash_stack = r.crash_stack;
-          duration_ms = r.duration_ms;
-        }
-  | exception Invalid_argument m -> Error m
+  let capacity = Bitset.capacity r.coverage in
+  if capacity > total_blocks then
+    Error
+      (Printf.sprintf "block index %d outside [0,%d)" (capacity - 1)
+         total_blocks)
+  else
+    Ok
+      {
+        Outcome.fault = r.fault;
+        status = r.status;
+        triggered = r.triggered;
+        coverage = Bitset.extend r.coverage total_blocks;
+        injection_stack = r.injection_stack;
+        crash_stack = r.crash_stack;
+        duration_ms = r.duration_ms;
+      }
 
 (* ------------------------------------------------------------------ *)
 (* Wire protocol v2: binary records, coalesced several to a frame      *)
@@ -554,9 +548,11 @@ module V2 = struct
      them, in the same coalesced frame. The record carries its explicit
      base id so a duplicated frame re-defines entries identically (a
      no-op) and a dropped one leaves a detectable gap. The dictionary
-     holds stack frames and fault descriptors alike — a campaign cycles
-     through few distinct faults, so the ~50-byte fault text collapses
-     to an id after its first appearance. *)
+     holds stack frames and fault descriptors alike. Stack frames
+     repeat, so steady-state reports ship their ids; faults mostly do
+     not (every fault of an 8,000-test mysql campaign is distinct), so
+     a fault's text usually crosses in its own report's DICT record and
+     the dictionary grows by about one entry per test. *)
   let encode_reply enc b = function
     | Manager_error { seq; message } ->
         Buffer.add_char b (Char.chr tag_error);

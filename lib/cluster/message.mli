@@ -40,9 +40,10 @@ val add_i64 : Buffer.t -> int64 -> unit
 val add_f64 : Buffer.t -> float -> unit
 (** The IEEE bits as {!add_i64}: round-trips exactly. *)
 
-val add_coverage : Buffer.t -> int list -> unit
-(** Strictly ascending block indices as run-length varints.
-    @raise Invalid_argument if the list is not strictly ascending. *)
+val add_coverage : Buffer.t -> Afex_stats.Bitset.t -> unit
+(** The set bits as run-length varints: the run count, then per run its
+    gap from the previous run's end (the first run's start) and its
+    length minus one. Scans the bitset's bytes; builds no list. *)
 
 val add_status :
   Buffer.t -> Afex_injector.Outcome.status -> triggered:bool -> unit
@@ -67,9 +68,11 @@ val read_str : cursor -> (string, string) result
 val read_i64 : cursor -> (int64, string) result
 val read_f64 : cursor -> (float, string) result
 
-val read_coverage : cursor -> (int list, string) result
-(** [Error] when the runs hold 1 Mi blocks or more, or end past
-    [max_int]. *)
+val read_coverage : cursor -> (Afex_stats.Bitset.t, string) result
+(** The bitset {!add_coverage} wrote, sized to end at its highest block:
+    its capacity is that block plus one (0 when empty). [Error] when a
+    block index reaches 1 Mi, so a few bytes never ask for a bitset
+    beyond 128 KiB. *)
 
 val read_status :
   cursor -> (Afex_injector.Outcome.status * bool, string) result
@@ -102,10 +105,12 @@ type run_report = {
           covered set, so managers send 0 *)
   fault : Afex_injector.Fault.t;
       (** the atomic fault the manager decoded and injected *)
-  coverage : int list;
-      (** covered basic-block indices — what the explorer's fitness and
+  coverage : Afex_stats.Bitset.t;
+      (** covered basic blocks — what the explorer's fitness and
           coverage accounting need to reproduce an in-process run
-          bit-for-bit *)
+          bit-for-bit. {!report_of_outcome} shares the outcome's bitset;
+          a decoded report's ends at its highest block
+          ({!read_coverage}) *)
   injection_stack : string list option;
   crash_stack : string list option;
   duration_ms : float;
@@ -120,8 +125,10 @@ val report_of_outcome : seq:int -> Afex_injector.Outcome.t -> run_report
 
 val outcome_of_report :
   total_blocks:int -> run_report -> (Afex_injector.Outcome.t, string) result
-(** Rebuild the full outcome on the explorer side. [Error] if a coverage
-    index falls outside [\[0, total_blocks)]. *)
+(** Rebuild the full outcome on the explorer side, its coverage copied
+    into a bitset of capacity [total_blocks]. [Error] if the report's
+    coverage is wider, which for a decoded report means a block outside
+    [\[0, total_blocks)]. *)
 
 (** {2 Wire protocol v2}
 

@@ -39,7 +39,8 @@ let tcp_spec ?recv_timeout_ms ?max_attempts ?backoff_ms ~host ~port () =
 
 (* Both ends coalesce records into one frame until it reaches this many
    payload bytes (roughly a hundred requests); the client also flushes
-   when credit runs out or the event loop is about to wait. *)
+   once half its credit is queued, when credit runs out, and when the
+   event loop is about to wait. *)
 let flush_bytes = 8192
 
 (* ------------------------------------------------------------------ *)
@@ -55,6 +56,7 @@ type live = {
   enc : Message.V2.client_enc;
   dec : Message.V2.client_dec;
   out : Buffer.t;
+  mutable queued : int; (* requests in [out] *)
 }
 
 let live tr =
@@ -63,6 +65,7 @@ let live tr =
     enc = Message.V2.client_enc ();
     dec = Message.V2.client_dec ();
     out = Buffer.create 256;
+    queued = 0;
   }
 
 (* Wire accounting that outlives connections: each transport's own
@@ -257,6 +260,7 @@ module Pipelined = struct
     else begin
       let payload = Buffer.contents l.out in
       Buffer.clear l.out;
+      l.queued <- 0;
       match l.tr.Transport.send payload with
       | Ok () -> Ok ()
       | Error e ->
@@ -281,14 +285,20 @@ module Pipelined = struct
         t.seq <- t.seq + 1;
         let seq = t.seq in
         (* Coalesce: the record lands in the connection buffer and the
-           frame goes out when the buffer reaches [flush_bytes], when the
-           in-flight credit is exhausted (nothing more is coming until
-           replies arrive), or when the event loop is about to wait
-           ({!flush}). *)
+           frame goes out when the buffer reaches [flush_bytes], when
+           half the credit is queued (the manager runs one half-window
+           while the explorer handles the replies to the other), when
+           the credit is exhausted (nothing more is coming until replies
+           arrive), or when the event loop is about to wait ({!flush}). *)
         Message.V2.encode_request l.enc l.out ~seq scenario;
+        l.queued <- l.queued + 1;
         t.n_requests <- t.n_requests + 1;
         Hashtbl.replace t.outstanding seq tag;
-        if Buffer.length l.out >= flush_bytes || not (has_credit t) then (
+        if
+          Buffer.length l.out >= flush_bytes
+          || l.queued >= t.credit / 2
+          || not (has_credit t)
+        then (
           match flush_live t l with
           | Ok () -> Ok ()
           | Error e ->

@@ -150,9 +150,12 @@ module Pipelined : sig
 
   val flush : conn -> (unit, error) result
   (** Send whatever is sitting in the coalescing buffer as one frame.
-      {!submit} flushes by itself once the buffer holds 8 KiB and when
-      credit runs out; the event loop calls this before blocking in
-      [select], so a partially filled frame never stalls the pipeline.
+      {!submit} flushes by itself once the buffer holds 8 KiB, once it
+      holds half the credit's requests (at least one), and when credit
+      runs out, so with a credit of 2 or more the manager runs one
+      half-window while the explorer handles the replies to the other;
+      the event loop calls this before blocking in [select], so a
+      partially filled frame never stalls the pipeline.
       No-op when the buffer is empty or when disconnected. On [Error]
       the connection was dropped ({!take_orphans} applies). *)
 

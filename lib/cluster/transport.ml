@@ -220,6 +220,13 @@ let resolve host =
       | { Unix.h_addr_list; _ } -> Ok h_addr_list.(0)
       | exception Not_found -> Error (Printf.sprintf "unknown host %S" host))
 
+(* The protocol coalesces records into frames itself, and the client
+   sends a frame while the one before it is still unacknowledged (its
+   window goes out in two halves), which is when Nagle's algorithm
+   would hold the second back for a delayed ACK. *)
+let no_delay fd =
+  try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ()
+
 let connect_tcp ?recv_timeout_ms ~host ~port () =
   match resolve host with
   | Error m -> Error (Io m)
@@ -227,6 +234,7 @@ let connect_tcp ?recv_timeout_ms ~host ~port () =
       let fd = Unix.socket PF_INET SOCK_STREAM 0 in
       match Unix.connect fd (ADDR_INET (addr, port)) with
       | () ->
+          no_delay fd;
           Ok
             (of_fd ?recv_timeout_ms
                ~peer:(Printf.sprintf "%s:%d" host port)
@@ -259,6 +267,7 @@ let listen_tcp ?(host = "127.0.0.1") ~port () =
 let accept ?recv_timeout_ms ?mangle listen_fd =
   match Unix.accept listen_fd with
   | fd, addr ->
+      no_delay fd;
       let peer =
         match addr with
         | Unix.ADDR_INET (a, p) ->

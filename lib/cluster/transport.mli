@@ -109,6 +109,8 @@ val pair :
 
 val connect_tcp :
   ?recv_timeout_ms:int -> host:string -> port:int -> unit -> (t, error) result
+(** Sets [TCP_NODELAY], as {!accept} does: the protocol does its own
+    coalescing. *)
 
 val listen_tcp :
   ?host:string -> port:int -> unit -> (Unix.file_descr * int, error) result
@@ -121,7 +123,7 @@ val accept :
   Unix.file_descr ->
   (t, error) result
 (** [mangle] corrupts frames the server sends on the accepted connection
-    — the TCP-side hook the CI chaos matrix drives. *)
+    — the TCP-side hook the CI chaos matrix drives. Sets [TCP_NODELAY]. *)
 
 (** {2 Transport fault injection} *)
 

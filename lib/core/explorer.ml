@@ -343,7 +343,7 @@ module Snapshot = struct
     triggered : int;
     simulated_ms : float;
     cursor_consumed : int;
-    covered : int list;  (* ascending block indices *)
+    covered : Bitset.t;
     records : Test_case.t list;  (* chronological, births above [since] *)
     queue : int list;  (* birth ids, Pqueue.elements order *)
     seeds : Point.t list;  (* analysis seeds not yet consumed *)
@@ -379,7 +379,7 @@ module Snapshot = struct
       triggered = e.triggered;
       simulated_ms = e.simulated_ms;
       cursor_consumed = e.cursor_consumed;
-      covered = Bitset.to_list e.covered;
+      covered = Bitset.copy e.covered;
       records = above [] e.records;
       queue = List.map (fun c -> c.Test_case.birth) (Pqueue.elements e.queue);
       seeds = e.seeds;
@@ -409,14 +409,12 @@ let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
     Sensitivity.load ~window:config.Config.sensitivity_window
       ~dims:(Subspace.dim sub) s.Snapshot.sensitivity
   in
-  let covered = Bitset.create executor.Executor.total_blocks in
-  let* () =
-    try
-      List.iter (Bitset.set covered) s.Snapshot.covered;
-      Ok ()
-    with Invalid_argument _ ->
-      err "covered block outside the target's %d blocks"
-        executor.Executor.total_blocks
+  let total_blocks = executor.Executor.total_blocks in
+  let* covered =
+    (* A decoded set ends at its highest block. *)
+    if Bitset.capacity s.Snapshot.covered > total_blocks then
+      err "covered block outside the target's %d blocks" total_blocks
+    else Ok (Bitset.extend s.Snapshot.covered total_blocks)
   in
   (* Records are appended with birth = iteration count, so the k-th
      chronological record must carry birth k+1; anything else means the

@@ -109,7 +109,9 @@ module Snapshot : sig
     triggered : int;
     simulated_ms : float;
     cursor_consumed : int;  (** exhaustive cursor position *)
-    covered : int list;  (** covered block indices, ascending *)
+    covered : Afex_stats.Bitset.t;
+        (** covered blocks; {!restore} widens it to the target's
+            [total_blocks] *)
     records : Test_case.t list;
         (** chronological: births [since+1 .. iterations] of the capture
             ({!restore} needs the whole history, from birth 1) *)

@@ -59,17 +59,58 @@ let iter f t =
     if mem t i then f i
   done
 
-(* Bits at or past [capacity] are never set, so whole bytes can be
-   scanned: coverage bitsets are mostly zero bytes, which cost one test. *)
-let to_list t =
-  let acc = ref [] in
-  for byte = Bytes.length t.words - 1 downto 0 do
-    let v = Char.code (Bytes.unsafe_get t.words byte) in
-    if v <> 0 then
-      for bit = 7 downto 0 do
-        if v land (1 lsl bit) <> 0 then acc := ((byte lsl 3) lor bit) :: !acc
-      done
+let extend t capacity =
+  if capacity < t.capacity then invalid_arg "Bitset.extend: capacity shrinks";
+  let u = create capacity in
+  Bytes.blit t.words 0 u.words 0 (Bytes.length t.words);
+  u
+
+let set_run t first last =
+  if first < 0 || first > last || last >= t.capacity then
+    invalid_arg
+      (Printf.sprintf "Bitset: run [%d,%d] out of range [0,%d)" first last
+         t.capacity);
+  for i = first to last do
+    let byte = i lsr 3 in
+    Bytes.unsafe_set t.words byte
+      (Char.unsafe_chr
+         (Char.code (Bytes.unsafe_get t.words byte) lor (1 lsl (i land 7))))
+  done
+
+(* The lowest set bit of a non-zero byte. *)
+let lowest_bit =
+  let table = Array.make 256 0 in
+  for i = 2 to 255 do
+    if i land 1 = 0 then table.(i) <- 1 + table.(i lsr 1)
   done;
-  !acc
+  fun v -> Array.unsafe_get table v
+
+(* Bits at or past [capacity] are never set, so the scans below step
+   over whole bytes: coverage bitsets are mostly zero bytes, which cost
+   one test, and a run's bytes are mostly full ones. *)
+let rec next_set t i =
+  if i >= t.capacity then t.capacity
+  else
+    let v = Char.code (Bytes.unsafe_get t.words (i lsr 3)) lsr (i land 7) in
+    if v = 0 then next_set t ((i lor 7) + 1) else i + lowest_bit v
+
+(* The clear bits past [capacity] end a run that reaches it. *)
+let rec next_clear t i =
+  if i >= t.capacity then t.capacity
+  else
+    let v =
+      (lnot (Char.code (Bytes.unsafe_get t.words (i lsr 3))) land 0xff)
+      lsr (i land 7)
+    in
+    if v = 0 then next_clear t ((i lor 7) + 1) else i + lowest_bit v
+
+let rec fold_runs_from f acc t i =
+  let first = next_set t i in
+  if first >= t.capacity then acc
+  else
+    let stop = next_clear t first in
+    fold_runs_from f (f acc first (stop - 1)) t stop
+
+let fold_runs f acc t = fold_runs_from f acc t 0
 
 let equal a b = a.capacity = b.capacity && Bytes.equal a.words b.words

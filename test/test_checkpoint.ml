@@ -6,6 +6,7 @@
    since the last one. *)
 
 module Checkpoint = Afex_cluster.Checkpoint
+module Message = Afex_cluster.Message
 module Pool = Afex_cluster.Pool
 module Config = Afex.Config
 module Explorer = Afex.Explorer
@@ -676,24 +677,93 @@ let test_decoders_total () =
 
 (* ---- journal encoders ------------------------------------------------ *)
 
-(* A journal record carries the outcome's coverage as
-   [Bitset.to_list], rewritten for speed: it must still list the set
-   bits in order, as the bit-by-bit scan did. *)
-let reference_to_list b =
+(* Journal records, snapshots and wire replies carry coverage through
+   [Message.add_coverage]/[read_coverage], which run straight over the
+   bitset's bytes. They must write the bytes the list codec wrote
+   before them, kept here as the reference, and read back the same
+   set, in a bitset that ends at its highest block. *)
+let reference_coverage b blocks =
+  let rec runs acc first last = function
+    | [] -> List.rev ((first, last) :: acc)
+    | i :: rest ->
+        if i = last + 1 then runs acc first i rest
+        else runs ((first, last) :: acc) i i rest
+  in
+  match blocks with
+  | [] -> Message.add_uv b 0
+  | first :: rest ->
+      let rs = runs [] first first rest in
+      Message.add_uv b (List.length rs);
+      ignore
+        (List.fold_left
+           (fun prev_end (s, e) ->
+             Message.add_uv b (s - prev_end - 1);
+             Message.add_uv b (e - s);
+             e)
+           (-1) rs)
+
+let blocks_of b =
   let acc = ref [] in
-  for i = Bitset.capacity b - 1 downto 0 do
-    if Bitset.mem b i then acc := i :: !acc
-  done;
-  !acc
+  Bitset.iter (fun i -> acc := i :: !acc) b;
+  List.rev !acc
+
+let coverage_codec_agrees b =
+  let blocks = blocks_of b in
+  let fast = Buffer.create 64 and slow = Buffer.create 64 in
+  Message.add_coverage fast b;
+  reference_coverage slow blocks;
+  String.equal (Buffer.contents fast) (Buffer.contents slow)
+  &&
+  let c = { Message.data = Buffer.contents fast; pos = 0 } in
+  match Message.read_coverage c with
+  | Error _ -> false
+  | Ok back ->
+      Message.remaining c = 0
+      && Bitset.capacity back = List.fold_left (fun _ i -> i + 1) 0 blocks
+      && Bitset.equal (Bitset.extend back (Bitset.capacity b)) b
 
 let test_encoders_match_reference () =
-  Prop.check ~count:300 "Bitset.to_list matches the bit-by-bit scan"
-    (Prop.pair (Prop.int_range 0 300)
-       (Prop.list ~max_length:40 (Prop.int_range 0 299)))
-    (fun (capacity, bits) ->
+  let sets capacity =
+    let make f =
       let b = Bitset.create capacity in
-      List.iter (fun i -> if i < capacity then Bitset.set b i) bits;
-      Bitset.to_list b = reference_to_list b)
+      for i = 0 to capacity - 1 do
+        if f i then Bitset.set b i
+      done;
+      b
+    in
+    [
+      make (fun _ -> false);
+      make (fun _ -> true);
+      make (fun i -> i mod 2 = 0);
+      make (fun i -> i mod 2 = 1);
+      make (fun i -> i = capacity - 1);
+      make (fun i -> i >= capacity / 2);
+      make (fun i -> i mod 9 < 4);
+    ]
+  in
+  List.iter
+    (fun capacity ->
+      List.iter
+        (fun b ->
+          if not (coverage_codec_agrees b) then
+            Alcotest.failf "coverage codec disagrees on capacity %d, blocks [%s]"
+              capacity
+              (String.concat ";" (List.map string_of_int (blocks_of b))))
+        (sets capacity))
+    [ 0; 1; 7; 8; 9; 63; 64; 65 ];
+  Prop.check ~count:300 "coverage codec matches the list codec"
+    (Prop.pair (Prop.int_range 0 300)
+       (Prop.list ~max_length:20
+          (Prop.pair (Prop.int_range 0 299) (Prop.int_range 0 20))))
+    (fun (capacity, runs) ->
+      let b = Bitset.create capacity in
+      List.iter
+        (fun (first, len) ->
+          for i = first to min (capacity - 1) (first + len) do
+            Bitset.set b i
+          done)
+        runs;
+      coverage_codec_agrees b)
 
 (* ---- snapshot cost ---------------------------------------------------- *)
 

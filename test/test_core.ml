@@ -534,6 +534,75 @@ let test_replsim_executor_allocation_gate () =
     Alcotest.failf "replsim run_scenario allocates %.0f words per run (ceiling 1,000)"
       words
 
+(* The wire's reply path on mysql: the manager encodes each outcome as a
+   RESULT record through [report_of_outcome], and the explorer decodes
+   the frame and rebuilds each outcome through [outcome_of_report],
+   sixteen replies to a frame (the pipelined client's half-window at
+   the default in-flight 32). Coverage, about 95 blocks per mysql run,
+   crossed as an int list built and reversed on both ends: about 850
+   words per encoded and 1,576 per decoded reply. Going straight
+   between the bitset's bytes and the varints, they cost about 185 and
+   625. The ceilings are about twice that. *)
+let test_wire_reply_allocation_gate () =
+  let module Mysql = Afex_simtarget.Mysql in
+  let module Message = Afex_cluster.Message in
+  let exec = Executor.of_target (Mysql.target ()) in
+  let explorer =
+    Explorer.create (Config.fitness_guided ~seed:7 ()) (Mysql.space ()) exec
+  in
+  let frames = 64 and per_frame = 16 in
+  let n = frames * per_frame in
+  let outcomes =
+    Array.init n (fun _ ->
+        match Explorer.next explorer with
+        | Some p ->
+            let o = exec.Executor.run_scenario (Explorer.scenario_for explorer p) in
+            ignore (Explorer.report explorer p o);
+            o
+        | None -> Alcotest.fail "fitness-guided search ran dry")
+  in
+  (* Payload strings are taken outside the counted spans: a frame's
+     copy goes to the major heap or not depending on its size. *)
+  let senc = Message.V2.server_enc () in
+  let b = Buffer.create 8192 in
+  let words = ref 0.0 in
+  let payloads =
+    Array.init frames (fun f ->
+        Buffer.clear b;
+        let before = Gc.minor_words () in
+        for i = f * per_frame to ((f + 1) * per_frame) - 1 do
+          Message.V2.encode_reply senc b
+            (Message.Scenario_result (Message.report_of_outcome ~seq:i outcomes.(i)))
+        done;
+        words := !words +. (Gc.minor_words () -. before);
+        Buffer.contents b)
+  in
+  let encoded = !words /. float_of_int n in
+  let cdec = Message.V2.client_dec () in
+  let total_blocks = exec.Executor.total_blocks in
+  let rebuilt = ref 0 in
+  let rebuild = function
+    | Message.Scenario_result r -> (
+        match Message.outcome_of_report ~total_blocks r with
+        | Ok _ -> incr rebuilt
+        | Error m -> Alcotest.fail m)
+    | Message.Manager_error { message; _ } -> Alcotest.fail message
+  in
+  let before = Gc.minor_words () in
+  Array.iter
+    (fun payload ->
+      match Message.V2.decode_replies cdec payload with
+      | Ok replies -> List.iter rebuild replies
+      | Error m -> Alcotest.fail m)
+    payloads;
+  let decoded = (Gc.minor_words () -. before) /. float_of_int n in
+  checki "every reply rebuilt" n !rebuilt;
+  if encoded > 400.0 then
+    Alcotest.failf "encoding a mysql reply allocates %.0f words (ceiling 400)" encoded;
+  if decoded > 1300.0 then
+    Alcotest.failf "decoding a mysql reply allocates %.0f words (ceiling 1,300)"
+      decoded
+
 (* --- Exhausted spaces ---
 
    Once History holds every point of a hole-free subspace, no random draw
@@ -654,6 +723,7 @@ let suite =
       ("pinned history apache", test_pinned_history_apache);
       ("explorer allocation gate", test_explorer_allocation_gate);
       ("replsim executor allocation gate", test_replsim_executor_allocation_gate);
+      ("wire reply allocation gate", test_wire_reply_allocation_gate);
       ("pinned history apache saturated", test_pinned_history_apache_saturated);
       ("exhausted space matches reference loop", test_exhausted_matches_reference_loop);
       ("saturated explorer allocation gate", test_saturated_explorer_allocation_gate);

@@ -52,7 +52,10 @@ let micro_target =
 let run ?nondet fault = Engine.run ?nondet micro_target fault
 let fault ?errno ?retval func n = Fault.make ~test_id:0 ~func ~call_number:n ?errno ?retval ()
 
-let covered o = Bitset.to_list o.Outcome.coverage
+let covered o =
+  let acc = ref [] in
+  Bitset.iter (fun i -> acc := i :: !acc) o.Outcome.coverage;
+  List.rev !acc
 
 (* --- Fault encoding --- *)
 

@@ -482,13 +482,27 @@ let test_bitset_copy_independent () =
   checkb "copy diverges" false (Bitset.mem a 4);
   checkb "copy kept bit" true (Bitset.mem b 3)
 
-let test_bitset_to_list_iter () =
+let test_bitset_runs_iter () =
   let a = Bitset.create 20 in
   List.iter (Bitset.set a) [ 19; 0; 7 ];
-  Alcotest.(check (list int)) "sorted list" [ 0; 7; 19 ] (Bitset.to_list a);
+  Bitset.set_run a 8 15;
+  let runs = Bitset.fold_runs (fun acc first last -> (first, last) :: acc) [] a in
+  Alcotest.(check (list (pair int int)))
+    "maximal runs, ascending" [ (0, 0); (7, 15); (19, 19) ] (List.rev runs);
   let acc = ref 0 in
   Bitset.iter (fun i -> acc := !acc + i) a;
-  checki "iter sum" 26 !acc
+  checki "iter sum" (26 + 92) !acc;
+  let wide = Bitset.extend a 100 in
+  checki "extend keeps capacity" 100 (Bitset.capacity wide);
+  checki "extend keeps bits" (Bitset.count a) (Bitset.count wide);
+  Bitset.set wide 50;
+  checkb "extend copies" false (Bitset.equal a (Bitset.extend wide 100));
+  Alcotest.check_raises "extend never shrinks"
+    (Invalid_argument "Bitset.extend: capacity shrinks") (fun () ->
+      ignore (Bitset.extend a 19));
+  Alcotest.check_raises "run past capacity"
+    (Invalid_argument "Bitset: run [18,20] out of range [0,20)") (fun () ->
+      Bitset.set_run a 18 20)
 
 (* --- qcheck properties --- *)
 
@@ -559,6 +573,6 @@ let suite =
       ("bitset basic", test_bitset_basic);
       ("bitset union/diff", test_bitset_union_diff);
       ("bitset copy independent", test_bitset_copy_independent);
-      ("bitset to_list/iter", test_bitset_to_list_iter);
+      ("bitset runs/extend/iter", test_bitset_runs_iter);
     ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests

@@ -28,6 +28,19 @@ let get_ok label = function
   | Error _ -> Alcotest.failf "%s: unexpected Error" label
 
 let is_error = function Error _ -> true | Ok _ -> false
+
+(* Coverage as a decoder rebuilds it: the capacity ends at the highest
+   block. *)
+let bits_of_list blocks =
+  let b = Bitset.create (List.fold_left (fun m i -> max m (i + 1)) 0 blocks) in
+  List.iter (Bitset.set b) blocks;
+  b
+
+let list_of_bits b =
+  let acc = ref [] in
+  Bitset.iter (fun i -> acc := i :: !acc) b;
+  List.rev !acc
+
 let executor () = Afex.Executor.of_target (Apache.target ())
 
 (* Valid scenarios for the apache target, deterministically sampled. *)
@@ -379,7 +392,7 @@ let random_report rng =
         ~call_number:(Rng.int rng 6) ~errno:(pick errnos)
         ~retval:(Rng.int rng 3 - 1) ();
     coverage =
-      List.sort_uniq compare (List.init (Rng.int rng 12) (fun _ -> Rng.int rng 400));
+      bits_of_list (List.init (Rng.int rng 12) (fun _ -> Rng.int rng 400));
     injection_stack = stack ();
     crash_stack = stack ();
     duration_ms = (if Rng.bernoulli rng 0.1 then 0.0 else Rng.float rng 500.0);
@@ -412,10 +425,13 @@ let report_arb =
         (if r.Message.duration_ms <> 0.0 then
            [ { r with Message.duration_ms = 0.0 } ]
          else []);
-        (match r.Message.coverage with
+        (match list_of_bits r.Message.coverage with
         | [] -> []
         | _ :: rest ->
-            [ { r with Message.coverage = [] }; { r with Message.coverage = rest } ]);
+            [
+              { r with Message.coverage = bits_of_list [] };
+              { r with Message.coverage = bits_of_list rest };
+            ]);
         shrink_stack r
           (fun r -> r.Message.injection_stack)
           (fun r s -> { r with Message.injection_stack = s });
@@ -438,7 +454,7 @@ let report_arb =
       (if r.triggered then " (triggered)" else "")
       r.new_blocks r.duration_ms
       (Message.fault_to_string r.fault)
-      (String.concat ";" (List.map string_of_int r.coverage))
+      (String.concat ";" (List.map string_of_int (list_of_bits r.coverage)))
       (stack r.injection_stack) (stack r.crash_stack)
   in
   Prop.make ~shrink ~show random_report
@@ -457,7 +473,10 @@ let test_outcome_report_roundtrip () =
     (sample_scenarios 10);
   (* Coverage indices outside the explorer's bitset must not crash. *)
   let report =
-    { (random_report (Rng.create 3)) with Message.coverage = [ 0; 99_999 ] }
+    {
+      (random_report (Rng.create 3)) with
+      Message.coverage = bits_of_list [ 0; 99_999 ];
+    }
   in
   checkb "out-of-range coverage is a typed error" true
     (is_error (Message.outcome_of_report ~total_blocks:100 report))
@@ -927,10 +946,12 @@ let test_v2_reply_roundtrip_property () =
     (fun coverage ->
       let b = Buffer.create 256 in
       V2.encode_reply (V2.server_enc ()) b
-        (Message.Scenario_result { base with Message.coverage });
+        (Message.Scenario_result
+           { base with Message.coverage = bits_of_list coverage });
       match V2.decode_replies (V2.client_dec ()) (Buffer.contents b) with
       | Ok [ Message.Scenario_result r ] ->
-          checkb "coverage round-trips" true (r.Message.coverage = coverage)
+          checkb "coverage round-trips" true
+            (list_of_bits r.Message.coverage = coverage)
       | _ -> Alcotest.fail "coverage variant did not decode")
     [
       [];
@@ -1134,7 +1155,7 @@ let test_wire_decoders_total () =
      list cells. *)
   let coverage runs =
     match V2.decode_replies (V2.client_dec ()) (reply_with_coverage runs) with
-    | Ok [ Message.Scenario_result r ] -> Ok r.Message.coverage
+    | Ok [ Message.Scenario_result r ] -> Ok (list_of_bits r.Message.coverage)
     | Ok _ -> Error "wrong records"
     | Error m -> Error m
   in
@@ -1281,6 +1302,71 @@ let test_pipelined_coalescing () =
   RM.Pipelined.close conn;
   RM.Loopback.shutdown lb
 
+(* A window goes out in two halves: with credit 32 the sixteenth queued
+   request sends the frame, so the manager runs that half while the
+   explorer handles the replies to the other; with credit 1 every
+   request is a frame. The first frame out is the HELLO. *)
+let test_pipelined_half_window_flush () =
+  let exec = executor () in
+  let total_blocks = exec.Afex.Executor.total_blocks in
+  let lb = RM.Loopback.create ~executor:exec () in
+  let scenarios = Array.of_list (sample_scenarios 16) in
+  let frames_out conn = (RM.Pipelined.stats conn).RM.frames_out in
+  let submit conn i =
+    match RM.Pipelined.submit conn ~tag:i scenarios.(i) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "submit: %s" (RM.string_of_error e)
+  in
+  let answered conn n =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    let results = ref 0 in
+    while !results < n && Unix.gettimeofday () < deadline do
+      match RM.Pipelined.drain conn with
+      | [] -> Unix.sleepf 0.002
+      | rs -> results := !results + List.length rs
+    done;
+    checki "every request answered" n !results;
+    RM.Pipelined.close conn
+  in
+  let conn = RM.Pipelined.create ~credit:32 (RM.Loopback.spec lb) ~total_blocks in
+  for i = 0 to 14 do
+    submit conn i;
+    checki (Printf.sprintf "no frame leaves on submit %d" (i + 1)) 1 (frames_out conn);
+    checkb "the request is queued" true (RM.Pipelined.buffered conn > 0)
+  done;
+  submit conn 15;
+  checki "the 16th submit sends one frame" 2 (frames_out conn);
+  checki "the buffer is empty" 0 (RM.Pipelined.buffered conn);
+  answered conn 16;
+  let conn = RM.Pipelined.create ~credit:1 (RM.Loopback.spec lb) ~total_blocks in
+  for i = 0 to 3 do
+    submit conn i;
+    checki (Printf.sprintf "submit %d sends a frame" (i + 1)) (i + 2) (frames_out conn);
+    checki "the buffer is empty" 0 (RM.Pipelined.buffered conn)
+  done;
+  answered conn 4;
+  RM.Loopback.shutdown lb
+
+(* Both ends of a TCP connection send each frame at once: the protocol
+   coalesces on its own, and Nagle's algorithm would hold a half-window
+   frame back behind the unacknowledged one before it. *)
+let test_tcp_no_delay () =
+  match Transport.listen_tcp ~port:0 () with
+  | Error e -> Alcotest.failf "listen: %s" (Transport.string_of_error e)
+  | Ok (listen_fd, port) ->
+      let client = get_ok "connect" (Transport.connect_tcp ~host:"127.0.0.1" ~port ()) in
+      let server = get_ok "accept" (Transport.accept listen_fd) in
+      let no_delay (t : Transport.t) =
+        match t.Transport.wait_fd () with
+        | Some fd -> Unix.getsockopt fd Unix.TCP_NODELAY
+        | None -> false
+      in
+      checkb "client end sets TCP_NODELAY" true (no_delay client);
+      checkb "server end sets TCP_NODELAY" true (no_delay server);
+      client.Transport.close ();
+      server.Transport.close ();
+      Unix.close listen_fd
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -1318,4 +1404,6 @@ let suite =
       ("frame decoder at chunk granularities 1-7", test_decoder_chunk_granularity);
       ("wire decoders are total (property)", test_wire_decoders_total);
       ("pipelined requests coalesce into frames", test_pipelined_coalescing);
+      ("pipelined half-window flush", test_pipelined_half_window_flush);
+      ("TCP ends set TCP_NODELAY", test_tcp_no_delay);
     ]
