@@ -422,6 +422,8 @@ type t = {
   hooks : hooks;
   wal_fd : Unix.file_descr;
   log_fd : Unix.file_descr;
+  journal_enc : Message.V2.server_enc;
+      (** emptied before each journal record, which must decode alone *)
   mutable mark : Snapshot.mark;  (** what [records.log] holds *)
   mutable appends : int;
   mutable snapshots : int;
@@ -463,6 +465,7 @@ let start ?(hooks = no_hooks) ?(every = 500) ~dir meta =
         Ok
           {
             cp_dir = dir; every; cp_meta = meta; hooks; wal_fd; log_fd;
+            journal_enc = Message.V2.server_enc ();
             mark = { Snapshot.logged = 0; log_bytes = 0 }; appends = 0;
             snapshots = 0; last_snapshot_iterations = 0; replay = [];
             was_resumed = false; n_replayed_records = 0; loaded = None;
@@ -568,6 +571,7 @@ let resume ?(hooks = no_hooks) ?(every = 500) ~dir meta =
       Ok
         {
           cp_dir = dir; every; cp_meta = meta; hooks; wal_fd; log_fd;
+          journal_enc = Message.V2.server_enc ();
           mark = snap.Snapshot.mark; appends = 0; snapshots = 0;
           last_snapshot_iterations =
             snap.Snapshot.explorer.Explorer.Snapshot.iterations;
@@ -602,10 +606,11 @@ let write_all what fd s =
     failwith ("checkpoint: short " ^ what ^ " write")
 
 let append_outcome t ~point_key ~seq outcome =
+  Message.V2.clear_server_enc t.journal_enc;
   write_all "journal" t.wal_fd
     (framed (fun b ->
          Message.add_str b point_key;
-         Message.V2.encode_reply (Message.V2.server_enc ()) b
+         Message.V2.encode_reply t.journal_enc b
            (Message.Scenario_result (Message.report_of_outcome ~seq outcome))));
   t.appends <- t.appends + 1;
   t.hooks.on_append t.appends

@@ -526,6 +526,10 @@ module V2 = struct
   let server_enc () = { interned = Hashtbl.create 64; next_id = 0 }
   let server_dict_size enc = enc.next_id
 
+  let clear_server_enc enc =
+    Hashtbl.clear enc.interned;
+    enc.next_id <- 0
+
   let intern enc pending frame =
     match Hashtbl.find_opt enc.interned frame with
     | Some id -> id

@@ -195,6 +195,10 @@ module V2 : sig
 
   val server_dict_size : server_enc -> int
 
+  val clear_server_enc : server_enc -> unit
+  (** Empty the dictionary: the next reply encodes as it would from a
+      fresh {!server_enc}, with no allocation. *)
+
   val encode_reply : server_enc -> Buffer.t -> from_manager -> unit
   (** Append one reply. Newly interned strings (stack frames and the
       fault descriptor) are announced in a [DICT] record immediately

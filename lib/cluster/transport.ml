@@ -23,9 +23,9 @@ let header_bytes = 10 (* 2 magic + 4 length + 4 checksum *)
 
 let fnv1a32 s =
   let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0xFFFFFFFF
+  done;
   !h
 
 let checksum = fnv1a32

@@ -8,14 +8,18 @@ type nondeterminism = { rng : Afex_stats.Rng.t; dodge_probability : float }
 
 let hang_timeout_factor = 5.0
 
-let cover_site coverage (site : Callsite.t) =
-  Array.iter (fun b -> Bitset.set coverage b) site.Callsite.blocks
+let cover coverage blocks =
+  for k = 0 to Array.length blocks - 1 do
+    Bitset.set coverage blocks.(k)
+  done
 
-let cover_recovery coverage (site : Callsite.t) =
-  Array.iter (fun b -> Bitset.set coverage b) site.Callsite.recovery_blocks
-
-let full_run target (test : Sim_test.t) coverage =
-  Array.iter (fun s -> cover_site coverage (Target.callsite target s)) test.Sim_test.trace
+(* Covers the calls at trace positions [i] to [last] a run of one call
+   site at a time: every call of a run covers the same blocks. *)
+let rec cover_calls target trace coverage i last =
+  if i <= last then begin
+    cover coverage (Target.callsite target trace.(i)).Callsite.blocks;
+    cover_calls target trace coverage (Sim_test.run_end trace i) last
+  end
 
 (* Weaken a triggered reaction, modelling scheduling-dependent escape. *)
 let dodge = function
@@ -25,12 +29,33 @@ let dodge = function
   | Behavior.Handled -> Behavior.Handled
   | Behavior.Crash_if_recovering -> Behavior.Crash_if_recovering
 
+let reaction ?nondet (site : Callsite.t) ~errno =
+  let r = Behavior.reaction_for site.Callsite.behavior ~errno in
+  match nondet with
+  | Some { rng; dodge_probability } when dodge_probability > 0.0 ->
+      if Afex_stats.Rng.bernoulli rng dodge_probability then dodge r else r
+  | Some _ | None -> r
+
+let triggered fault coverage stack status ~crash_stack ~duration =
+  {
+    Outcome.fault;
+    status;
+    triggered = true;
+    coverage;
+    injection_stack = Some stack;
+    crash_stack;
+    duration_ms = duration;
+  }
+
 let run ?nondet target (fault : Fault.t) =
   if fault.Fault.test_id < 0 || fault.Fault.test_id >= Target.n_tests target then
     invalid_arg
       (Printf.sprintf "Engine.run: test id %d out of range" fault.Fault.test_id);
   let test = Target.test target fault.Fault.test_id in
+  let trace = test.Sim_test.trace in
+  let last = Array.length trace - 1 in
   let coverage = Bitset.create (Target.total_blocks target) in
+  let nominal = test.Sim_test.duration_ms in
   let injection =
     if fault.Fault.call_number <= 0 then None
     else
@@ -40,7 +65,7 @@ let run ?nondet target (fault : Fault.t) =
   in
   match injection with
   | None ->
-      full_run target test coverage;
+      cover_calls target trace coverage 0 last;
       {
         Outcome.fault;
         status = Outcome.Passed;
@@ -48,62 +73,40 @@ let run ?nondet target (fault : Fault.t) =
         coverage;
         injection_stack = None;
         crash_stack = None;
-        duration_ms = test.Sim_test.duration_ms;
+        duration_ms = nominal;
       }
   | Some (pos, site_id) ->
       let site = Target.callsite target site_id in
       (* Blocks reached up to and including the failing call. *)
-      for i = 0 to pos do
-        cover_site coverage (Target.callsite target test.Sim_test.trace.(i))
-      done;
-      let reaction = Behavior.reaction_for site.Callsite.behavior ~errno:fault.Fault.errno in
-      let reaction =
-        match nondet with
-        | Some { rng; dodge_probability } when dodge_probability > 0.0 ->
-            if Afex_stats.Rng.bernoulli rng dodge_probability then dodge reaction
-            else reaction
-        | Some _ | None -> reaction
-      in
-      let trace_len = Array.length test.Sim_test.trace in
-      let progress =
-        if trace_len = 0 then 1.0 else float_of_int (pos + 1) /. float_of_int trace_len
-      in
-      let injection_stack = Some (Callsite.injection_stack site) in
-      let finish status ~rest_runs ~recovery ~crash_stack ~duration =
-        if recovery then cover_recovery coverage site;
-        if rest_runs then full_run target test coverage;
-        {
-          Outcome.fault;
-          status;
-          triggered = true;
-          coverage;
-          injection_stack;
-          crash_stack;
-          duration_ms = duration;
-        }
-      in
-      let nominal = test.Sim_test.duration_ms in
+      cover_calls target trace coverage 0 pos;
+      let reaction = reaction ?nondet site ~errno:fault.Fault.errno in
+      let progress = float_of_int (pos + 1) /. float_of_int (last + 1) in
+      let stack = Callsite.injection_stack site in
       (match reaction with
       | Behavior.Crash_if_recovering
       (* With a single fault there is no prior recovery in flight, so the
          latent bug stays dormant and the site handles the error. *)
       | Behavior.Handled ->
-          finish Outcome.Passed ~rest_runs:true ~recovery:true ~crash_stack:None
+          cover coverage site.Callsite.recovery_blocks;
+          cover_calls target trace coverage (pos + 1) last;
+          triggered fault coverage stack Outcome.Passed ~crash_stack:None
             ~duration:nominal
       | Behavior.Test_fails ->
-          finish Outcome.Test_failed ~rest_runs:false ~recovery:true ~crash_stack:None
+          cover coverage site.Callsite.recovery_blocks;
+          triggered fault coverage stack Outcome.Test_failed ~crash_stack:None
             ~duration:(nominal *. progress)
       | Behavior.Crash { in_recovery } ->
           let crash_stack =
-            let base = Callsite.injection_stack site in
-            if in_recovery then
-              Some (("recovery@" ^ site.Callsite.location) :: base)
-            else Some base
+            if in_recovery then begin
+              cover coverage site.Callsite.recovery_blocks;
+              Some (("recovery@" ^ site.Callsite.location) :: stack)
+            end
+            else Some stack
           in
-          finish Outcome.Crashed ~rest_runs:false ~recovery:in_recovery ~crash_stack
+          triggered fault coverage stack Outcome.Crashed ~crash_stack
             ~duration:(nominal *. progress)
       | Behavior.Hang ->
-          finish Outcome.Hung ~rest_runs:false ~recovery:false ~crash_stack:None
+          triggered fault coverage stack Outcome.Hung ~crash_stack:None
             ~duration:(nominal *. hang_timeout_factor))
 
 let baseline target test_id =
@@ -113,6 +116,7 @@ let suite_coverage target =
   let coverage = Bitset.create (Target.total_blocks target) in
   Array.iter
     (fun (test : Sim_test.t) ->
-      Array.iter (fun s -> cover_site coverage (Target.callsite target s)) test.Sim_test.trace)
+      let trace = test.Sim_test.trace in
+      cover_calls target trace coverage 0 (Array.length trace - 1))
     (Target.tests target);
   coverage

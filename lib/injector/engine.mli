@@ -29,6 +29,18 @@ type nondeterminism = {
 val hang_timeout_factor : float
 (** Multiple of the test's nominal duration charged for a hung run. *)
 
+val cover : Afex_stats.Bitset.t -> int array -> unit
+(** [cover coverage blocks] sets every block of [blocks] in [coverage].
+    @raise Invalid_argument if a block is out of range. *)
+
+val reaction :
+  ?nondet:nondeterminism ->
+  Afex_simtarget.Callsite.t ->
+  errno:string ->
+  Afex_simtarget.Behavior.reaction
+(** The site's reaction to an injected [errno], weakened with
+    [dodge_probability] when [nondet] is given. *)
+
 val run :
   ?nondet:nondeterminism -> Afex_simtarget.Target.t -> Fault.t -> Outcome.t
 (** @raise Invalid_argument if the fault's [test_id] is out of range. *)

@@ -37,29 +37,36 @@ let to_scenario t =
   ]
 
 let of_scenario scenario =
-  let find name = List.assoc_opt name scenario in
-  let int_field name =
-    match find name with
-    | Some (Value.Int v) -> Ok v
-    | Some v -> Error (Printf.sprintf "%s: expected integer, got %s" name (Value.to_string v))
+  let int_value name = function
+    | Value.Int v -> Ok v
+    | v -> Error (Printf.sprintf "%s: expected integer, got %s" name (Value.to_string v))
+  in
+  let sym_value name = function
+    | Value.Sym s -> Ok s
+    | Value.Int v -> Ok (string_of_int v)
+    | v -> Error (Printf.sprintf "%s: expected symbol, got %s" name (Value.to_string v))
+  in
+  let required decode name =
+    match List.assoc_opt name scenario with
+    | Some v -> decode name v
     | None -> Error (Printf.sprintf "missing attribute %s" name)
   in
-  let sym_field name =
-    match find name with
-    | Some (Value.Sym s) -> Ok s
-    | Some (Value.Int v) -> Ok (string_of_int v)
-    | Some v -> Error (Printf.sprintf "%s: expected symbol, got %s" name (Value.to_string v))
-    | None -> Error (Printf.sprintf "missing attribute %s" name)
+  (* errno and retval fall back to the function's primary error when
+     absent or ill-typed; most search spaces leave them out. *)
+  let optional decode name ~default =
+    match List.assoc_opt name scenario with
+    | None -> default
+    | Some v -> ( match decode name v with Ok x -> x | Error _ -> default)
   in
-  match int_field "testId", sym_field "function", int_field "callNumber" with
+  match
+    ( required int_value "testId",
+      required sym_value "function",
+      required int_value "callNumber" )
+  with
   | Ok test_id, Ok func, Ok call_number ->
       let default = default_error func in
-      let errno =
-        match sym_field "errno" with Ok e -> e | Error _ -> default.Libc.errno
-      in
-      let retval =
-        match int_field "retval" with Ok r -> r | Error _ -> default.Libc.retval
-      in
+      let errno = optional sym_value "errno" ~default:default.Libc.errno in
+      let retval = optional int_value "retval" ~default:default.Libc.retval in
       Ok { test_id; func; call_number; errno; retval }
   | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
 

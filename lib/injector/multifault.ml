@@ -113,12 +113,6 @@ let of_scenario scenario =
   | None, Some _, [] -> Error "no fault arms"
   | None, Some test_id, arms -> Ok { test_id; arms }
 
-let cover_site coverage (site : Callsite.t) =
-  Array.iter (fun b -> Bitset.set coverage b) site.Callsite.blocks
-
-let cover_recovery coverage (site : Callsite.t) =
-  Array.iter (fun b -> Bitset.set coverage b) site.Callsite.recovery_blocks
-
 let run ?nondet target t =
   if t.arms = [] then invalid_arg "Multifault.run: no arms";
   if t.test_id < 0 || t.test_id >= Target.n_tests target then
@@ -157,7 +151,7 @@ let run ?nondet target t =
   let i = ref 0 in
   while !result = None && !i < n do
     let site = Target.callsite target trace.(!i) in
-    cover_site coverage site;
+    Engine.cover coverage site.Callsite.blocks;
     let func = site.Callsite.func in
     let count = 1 + Option.value (Hashtbl.find_opt counts func) ~default:0 in
     Hashtbl.replace counts func count;
@@ -169,46 +163,31 @@ let run ?nondet target t =
     | Some arm ->
         pending := List.filter (fun a -> a != arm) !pending;
         last_triggered := Some (arm, site);
-        let reaction = Behavior.reaction_for site.Callsite.behavior ~errno:arm.errno in
-        let reaction =
-          match nondet with
-          | Some { Engine.rng; dodge_probability } when dodge_probability > 0.0 ->
-              if Afex_stats.Rng.bernoulli rng dodge_probability then
-                (match reaction with
-                | Behavior.Crash _ -> Behavior.Test_fails
-                | Behavior.Test_fails -> Behavior.Handled
-                | Behavior.Hang -> Behavior.Test_fails
-                | (Behavior.Handled | Behavior.Crash_if_recovering) as r -> r)
-              else reaction
-          | Some _ | None -> reaction
-        in
+        let reaction = Engine.reaction ?nondet site ~errno:arm.errno in
         let progress = float_of_int (!i + 1) /. float_of_int (max 1 n) in
         let fault = fault_of_arm t.test_id arm in
         (match reaction with
         | Behavior.Handled ->
-            cover_recovery coverage site;
+            Engine.cover coverage site.Callsite.recovery_blocks;
             recovering := true
         | Behavior.Crash_if_recovering ->
+            Engine.cover coverage site.Callsite.recovery_blocks;
             if !recovering then begin
-              cover_recovery coverage site;
               let crash_stack =
                 Some (("recovery@" ^ site.Callsite.location) :: Callsite.injection_stack site)
               in
               result :=
                 Some (outcome_of Outcome.Crashed ~fault ~site:(Some site) ~progress ~crash_stack)
             end
-            else begin
-              cover_recovery coverage site;
-              recovering := true
-            end
+            else recovering := true
         | Behavior.Test_fails ->
-            cover_recovery coverage site;
+            Engine.cover coverage site.Callsite.recovery_blocks;
             result :=
               Some
                 (outcome_of Outcome.Test_failed ~fault ~site:(Some site) ~progress
                    ~crash_stack:None)
         | Behavior.Crash { in_recovery } ->
-            if in_recovery then cover_recovery coverage site;
+            if in_recovery then Engine.cover coverage site.Callsite.recovery_blocks;
             let crash_stack =
               let base = Callsite.injection_stack site in
               if in_recovery then Some (("recovery@" ^ site.Callsite.location) :: base)

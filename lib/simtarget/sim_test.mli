@@ -17,6 +17,13 @@ type t = {
 val make :
   id:int -> name:string -> group:string -> trace:int array -> duration_ms:float -> t
 
+val run_end : int array -> int -> int
+(** [run_end trace i] is the first position after [i] whose callsite
+    differs from [trace.(i)], or the trace's length. Loop segments visit
+    one callsite several times in a row, and every call of such a run
+    reaches the same blocks, so walks step over a run at once.
+    @raise Invalid_argument unless [i] is a position of [trace]. *)
+
 val calls_to : t -> site_func:(int -> string) -> string -> int
 (** Number of calls the test makes to the named libc function, given a
     mapping from callsite id to function name. *)

@@ -534,6 +534,36 @@ let test_replsim_executor_allocation_gate () =
     Alcotest.failf "replsim run_scenario allocates %.0f words per run (ceiling 1,000)"
       words
 
+(* The single-fault executor on mysql: decode the scenario, walk the
+   test's trace, build the outcome. Covering allocated a closure for
+   every call of the trace (about 260 on a mysql test), and decoding
+   formatted an error string for each absent errno and retval before
+   falling back: about 1,100 words per run. Walking the trace by runs
+   of one call site, with no closure, and looking the optional
+   attributes up first, a run allocates about 120 words, half of them
+   the coverage bitset. The ceiling is about twice that. *)
+let test_executor_allocation_gate () =
+  let module Mysql = Afex_simtarget.Mysql in
+  let exec = Executor.of_target (Mysql.target ()) in
+  let explorer =
+    Explorer.create (Config.fitness_guided ~seed:7 ()) (Mysql.space ()) exec
+  in
+  let runs = 2000 in
+  let scenarios =
+    Array.init runs (fun _ ->
+        match Explorer.next explorer with
+        | Some p ->
+            let s = Explorer.scenario_for explorer p in
+            ignore (Explorer.report explorer p (exec.Executor.run_scenario s));
+            s
+        | None -> Alcotest.fail "fitness-guided search ran dry")
+  in
+  let before = Gc.minor_words () in
+  Array.iter (fun s -> ignore (exec.Executor.run_scenario s)) scenarios;
+  let words = (Gc.minor_words () -. before) /. float_of_int runs in
+  if words > 250.0 then
+    Alcotest.failf "mysql run_scenario allocates %.0f words per run (ceiling 250)" words
+
 (* The wire's reply path on mysql: the manager encodes each outcome as a
    RESULT record through [report_of_outcome], and the explorer decodes
    the frame and rebuilds each outcome through [outcome_of_report],
@@ -723,6 +753,7 @@ let suite =
       ("pinned history apache", test_pinned_history_apache);
       ("explorer allocation gate", test_explorer_allocation_gate);
       ("replsim executor allocation gate", test_replsim_executor_allocation_gate);
+      ("executor allocation gate", test_executor_allocation_gate);
       ("wire reply allocation gate", test_wire_reply_allocation_gate);
       ("pinned history apache saturated", test_pinned_history_apache_saturated);
       ("exhausted space matches reference loop", test_exhausted_matches_reference_loop);

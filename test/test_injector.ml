@@ -479,6 +479,464 @@ let test_plugin_multifault_of_point () =
       checki "arm2 call" 3 (List.nth mf.Multifault.arms 1).Multifault.call_number
   | Error e -> Alcotest.fail e
 
+(* --- Run-wise walks against call-by-call references ---
+
+   [Engine.run], [Sim_test.nth_call] and [Sim_test.calls_to] step over a
+   run of one call site at a time, and covering allocates no closure.
+   The walks below are the call-by-call versions they replaced, kept as
+   references: on every input, every outcome field must agree, the
+   coverage bytes included. *)
+
+module Reference = struct
+  let calls_to (t : Sim_test.t) ~site_func func =
+    Array.fold_left
+      (fun acc site -> if String.equal (site_func site) func then acc + 1 else acc)
+      0 t.Sim_test.trace
+
+  let nth_call (t : Sim_test.t) ~site_func func ~n =
+    if n <= 0 then None
+    else begin
+      let remaining = ref n and result = ref None and i = ref 0 in
+      let len = Array.length t.Sim_test.trace in
+      while !result = None && !i < len do
+        let site = t.Sim_test.trace.(!i) in
+        if String.equal (site_func site) func then begin
+          decr remaining;
+          if !remaining = 0 then result := Some (!i, site)
+        end;
+        incr i
+      done;
+      !result
+    end
+
+  let cover_site coverage (site : Callsite.t) =
+    Array.iter (fun b -> Bitset.set coverage b) site.Callsite.blocks
+
+  let cover_recovery coverage (site : Callsite.t) =
+    Array.iter (fun b -> Bitset.set coverage b) site.Callsite.recovery_blocks
+
+  let full_run target (test : Sim_test.t) coverage =
+    Array.iter (fun s -> cover_site coverage (Target.callsite target s)) test.Sim_test.trace
+
+  let react ?nondet (site : Callsite.t) ~errno =
+    let reaction = Behavior.reaction_for site.Callsite.behavior ~errno in
+    match nondet with
+    | Some { Engine.rng; dodge_probability } when dodge_probability > 0.0 ->
+        if Rng.bernoulli rng dodge_probability then
+          match reaction with
+          | Behavior.Crash _ -> Behavior.Test_fails
+          | Behavior.Test_fails -> Behavior.Handled
+          | Behavior.Hang -> Behavior.Test_fails
+          | (Behavior.Handled | Behavior.Crash_if_recovering) as r -> r
+        else reaction
+    | Some _ | None -> reaction
+
+  let engine_run ?nondet target (fault : Fault.t) =
+    let test = Target.test target fault.Fault.test_id in
+    let coverage = Bitset.create (Target.total_blocks target) in
+    let injection =
+      if fault.Fault.call_number <= 0 then None
+      else
+        nth_call test ~site_func:(Target.site_func target) fault.Fault.func
+          ~n:fault.Fault.call_number
+    in
+    match injection with
+    | None ->
+        full_run target test coverage;
+        {
+          Outcome.fault;
+          status = Outcome.Passed;
+          triggered = false;
+          coverage;
+          injection_stack = None;
+          crash_stack = None;
+          duration_ms = test.Sim_test.duration_ms;
+        }
+    | Some (pos, site_id) -> (
+        let site = Target.callsite target site_id in
+        for i = 0 to pos do
+          cover_site coverage (Target.callsite target test.Sim_test.trace.(i))
+        done;
+        let reaction = react ?nondet site ~errno:fault.Fault.errno in
+        let trace_len = Array.length test.Sim_test.trace in
+        let progress =
+          if trace_len = 0 then 1.0 else float_of_int (pos + 1) /. float_of_int trace_len
+        in
+        let finish status ~rest_runs ~recovery ~crash_stack ~duration =
+          if recovery then cover_recovery coverage site;
+          if rest_runs then full_run target test coverage;
+          {
+            Outcome.fault;
+            status;
+            triggered = true;
+            coverage;
+            injection_stack = Some (Callsite.injection_stack site);
+            crash_stack;
+            duration_ms = duration;
+          }
+        in
+        let nominal = test.Sim_test.duration_ms in
+        match reaction with
+        | Behavior.Crash_if_recovering | Behavior.Handled ->
+            finish Outcome.Passed ~rest_runs:true ~recovery:true ~crash_stack:None
+              ~duration:nominal
+        | Behavior.Test_fails ->
+            finish Outcome.Test_failed ~rest_runs:false ~recovery:true ~crash_stack:None
+              ~duration:(nominal *. progress)
+        | Behavior.Crash { in_recovery } ->
+            let base = Callsite.injection_stack site in
+            let crash_stack =
+              if in_recovery then Some (("recovery@" ^ site.Callsite.location) :: base)
+              else Some base
+            in
+            finish Outcome.Crashed ~rest_runs:false ~recovery:in_recovery ~crash_stack
+              ~duration:(nominal *. progress)
+        | Behavior.Hang ->
+            finish Outcome.Hung ~rest_runs:false ~recovery:false ~crash_stack:None
+              ~duration:(nominal *. Engine.hang_timeout_factor))
+
+  let multifault_run ?nondet target (t : Multifault.t) =
+    let fault_of_arm (a : Multifault.arm) =
+      Fault.make ~test_id:t.Multifault.test_id ~func:a.Multifault.func
+        ~call_number:a.Multifault.call_number ~errno:a.Multifault.errno
+        ~retval:a.Multifault.retval ()
+    in
+    let test = Target.test target t.Multifault.test_id in
+    let trace = test.Sim_test.trace in
+    let coverage = Bitset.create (Target.total_blocks target) in
+    let counts = Hashtbl.create 8 in
+    let pending = ref t.Multifault.arms in
+    let recovering = ref false in
+    let last_triggered = ref None in
+    let outcome_of status ~fault ~site ~progress ~crash_stack =
+      let nominal = test.Sim_test.duration_ms in
+      let duration =
+        match status with
+        | Outcome.Hung -> nominal *. Engine.hang_timeout_factor
+        | Outcome.Passed -> nominal
+        | Outcome.Test_failed | Outcome.Crashed -> nominal *. progress
+      in
+      {
+        Outcome.fault;
+        status;
+        triggered = (match site with Some _ -> true | None -> !last_triggered <> None);
+        coverage;
+        injection_stack =
+          (match (site, !last_triggered) with
+          | Some s, _ -> Some (Callsite.injection_stack s)
+          | None, Some (_, s) -> Some (Callsite.injection_stack s)
+          | None, None -> None);
+        crash_stack;
+        duration_ms = duration;
+      }
+    in
+    let n = Array.length trace in
+    let result = ref None in
+    let i = ref 0 in
+    while !result = None && !i < n do
+      let site = Target.callsite target trace.(!i) in
+      cover_site coverage site;
+      let func = site.Callsite.func in
+      let count = 1 + Option.value (Hashtbl.find_opt counts func) ~default:0 in
+      Hashtbl.replace counts func count;
+      (match
+         List.find_opt
+           (fun (a : Multifault.arm) ->
+             String.equal a.Multifault.func func && a.Multifault.call_number = count)
+           !pending
+       with
+      | None -> ()
+      | Some arm -> (
+          pending := List.filter (fun a -> a != arm) !pending;
+          last_triggered := Some (arm, site);
+          let reaction = react ?nondet site ~errno:arm.Multifault.errno in
+          let progress = float_of_int (!i + 1) /. float_of_int (max 1 n) in
+          let fault = fault_of_arm arm in
+          match reaction with
+          | Behavior.Handled ->
+              cover_recovery coverage site;
+              recovering := true
+          | Behavior.Crash_if_recovering ->
+              if !recovering then begin
+                cover_recovery coverage site;
+                let crash_stack =
+                  Some (("recovery@" ^ site.Callsite.location) :: Callsite.injection_stack site)
+                in
+                result :=
+                  Some
+                    (outcome_of Outcome.Crashed ~fault ~site:(Some site) ~progress
+                       ~crash_stack)
+              end
+              else begin
+                cover_recovery coverage site;
+                recovering := true
+              end
+          | Behavior.Test_fails ->
+              cover_recovery coverage site;
+              result :=
+                Some
+                  (outcome_of Outcome.Test_failed ~fault ~site:(Some site) ~progress
+                     ~crash_stack:None)
+          | Behavior.Crash { in_recovery } ->
+              if in_recovery then cover_recovery coverage site;
+              let crash_stack =
+                let base = Callsite.injection_stack site in
+                if in_recovery then Some (("recovery@" ^ site.Callsite.location) :: base)
+                else Some base
+              in
+              result :=
+                Some
+                  (outcome_of Outcome.Crashed ~fault ~site:(Some site) ~progress ~crash_stack)
+          | Behavior.Hang ->
+              result :=
+                Some
+                  (outcome_of Outcome.Hung ~fault ~site:(Some site) ~progress
+                     ~crash_stack:None)));
+      incr i
+    done;
+    match !result with
+    | Some outcome -> outcome
+    | None ->
+        let fault =
+          match !last_triggered with
+          | Some (arm, _) -> fault_of_arm arm
+          | None -> fault_of_arm (List.hd t.Multifault.arms)
+        in
+        outcome_of Outcome.Passed ~fault ~site:None ~progress:1.0 ~crash_stack:None
+end
+
+let walk_targets =
+  let module S = Afex_simtarget in
+  lazy
+    [
+      ("mysql", S.Mysql.target ());
+      ("apache", S.Apache.target ());
+      ("coreutils", S.Coreutils.target ());
+      ("mongodb-0.8", S.Mongodb.target_v08 ());
+      ("mongodb-2.0", S.Mongodb.target_v20 ());
+    ]
+
+let same_outcome (a : Outcome.t) (b : Outcome.t) =
+  Fault.equal a.Outcome.fault b.Outcome.fault
+  && a.Outcome.status = b.Outcome.status
+  && a.Outcome.triggered = b.Outcome.triggered
+  && Bitset.equal a.Outcome.coverage b.Outcome.coverage
+  && a.Outcome.injection_stack = b.Outcome.injection_stack
+  && a.Outcome.crash_stack = b.Outcome.crash_stack
+  && Int64.equal
+       (Int64.bits_of_float a.Outcome.duration_ms)
+       (Int64.bits_of_float b.Outcome.duration_ms)
+
+(* The functions a test calls, one libc function it never calls, and
+   one no profile knows. *)
+let walk_functions target (test : Sim_test.t) =
+  let called =
+    List.sort_uniq String.compare
+      (Array.to_list (Array.map (Target.site_func target) test.Sim_test.trace))
+  in
+  let uncalled =
+    List.find_opt (fun f -> not (List.mem f called)) Afex_simtarget.Libc.ordered_names
+  in
+  called @ Option.to_list uncalled @ [ "frobnicate" ]
+
+(* Call numbers at the edges of the runs of one call site: 0 and 1, the
+   last call of every run and the first call after it, the call count
+   and one past it. *)
+let edge_calls target (test : Sim_test.t) func =
+  let trace = test.Sim_test.trace in
+  let count = ref 0 and edges = ref [ 0; 1 ] in
+  Array.iteri
+    (fun i s ->
+      if String.equal (Target.site_func target s) func then begin
+        incr count;
+        if i + 1 = Array.length trace || trace.(i + 1) <> s then
+          edges := !count :: (!count + 1) :: !edges
+      end)
+    trace;
+  List.sort_uniq compare (!count :: (!count + 1) :: !edges)
+
+(* The first and the last test, and [k] drawn at random. *)
+let sample_tests rng target k =
+  let n = Target.n_tests target in
+  List.sort_uniq compare (0 :: (n - 1) :: List.init k (fun _ -> Rng.int rng n))
+
+let test_sim_test_walks_match_reference () =
+  let rng = Rng.create 41 in
+  List.iter
+    (fun (name, target) ->
+      let site_func = Target.site_func target in
+      List.iter
+        (fun id ->
+          let test = Target.test target id in
+          List.iter
+            (fun func ->
+              let what = Printf.sprintf "%s test %d %s" name id func in
+              checki (what ^ " calls_to")
+                (Reference.calls_to test ~site_func func)
+                (Sim_test.calls_to test ~site_func func);
+              List.iter
+                (fun n ->
+                  if
+                    Reference.nth_call test ~site_func func ~n
+                    <> Sim_test.nth_call test ~site_func func ~n
+                  then Alcotest.failf "%s: nth_call ~n:%d differs" what n)
+                (-1 :: edge_calls target test func))
+            (walk_functions target test))
+        (sample_tests rng target 60))
+    (Lazy.force walk_targets)
+
+(* Random faults, then every edge call of every function of a sample of
+   tests. Errnos include every override a callsite of the target names,
+   so non-default reactions are reached. *)
+let walk_faults rng target =
+  let errnos =
+    List.sort_uniq String.compare
+      ("EIO" :: "EINTR"
+      :: List.concat_map
+           (fun (site : Callsite.t) -> List.map fst site.Callsite.behavior.Behavior.by_errno)
+           (Array.to_list (Target.callsites target)))
+  in
+  let errno () =
+    if Rng.bernoulli rng 0.5 then None
+    else Some (List.nth errnos (Rng.int rng (List.length errnos)))
+  in
+  let random =
+    List.init 800 (fun _ ->
+        let test_id = Rng.int rng (Target.n_tests target) in
+        let test = Target.test target test_id in
+        let funcs = walk_functions target test in
+        let func = List.nth funcs (Rng.int rng (List.length funcs)) in
+        let count = Reference.calls_to test ~site_func:(Target.site_func target) func in
+        Fault.make ~test_id ~func ~call_number:(Rng.int rng (count + 3)) ?errno:(errno ()) ())
+  in
+  let edges =
+    List.concat_map
+      (fun test_id ->
+        let test = Target.test target test_id in
+        List.concat_map
+          (fun func ->
+            List.map
+              (fun call_number -> Fault.make ~test_id ~func ~call_number ?errno:(errno ()) ())
+              (edge_calls target test func))
+          (walk_functions target test))
+      (sample_tests rng target 25)
+  in
+  random @ edges
+
+(* Both walks draw from RNGs made from one seed, so equal draws stay in
+   step; the RNGs must end in the same state. *)
+let nondet_modes = [ None; Some 0.0; Some 0.5 ]
+
+let nondet_pair mode =
+  match mode with
+  | None -> (None, None, fun () -> ())
+  | Some p ->
+      let a = Rng.create 1234 and b = Rng.create 1234 in
+      ( Some { Engine.rng = a; dodge_probability = p },
+        Some { Engine.rng = b; dodge_probability = p },
+        fun () -> checkb "RNGs in step" true (Int64.equal (Rng.state a) (Rng.state b)) )
+
+let test_engine_matches_reference () =
+  let rng = Rng.create 42 in
+  List.iter
+    (fun (name, target) ->
+      let faults = walk_faults rng target in
+      List.iter
+        (fun mode ->
+          let ref_nondet, nondet, in_step = nondet_pair mode in
+          List.iter
+            (fun f ->
+              let expected = Reference.engine_run ?nondet:ref_nondet target f in
+              if not (same_outcome expected (Engine.run ?nondet target f)) then
+                Alcotest.failf "%s: Engine.run differs on %s" name (Fault.to_string f))
+            faults;
+          in_step ())
+        nondet_modes)
+    (Lazy.force walk_targets)
+
+let test_multifault_matches_reference () =
+  let rng = Rng.create 43 in
+  List.iter
+    (fun (name, target) ->
+      let faults = Array.of_list (walk_faults rng target) in
+      (* One to three arms on one test, from the faults aimed at it. *)
+      let by_test = Hashtbl.create 64 in
+      Array.iter
+        (fun (f : Fault.t) -> Hashtbl.add by_test f.Fault.test_id f)
+        faults;
+      let scenarios =
+        List.init 600 (fun _ ->
+            let first = faults.(Rng.int rng (Array.length faults)) in
+            let mine = Array.of_list (Hashtbl.find_all by_test first.Fault.test_id) in
+            let others =
+              List.init (Rng.int rng 3) (fun _ -> mine.(Rng.int rng (Array.length mine)))
+            in
+            match Multifault.of_faults (first :: others) with
+            | Ok mf -> mf
+            | Error m -> Alcotest.fail m)
+      in
+      List.iter
+        (fun mode ->
+          let ref_nondet, nondet, in_step = nondet_pair mode in
+          List.iter
+            (fun mf ->
+              let expected = Reference.multifault_run ?nondet:ref_nondet target mf in
+              if not (same_outcome expected (Multifault.run ?nondet target mf)) then
+                Alcotest.failf "%s: Multifault.run differs on %s" name
+                  (Format.asprintf "%a" Multifault.pp mf))
+            scenarios;
+          in_step ())
+        nondet_modes)
+    (Lazy.force walk_targets)
+
+(* The engine keeps no state between runs, so domains may share a
+   target. *)
+let test_engine_on_two_domains () =
+  let target = List.assoc "mysql" (Lazy.force walk_targets) in
+  let faults = walk_faults (Rng.create 44) target in
+  let sequential = List.map (Engine.run target) faults in
+  let run () = List.map (Engine.run target) faults in
+  let a = Domain.spawn run and b = Domain.spawn run in
+  let a = Domain.join a and b = Domain.join b in
+  checkb "first domain matches sequential" true (List.for_all2 same_outcome sequential a);
+  checkb "second domain matches sequential" true (List.for_all2 same_outcome sequential b)
+
+(* errno and retval are looked up before they are decoded; the errors of
+   the required attributes are unchanged. *)
+let test_fault_of_scenario_messages () =
+  let module V = Afex_faultspace.Value in
+  let base =
+    [ ("testId", V.Int 2); ("function", V.Sym "read"); ("callNumber", V.Int 3) ]
+  in
+  let error s = match Fault.of_scenario s with Ok _ -> "ok" | Error m -> m in
+  let without name = List.remove_assoc name base in
+  let with_ name v = (name, v) :: without name in
+  checks "missing testId" "missing attribute testId" (error (without "testId"));
+  checks "missing function" "missing attribute function" (error (without "function"));
+  checks "missing callNumber" "missing attribute callNumber" (error (without "callNumber"));
+  checks "first error wins" "missing attribute testId" (error [ ("retval", V.Int 1) ]);
+  checks "ill-typed testId" "testId: expected integer, got read"
+    (error (with_ "testId" (V.Sym "read")));
+  checks "ill-typed function" "function: expected symbol, got <1,2>"
+    (error (with_ "function" (V.Pair (1, 2))));
+  checks "ill-typed callNumber" "callNumber: expected integer, got <1,2>"
+    (error (with_ "callNumber" (V.Pair (1, 2))));
+  let default = Fault.make ~test_id:2 ~func:"read" ~call_number:3 () in
+  (match Fault.of_scenario base with
+  | Ok f -> checkb "errno and retval default" true (Fault.equal default f)
+  | Error m -> Alcotest.fail m);
+  (match Fault.of_scenario (base @ [ ("errno", V.Int 5); ("retval", V.Int 7) ]) with
+  | Ok f ->
+      checks "an integer errno reads as its digits" "5" f.Fault.errno;
+      checki "retval given" 7 f.Fault.retval
+  | Error m -> Alcotest.fail m);
+  match
+    Fault.of_scenario
+      (base @ [ ("errno", V.Pair (1, 2)); ("retval", V.Sym "x"); ("function", V.Sym "w") ])
+  with
+  | Ok f -> checkb "ill-typed errno and retval fall back" true (Fault.equal default f)
+  | Error m -> Alcotest.fail m
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -519,4 +977,9 @@ let suite =
       ("multifault validation", test_multifault_validation);
       ("multifault agrees with engine on single", test_multifault_agrees_with_engine_on_single);
       ("plugin multifault_of_point", test_plugin_multifault_of_point);
+      ("sim_test walks match call-by-call reference", test_sim_test_walks_match_reference);
+      ("engine matches call-by-call reference", test_engine_matches_reference);
+      ("multifault matches call-by-call reference", test_multifault_matches_reference);
+      ("engine on two domains matches sequential", test_engine_on_two_domains);
+      ("fault of_scenario error messages", test_fault_of_scenario_messages);
     ]

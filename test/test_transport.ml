@@ -180,6 +180,34 @@ let test_frame_checksum () =
   | Error (Transport.Corrupt _) -> ()
   | _ -> Alcotest.fail "bit flip must be a checksum mismatch"
 
+(* The checksum the frame layer, the journal, the record log, the
+   snapshot trailer and the V2 scenario checksum all use, against the
+   byte fold it was first written as. *)
+let test_fnv1a32_matches_fold () =
+  let fold s =
+    let h = ref 0x811c9dc5 in
+    String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) s;
+    !h
+  in
+  checki "empty string is the offset basis" 0x811c9dc5 (Transport.checksum "");
+  checki "FNV-1a 32 of \"a\"" 0xe40c292c (Transport.checksum "a");
+  checki "FNV-1a 32 of \"foobar\"" 0xbf9cf968 (Transport.checksum "foobar");
+  let strings =
+    Prop.make
+      ~shrink:(fun s ->
+        let n = String.length s in
+        if n = 0 then [] else [ String.sub s 0 (n / 2); String.sub s 1 (n - 1) ])
+      ~show:(Printf.sprintf "%S")
+      (fun rng ->
+        let n = if Rng.bernoulli rng 0.05 then 0 else 1 + Rng.int rng 4096 in
+        (* Half the strings hold only bytes at or above 0x80. *)
+        let high = Rng.bernoulli rng 0.5 in
+        String.init n (fun _ ->
+            Char.chr (if high then 0x80 + Rng.int rng 128 else Rng.int rng 256)))
+  in
+  Prop.check ~count:400 ~seed:2029 "fnv1a32 equals the fold" strings (fun s ->
+      Transport.checksum s = fold s)
+
 (* --- the socketpair transport --- *)
 
 let test_pair_roundtrip () =
@@ -1377,6 +1405,7 @@ let suite =
       ("bad magic is corrupt", test_frame_bad_magic);
       ("oversized frames are typed errors", test_frame_oversized);
       ("checksum catches bit flips", test_frame_checksum);
+      ("fnv1a32 matches the fold (property)", test_fnv1a32_matches_fold);
       ("socketpair round-trip", test_pair_roundtrip);
       ("receive timeout", test_recv_timeout);
       ("closed and truncated peers", test_closed_and_truncated_peer);
