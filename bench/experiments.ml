@@ -261,8 +261,8 @@ let fig8 ?(iterations = 500) () =
     (Figure.line_chart
        ~series:
          [
-           ("fitness-guided", to_floats fg.Session.failure_curve);
-           ("random", to_floats rnd.Session.failure_curve);
+           ("fitness-guided", to_floats (Session.failure_curve fg));
+           ("random", to_floats (Session.failure_curve rnd));
          ]
        ~x_label:"iteration (#faults sampled)" ~y_label:"cumulative test failures" ());
   note "Paper: the gap between the curves widens with iteration count as the";

@@ -23,7 +23,6 @@ type result = {
   sensitivity : float array;
   mutator : Mutator.stats;
   rare_blocks : int option;
-  failure_curve : int array;
   stopped_early : bool;
   stop_iteration : int option;
 }
@@ -50,15 +49,6 @@ let summarize explorer ~total_blocks ~stopped_early ~stop_iteration =
         let members = List.map (fun i -> crash_cases.(i)) members in
         { Clustering.representative = List.hd members; members })
       (Afex_quality.Index.clusters crash_index)
-  in
-  let curve = Array.make (List.length executed) 0 in
-  let _ =
-    List.fold_left
-      (fun (i, acc) case ->
-        let acc = if Test_case.failed case then acc + 1 else acc in
-        curve.(i) <- acc;
-        (i + 1, acc))
-      (0, 0) executed
   in
   let covered = Explorer.covered_blocks explorer in
   {
@@ -88,7 +78,6 @@ let summarize explorer ~total_blocks ~stopped_early ~stop_iteration =
        with
       | Some hist, Some rc -> Some (Rarity.rare_count hist ~cutoff:rc.Config.cutoff)
       | _ -> None);
-    failure_curve = curve;
     stopped_early;
     stop_iteration;
   }
@@ -126,6 +115,18 @@ let run ?transform ?stop ?time_budget_ms ~iterations config sub executor =
   loop iterations;
   summarize explorer ~total_blocks:executor.Executor.total_blocks
     ~stopped_early:(target_met ()) ~stop_iteration:!stop_iteration
+
+(* Built on demand rather than in [summarize]: most callers never read
+   it, and for a long session it is the largest block the summary would
+   allocate. *)
+let failure_curve result =
+  let curve = Array.make (List.length result.executed) 0 in
+  List.iteri
+    (fun i case ->
+      let prev = if i = 0 then 0 else curve.(i - 1) in
+      curve.(i) <- (if Test_case.failed case then prev + 1 else prev))
+    result.executed;
+  curve
 
 let top_faults result ~n =
   let sorted =

@@ -39,8 +39,6 @@ type result = {
   rare_blocks : int option;
       (** blocks still below the rarity cutoff at session end, when
           rarity guidance was enabled (§7.2's recovery-code sliver) *)
-  failure_curve : int array;
-      (** cumulative failed-test count after each iteration (Fig. 8) *)
   stopped_early : bool;
   stop_iteration : int option;
       (** iteration at which the [stop] target was satisfied *)
@@ -69,6 +67,11 @@ val run :
     simulated wall-clock [time_budget_ms] is exhausted — the three stopping
     rules of §6.4 step 6 ("after some specified amount of time, after a
     number of tests executed, or after a given threshold is met"). *)
+
+val failure_curve : result -> int array
+(** Cumulative failed-test count after each executed test, in order
+    (Fig. 8): element [i] counts the failures among the first [i + 1]
+    entries of [executed]. *)
 
 val top_faults : result -> n:int -> Test_case.t list
 (** Highest measured impact first. *)

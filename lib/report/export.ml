@@ -96,7 +96,7 @@ let summary_to_json ~target (r : Session.result) =
           field "crash_clusters" (string_of_int r.Session.crash_clusters);
           field "simulated_ms" (Printf.sprintf "%.2f" r.Session.simulated_ms);
           field "sensitivity" (float_array r.Session.sensitivity);
-          field "failure_curve" (int_array r.Session.failure_curve);
+          field "failure_curve" (int_array (Session.failure_curve r));
           field "stopped_early" (string_of_bool r.Session.stopped_early);
         ];
       "}";

@@ -337,13 +337,14 @@ let test_session_fitness_beats_random_on_planted_cluster () =
 let test_session_failure_curve () =
   let executor = planted_executor () in
   let r = Session.run ~iterations:200 (Config.fitness_guided ~seed:8 ()) search_sub executor in
-  checki "curve length" 200 (Array.length r.Session.failure_curve);
+  let curve = Session.failure_curve r in
+  checki "curve length" 200 (Array.length curve);
   let monotone = ref true in
   for i = 1 to 199 do
-    if r.Session.failure_curve.(i) < r.Session.failure_curve.(i - 1) then monotone := false
+    if curve.(i) < curve.(i - 1) then monotone := false
   done;
   checkb "monotone" true !monotone;
-  checki "final value = failed" r.Session.failed r.Session.failure_curve.(199)
+  checki "final value = failed" r.Session.failed curve.(199)
 
 let test_session_stop_distinct_counting () =
   let executor = planted_executor () in
