@@ -255,17 +255,49 @@ end
 
 let header_bytes = 12
 
-(* One framed record, whose payload [fill] writes. *)
-let framed fill =
-  let b = Buffer.create 256 in
-  fill b;
-  let payload = Buffer.contents b in
-  Buffer.clear b;
-  add_u32 b (String.length payload);
-  add_u32 b (Transport.checksum (Buffer.contents b));
-  add_u32 b (Transport.checksum payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+let set_u32 b pos v =
+  Bytes.unsafe_set b pos (Char.unsafe_chr ((v lsr 24) land 0xff));
+  Bytes.unsafe_set b (pos + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
+  Bytes.unsafe_set b (pos + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
+  Bytes.unsafe_set b (pos + 3) (Char.unsafe_chr (v land 0xff))
+
+(* A handle frames its records in place: [payload] takes the record
+   being framed, [out] the framed records that the next write sends.
+   Both are reused, so once they have grown framing allocates nothing. *)
+module Framer = struct
+  type t = { payload : Buffer.t; mutable out : Bytes.t; mutable len : int }
+
+  let create () =
+    { payload = Buffer.create 256; out = Bytes.create 1024; len = 0 }
+
+  let add f fill =
+    Buffer.clear f.payload;
+    fill f.payload;
+    let n = Buffer.length f.payload and pos = f.len in
+    let stop = pos + header_bytes + n in
+    if stop > Bytes.length f.out then begin
+      let grown = Bytes.create (max stop (2 * Bytes.length f.out)) in
+      Bytes.blit f.out 0 grown 0 pos;
+      f.out <- grown
+    end;
+    let out = f.out in
+    set_u32 out pos n;
+    set_u32 out (pos + 4) (Transport.checksum_bytes out ~pos ~len:4);
+    Buffer.blit f.payload 0 out (pos + header_bytes) n;
+    set_u32 out (pos + 8)
+      (Transport.checksum_bytes out ~pos:(pos + header_bytes) ~len:n);
+    f.len <- stop
+
+  let length f = f.len
+  let contents f = Bytes.sub_string f.out 0 f.len
+
+  (* Send every framed record in one [write], and start afresh. *)
+  let write what fd f =
+    let n = f.len in
+    f.len <- 0;
+    if Unix.write fd f.out 0 n <> n then
+      failwith ("checkpoint: short " ^ what ^ " write")
+end
 
 (* The record at [pos], decoded: [`Cut] when the end of [s] cuts it
    off, [`Bad (reason, next)] when its payload fails the checksum or
@@ -424,6 +456,7 @@ type t = {
   log_fd : Unix.file_descr;
   journal_enc : Message.V2.server_enc;
       (** emptied before each journal record, which must decode alone *)
+  framer : Framer.t;
   mutable mark : Snapshot.mark;  (** what [records.log] holds *)
   mutable appends : int;
   mutable snapshots : int;
@@ -465,7 +498,7 @@ let start ?(hooks = no_hooks) ?(every = 500) ~dir meta =
         Ok
           {
             cp_dir = dir; every; cp_meta = meta; hooks; wal_fd; log_fd;
-            journal_enc = Message.V2.server_enc ();
+            journal_enc = Message.V2.server_enc (); framer = Framer.create ();
             mark = { Snapshot.logged = 0; log_bytes = 0 }; appends = 0;
             snapshots = 0; last_snapshot_iterations = 0; replay = [];
             was_resumed = false; n_replayed_records = 0; loaded = None;
@@ -571,7 +604,7 @@ let resume ?(hooks = no_hooks) ?(every = 500) ~dir meta =
       Ok
         {
           cp_dir = dir; every; cp_meta = meta; hooks; wal_fd; log_fd;
-          journal_enc = Message.V2.server_enc ();
+          journal_enc = Message.V2.server_enc (); framer = Framer.create ();
           mark = snap.Snapshot.mark; appends = 0; snapshots = 0;
           last_snapshot_iterations =
             snap.Snapshot.explorer.Explorer.Snapshot.iterations;
@@ -600,18 +633,13 @@ let replay_pending t = t.replay <> []
 let due t ~iterations =
   t.replay = [] && iterations - t.last_snapshot_iterations >= t.every
 
-let write_all what fd s =
-  let n = String.length s in
-  if Unix.write_substring fd s 0 n <> n then
-    failwith ("checkpoint: short " ^ what ^ " write")
-
 let append_outcome t ~point_key ~seq outcome =
   Message.V2.clear_server_enc t.journal_enc;
-  write_all "journal" t.wal_fd
-    (framed (fun b ->
-         Message.add_str b point_key;
-         Message.V2.encode_reply t.journal_enc b
-           (Message.Scenario_result (Message.report_of_outcome ~seq outcome))));
+  Framer.add t.framer (fun b ->
+      Message.add_str b point_key;
+      Message.V2.encode_reply t.journal_enc b
+        (Message.Scenario_result (Message.report_of_outcome ~seq outcome)));
+  Framer.write "journal" t.wal_fd t.framer;
   t.appends <- t.appends + 1;
   t.hooks.on_append t.appends
 
@@ -619,20 +647,20 @@ let append_outcome t ~point_key ~seq outcome =
    one write; the rest of the capture stays in the snapshot. *)
 let freeze t (x : Explorer.Snapshot.t) =
   let f = frontier x in
-  let buf = Buffer.create 4096 in
   let rec go n = function
     | (c : Test_case.t) :: rest when c.birth <= f ->
-        Buffer.add_string buf (framed (fun b -> add_record b c));
+        Framer.add t.framer (fun b -> add_record b c);
         go (n + 1) rest
     | live -> (n, live)
   in
   let n, live = go 0 x.Explorer.Snapshot.records in
   if n > 0 then begin
-    write_all "record log" t.log_fd (Buffer.contents buf);
+    let bytes = Framer.length t.framer in
+    Framer.write "record log" t.log_fd t.framer;
     t.mark <-
       {
         Snapshot.logged = t.mark.Snapshot.logged + n;
-        log_bytes = t.mark.Snapshot.log_bytes + Buffer.length buf;
+        log_bytes = t.mark.Snapshot.log_bytes + bytes;
       }
   end;
   live

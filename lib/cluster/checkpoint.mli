@@ -80,6 +80,26 @@ module Snapshot : sig
       damage all return [Error], never raise. *)
 end
 
+(** The framing that the journal and the record log share: per record,
+    a 12-byte header (the payload's length, the checksum of those 4
+    length bytes and the checksum of the payload, each 4 bytes
+    big-endian), then the payload. A handle frames into one reused
+    buffer, so framing a record allocates nothing once that buffer has
+    grown. *)
+module Framer : sig
+  type t
+
+  val create : unit -> t
+
+  val add : t -> (Buffer.t -> unit) -> unit
+  (** Frame one record after those already framed; the function writes
+      its payload into the (empty) buffer it is given. *)
+
+  val contents : t -> string
+  (** The records framed since the last write, as they would be
+      written. *)
+end
+
 type hooks = {
   on_append : int -> unit;
       (** called after every journal append with the running append

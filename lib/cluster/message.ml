@@ -161,7 +161,7 @@ let rec set_runs c bits prev_end k =
     set_runs c bits last (k - 1)
   end
 
-let read_coverage c =
+let read_coverage ?(capacity = 0) c =
   let nruns = uv_from c 0 0 in
   if nruns < 0 then Error (uv_error nruns)
   else if nruns > remaining c then Error "truncated coverage"
@@ -170,7 +170,7 @@ let read_coverage c =
     match coverage_end c (-1) nruns with
     | Error m -> Error m
     | Ok last ->
-        let bits = Bitset.create (last + 1) in
+        let bits = Bitset.create (max capacity (last + 1)) in
         c.pos <- runs;
         set_runs c bits (-1) nruns;
         Ok bits
@@ -201,7 +201,50 @@ let read_status c =
     in
     Ok (status, flags land 4 <> 0)
 
-let fault_to_string f = Scenario.to_string (Fault.to_scenario f)
+(* The characters of [string_of_int n]. Counting on the non-positive
+   side covers [min_int]. *)
+let decimal_length n =
+  let rec digits m k = if m > -10 then k else digits (m / 10) (k + 1) in
+  if n < 0 then digits n 2 else digits (-n) 1
+
+(* Write [string_of_int n] into [b] at [pos]; return the position after
+   it. *)
+let blit_decimal b pos n =
+  let stop = pos + decimal_length n in
+  if n < 0 then Bytes.unsafe_set b pos '-';
+  let m = ref (if n < 0 then n else -n) in
+  for i = stop - 1 downto (if n < 0 then pos + 1 else pos) do
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  stop
+
+let blit_text b pos s =
+  Bytes.unsafe_blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+(* [Scenario.to_string (Fault.to_scenario f)], built in one allocation:
+   it runs for every wire reply, journal record and logged record. *)
+let fault_to_string (f : Fault.t) =
+  let b =
+    Bytes.create
+      (String.length "testId " + decimal_length f.test_id
+      + String.length " function " + String.length f.func
+      + String.length " errno " + String.length f.errno
+      + String.length " retval " + decimal_length f.retval
+      + String.length " callNumber " + decimal_length f.call_number)
+  in
+  let pos = blit_text b 0 "testId " in
+  let pos = blit_decimal b pos f.test_id in
+  let pos = blit_text b pos " function " in
+  let pos = blit_text b pos f.func in
+  let pos = blit_text b pos " errno " in
+  let pos = blit_text b pos f.errno in
+  let pos = blit_text b pos " retval " in
+  let pos = blit_decimal b pos f.retval in
+  let pos = blit_text b pos " callNumber " in
+  ignore (blit_decimal b pos f.call_number);
+  Bytes.unsafe_to_string b
 
 let fault_of_string s =
   match Scenario.of_string s with
@@ -297,7 +340,9 @@ let outcome_of_report ~total_blocks r =
         Outcome.fault = r.fault;
         status = r.status;
         triggered = r.triggered;
-        coverage = Bitset.extend r.coverage total_blocks;
+        coverage =
+          (if capacity = total_blocks then r.coverage
+           else Bitset.extend r.coverage total_blocks);
         injection_stack = r.injection_stack;
         crash_stack = r.crash_stack;
         duration_ms = r.duration_ms;
@@ -589,9 +634,11 @@ module V2 = struct
   type client_dec = {
     mutable frames : string array;
     mutable n_frames : int;
+    capacity : int;  (* of decoded coverage bitsets, at least *)
   }
 
-  let client_dec () = { frames = Array.make 64 ""; n_frames = 0 }
+  let client_dec ?(total_blocks = 0) () =
+    { frames = Array.make 64 ""; n_frames = 0; capacity = total_blocks }
   let client_dict_size d = d.n_frames
 
   let dict_append d s =
@@ -682,7 +729,7 @@ module V2 = struct
               else Ok dec.frames.(fault_id)
             in
             let* fault = fault_of_string fault_s in
-            let* coverage = read_coverage c in
+            let* coverage = read_coverage ~capacity:dec.capacity c in
             let* injection_stack = read_stack dec c in
             let* crash_stack = read_stack dec c in
             loop

@@ -50,8 +50,10 @@ val add_status :
 (** One byte: the status code and the triggered flag. *)
 
 val fault_to_string : Afex_injector.Fault.t -> string
-(** The fault as its scenario string, the form both the wire's
-    dictionary and the checkpoint records carry. *)
+(** The fault as its scenario string,
+    [Scenario.to_string (Fault.to_scenario f)] byte for byte: the form
+    both the wire's dictionary and the checkpoint records carry. One
+    allocation, the string itself. *)
 
 val fault_of_string : string -> (Afex_injector.Fault.t, string) result
 
@@ -68,11 +70,13 @@ val read_str : cursor -> (string, string) result
 val read_i64 : cursor -> (int64, string) result
 val read_f64 : cursor -> (float, string) result
 
-val read_coverage : cursor -> (Afex_stats.Bitset.t, string) result
-(** The bitset {!add_coverage} wrote, sized to end at its highest block:
-    its capacity is that block plus one (0 when empty). [Error] when a
-    block index reaches 1 Mi, so a few bytes never ask for a bitset
-    beyond 128 KiB. *)
+val read_coverage :
+  ?capacity:int -> cursor -> (Afex_stats.Bitset.t, string) result
+(** The bitset {!add_coverage} wrote, of capacity [capacity] (default
+    0) when every block falls below it, else sized to end at its
+    highest block: that block plus one. [Error] when a block index
+    reaches 1 Mi, so a few bytes never ask for a bitset beyond
+    128 KiB. *)
 
 val read_status :
   cursor -> (Afex_injector.Outcome.status * bool, string) result
@@ -125,10 +129,11 @@ val report_of_outcome : seq:int -> Afex_injector.Outcome.t -> run_report
 
 val outcome_of_report :
   total_blocks:int -> run_report -> (Afex_injector.Outcome.t, string) result
-(** Rebuild the full outcome on the explorer side, its coverage copied
-    into a bitset of capacity [total_blocks]. [Error] if the report's
-    coverage is wider, which for a decoded report means a block outside
-    [\[0, total_blocks)]. *)
+(** Rebuild the full outcome on the explorer side. Its coverage is the
+    report's bitset when that has capacity [total_blocks], as a
+    {!V2.client_dec} made with [~total_blocks] decodes it, else a copy
+    of that capacity. [Error] if the report's coverage is wider, which
+    for a decoded report means a block outside [\[0, total_blocks)]. *)
 
 (** {2 Wire protocol v2}
 
@@ -207,7 +212,12 @@ module V2 : sig
   type client_dec
   (** The mirror dictionary: id -> frame string. *)
 
-  val client_dec : unit -> client_dec
+  val client_dec : ?total_blocks:int -> unit -> client_dec
+  (** A decoder whose reports' coverage bitsets have capacity
+      [total_blocks] when every block falls below it (see
+      {!read_coverage}), so {!outcome_of_report} at that block count
+      shares them instead of copying. Without it, coverage ends at its
+      highest block. *)
 
   val client_dict_size : client_dec -> int
 

@@ -1,7 +1,9 @@
 module Rng = Afex_stats.Rng
+module Bitset = Afex_stats.Bitset
 module Scenario = Afex_faultspace.Scenario
 module Point = Afex_faultspace.Point
 module Outcome = Afex_injector.Outcome
+module Test_case = Afex.Test_case
 
 type executor =
   | Pure of Afex.Executor.t
@@ -103,20 +105,43 @@ type stats = {
   wall_ms : float;
 }
 
+(* What the memo cache keeps of an executed point: the record
+   [Explorer.report] returned for its first run, which the explorer
+   keeps anyway, and its coverage, one copy per distinct set of the
+   session. The record holds every other field of the outcome. *)
+type memo = { case : Test_case.t; coverage : Bitset.t }
+
+(* The first run's outcome, field for field. *)
+let outcome_of_memo { case = c; coverage } =
+  {
+    Outcome.fault = c.Test_case.fault;
+    status = c.Test_case.status;
+    triggered = c.Test_case.triggered;
+    coverage;
+    injection_stack = c.Test_case.injection_stack;
+    crash_stack = c.Test_case.crash_stack;
+    duration_ms = c.Test_case.duration_ms;
+  }
+
+module Coverage_sets = Hashtbl.Make (struct
+  type t = Bitset.t
+
+  let equal = Bitset.equal
+  let hash = Bitset.hash
+end)
+
 (* What the reorder buffer holds for one submission: the outcome itself
    when it is known (worker completion, memo-cache hit, journal replay),
-   or a deferred duplicate that resolves against the cache at release
-   time — its original is an earlier submission, so it has released (and
-   populated the cache) by then. *)
-type slot =
-  | Ready of (Outcome.t, exn) result
-  | Dup of string  (* the duplicated scenario's cache key *)
+   or a deferred duplicate that resolves against its point's cache entry
+   at release time — its original is an earlier submission, so it has
+   released (and populated the cache) by then. *)
+type slot = Ready of (Outcome.t, exn) result | Dup
 
 (* Per-submission bookkeeping the release path needs, keyed by sequence
    number and dropped at release. *)
 type meta = {
   m_proposal : Afex.Mutator.proposal;
-  m_skey : string option;  (* memo-cache key, when memoizing *)
+  m_memo : bool;  (* memoizing, and the outcome is not a cache hit *)
   m_journaled : bool;  (* replayed from the WAL: don't re-journal *)
   m_worker : bool;  (* occupies a runtime worker until it completes *)
 }
@@ -168,7 +193,17 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
   (match checkpoint with
   | Some cp when not (Checkpoint.resumed cp) -> write_snapshot ()
   | Some _ | None -> ());
-  let cache : (string, Outcome.t) Hashtbl.t = Hashtbl.create 256 in
+  (* The memo cache, keyed by the candidate's point: a session explores
+     one subspace, so a point names one scenario. *)
+  let cache : memo Point.Tbl.t = Point.Tbl.create 256 in
+  let coverage_sets = Coverage_sets.create 256 in
+  let share coverage =
+    match Coverage_sets.find_opt coverage_sets coverage with
+    | Some c -> c
+    | None ->
+        Coverage_sets.add coverage_sets coverage coverage;
+        coverage
+  in
   let memoize =
     memoize
     && (match t.executor with Pure _ | Async _ -> true | Seeded _ -> false)
@@ -201,10 +236,10 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
     Runtime.Reorder.create ~next:(base + 1) ()
   in
   let metas : (int, meta) Hashtbl.t = Hashtbl.create 64 in
-  (* Scenario keys with a fresh execution submitted but not yet
-     released: a later identical candidate piggybacks on it as a [Dup]
-     instead of occupying a worker. *)
-  let inflight_keys : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+  (* Points with a fresh execution submitted but not yet released: a
+     later identical candidate piggybacks on it as a [Dup] instead of
+     occupying a worker. *)
+  let inflight : unit Point.Tbl.t = Point.Tbl.create 16 in
   (* Sync watermarks: every [sync_every] releases, the schedule refuses
      to submit past the boundary until everything before it has
      released, so the window drains to quiescence. The drain is part of
@@ -262,7 +297,6 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
                    "Pool: journaled outcome %d is for point %s, but the \
                     explorer regenerated %s"
                    seq key pkey);
-            let scenario = Afex.Explorer.scenario_for explorer p in
             ignore (seeded_rng ());
             let outcome =
               match
@@ -273,11 +307,8 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
               | Error m ->
                   failwith ("Pool: journaled outcome does not decode: " ^ m)
             in
-            let skey =
-              if memoize then Some (Scenario.to_string scenario) else None
-            in
             Hashtbl.replace metas abs
-              { m_proposal = p; m_skey = skey; m_journaled = true;
+              { m_proposal = p; m_memo = memoize; m_journaled = true;
                 m_worker = false };
             Runtime.Reorder.offer reorder ~seq:abs (Ready (Ok outcome));
             submitted := abs)
@@ -286,14 +317,12 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
         | None -> exhausted := true
         | Some p ->
             let abs = !submitted + 1 in
+            let point = p.Afex.Mutator.point in
             let scenario = Afex.Explorer.scenario_for explorer p in
             let rng = seeded_rng () in
-            let skey =
-              if memoize then Some (Scenario.to_string scenario) else None
-            in
-            let fresh ~wire run start =
+            let fresh ~memo ~wire run start =
               Hashtbl.replace metas abs
-                { m_proposal = p; m_skey = skey; m_journaled = false;
+                { m_proposal = p; m_memo = memo; m_journaled = false;
                   m_worker = true };
               Runtime.submit t.runtime
                 { Runtime.seq = abs; scenario = wire; run; start }
@@ -306,27 +335,26 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
             in
             let immediate slot =
               Hashtbl.replace metas abs
-                { m_proposal = p; m_skey = skey; m_journaled = false;
+                { m_proposal = p; m_memo = false; m_journaled = false;
                   m_worker = false };
               Runtime.Reorder.offer reorder ~seq:abs slot
             in
             let memoized wire run start =
-              match skey with
-              | None -> fresh ~wire run start
-              | Some key -> (
-                  match Hashtbl.find_opt cache key with
-                  | Some outcome ->
+              if not memoize then fresh ~memo:false ~wire run start
+              else
+                match Point.Tbl.find_opt cache point with
+                | Some m ->
+                    incr cache_hits;
+                    immediate (Ready (Ok (outcome_of_memo m)))
+                | None ->
+                    if Point.Tbl.mem inflight point then begin
                       incr cache_hits;
-                      immediate (Ready (Ok outcome))
-                  | None ->
-                      if Hashtbl.mem inflight_keys key then begin
-                        incr cache_hits;
-                        immediate (Dup key)
-                      end
-                      else begin
-                        Hashtbl.replace inflight_keys key ();
-                        fresh ~wire run start
-                      end)
+                      immediate Dup
+                    end
+                    else begin
+                      Point.Tbl.replace inflight point ();
+                      fresh ~memo:true ~wire run start
+                    end
             in
             (match t.executor with
             | Seeded { run; _ } ->
@@ -335,7 +363,7 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
                 let rng = Option.get rng in
                 let thunk () = run rng scenario in
                 let run, start = sync thunk in
-                fresh ~wire:None run start
+                fresh ~memo:false ~wire:None run start
             | Pure exec ->
                 let thunk () = exec.Afex.Executor.run_scenario scenario in
                 let run, start = sync thunk in
@@ -377,20 +405,19 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
     let t0 = Unix.gettimeofday () in
     let m = Hashtbl.find metas seq in
     Hashtbl.remove metas seq;
+    let point = m.m_proposal.Afex.Mutator.point in
     let outcome =
       match slot with
       | Ready (Ok o) -> o
       | Ready (Error e) -> raise e
-      | Dup key -> (
-          match Hashtbl.find_opt cache key with
-          | Some o -> o
+      | Dup -> (
+          match Point.Tbl.find_opt cache point with
+          | Some memo -> outcome_of_memo memo
           | None -> raise (Invalid_argument "Pool: duplicate of a failed scenario"))
     in
     if m.m_worker then begin
       incr executed;
-      match m.m_skey with
-      | Some key -> Hashtbl.remove inflight_keys key
-      | None -> ()
+      if m.m_memo then Point.Tbl.remove inflight point
     end;
     (* Journal the outcome before the explorer absorbs it: a crash
        between the two re-applies it from the journal on resume, which
@@ -398,14 +425,12 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
        outcomes are not re-appended. *)
     (match checkpoint with
     | Some cp when not m.m_journaled ->
-        Checkpoint.append_outcome cp
-          ~point_key:(Point.key m.m_proposal.Afex.Mutator.point)
-          ~seq outcome
+        Checkpoint.append_outcome cp ~point_key:(Point.key point) ~seq outcome
     | Some _ | None -> ());
-    (match m.m_skey with
-    | Some key -> Hashtbl.replace cache key outcome
-    | None -> ());
     let case = Afex.Explorer.report explorer m.m_proposal outcome in
+    if m.m_memo then
+      Point.Tbl.replace cache point
+        { case; coverage = share outcome.Outcome.coverage };
     (match stop with
     | Some s when s.Afex.Session.matches case ->
         Point.Tbl.replace matched case.Afex.Test_case.point ();

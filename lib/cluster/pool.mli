@@ -16,11 +16,18 @@
     OS schedules domains. A campaign is therefore replayable at any
     parallelism.
 
-    Deterministic executors additionally get a scenario-keyed outcome
+    Deterministic executors additionally get a point-keyed outcome
     cache: a repeated candidate (common late in a beam search, and under
     random search on small spaces) is served from the cache without
     occupying a worker. Cache lookups happen on the explorer thread in
-    submission order, so hit counts are deterministic too. *)
+    submission order, so hit counts are deterministic too. For each
+    executed point the cache keeps the record {!Afex.Explorer.report}
+    returned, which the explorer keeps anyway, and its coverage, one
+    copy per distinct set of the session; a hit's outcome is rebuilt
+    from them, equal field for field to the first run's. A session
+    explores one subspace, so a point names one scenario; a [transform]
+    applies after the lookup, and one that maps two points to one
+    scenario runs that deterministic scenario twice. *)
 
 type executor =
   | Pure of Afex.Executor.t
@@ -140,7 +147,7 @@ val session :
     degenerates to exactly {!Afex.Session.run}'s candidate stream.
 
     [memoize] (default [true]) enables the outcome cache for [Pure]
-    executors; it is ignored for [Seeded] ones.
+    and [Async] executors; it is ignored for [Seeded] ones.
 
     [sync_every] (default 512) spaces the schedule's quiescent sync
     watermarks: submissions never cross a multiple of [sync_every] until

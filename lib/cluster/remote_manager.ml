@@ -59,11 +59,11 @@ type live = {
   mutable queued : int; (* requests in [out] *)
 }
 
-let live tr =
+let live ~total_blocks tr =
   {
     tr;
     enc = Message.V2.client_enc ();
-    dec = Message.V2.client_dec ();
+    dec = Message.V2.client_dec ~total_blocks ();
     out = Buffer.create 256;
     queued = 0;
   }
@@ -247,7 +247,7 @@ module Pipelined = struct
         | Ok c -> (
             match hello c with
             | Ok () ->
-                let l = live c in
+                let l = live ~total_blocks:t.total_blocks c in
                 t.state <- Connected l;
                 Ok l
             | Error e ->

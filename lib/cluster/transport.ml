@@ -21,14 +21,20 @@ let magic0 = 'A'
 let magic1 = 'F'
 let header_bytes = 10 (* 2 magic + 4 length + 4 checksum *)
 
-let fnv1a32 s =
+let fnv1a32_bytes b pos len =
   let h = ref 0x811c9dc5 in
-  for i = 0 to String.length s - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0xFFFFFFFF
+  for i = pos to pos + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land 0xFFFFFFFF
   done;
   !h
 
+let fnv1a32 s = fnv1a32_bytes (Bytes.unsafe_of_string s) 0 (String.length s)
 let checksum = fnv1a32
+
+let checksum_bytes b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Transport.checksum_bytes: range outside the bytes";
+  fnv1a32_bytes b pos len
 
 module Frame = struct
   let add_u32 b v =

@@ -34,6 +34,10 @@ val checksum : string -> int
     formats (checkpoint snapshots, write-ahead journals) can share the
     transport's corruption-detection discipline. *)
 
+val checksum_bytes : Bytes.t -> pos:int -> len:int -> int
+(** {!checksum} of the [len] bytes of [b] from [pos], read in place.
+    @raise Invalid_argument if the range leaves [b]. *)
+
 (** Frame encoding, exposed for tests and manglers. *)
 module Frame : sig
   val encode : string -> string

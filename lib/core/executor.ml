@@ -125,40 +125,3 @@ let delayed ?(now_ms = monotonic_ms) ~delay_ms t =
     async_total_blocks = t.total_blocks;
     async_description = t.description ^ " (simulated latency)";
   }
-
-type cache_stats = { hits : int; misses : int; entries : int }
-
-let memoized t =
-  (* The injector is deterministic, so a scenario's outcome is a pure
-     function of its attribute bindings: repeated candidates (common late
-     in a beam search, or under random search on small spaces) become
-     free. Guarded by a mutex so the wrapper stays safe when shared
-     across domains. *)
-  let cache : (string, Afex_injector.Outcome.t) Hashtbl.t = Hashtbl.create 256 in
-  let lock = Mutex.create () in
-  let hits = ref 0 and misses = ref 0 in
-  let run_scenario scenario =
-    let key = Afex_faultspace.Scenario.to_string scenario in
-    let cached =
-      Mutex.lock lock;
-      let v = Hashtbl.find_opt cache key in
-      (match v with Some _ -> incr hits | None -> incr misses);
-      Mutex.unlock lock;
-      v
-    in
-    match cached with
-    | Some outcome -> outcome
-    | None ->
-        let outcome = t.run_scenario scenario in
-        Mutex.lock lock;
-        Hashtbl.replace cache key outcome;
-        Mutex.unlock lock;
-        outcome
-  in
-  let stats () =
-    Mutex.lock lock;
-    let s = { hits = !hits; misses = !misses; entries = Hashtbl.length cache } in
-    Mutex.unlock lock;
-    s
-  in
-  ({ t with run_scenario }, stats)

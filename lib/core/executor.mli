@@ -108,12 +108,3 @@ val delayed :
     [delay_ms] (see [Afex_simtarget.Target.latency_ms]) the executor
     stays replayable; the blocking view ({!sync_of_async}) really sleeps,
     the async executor overlaps the waits. *)
-
-type cache_stats = { hits : int; misses : int; entries : int }
-
-val memoized : t -> t * (unit -> cache_stats)
-(** [memoized t] wraps [t] with a scenario-keyed outcome cache plus a
-    stats accessor. Only valid for deterministic executors (every
-    built-in simtarget executor without [?nondet] qualifies): a cached
-    outcome is returned verbatim for a repeated scenario. The cache is
-    mutex-guarded and safe to share across domains. *)

@@ -114,3 +114,6 @@ let rec fold_runs_from f acc t i =
 let fold_runs f acc t = fold_runs_from f acc t 0
 
 let equal a b = a.capacity = b.capacity && Bytes.equal a.words b.words
+
+(* The polymorphic hash reads the whole of a byte sequence. *)
+let hash t = Hashtbl.hash t.words

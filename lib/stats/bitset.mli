@@ -35,3 +35,7 @@ val fold_runs : ('a -> int -> int -> 'a) -> 'a -> t -> 'a
     of set bits, in ascending order. Allocates nothing itself. *)
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** Mixes every byte of the set; equal sets hash alike. Allocates
+    nothing. *)

@@ -765,6 +765,125 @@ let test_encoders_match_reference () =
         runs;
       coverage_codec_agrees b)
 
+(* Wire replies, journal records and logged records carry a fault as
+   [Message.fault_to_string], which builds the string in one allocation.
+   It must write the bytes of the scenario printer it replaced. *)
+let reference_fault_string f =
+  Afex_faultspace.Scenario.to_string (Afex_injector.Fault.to_scenario f)
+
+let test_fault_strings_match_reference () =
+  let module Fault = Afex_injector.Fault in
+  let agrees f =
+    String.equal (Message.fault_to_string f) (reference_fault_string f)
+  in
+  List.iter
+    (fun n ->
+      let f =
+        { Fault.test_id = n; func = "read"; call_number = n; errno = "EIO";
+          retval = n }
+      in
+      if not (agrees f) then
+        Alcotest.failf "fault string disagrees at %d: %S" n
+          (Message.fault_to_string f))
+    [ 0; 1; 9; 10; 99; 100; -1; -9; -10; -100; 1_000_000_007; max_int; min_int ];
+  let small = Prop.int_range (-1000) 1000
+  and big = Prop.int_range 0 (1 lsl 40)
+  and name =
+    Prop.choose [ ""; "read"; "pthread_mutex_lock"; "a b"; "ENOMEM"; "%" ]
+  in
+  Prop.check ~count:500 "fault_to_string matches the scenario printer"
+    (Prop.pair (Prop.pair (Prop.pair big big) small) (Prop.pair name name))
+    (fun (((test_id, call_number), retval), (func, errno)) ->
+      agrees { Fault.test_id; func; call_number; errno; retval }
+      && agrees
+           { Fault.test_id = -test_id; func; call_number = -call_number;
+             errno; retval = retval * 1_000_003 });
+  let rng = Rng.create 17 in
+  List.iter
+    (fun (target, sub) ->
+      for _ = 1 to 300 do
+        let f =
+          Afex_injector.Plugin.fault_of_point_exn sub
+            (Afex_faultspace.Subspace.random_point rng sub)
+        in
+        if not (agrees f) then
+          Alcotest.failf "%s: fault string disagrees on %S" target
+            (reference_fault_string f)
+      done)
+    [
+      ("mysql", Mysql.space ());
+      ("apache", Apache.space ());
+      ("coreutils", Afex_simtarget.Coreutils.space ());
+      ("mongodb-0.8", Afex_simtarget.Mongodb.space_v08 ());
+      ("mongodb-2.0", Afex_simtarget.Mongodb.space_v20 ());
+    ]
+
+(* The framing the journal and the record log shared before records
+   were framed in place, kept as the reference. *)
+let reference_framed fill =
+  let b = Buffer.create 256 in
+  fill b;
+  let payload = Buffer.contents b in
+  Buffer.clear b;
+  let add_u32 v = Buffer.add_int32_be b (Int32.of_int v) in
+  add_u32 (String.length payload);
+  add_u32 (Afex_cluster.Transport.checksum (Buffer.contents b));
+  add_u32 (Afex_cluster.Transport.checksum payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let test_framing_matches_reference () =
+  let payload_arb =
+    Prop.list ~max_length:8
+      (Prop.map ~show:(Printf.sprintf "%S")
+         (fun n -> String.init n (fun i -> Char.chr (((i * 37) + n) land 0xff)))
+         (Prop.int_range 0 3000))
+  in
+  let add p b = Buffer.add_string b p in
+  Prop.check ~count:200 "framing matches the reference" payload_arb
+    (fun payloads ->
+      let f = Checkpoint.Framer.create () in
+      List.iter (fun p -> Checkpoint.Framer.add f (add p)) payloads;
+      String.equal
+        (Checkpoint.Framer.contents f)
+        (String.concat "" (List.map (fun p -> reference_framed (add p)) payloads)));
+  (* A journal is the reference framing of each record's payload: the
+     point key, then the outcome as a reply encoded with fresh codec
+     state. *)
+  with_dir (fun dir ->
+      let exec = Afex.Executor.of_target (Mysql.target ()) in
+      let sub = Mysql.space () in
+      let rng = Rng.create 5 in
+      let records =
+        List.init 200 (fun i ->
+            let p = Afex_faultspace.Subspace.random_point rng sub in
+            let o =
+              exec.Afex.Executor.run_scenario
+                (Afex_faultspace.Subspace.values sub p)
+            in
+            (i + 1, Afex_faultspace.Point.key p, o))
+      in
+      (match Checkpoint.start ~dir meta with
+      | Error e -> Alcotest.fail e
+      | Ok cp ->
+          List.iter
+            (fun (seq, point_key, o) ->
+              Checkpoint.append_outcome cp ~point_key ~seq o)
+            records;
+          Checkpoint.close cp);
+      let expected =
+        String.concat ""
+          (List.map
+             (fun (seq, point_key, o) ->
+               reference_framed (fun b ->
+                   Message.add_str b point_key;
+                   Message.V2.encode_reply (Message.V2.server_enc ()) b
+                     (Message.Scenario_result (Message.report_of_outcome ~seq o))))
+             records)
+      in
+      checkb "journal bytes equal the reference framing" true
+        (String.equal expected (read_file (Filename.concat dir "wal.log"))))
+
 (* ---- snapshot cost ---------------------------------------------------- *)
 
 (* A checkpointed mysql campaign of [n] tests: minor words per test, and
@@ -883,6 +1002,8 @@ let suite =
     ("damaged record log rejected", `Quick, test_record_log_damage_rejected);
     ("checkpoint decoders are total (property)", `Quick, test_decoders_total);
     ("journal encoders match reference", `Quick, test_encoders_match_reference);
+    ("fault strings match reference", `Quick, test_fault_strings_match_reference);
+    ("framing matches reference", `Quick, test_framing_matches_reference);
     ("snapshot cost tracks new tests", `Quick,
       test_snapshot_cost_tracks_new_tests);
     ("torn journal tail is re-executed", `Quick, test_torn_wal_tail_tolerated);

@@ -573,7 +573,9 @@ let test_executor_allocation_gate () =
    crossed as an int list built and reversed on both ends: about 850
    words per encoded and 1,576 per decoded reply. Going straight
    between the bitset's bytes and the varints, they cost about 185 and
-   625. The ceilings are about twice that. *)
+   625; decoding at the target's block count, as the pipelined client
+   does, so that the outcome shares the bitset, about 575. The ceilings
+   are about twice that. *)
 let test_wire_reply_allocation_gate () =
   let module Mysql = Afex_simtarget.Mysql in
   let module Message = Afex_cluster.Message in
@@ -609,8 +611,8 @@ let test_wire_reply_allocation_gate () =
         Buffer.contents b)
   in
   let encoded = !words /. float_of_int n in
-  let cdec = Message.V2.client_dec () in
   let total_blocks = exec.Executor.total_blocks in
+  let cdec = Message.V2.client_dec ~total_blocks () in
   let rebuilt = ref 0 in
   let rebuild = function
     | Message.Scenario_result r -> (
@@ -633,6 +635,46 @@ let test_wire_reply_allocation_gate () =
   if decoded > 1300.0 then
     Alcotest.failf "decoding a mysql reply allocates %.0f words (ceiling 1,300)"
       decoded
+
+(* The pool's memo cache on a campaign with no repeats: none of the
+   20,000 points of a seed-7 mysql session runs twice, so nothing the
+   cache keeps is ever served. Keyed by scenario string and holding
+   whole outcomes, it kept about 77 words per test, most of them the
+   coverage bitset, and a session retained about 121 words per test;
+   without the cache it retains about 44. Keyed by point, holding the
+   explorer's own record and one copy of each distinct coverage set,
+   it retains about 66. The gate reads live words after a full major
+   collection at the last release and fails above 80. *)
+let test_memo_retention_gate () =
+  let module Mysql = Afex_simtarget.Mysql in
+  let module Pool = Afex_cluster.Pool in
+  let tests = 20_000 in
+  let pool =
+    Pool.create ~jobs:1 (Pool.Pure (Executor.of_target (Mysql.target ())))
+  in
+  let sub = Mysql.space () in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let released = ref 0 and live = ref 0 in
+  let matches _ =
+    incr released;
+    if !released = tests then begin
+      Gc.full_major ();
+      live := (Gc.stat ()).Gc.live_words
+    end;
+    false
+  in
+  let result, stats =
+    Pool.session ~stop:{ Session.matches; count = max_int } ~iterations:tests pool
+      (Config.fitness_guided ~seed:7 ()) sub
+  in
+  Pool.shutdown pool;
+  checki "tests" tests result.Session.iterations;
+  checki "no repeats" 0 stats.Pool.cache_hits;
+  let words = float_of_int (!live - before) /. float_of_int tests in
+  if words > 80.0 then
+    Alcotest.failf
+      "a memoized mysql session retains %.1f words per test (ceiling 80)" words
 
 (* --- Exhausted spaces ---
 
@@ -756,6 +798,7 @@ let suite =
       ("replsim executor allocation gate", test_replsim_executor_allocation_gate);
       ("executor allocation gate", test_executor_allocation_gate);
       ("wire reply allocation gate", test_wire_reply_allocation_gate);
+      ("memo retention gate", test_memo_retention_gate);
       ("pinned history apache saturated", test_pinned_history_apache_saturated);
       ("exhausted space matches reference loop", test_exhausted_matches_reference_loop);
       ("saturated explorer allocation gate", test_saturated_explorer_allocation_gate);

@@ -1,5 +1,5 @@
 (* Tests for the Domain-based worker pool: determinism across jobs
-   settings, the scenario-keyed outcome cache, and oversubscription. *)
+   settings, the point-keyed outcome cache, and oversubscription. *)
 
 module Pool = Afex_cluster.Pool
 module Config = Afex.Config
@@ -10,6 +10,11 @@ module Outcome = Afex_injector.Outcome
 module Rng = Afex_stats.Rng
 module Apache = Afex_simtarget.Apache
 module Coreutils = Afex_simtarget.Coreutils
+module Mysql = Afex_simtarget.Mysql
+module Subspace = Afex_faultspace.Subspace
+module Shuffle = Afex_faultspace.Shuffle
+module Checkpoint = Afex_cluster.Checkpoint
+module Export = Afex_report.Export
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -103,6 +108,165 @@ let test_memoize_off_executes_everything () =
   checki "no cache" 0 stats.Pool.cache_hits;
   checki "all executed" 300 stats.Pool.executed
 
+(* --- memo equivalence ---
+
+   A hit is rebuilt from the first run's record and its shared coverage
+   set, so the search must not tell the cache is there: with and
+   without it, a campaign exports the same JSON and CSV, byte for byte.
+   apache's 15,000-test feedback campaign saturates its 11,020 points
+   after about 11,500 tests, so most of its late candidates are hits;
+   mysql's 5,000 tests never repeat a point. Neither reads a hit's
+   coverage once the session has covered every block the hit reaches,
+   so a rarity-guided random search of coreutils' 1,653 points, whose
+   fitness is the rarity of what each test covered, repeats from its
+   first tests on. *)
+
+type campaign = {
+  target : string;
+  iterations : int;
+  config : Config.t;
+  space : unit -> Subspace.t;
+  executor : unit -> Afex.Executor.t;
+}
+
+let apache_campaign =
+  {
+    target = "apache";
+    iterations = 15_000;
+    config = { (Config.fitness_guided ~seed:505 ()) with Config.feedback = true };
+    space = Apache.space;
+    executor = executor;
+  }
+
+let mysql_campaign =
+  {
+    target = "mysql";
+    iterations = 5_000;
+    config = Config.fitness_guided ~seed:7 ();
+    space = Mysql.space;
+    executor = (fun () -> Afex.Executor.of_target (Mysql.target ()));
+  }
+
+let coreutils_campaign =
+  {
+    target = "coreutils";
+    iterations = 4_000;
+    config = Config.with_rarity (Config.random_search ~seed:7 ());
+    space = Coreutils.space;
+    executor = (fun () -> Afex.Executor.of_target (Coreutils.target ()));
+  }
+
+let memo_session ?transform ?checkpoint ?(inflight = 1) ?sub ~memoize c =
+  let sub = match sub with Some s -> s | None -> c.space () in
+  let pool = Pool.create ~inflight ~jobs:1 (Pool.Pure (c.executor ())) in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      Pool.session ?transform ?checkpoint ~memoize ~iterations:c.iterations pool
+        c.config sub)
+
+let exports c (r : Session.result) =
+  (Export.summary_to_json ~target:c.target r, Export.records_to_csv r)
+
+let distinct_points (r : Session.result) =
+  let seen = Point.Tbl.create 16384 in
+  List.iter
+    (fun (x : Test_case.t) -> Point.Tbl.replace seen x.Test_case.point ())
+    r.Session.executed;
+  Point.Tbl.length seen
+
+(* Exports equal the reference's, and every repeat was a hit. *)
+let check_memoized c what reference (r, stats) =
+  let json, csv = exports c r and ref_json, ref_csv = reference in
+  Alcotest.(check string) (what ^ ": JSON") ref_json json;
+  Alcotest.(check string) (what ^ ": CSV") ref_csv csv;
+  checki (what ^ ": hits = iterations - distinct points")
+    (c.iterations - distinct_points r) stats.Pool.cache_hits;
+  checki (what ^ ": executed + hits = iterations") c.iterations
+    (stats.Pool.executed + stats.Pool.cache_hits)
+
+let check_unmemoized c what (r, stats) =
+  checki (what ^ ": no hits") 0 stats.Pool.cache_hits;
+  checki (what ^ ": all executed") c.iterations stats.Pool.executed;
+  exports c r
+
+let memo_equivalence c =
+  let reference =
+    check_unmemoized c "inline, memo off" (memo_session ~memoize:false c)
+  in
+  check_memoized c "inline" reference (memo_session ~memoize:true c);
+  (* The window holds 32 candidates and the event loop 16 in flight:
+     a repeat of a point still running piggybacks on it. *)
+  check_memoized c "event loop" reference
+    (memo_session ~inflight:16 ~memoize:true c);
+  Alcotest.(check (pair string string)) "event loop, memo off" reference
+    (check_unmemoized c "event loop, memo off"
+       (memo_session ~inflight:16 ~memoize:false c));
+  let sh = Shuffle.shuffle_all (Rng.create 3) (c.space ()) in
+  let shuffled ~memoize =
+    memo_session ~transform:(Shuffle.to_target sh) ~sub:(Shuffle.subspace sh)
+      ~memoize c
+  in
+  check_memoized c "shuffled"
+    (check_unmemoized c "shuffled, memo off" (shuffled ~memoize:false))
+    (shuffled ~memoize:true);
+  reference
+
+let test_memo_equivalence_mysql () = ignore (memo_equivalence mysql_campaign)
+
+let test_memo_equivalence_coreutils () =
+  ignore (memo_equivalence coreutils_campaign)
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+exception Crash
+
+(* apache's campaign also runs memoized through a checkpoint, killed at
+   its 7,000th journal append and resumed, with an empty cache, to the
+   end: it must export what the unmemoized campaign exported. *)
+let test_memo_equivalence_apache () =
+  let c = apache_campaign in
+  let reference = memo_equivalence c in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "afex_memo_%d_%d" (Unix.getpid ()) (Random.bits ()))
+  in
+  let meta = [ ("target", "apache"); ("seed", "505") ] in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let crash n = if n = 7_000 then raise Crash in
+      (match
+         Checkpoint.start
+           ~hooks:{ Checkpoint.no_hooks with Checkpoint.on_append = crash }
+           ~dir meta
+       with
+      | Error e -> Alcotest.fail e
+      | Ok cp ->
+          Fun.protect
+            ~finally:(fun () -> Checkpoint.close cp)
+            (fun () ->
+              match memo_session ~checkpoint:cp ~memoize:true c with
+              | _ -> Alcotest.fail "the campaign outlived its crash"
+              | exception Crash -> ()));
+      match Checkpoint.resume ~dir meta with
+      | Error e -> Alcotest.fail e
+      | Ok cp ->
+          let r, _ =
+            Fun.protect
+              ~finally:(fun () -> Checkpoint.close cp)
+              (fun () -> memo_session ~checkpoint:cp ~memoize:true c)
+          in
+          Alcotest.(check (pair string string)) "killed and resumed" reference
+            (exports c r))
+
 (* --- oversubscription and edge cases --- *)
 
 let test_more_jobs_than_candidates () =
@@ -193,6 +357,9 @@ let suite =
       ("cache hits on small space", test_cache_hits_on_small_space);
       ("cache accounting jobs-independent", test_cache_hit_count_jobs_independent);
       ("memoize off executes everything", test_memoize_off_executes_everything);
+      ("memo equivalence: mysql", test_memo_equivalence_mysql);
+      ("memo equivalence: coreutils with rarity", test_memo_equivalence_coreutils);
+      ("memo equivalence: apache", test_memo_equivalence_apache);
       ("more jobs than candidates", test_more_jobs_than_candidates);
       ("exhaustive stops at cardinality", test_exhaustive_stops_at_cardinality);
       ("stop target respected", test_stop_target_respected);

@@ -1007,6 +1007,45 @@ let test_v2_reply_roundtrip_property () =
       (4, "r\xc3\xa9seau d\xc3\xa9connect\xc3\xa9 100%");
     ]
 
+(* The pipelined client decodes coverage at the target's block count,
+   so rebuilding the outcome copies nothing. A block at or past the
+   count still makes its report unusable, and only that report. *)
+let test_v2_sized_coverage () =
+  let total_blocks = 400 in
+  let base = random_report (Rng.create 5) in
+  let decode coverage =
+    let b = Buffer.create 256 in
+    V2.encode_reply (V2.server_enc ()) b
+      (Message.Scenario_result
+         { base with Message.coverage = bits_of_list coverage });
+    match
+      V2.decode_replies (V2.client_dec ~total_blocks ()) (Buffer.contents b)
+    with
+    | Ok [ Message.Scenario_result r ] -> r
+    | _ -> Alcotest.fail "a sized decoder refused a well-formed reply"
+  in
+  List.iter
+    (fun coverage ->
+      let r = decode coverage in
+      checki "capacity is the block count" total_blocks
+        (Bitset.capacity r.Message.coverage);
+      checkb "coverage round-trips" true
+        (list_of_bits r.Message.coverage = coverage);
+      match Message.outcome_of_report ~total_blocks r with
+      | Ok o ->
+          checkb "the outcome shares the decoded bitset" true
+            (o.Outcome.coverage == r.Message.coverage)
+      | Error m -> Alcotest.fail m)
+    [ []; [ 0 ]; [ 399 ]; [ 7; 9; 11 ]; [ 0; 1; 2; 50; 51; 52; 53; 398 ] ];
+  List.iter
+    (fun coverage ->
+      let r = decode coverage in
+      checkb "a block past the count decodes" true
+        (list_of_bits r.Message.coverage = coverage);
+      checkb "and makes the report unusable" true
+        (is_error (Message.outcome_of_report ~total_blocks r)))
+    [ [ 400 ]; [ 0; 1; 5000 ] ]
+
 let test_v2_dict_interning () =
   (* One connection's worth of codec state: the first report announces
      its stack frames in a DICT record; repeats ship bare int ids. *)
@@ -1221,6 +1260,7 @@ let test_wire_decoders_total () =
       && total (V2.decode_requests (warm_server_dec ())) s
       && total (V2.decode_replies (V2.client_dec ())) s
       && total (V2.decode_replies (warm_client_dec ())) s
+      && total (V2.decode_replies (V2.client_dec ~total_blocks:3444 ())) s
       && frame_total "" s
       && frame_total partial_frame s)
 
@@ -1428,6 +1468,7 @@ let suite =
       ("v2: varint properties", test_varint_properties);
       ("v2: request codec (coalesce, delta, desync)", test_v2_request_codec);
       ("v2: reply round-trip (property)", test_v2_reply_roundtrip_property);
+      ("v2: sized decoder shares coverage", test_v2_sized_coverage);
       ("v2: dictionary interning reaches steady state", test_v2_dict_interning);
       ("v2: desync is an error, never a wrong report", test_v2_desync_is_error);
       ("frame decoder at chunk granularities 1-7", test_decoder_chunk_granularity);
