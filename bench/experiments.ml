@@ -605,7 +605,11 @@ let pool ?(iterations = 2000) ?(jobs_list = [ 1; 2; 4 ]) () =
   note "Measured speedup tracks the prediction up to the host's %d hardware" cores;
   note "threads; on a single-core host the pool degrades gracefully to ~1x.";
   note "The explored-point history must read `yes` on every row: the search";
-  note "is replayable at any parallelism (same seed => same campaign)."
+  note "is replayable at any parallelism (same seed => same campaign).";
+  if List.exists (fun (_, r, _) -> history r <> history r1) runs then begin
+    prerr_endline "pool: a parallel history diverged from the jobs-1 history";
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Async executor: overlapping latency-bound tests on one domain       *)
@@ -707,7 +711,12 @@ let async ?(iterations = 400) ?(inflight_list = [ 1; 4; 8; 32 ]) () =
   note "dominates, then saturates once the overlapped latency floor drops";
   note "under the loop's own bookkeeping; >=3x at inflight 8.";
   note "(Paper \u{00A7}7.7: one explorer saturates ~8,500 tests/s; keeping many";
-  note "slow tests in flight per node is how a small cluster reaches it.)"
+  note "slow tests in flight per node is how a small cluster reaches it.)";
+  if List.exists (fun (_, _, r, _, _) -> history r <> history r_blocking) runs
+  then begin
+    prerr_endline "async: an event-loop history diverged from the blocking one";
+    exit 1
+  end
 
 let ablation ?(iterations = 1000) () =
   section "Ablation: AFEX design choices (Apache httpd, 1,000 iterations)";
@@ -990,12 +999,12 @@ let perf ?(iterations = 600) () =
   note "and sub-interval axes (loss windows) mutate like any other attribute."
 
 (* ------------------------------------------------------------------ *)
-(* Work-stealing runtime: the unbounded window vs every static choice  *)
+(* Barrierless runtime: the unbounded window vs every static choice    *)
 (* ------------------------------------------------------------------ *)
 
 let steal ?(smoke = false) ?iterations ?(windows = [ 1; 4; 8; 32; 128 ]) () =
   section
-    "Work-stealing runtime: window=inf vs static windows (BENCH_steal.json)";
+    "Barrierless runtime: window=inf vs static windows (BENCH_steal.json)";
   let iterations =
     match iterations with Some n -> n | None -> if smoke then 1200 else 5000
   in

@@ -355,7 +355,7 @@ let explore_cmd =
   let batch_arg =
     let doc =
       "Candidates kept in flight, fixed for the whole campaign. $(b,0) \
-       removes the bound entirely: the work-stealing runtime keeps \
+       removes the bound entirely: the barrierless runtime keeps \
        submitting until the next sync watermark, so only worker capacity \
        limits overlap."
     in

@@ -6,103 +6,6 @@ let src = Logs.Src.create "afex.async" ~doc:"Single-domain async I/O executor"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 (* ------------------------------------------------------------------ *)
-(* Timer wheel                                                         *)
-(* ------------------------------------------------------------------ *)
-
-module Timer_wheel = struct
-  type 'a entry = {
-    deadline : float;
-    order : int;
-    payload : 'a;
-    mutable cancelled : bool;
-  }
-
-  type 'a t = {
-    granularity_ms : float;
-    slots : 'a entry list array;
-    mutable pending : int;
-    mutable order : int;
-    mutable now : float;
-  }
-
-  let create ?(granularity_ms = 1.0) ?(slots = 256) ~now_ms () =
-    if granularity_ms <= 0.0 then
-      invalid_arg "Timer_wheel.create: granularity must be positive";
-    if slots < 1 then invalid_arg "Timer_wheel.create: need at least one slot";
-    {
-      granularity_ms;
-      slots = Array.make slots [];
-      pending = 0;
-      order = 0;
-      now = now_ms;
-    }
-
-  let tick t time = int_of_float (Float.max 0.0 time /. t.granularity_ms)
-
-  let schedule t ~at_ms payload =
-    (* Deadlines in the past fire on the next advance. *)
-    let at_ms = Float.max t.now at_ms in
-    let e = { deadline = at_ms; order = t.order; payload; cancelled = false } in
-    t.order <- t.order + 1;
-    let i = tick t at_ms mod Array.length t.slots in
-    t.slots.(i) <- e :: t.slots.(i);
-    t.pending <- t.pending + 1;
-    e
-
-  let cancel t e =
-    if not e.cancelled then begin
-      e.cancelled <- true;
-      t.pending <- t.pending - 1
-    end
-
-  let pending t = t.pending
-
-  let next_deadline t =
-    if t.pending = 0 then None
-    else
-      Array.fold_left
-        (List.fold_left (fun acc e ->
-             if e.cancelled then acc
-             else
-               match acc with
-               | None -> Some e.deadline
-               | Some d -> Some (Float.min d e.deadline)))
-        None t.slots
-
-  (* Walk only the slots the clock swept over since the last advance; an
-     entry a full rotation (or more) away stays in its bucket because its
-     deadline is still in the future. Expired entries come out in
-     deadline order, ties broken by scheduling order. *)
-  let advance t ~now_ms =
-    let n = Array.length t.slots in
-    let first = tick t t.now and last = tick t (Float.max t.now now_ms) in
-    let count = min n (last - first + 1) in
-    let expired = ref [] in
-    for k = 0 to count - 1 do
-      let i = (first + k) mod n in
-      let keep = ref [] in
-      List.iter
-        (fun e ->
-          if e.cancelled then () (* already uncounted: drop it *)
-          else if e.deadline <= now_ms then expired := e :: !expired
-          else keep := e :: !keep)
-        t.slots.(i);
-      t.slots.(i) <- !keep
-    done;
-    t.now <- Float.max t.now now_ms;
-    let sorted =
-      List.sort
-        (fun a b ->
-          match compare a.deadline b.deadline with
-          | 0 -> compare a.order b.order
-          | c -> c)
-        !expired
-    in
-    t.pending <- t.pending - List.length sorted;
-    List.map (fun e -> e.payload) sorted
-end
-
-(* ------------------------------------------------------------------ *)
 (* The event loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -119,18 +22,15 @@ type stats = {
   wakeups : int;
 }
 
-(* Wheel events. [Poll] and [Request_timeout] reference live submissions
-   by tag; their entries are cancelled when the tag completes, so a
-   stale event can never touch a later submission. [Backoff_over] is a
-   pure wakeup: it only bounds how long the loop may sleep while a
-   manager is gated behind its reconnect backoff. *)
-type event = Poll of int | Request_timeout of int * int | Backoff_over of int
-
 type remote = {
   conn : Pipelined.conn;
   mutable not_before : float; (* backoff gate on the monotonic clock *)
   mutable seen_failures : int;
 }
+
+(* A started local job and the {!Afex.Executor.monotonic_ms} instant at
+   which the loop polls it next. *)
+type local = { job : Afex.Executor.job; mutable due : float }
 
 (* Submission state is persistent on [t], not per batch: tags flow
    [injections] -> (started: [local_jobs] or a manager's wire) ->
@@ -139,15 +39,11 @@ type remote = {
 type t = {
   inflight : int;
   request_timeout_ms : int;
-  now_ms : unit -> float;
-  wheel : event Timer_wheel.t;
   remotes : remote array;
   mutable rr : int; (* round-robin dispatch cursor *)
   injections : int Queue.t; (* submitted tags not yet started *)
   live : (int, task) Hashtbl.t; (* tag -> task until completion *)
-  local_jobs : (int, Afex.Executor.job) Hashtbl.t;
-  poll_timers : (int, event Timer_wheel.entry) Hashtbl.t;
-  req_timers : (int, event Timer_wheel.entry) Hashtbl.t;
+  local_jobs : (int, local) Hashtbl.t;
   done_q : (int * (Outcome.t, exn) result) Queue.t;
   mutable active : int; (* started, not completed *)
   mutable n_local : int;
@@ -161,8 +57,10 @@ type t = {
    estimate has already passed. *)
 let poll_fallback_ms = 1.0
 
-let create ?(remotes = []) ?(request_timeout_ms = 10_000)
-    ?(now_ms = Afex.Executor.monotonic_ms) ~inflight ~total_blocks () =
+let now_ms = Afex.Executor.monotonic_ms
+
+let create ?(remotes = []) ?(request_timeout_ms = 10_000) ~inflight
+    ~total_blocks () =
   if inflight < 1 then
     invalid_arg "Async_executor.create: inflight must be positive";
   if request_timeout_ms < 1 then
@@ -170,8 +68,6 @@ let create ?(remotes = []) ?(request_timeout_ms = 10_000)
   {
     inflight;
     request_timeout_ms;
-    now_ms;
-    wheel = Timer_wheel.create ~now_ms:(now_ms ()) ();
     remotes =
       Array.of_list
         (List.map
@@ -189,8 +85,6 @@ let create ?(remotes = []) ?(request_timeout_ms = 10_000)
     injections = Queue.create ();
     live = Hashtbl.create 64;
     local_jobs = Hashtbl.create 16;
-    poll_timers = Hashtbl.create 16;
-    req_timers = Hashtbl.create 16;
     done_q = Queue.create ();
     active = 0;
     n_local = 0;
@@ -213,21 +107,18 @@ let remote_stats t =
   Array.to_list
     (Array.map (fun r -> (Pipelined.name r.conn, Pipelined.stats r.conn)) t.remotes)
 
-let outstanding t = Hashtbl.length t.live
-
 let close t = Array.iter (fun r -> Pipelined.close r.conn) t.remotes
 
 (* A manager failed: gate its next attempt behind the exponential backoff
-   as a timer-wheel deadline — never a sleep, so every other in-flight
-   test keeps progressing while it cools off. *)
+   — never a sleep. A gated manager holds no test: {!dispatch} runs the
+   test locally instead, so the gate needs no wakeup of its own. *)
 let refresh_gate t ix =
   let r = t.remotes.(ix) in
   let f = Pipelined.failures r.conn in
   if f > r.seen_failures then begin
     r.seen_failures <- f;
     if not (Pipelined.abandoned r.conn) then begin
-      r.not_before <- t.now_ms () +. Pipelined.backoff_ms r.conn;
-      ignore (Timer_wheel.schedule t.wheel ~at_ms:r.not_before (Backoff_over ix));
+      r.not_before <- now_ms () +. Pipelined.backoff_ms r.conn;
       Log.debug (fun m ->
           m "%s: backoff until t+%.1fms (failure %d/%d)" (Pipelined.name r.conn)
             (Pipelined.backoff_ms r.conn) f
@@ -236,25 +127,11 @@ let refresh_gate t ix =
   end
   else if f < r.seen_failures then r.seen_failures <- f
 
-let cancel_timer t table tag =
-  match Hashtbl.find_opt table tag with
-  | Some e ->
-      Timer_wheel.cancel t.wheel e;
-      Hashtbl.remove table tag
-  | None -> ()
-
-let set_poll_timer t tag at =
-  cancel_timer t t.poll_timers tag;
-  Hashtbl.replace t.poll_timers tag
-    (Timer_wheel.schedule t.wheel ~at_ms:at (Poll tag))
-
 let complete t tag result =
   if Hashtbl.mem t.live tag then begin
     Hashtbl.remove t.live tag;
     Hashtbl.remove t.local_jobs tag;
     t.active <- t.active - 1;
-    cancel_timer t t.poll_timers tag;
-    cancel_timer t t.req_timers tag;
     Queue.push (tag, result) t.done_q
   end
 
@@ -270,33 +147,29 @@ let start_local t tag =
           | Some outcome -> complete t tag (Ok outcome)
           | exception e -> complete t tag (Error e)
           | None ->
-              Hashtbl.replace t.local_jobs tag job;
-              let at =
+              let due =
                 match job.Afex.Executor.ready_at_ms () with
-                | Some d -> Float.max d (t.now_ms ())
-                | None -> t.now_ms () +. poll_fallback_ms
+                | Some d -> Float.max d (now_ms ())
+                | None -> now_ms () +. poll_fallback_ms
               in
-              set_poll_timer t tag at))
+              Hashtbl.replace t.local_jobs tag { job; due }))
 
 let poll_slot t tag =
   match Hashtbl.find_opt t.local_jobs tag with
   | None -> ()
-  | Some job -> (
-      match job.Afex.Executor.poll () with
+  | Some l -> (
+      match l.job.Afex.Executor.poll () with
       | Some outcome -> complete t tag (Ok outcome)
       | exception e -> complete t tag (Error e)
       | None ->
-          let now = t.now_ms () in
-          let at =
-            match job.Afex.Executor.ready_at_ms () with
+          let now = now_ms () in
+          l.due <-
+            (match l.job.Afex.Executor.ready_at_ms () with
             | Some d when d > now -> d
-            | Some _ | None -> now +. poll_fallback_ms
-          in
-          set_poll_timer t tag at)
+            | Some _ | None -> now +. poll_fallback_ms))
 
 let fallback t tag =
   if Hashtbl.mem t.live tag then begin
-    cancel_timer t t.req_timers tag;
     t.n_fallback <- t.n_fallback + 1;
     start_local t tag
   end
@@ -317,17 +190,12 @@ let try_remote t tag scenario =
       if
         Pipelined.dispatchable r.conn
         && Pipelined.has_credit r.conn
-        && t.now_ms () >= r.not_before
+        && now_ms () >= r.not_before
       then begin
         match Pipelined.submit r.conn ~tag scenario with
         | Ok () ->
             t.rr <- (ix + 1) mod m;
             t.n_remote <- t.n_remote + 1;
-            cancel_timer t t.req_timers tag;
-            Hashtbl.replace t.req_timers tag
-              (Timer_wheel.schedule t.wheel
-                 ~at_ms:(t.now_ms () +. float_of_int t.request_timeout_ms)
-                 (Request_timeout (ix, tag)));
             true
         | Error e ->
             Log.debug (fun m ->
@@ -361,33 +229,13 @@ let dispatch t =
         | Some _ | None -> start_local t tag)
   done
 
-let handle_event t = function
-  | Poll tag ->
-      Hashtbl.remove t.poll_timers tag;
-      poll_slot t tag
-  | Backoff_over _ -> ()
-  | Request_timeout (ix, tag) ->
-      Hashtbl.remove t.req_timers tag;
-      let r = t.remotes.(ix) in
-      if Hashtbl.mem t.live tag && Pipelined.awaiting r.conn tag then begin
-        (* A straggling manager forfeits everything it holds. *)
-        Log.debug (fun m ->
-            m "%s: request timeout after %dms" (Pipelined.name r.conn)
-              t.request_timeout_ms);
-        Pipelined.fail r.conn;
-        refresh_gate t ix;
-        absorb_orphans t ix
-      end
-
 let drain_remotes t =
   Array.iteri
     (fun ix r ->
       List.iter
         (fun (tag, result) ->
           match result with
-          | Ok outcome ->
-              cancel_timer t t.req_timers tag;
-              complete t tag (Ok outcome)
+          | Ok outcome -> complete t tag (Ok outcome)
           | Error e ->
               Log.debug (fun m ->
                   m "%s: test %d failed remotely (%s); re-running locally"
@@ -411,17 +259,35 @@ let flush_remotes t =
           absorb_orphans t ix)
     t.remotes
 
+(* Every request shares one timeout, so a connection's first deadline
+   is its oldest unanswered request's. *)
+let request_deadline t r =
+  match Pipelined.oldest_sent_ms r.conn with
+  | Some sent -> sent +. float_of_int t.request_timeout_ms
+  | None -> infinity
+
+(* The earliest instant the loop must wake without an fd: a local job
+   falls due, or a connection's oldest request times out. *)
+let next_deadline t =
+  Array.fold_left
+    (fun acc r -> Float.min acc (request_deadline t r))
+    (Hashtbl.fold
+       (fun _ l acc -> if l.due < acc then l.due else acc)
+       t.local_jobs infinity)
+    t.remotes
+
 (* One event-loop iteration: select over job fds and remote sockets up
-   to [max_wait_s] (bounded by the wheel's next deadline), then drain
-   everything that became ready and refill the dispatch window. *)
+   to [max_wait_s] (bounded by {!next_deadline}), then drain everything
+   that became ready, poll the local jobs that are due, fail every
+   connection whose oldest request outlived [request_timeout_ms], and
+   refill the dispatch window. *)
 let step t ~max_wait_s =
   t.n_wakeups <- t.n_wakeups + 1;
   flush_remotes t;
-  let now = t.now_ms () in
   let fd_slots =
     Hashtbl.fold
-      (fun tag (job : Afex.Executor.job) acc ->
-        match job.Afex.Executor.wait_fd with
+      (fun tag l acc ->
+        match l.job.Afex.Executor.wait_fd with
         | Some fd -> (fd, tag) :: acc
         | None -> acc)
       t.local_jobs []
@@ -433,10 +299,12 @@ let step t ~max_wait_s =
       [] t.remotes
   in
   let fds = List.map fst fd_slots @ remote_fds in
+  let deadline = next_deadline t in
   let timeout_s =
-    match Timer_wheel.next_deadline t.wheel with
-    | Some d -> Float.max 0.0 (Float.min max_wait_s ((d -. now) /. 1000.0))
-    | None -> if fds = [] then 0.0 else Float.min max_wait_s 0.05
+    if deadline < infinity then
+      Float.max 0.0 (Float.min max_wait_s ((deadline -. now_ms ()) /. 1000.0))
+    else if fds = [] then 0.0
+    else Float.min max_wait_s 0.05
   in
   let readable =
     if fds = [] then begin
@@ -452,7 +320,23 @@ let step t ~max_wait_s =
   List.iter
     (fun (fd, tag) -> if List.memq fd readable then poll_slot t tag)
     fd_slots;
-  List.iter (handle_event t) (Timer_wheel.advance t.wheel ~now_ms:(t.now_ms ()));
+  let now = now_ms () in
+  List.iter (poll_slot t)
+    (Hashtbl.fold
+       (fun tag l acc -> if l.due <= now then tag :: acc else acc)
+       t.local_jobs []);
+  Array.iteri
+    (fun ix r ->
+      if request_deadline t r <= now then begin
+        (* A straggling manager forfeits everything it holds. *)
+        Log.debug (fun m ->
+            m "%s: request timeout after %dms" (Pipelined.name r.conn)
+              t.request_timeout_ms);
+        Pipelined.fail r.conn;
+        refresh_gate t ix;
+        absorb_orphans t ix
+      end)
+    t.remotes;
   dispatch t;
   flush_remotes t
 
@@ -477,19 +361,3 @@ let poll t ~block =
   let out = List.of_seq (Queue.to_seq t.done_q) in
   Queue.clear t.done_q;
   out
-
-let exec_batch t tasks =
-  if Hashtbl.length t.live > 0 then
-    invalid_arg "Async_executor.exec_batch: submissions already outstanding";
-  let n = Array.length tasks in
-  let results = Array.make n None in
-  Array.iteri (fun tag task -> submit t ~tag task) tasks;
-  let remaining = ref n in
-  while !remaining > 0 do
-    List.iter
-      (fun (tag, r) ->
-        if results.(tag) = None then decr remaining;
-        results.(tag) <- Some r)
-      (poll t ~block:true)
-  done;
-  Array.map (function Some r -> r | None -> assert false) results

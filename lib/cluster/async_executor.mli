@@ -9,48 +9,19 @@
     [inflight] tests outstanding from one domain: each test is a
     nonblocking {!Afex.Executor.job}, completions are discovered by
     [Unix.select] over the jobs' fds and the remote connections' sockets,
-    and everything time-based — poll deadlines, request timeouts,
-    reconnect backoff — lives on a monotonic {!Timer_wheel}, so nothing
-    ever sleeps while other work could progress (§7.7's dispatch-overhead
-    model is the prediction this design chases; [bench async] measures
-    the distance).
+    and the loop sleeps no longer than the earliest deadline it already
+    holds: a started local job's next poll time, or a connection's
+    oldest unanswered request plus the request timeout. Reconnect
+    backoff never holds a test (a gated manager's test runs locally), so
+    nothing ever sleeps while other work could progress (§7.7's
+    dispatch-overhead model is the prediction this design chases;
+    [bench async] measures the distance).
 
     The loop is driven incrementally: {!submit} enqueues a tagged test
     (dispatched eagerly, up to [inflight] concurrent), {!poll} runs the
     loop and returns whatever completed, in completion order. The
     {!Runtime} wraps this pair as its event-loop backend and restores
-    submission order in its reorder buffer; {!exec_batch} is the batch
-    convenience built on the same surface, returning a slot-indexed
-    array so a caller's merge stays independent of completion order and
-    of [inflight] itself. *)
-
-(** A monotonic timer wheel: O(1) schedule/cancel, expiry in (deadline,
-    scheduling order). Bucketed by coarse ticks; an entry more than a
-    full rotation out simply stays in its bucket until the clock reaches
-    it. Exposed for tests. *)
-module Timer_wheel : sig
-  type 'a t
-  type 'a entry
-
-  val create :
-    ?granularity_ms:float -> ?slots:int -> now_ms:float -> unit -> 'a t
-  (** Defaults: 1 ms granularity, 256 slots.
-      @raise Invalid_argument on a non-positive granularity or slot
-      count. *)
-
-  val schedule : 'a t -> at_ms:float -> 'a -> 'a entry
-  (** Deadlines already in the past fire on the next {!advance}. *)
-
-  val cancel : 'a t -> 'a entry -> unit
-  (** Idempotent; a cancelled entry never comes out of {!advance}. *)
-
-  val pending : 'a t -> int
-  val next_deadline : 'a t -> float option
-
-  val advance : 'a t -> now_ms:float -> 'a list
-  (** Every live entry with [deadline <= now_ms], ordered by deadline
-      with ties in scheduling order. The clock never goes backwards. *)
-end
+    submission order in its reorder buffer. *)
 
 type t
 
@@ -76,7 +47,6 @@ type stats = {
 val create :
   ?remotes:Remote_manager.spec list ->
   ?request_timeout_ms:int ->
-  ?now_ms:(unit -> float) ->
   inflight:int ->
   total_blocks:int ->
   unit ->
@@ -88,8 +58,9 @@ val create :
     cannot take a second one while a fast one idles.
     [request_timeout_ms] (default 10s) is the straggler bound per
     outstanding request: a manager that holds a test longer forfeits its
-    connection and everything on it. [now_ms] (default
-    {!Afex.Executor.monotonic_ms}) exists so tests can drive the clock.
+    connection and everything on it. The bound runs on
+    {!Afex.Executor.monotonic_ms} from the moment the request was
+    submitted, and replies to later requests do not extend it.
     @raise Invalid_argument if [inflight < 1] or the timeout is not
     positive. *)
 
@@ -107,15 +78,6 @@ val poll : t -> block:bool -> (int * (Afex_injector.Outcome.t, exn) result) list
     already queued); [[]] means nothing was outstanding. With
     [block = false] the loop gets one zero-timeout iteration. Exceptions
     raised by a job are captured per-tag, not thrown. *)
-
-val outstanding : t -> int
-(** Submitted tests whose completions {!poll} has not returned yet. *)
-
-val exec_batch : t -> task array -> (Afex_injector.Outcome.t, exn) result array
-(** {!submit} every task under its index, {!poll} until all complete:
-    the batch convenience. Returns results indexed by submission
-    position. @raise Invalid_argument if submissions are already
-    outstanding. *)
 
 val stats : t -> stats
 (** Cumulative across batches. *)

@@ -1,7 +1,8 @@
 (** Multicore and distributed execution backend: the explorer-facing
-    session loop over the {!Runtime} — work-stealing domains for local
-    tests, one event loop for remote managers and latency-bound targets
-    (§6.1, §7.7 — the architecture {!Simulation} only models).
+    session loop over the {!Runtime} — worker domains sharing one task
+    queue for local tests, one event loop for remote managers and
+    latency-bound targets (§6.1, §7.7 — the architecture {!Simulation}
+    only models).
 
     The explorer thread keeps a sliding window of up to [batch_size]
     candidates in flight: it submits to the runtime while the window has
@@ -54,7 +55,7 @@ type executor =
 
 type t
 (** A running pool: a {!Runtime} handle — [jobs] local worker domains
-    with work-stealing deques, or one event loop that multiplexes
+    sharing one task queue, or one event loop that multiplexes
     remote managers and in-flight tests. With [jobs = 1], [inflight = 1]
     and no remotes, no domain is spawned and tasks run inline on the
     caller. *)
@@ -67,10 +68,9 @@ val create :
   executor ->
   t
 (** Without remotes, [inflight = 1] and a [Pure] or [Seeded]
-    executor, spawns [jobs] worker domains. The explorer feeds their
-    per-worker deques round-robin; a worker whose deque runs dry steals
-    from a random victim, so one slow scenario never idles the rest of
-    the fleet.
+    executor, spawns [jobs] worker domains. The explorer pushes onto
+    one FIFO they share, and an idle worker takes the oldest task, so
+    one slow scenario never idles the rest of the fleet.
 
     Otherwise the pool runs single-domain event-loop mode
     ({!Async_executor}): [remotes <> []], [inflight > 1] or an [Async]

@@ -125,11 +125,15 @@ type stats = {
 module Pipelined = struct
   type conn_state = Idle | Connected of live | Abandoned
 
+  (* A request on the wire: the caller's tag and when it was submitted,
+     on {!Afex.Executor.monotonic_ms}. *)
+  type request = { tag : int; sent_ms : float }
+
   type conn = {
     spec : spec;
     total_blocks : int;
     mutable state : conn_state;
-    outstanding : (int, int) Hashtbl.t; (* wire seq -> caller tag *)
+    outstanding : (int, request) Hashtbl.t; (* wire seq -> request *)
     mutable orphans : int list;
     acct : wire_acct;
     mutable seq : int;
@@ -163,13 +167,20 @@ module Pipelined = struct
   let pending t = Hashtbl.length t.outstanding
   let has_credit t = Hashtbl.length t.outstanding < t.credit
 
-  let awaiting t tag =
-    Hashtbl.fold (fun _ tg acc -> acc || tg = tag) t.outstanding false
+  (* The oldest request is the one with the earliest send time. *)
+  let oldest_sent_ms t =
+    if Hashtbl.length t.outstanding = 0 then None
+    else
+      Some
+        (Hashtbl.fold
+           (fun _ r acc -> if r.sent_ms < acc then r.sent_ms else acc)
+           t.outstanding infinity)
+
   let failures t = t.failures
   let max_attempts t = t.spec.max_attempts
 
   (* Exponential reconnect backoff, surfaced as data: the event loop
-     turns it into a timer-wheel deadline, so other in-flight tests keep
+     turns it into a dispatch gate, so other in-flight tests keep
      progressing while a manager cools off. *)
   let backoff_ms t =
     if t.spec.backoff_ms <= 0.0 then 0.0
@@ -223,7 +234,7 @@ module Pipelined = struct
     (match t.state with
     | Connected l -> retire t.acct l
     | Idle | Abandoned -> ());
-    Hashtbl.iter (fun _ tag -> t.orphans <- tag :: t.orphans) t.outstanding;
+    Hashtbl.iter (fun _ r -> t.orphans <- r.tag :: t.orphans) t.outstanding;
     Hashtbl.reset t.outstanding;
     t.failures <- t.failures + 1;
     t.n_retries <- t.n_retries + 1;
@@ -293,7 +304,8 @@ module Pipelined = struct
         Message.V2.encode_request l.enc l.out ~seq scenario;
         l.queued <- l.queued + 1;
         t.n_requests <- t.n_requests + 1;
-        Hashtbl.replace t.outstanding seq tag;
+        Hashtbl.replace t.outstanding seq
+          { tag; sent_ms = Afex.Executor.monotonic_ms () };
         if
           Buffer.length l.out >= flush_bytes
           || l.queued >= t.credit / 2
@@ -332,14 +344,14 @@ module Pipelined = struct
               | Message.Manager_error { seq; message } :: rest -> (
                   match Hashtbl.find_opt t.outstanding seq with
                   | None -> consume rest acc (* stale duplicate *)
-                  | Some tag ->
+                  | Some { tag; _ } ->
                       Hashtbl.remove t.outstanding seq;
                       t.n_manager_errors <- t.n_manager_errors + 1;
                       consume rest ((tag, Error (Manager message)) :: acc))
               | Message.Scenario_result r :: rest -> (
                   match Hashtbl.find_opt t.outstanding r.Message.seq with
                   | None -> consume rest acc (* stale duplicate *)
-                  | Some tag ->
+                  | Some { tag; _ } ->
                       Hashtbl.remove t.outstanding r.Message.seq;
                       t.failures <- 0;
                       let result =
@@ -375,7 +387,7 @@ module Pipelined = struct
         ignore (l.tr.Transport.send (Buffer.contents l.out));
         retire t.acct l
     | Idle | Abandoned -> ());
-    Hashtbl.iter (fun _ tag -> t.orphans <- tag :: t.orphans) t.outstanding;
+    Hashtbl.iter (fun _ r -> t.orphans <- r.tag :: t.orphans) t.outstanding;
     Hashtbl.reset t.outstanding;
     t.state <- Abandoned
 end

@@ -81,9 +81,11 @@ type stats = {
     connection, matches responses {e out of order}, and never sleeps:
     every failure is reported synchronously and the retry/backoff
     schedule is exposed as data ({!Pipelined.backoff_ms}) for the caller
-    — in practice [Async_executor]'s timer wheel — to turn into a
-    deadline, so other in-flight tests keep progressing while a manager
-    reconnects. *)
+    — in practice [Async_executor], which runs a gated manager's tests
+    locally — so other in-flight tests keep progressing while a manager
+    reconnects. Each request records when it was sent, and
+    {!Pipelined.oldest_sent_ms} exposes the oldest, from which the
+    caller times out a straggling connection. *)
 
 module Pipelined : sig
   type conn
@@ -124,9 +126,9 @@ module Pipelined : sig
       a local worker). *)
 
   val fail : conn -> unit
-  (** Declare the connection dead (the caller's request timer expired:
-      slow-manager straggler control). Drops it, orphans everything in
-      flight, and counts a consecutive failure. *)
+  (** Declare the connection dead (its oldest request outlived the
+      caller's timeout: slow-manager straggler control). Drops it,
+      orphans everything in flight, and counts a consecutive failure. *)
 
   val wait_fd : conn -> Unix.file_descr option
   (** The fd event loops [select] on, when connected. *)
@@ -162,10 +164,11 @@ module Pipelined : sig
   val buffered : conn -> int
   (** Bytes currently coalescing (0 when disconnected). *)
 
-  val awaiting : conn -> int -> bool
-  (** [awaiting conn tag]: is [tag] still on this connection's wire? A
-      request timer that fires after its test already completed (or was
-      orphaned elsewhere) must not punish the connection. *)
+  val oldest_sent_ms : conn -> float option
+  (** The {!Afex.Executor.monotonic_ms} instant at which the oldest
+      request still awaiting a response was submitted; [None] when
+      nothing is on the wire. Replies to later requests do not move it,
+      and {!fail} or {!close} clears it with the requests they orphan. *)
 
   val failures : conn -> int
   (** Consecutive connection-level failures (reset by any success). *)
@@ -173,7 +176,7 @@ module Pipelined : sig
   val backoff_ms : conn -> float
   (** How long the caller should wait before the next {!submit} after a
       failure: an exponential schedule over consecutive failures,
-      surfaced as data for a timer wheel. *)
+      surfaced as data for the caller's dispatch gate. *)
 
   val max_attempts : conn -> int
   val name : conn -> string

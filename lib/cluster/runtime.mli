@@ -1,5 +1,5 @@
 (** The unified execution runtime: one [submit]/[poll] surface over
-    every way AFEX can run a test, plus the two data structures the
+    every way AFEX can run a test, plus the reorder buffer the
     barrierless pool is built from.
 
     The batch-barrier pool alternated generation and execution: the
@@ -7,21 +7,18 @@
     back, then merged, so the merge stall was a first-order cost at
     large windows. This module removes that barrier:
 
-    - {!Deque}: a Chase–Lev-style work-stealing deque per worker. The
-      explorer (the single producer) pushes tasks round-robin; a worker
-      whose own deque runs dry steals from a random victim, so load
-      imbalance — one slow scenario, one stolen worker — never idles the
-      rest of the fleet.
     - {!Reorder}: a submission-indexed reorder buffer. Completions
       arrive in whatever order workers finish; the buffer releases them
       to the explorer strictly in submission order, so the explored
       history, feedback weights and exports are bit-identical to the
       sequential run at any parallelism.
     - {!t}: the runtime handle. Three backends — inline (execute on the
-      caller), work-stealing Domains (local workers only), and the
+      caller), local worker Domains sharing one FIFO of tasks, and the
       single-domain async event loop (local jobs and every remote
       manager) — behind one interface, so {!Pool} drives them without
-      knowing which backend runs a task. *)
+      knowing which backend runs a task. Tests are independent and the
+      explorer is the only producer, so an idle worker simply takes the
+      oldest queued task: one slow scenario never idles the rest. *)
 
 (** A submission-indexed reorder buffer: out-of-order [offer]s, strictly
     in-order release. Single-consumer; pure bookkeeping (no locks), so
@@ -53,35 +50,6 @@ module Reorder : sig
   (** Offered-but-unreleased values (the out-of-order backlog). *)
 end
 
-(** A Chase–Lev-style work-stealing deque, adapted to AFEX's shape: the
-    {e explorer} is the single owner ([push]/[pop] at the bottom), and
-    every worker — including the deque's nominal owner-worker — takes
-    from the top with a CAS {!steal}. Tasks never spawn subtasks, so the
-    only contended operation is steal/steal, resolved by the CAS on
-    [top]; push and pop stay fence-free single-owner operations. *)
-module Deque : sig
-  type 'a t
-
-  val create : ?capacity:int -> unit -> 'a t
-  (** Initial ring capacity (default 64); the owner grows it on demand,
-      never blocking thieves.
-      @raise Invalid_argument if [capacity < 1]. *)
-
-  val push : 'a t -> 'a -> unit
-  (** Owner only: append at the bottom. *)
-
-  val pop : 'a t -> 'a option
-  (** Owner only: take back the most recently pushed element (LIFO end),
-      racing thieves for the last one. *)
-
-  val steal : 'a t -> 'a option
-  (** Any domain: take the oldest element (FIFO end). Lock-free; [None]
-      when empty or when a race was lost and the deque drained. *)
-
-  val length : 'a t -> int
-  (** A snapshot; exact only when quiescent. *)
-end
-
 (** {2 The runtime} *)
 
 type task = {
@@ -103,11 +71,10 @@ val inline : unit -> t
     [jobs = 1] degenerate case, and the determinism baseline every other
     backend must reproduce. *)
 
-val domains : ?steal_seed:int -> jobs:int -> unit -> t
-(** The work-stealing backend: [jobs] local worker domains, each owning
-    a deque the explorer feeds round-robin. A dry worker steals from a
-    random victim ([steal_seed] seeds the per-worker victim streams —
-    placement only, never the history).
+val domains : jobs:int -> unit -> t
+(** The Domain backend: [jobs] local worker domains taking tasks from
+    one FIFO, oldest first. Which worker runs a task shifts placement,
+    never the history.
     @raise Invalid_argument if [jobs < 1]. *)
 
 val event_loop : Async_executor.t -> t
@@ -138,5 +105,5 @@ val async : t -> Async_executor.t option
 
 val shutdown : t -> unit
 (** Join worker domains / close remote connections. Outstanding tasks
-    are still executed (domains drain their deques before exiting), but
+    are still executed (domains drain the queue before exiting), but
     their completions are dropped. Idempotent. *)

@@ -64,8 +64,8 @@ type async = {
 }
 
 let monotonic_ms =
-  (* Offset so the clock starts near zero: timer wheels and latency
-     deadlines never need absolute epoch values. *)
+  (* Offset so the clock starts near zero: poll times, request timeouts
+     and latency deadlines never need absolute epoch values. *)
   let t0 = Unix.gettimeofday () in
   fun () -> 1000.0 *. (Unix.gettimeofday () -. t0)
 

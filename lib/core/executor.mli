@@ -60,8 +60,9 @@ type job = {
           target, a socket), the fd whose readability means "worth polling
           again"; event loops put it in their [select] set. *)
   ready_at_ms : unit -> float option;
-      (** Earliest {!monotonic_ms} instant at which [poll] can succeed,
-          for timer-wheel scheduling. [None] = no estimate (the loop falls
+      (** Earliest {!monotonic_ms} instant at which [poll] can succeed:
+          the event loop polls the job again then, and sleeps no longer
+          than the earliest such instant. [None] = no estimate (the loop falls
           back to fd readiness or periodic polling). *)
 }
 (** One in-flight scenario execution. *)
@@ -76,7 +77,9 @@ type async = {
 
 val monotonic_ms : unit -> float
 (** Milliseconds on a process-local clock starting near zero — the time
-    base for {!job.ready_at_ms} and the async executor's timer wheel. *)
+    base for {!job.ready_at_ms}, the async executor's poll times and
+    request timeouts, and the send times a pipelined remote connection
+    records for its requests. *)
 
 val job_done : Afex_injector.Outcome.t -> job
 (** A job that is already complete (used by synchronous executors). *)

@@ -33,6 +33,13 @@ val cover : Afex_stats.Bitset.t -> int array -> unit
 (** [cover coverage blocks] sets every block of [blocks] in [coverage].
     @raise Invalid_argument if a block is out of range. *)
 
+val cover_calls :
+  Afex_simtarget.Target.t -> int array -> Afex_stats.Bitset.t -> int -> int -> unit
+(** [cover_calls target trace coverage i last] covers the blocks of the
+    calls at positions [i] to [last] of [trace] (none when [i > last]), a
+    run of one call site at a time: every call of a run covers the same
+    blocks. *)
+
 val reaction :
   ?nondet:nondeterminism ->
   Afex_simtarget.Callsite.t ->

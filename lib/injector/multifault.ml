@@ -119,98 +119,84 @@ let run ?nondet target t =
     invalid_arg (Printf.sprintf "Multifault.run: test id %d out of range" t.test_id);
   let test = Target.test target t.test_id in
   let trace = test.Sim_test.trace in
+  let n = Array.length trace in
   let coverage = Bitset.create (Target.total_blocks target) in
-  let counts = Hashtbl.create 8 in
-  let pending = ref t.arms in
-  let recovering = ref false in
-  let last_triggered = ref None in
-  let outcome_of status ~fault ~site ~progress ~crash_stack =
-    let nominal = test.Sim_test.duration_ms in
-    let duration =
-      match status with
-      | Outcome.Hung -> nominal *. Engine.hang_timeout_factor
-      | Outcome.Passed -> nominal
-      | Outcome.Test_failed | Outcome.Crashed -> nominal *. progress
-    in
+  let nominal = test.Sim_test.duration_ms in
+  let site_func = Target.site_func target in
+  (* Each arm triggers at its [call_number]-th call, in trace order. Two
+     arms that name the same call tie; the stable sort keeps list order,
+     so only the first triggers, as a call triggers one arm at most. *)
+  let triggers =
+    List.stable_sort
+      (fun (p, _, _) (q, _, _) -> Int.compare p q)
+      (List.filter_map
+         (fun a ->
+           match Sim_test.nth_call test ~site_func a.func ~n:a.call_number with
+           | Some (pos, site_id) -> Some (pos, site_id, a)
+           | None -> None)
+         t.arms)
+  in
+  let outcome status ~arm ~site ~triggered ~duration ~crash_stack =
     {
-      Outcome.fault;
+      Outcome.fault = fault_of_arm t.test_id arm;
       status;
-      triggered = (match site with Some _ -> true | None -> !last_triggered <> None);
+      triggered;
       coverage;
-      injection_stack =
-        (match site, !last_triggered with
-        | Some s, _ -> Some (Callsite.injection_stack s)
-        | None, Some (_, s) -> Some (Callsite.injection_stack s)
-        | None, None -> None);
+      injection_stack = Option.map Callsite.injection_stack site;
       crash_stack;
       duration_ms = duration;
     }
   in
-  let n = Array.length trace in
-  let result = ref None in
-  let i = ref 0 in
-  while !result = None && !i < n do
-    let site = Target.callsite target trace.(!i) in
-    Engine.cover coverage site.Callsite.blocks;
-    let func = site.Callsite.func in
-    let count = 1 + Option.value (Hashtbl.find_opt counts func) ~default:0 in
-    Hashtbl.replace counts func count;
-    (* Does an armed fault trigger on this call? *)
-    (match
-       List.find_opt (fun a -> String.equal a.func func && a.call_number = count) !pending
-     with
-    | None -> ()
-    | Some arm ->
-        pending := List.filter (fun a -> a != arm) !pending;
-        last_triggered := Some (arm, site);
-        let reaction = Engine.reaction ?nondet site ~errno:arm.errno in
-        let progress = float_of_int (!i + 1) /. float_of_int (max 1 n) in
-        let fault = fault_of_arm t.test_id arm in
-        (match reaction with
+  (* Covers the trace a run of one call site at a time between triggers;
+     [last] is the most recently triggered arm and its site. *)
+  let rec walk from recovering last = function
+    | [] -> (
+        Engine.cover_calls target trace coverage from (n - 1);
+        (* Ran to completion: either nothing triggered, or everything
+           that did was handled. *)
+        match last with
+        | Some (arm, site) ->
+            outcome Outcome.Passed ~arm ~site:(Some site) ~triggered:true
+              ~duration:nominal ~crash_stack:None
+        | None ->
+            outcome Outcome.Passed ~arm:(List.hd t.arms) ~site:None ~triggered:false
+              ~duration:nominal ~crash_stack:None)
+    | (pos, _, _) :: rest when pos < from -> walk from recovering last rest
+    | (pos, site_id, arm) :: rest -> (
+        Engine.cover_calls target trace coverage from pos;
+        let site = Target.callsite target site_id in
+        let progress = float_of_int (pos + 1) /. float_of_int (max 1 n) in
+        let stop status ~duration ~crash_stack =
+          outcome status ~arm ~site:(Some site) ~triggered:true ~duration ~crash_stack
+        in
+        let recovery_stack () =
+          Some (("recovery@" ^ site.Callsite.location) :: Callsite.injection_stack site)
+        in
+        match Engine.reaction ?nondet site ~errno:arm.errno with
         | Behavior.Handled ->
             Engine.cover coverage site.Callsite.recovery_blocks;
-            recovering := true
+            walk (pos + 1) true (Some (arm, site)) rest
         | Behavior.Crash_if_recovering ->
             Engine.cover coverage site.Callsite.recovery_blocks;
-            if !recovering then begin
-              let crash_stack =
-                Some (("recovery@" ^ site.Callsite.location) :: Callsite.injection_stack site)
-              in
-              result :=
-                Some (outcome_of Outcome.Crashed ~fault ~site:(Some site) ~progress ~crash_stack)
-            end
-            else recovering := true
+            if recovering then
+              stop Outcome.Crashed ~duration:(nominal *. progress)
+                ~crash_stack:(recovery_stack ())
+            else walk (pos + 1) true (Some (arm, site)) rest
         | Behavior.Test_fails ->
             Engine.cover coverage site.Callsite.recovery_blocks;
-            result :=
-              Some
-                (outcome_of Outcome.Test_failed ~fault ~site:(Some site) ~progress
-                   ~crash_stack:None)
-        | Behavior.Crash { in_recovery } ->
-            if in_recovery then Engine.cover coverage site.Callsite.recovery_blocks;
-            let crash_stack =
-              let base = Callsite.injection_stack site in
-              if in_recovery then Some (("recovery@" ^ site.Callsite.location) :: base)
-              else Some base
-            in
-            result :=
-              Some (outcome_of Outcome.Crashed ~fault ~site:(Some site) ~progress ~crash_stack)
+            stop Outcome.Test_failed ~duration:(nominal *. progress) ~crash_stack:None
+        | Behavior.Crash { in_recovery = true } ->
+            Engine.cover coverage site.Callsite.recovery_blocks;
+            stop Outcome.Crashed ~duration:(nominal *. progress)
+              ~crash_stack:(recovery_stack ())
+        | Behavior.Crash { in_recovery = false } ->
+            stop Outcome.Crashed ~duration:(nominal *. progress)
+              ~crash_stack:(Some (Callsite.injection_stack site))
         | Behavior.Hang ->
-            result :=
-              Some (outcome_of Outcome.Hung ~fault ~site:(Some site) ~progress ~crash_stack:None)));
-    incr i
-  done;
-  match !result with
-  | Some outcome -> outcome
-  | None ->
-      (* Ran to completion: either nothing triggered, or everything that
-         did was handled. *)
-      let fault =
-        match !last_triggered with
-        | Some (arm, _) -> fault_of_arm t.test_id arm
-        | None -> fault_of_arm t.test_id (List.hd t.arms)
-      in
-      outcome_of Outcome.Passed ~fault ~site:None ~progress:1.0 ~crash_stack:None
+            stop Outcome.Hung ~duration:(nominal *. Engine.hang_timeout_factor)
+              ~crash_stack:None)
+  in
+  walk 0 false None triggers
 
 let pp ppf t =
   Format.fprintf ppf "test %d:" t.test_id;

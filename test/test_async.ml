@@ -1,14 +1,14 @@
 (* Tests for the async execution stack: the Prop harness itself, the
-   timer wheel, the single-domain event-loop executor, pipelined remote
-   dispatch (out-of-order matching, per-connection credit, straggler
-   timeouts, non-blocking backoff), and the determinism invariant — the
-   explored history is identical at every --inflight value. *)
+   single-domain event-loop executor, pipelined remote dispatch
+   (out-of-order matching, per-connection credit, straggler timeouts
+   from each connection's oldest request, non-blocking backoff), and the
+   determinism invariant — the explored history is identical at every
+   --inflight value. *)
 
 module Transport = Afex_cluster.Transport
 module Message = Afex_cluster.Message
 module RM = Afex_cluster.Remote_manager
 module AE = Afex_cluster.Async_executor
-module TW = Afex_cluster.Async_executor.Timer_wheel
 module Pool = Afex_cluster.Pool
 module Config = Afex.Config
 module Session = Afex.Session
@@ -94,88 +94,6 @@ let test_prop_pair_shrinks_both_sides () =
   | Some f ->
       let a, b = f.Prop.shrunk in
       checki "shrunk to the boundary" 60 (a + b)
-
-(* --- the timer wheel -------------------------------------------------- *)
-
-let test_wheel_orders_by_deadline_then_seq () =
-  let w = TW.create ~granularity_ms:1.0 ~slots:16 ~now_ms:0.0 () in
-  ignore (TW.schedule w ~at_ms:5.0 "a");
-  ignore (TW.schedule w ~at_ms:2.0 "b");
-  ignore (TW.schedule w ~at_ms:5.0 "c");
-  ignore (TW.schedule w ~at_ms:0.5 "d");
-  checki "pending" 4 (TW.pending w);
-  checkf "next deadline" 0.5 (Option.get (TW.next_deadline w));
-  checkb "first advance" true (TW.advance w ~now_ms:1.0 = [ "d" ]);
-  checkf "next deadline after expiry" 2.0 (Option.get (TW.next_deadline w));
-  (* Ties at 5.0 break by scheduling order: a before c. *)
-  checkb "deadline order, ties by insertion" true
-    (TW.advance w ~now_ms:10.0 = [ "b"; "a"; "c" ]);
-  checki "drained" 0 (TW.pending w);
-  checkb "no deadline left" true (TW.next_deadline w = None)
-
-let test_wheel_wraparound () =
-  (* 8 slots * 1 ms: deadlines 3.0 and 19.0 share a bucket, but the far
-     one must not fire a rotation early. *)
-  let w = TW.create ~granularity_ms:1.0 ~slots:8 ~now_ms:0.0 () in
-  ignore (TW.schedule w ~at_ms:3.0 `Near);
-  ignore (TW.schedule w ~at_ms:19.0 `Far);
-  checkb "only the near entry fires" true (TW.advance w ~now_ms:4.0 = [ `Near ]);
-  checkb "far entry still pending" true (TW.pending w = 1);
-  checkb "nothing fires in between" true (TW.advance w ~now_ms:18.0 = []);
-  checkb "far entry fires on time" true (TW.advance w ~now_ms:20.0 = [ `Far ])
-
-let test_wheel_cancel () =
-  let w = TW.create ~now_ms:0.0 () in
-  let e1 = TW.schedule w ~at_ms:1.0 1 in
-  let _e2 = TW.schedule w ~at_ms:2.0 2 in
-  TW.cancel w e1;
-  TW.cancel w e1 (* idempotent *);
-  checki "one pending after cancel" 1 (TW.pending w);
-  checkf "deadline skips the cancelled entry" 2.0 (Option.get (TW.next_deadline w));
-  checkb "cancelled entries never fire" true (TW.advance w ~now_ms:5.0 = [ 2 ])
-
-let test_wheel_expiry_order_property () =
-  (* For any bag of delays, expiry order is a stable sort by deadline. *)
-  Prop.check ~count:100 "timer wheel expiry ordering"
-    (Prop.list ~max_length:20 (Prop.float_range 0.0 50.0))
-    (fun delays ->
-      let w = TW.create ~granularity_ms:1.0 ~slots:8 ~now_ms:0.0 () in
-      List.iteri (fun i d -> ignore (TW.schedule w ~at_ms:d i)) delays;
-      let fired = TW.advance w ~now_ms:60.0 in
-      let expected =
-        List.map snd
-          (List.stable_sort
-             (fun (a, _) (b, _) -> compare a b)
-             (List.mapi (fun i d -> (d, i)) delays))
-      in
-      fired = expected && TW.pending w = 0)
-
-let test_wheel_zero_delay () =
-  (* A deadline equal to now (or already past — clamped to now) must fire
-     on the very next advance, without the clock moving at all. *)
-  let w = TW.create ~granularity_ms:1.0 ~slots:16 ~now_ms:5.0 () in
-  ignore (TW.schedule w ~at_ms:5.0 "now");
-  ignore (TW.schedule w ~at_ms:1.0 "past");
-  checki "both pending" 2 (TW.pending w);
-  checkb "zero-delay entries fire without time passing" true
-    (TW.advance w ~now_ms:5.0 = [ "now"; "past" ]);
-  checki "drained" 0 (TW.pending w);
-  checkb "no deadline left" true (TW.next_deadline w = None)
-
-let test_wheel_shared_deadline_bucket () =
-  (* Jobs sharing one exact deadline land in one slot: all must fire
-     together in scheduling order, and cancelling one must not take its
-     bucket-mates with it. *)
-  let w = TW.create ~granularity_ms:1.0 ~slots:8 ~now_ms:0.0 () in
-  let a = TW.schedule w ~at_ms:3.0 "a" in
-  ignore (TW.schedule w ~at_ms:3.0 "b");
-  ignore (TW.schedule w ~at_ms:3.0 "c");
-  checkf "one shared deadline" 3.0 (Option.get (TW.next_deadline w));
-  TW.cancel w a;
-  checki "two survivors after cancel" 2 (TW.pending w);
-  checkb "survivors fire together, in scheduling order" true
-    (TW.advance w ~now_ms:3.0 = [ "b"; "c" ]);
-  checki "bucket empty" 0 (TW.pending w)
 
 (* --- history determinism across inflight ------------------------------ *)
 
@@ -303,6 +221,17 @@ let test_latency_dist_string_roundtrip () =
 
 (* --- pipelined remote dispatch ---------------------------------------- *)
 
+(* A manager spec whose first dial returns [client_end] and every later
+   dial fails. *)
+let single_shot_spec name client_end =
+  let dialed = ref false in
+  RM.spec ~name (fun () ->
+      if !dialed then Error (Transport.Io "single-shot dial")
+      else begin
+        dialed := true;
+        Ok client_end
+      end)
+
 (* A hand-rolled manager that answers requests in *reverse* arrival
    order: correctness must come from seq matching, not luck. *)
 let test_pipelined_out_of_order_responses () =
@@ -354,16 +283,11 @@ let test_pipelined_out_of_order_responses () =
           (List.rev requests);
         server_end.Transport.close ())
   in
-  let dialed = ref false in
-  let spec =
-    RM.spec ~name:"reverser" (fun () ->
-        if !dialed then Error (Transport.Io "single-shot dial")
-        else begin
-          dialed := true;
-          Ok client_end
-        end)
+  let conn =
+    RM.Pipelined.create
+      (single_shot_spec "reverser" client_end)
+      ~total_blocks:exec.Afex.Executor.total_blocks
   in
-  let conn = RM.Pipelined.create spec ~total_blocks:exec.Afex.Executor.total_blocks in
   let scenarios = Array.of_list (sample_scenarios 3) in
   Array.iteri
     (fun tag scenario ->
@@ -372,8 +296,8 @@ let test_pipelined_out_of_order_responses () =
       | Error e -> Alcotest.failf "submit: %s" (RM.string_of_error e))
     scenarios;
   checki "three requests on the wire" 3 (RM.Pipelined.pending conn);
-  checkb "tags are tracked" true
-    (RM.Pipelined.awaiting conn 0 && RM.Pipelined.awaiting conn 2);
+  checkb "the oldest request is tracked" true
+    (RM.Pipelined.oldest_sent_ms conn <> None);
   let collected = Hashtbl.create 3 in
   let deadline = Unix.gettimeofday () +. 5.0 in
   while Hashtbl.length collected < 3 && Unix.gettimeofday () < deadline do
@@ -435,8 +359,9 @@ let test_slow_manager_times_out_to_local () =
 
 let test_dead_remote_backoff_never_blocks () =
   (* A manager that cannot even be dialed, with a 10-second backoff: the
-     campaign must still finish promptly, because backoff is a timer-wheel
-     deadline, not a sleep on the dispatch path. *)
+     campaign must still finish promptly, because backoff gates the
+     manager on the dispatch path (its tests run locally) and never
+     sleeps. *)
   let dead =
     RM.spec ~name:"dead" ~max_attempts:3 ~backoff_ms:10_000.0 (fun () ->
         Error (Transport.Io "connection refused"))
@@ -509,10 +434,10 @@ let test_chaos_under_pipelining () =
 let test_pipelined_fail_cancels_awaiting () =
   (* The straggler path: a request is on the wire, the manager dies, and
      the caller declares the connection dead while it is gated behind its
-     reconnect backoff. The awaiting entry must be cancelled (so a stale
-     request timer firing later finds [awaiting = false] and is a no-op),
-     the tag must come back exactly once via take_orphans, and repeated
-     deaths must spend the retry budget. *)
+     reconnect backoff. The request must leave the wire (nothing pending,
+     and no oldest request left whose deadline could punish the
+     connection again), the tag must come back exactly once via
+     take_orphans, and repeated deaths must spend the retry budget. *)
   let exec = executor () in
   let slow =
     Afex.Executor.sync_of_async
@@ -524,12 +449,20 @@ let test_pipelined_fail_cancels_awaiting () =
     RM.Pipelined.create spec ~total_blocks:exec.Afex.Executor.total_blocks
   in
   let scenario = List.hd (sample_scenarios 1) in
+  let before = Afex.Executor.monotonic_ms () in
   (match RM.Pipelined.submit conn ~tag:7 scenario with
   | Ok () -> ()
   | Error e -> Alcotest.failf "submit: %s" (RM.string_of_error e));
-  checkb "request is on the wire" true (RM.Pipelined.awaiting conn 7);
+  let after = Afex.Executor.monotonic_ms () in
+  checki "request is on the wire" 1 (RM.Pipelined.pending conn);
+  checkb "it is the oldest request, stamped at submit" true
+    (match RM.Pipelined.oldest_sent_ms conn with
+    | Some sent -> sent >= before && sent <= after
+    | None -> false);
   RM.Pipelined.fail conn;
-  checkb "awaiting cancelled by the death" false (RM.Pipelined.awaiting conn 7);
+  checki "nothing left on the wire" 0 (RM.Pipelined.pending conn);
+  checkb "no oldest request left to time out" true
+    (RM.Pipelined.oldest_sent_ms conn = None);
   checkb "orphaned exactly once" true (RM.Pipelined.take_orphans conn = [ 7 ]);
   checkb "a second take finds nothing" true (RM.Pipelined.take_orphans conn = []);
   checki "one consecutive failure" 1 (RM.Pipelined.failures conn);
@@ -548,6 +481,149 @@ let test_pipelined_fail_cancels_awaiting () =
     (RM.Pipelined.dispatchable conn);
   RM.Pipelined.close conn;
   RM.Loopback.shutdown lb
+
+(* A hand-rolled manager that answers every request but the one on
+   [withhold], until the client hangs up. *)
+let withholding_manager exec (server_end : Transport.t) ~withhold =
+  let rec greet () =
+    match server_end.Transport.recv () with
+    | Ok _hello ->
+        ignore
+          (server_end.Transport.send
+             (Message.encode_welcome ~version:Message.protocol_version))
+    | Error Transport.Timeout -> greet ()
+    | Error _ -> ()
+  in
+  greet ();
+  let sdec = Message.V2.server_dec () and senc = Message.V2.server_enc () in
+  let rec serve () =
+    match server_end.Transport.recv () with
+    | Error Transport.Timeout -> serve ()
+    | Error _ -> ()
+    | Ok payload -> (
+        match Message.V2.decode_requests sdec payload with
+        | Error _ -> ()
+        | Ok msgs ->
+            let b = Buffer.create 256 in
+            List.iter
+              (function
+                | Message.Run_scenario { seq; scenario } when seq <> withhold ->
+                    let outcome = exec.Afex.Executor.run_scenario scenario in
+                    Message.V2.encode_reply senc b
+                      (Message.Scenario_result
+                         (Message.report_of_outcome ~seq outcome))
+                | Message.Run_scenario _ | Message.Shutdown -> ())
+              msgs;
+            if Buffer.length b = 0 then serve ()
+            else
+              match server_end.Transport.send (Buffer.contents b) with
+              | Ok () -> serve ()
+              | Error _ -> ())
+  in
+  serve ();
+  server_end.Transport.close ()
+
+let test_straggler_deadline_is_oldest_request () =
+  (* The manager answers the second and third requests and withholds the
+     first. Every request shares one timeout, so the connection's
+     straggler deadline is the first request's send time plus that
+     timeout, and the replies to the later requests must not move it. *)
+  let exec = executor () in
+  let total_blocks = exec.Afex.Executor.total_blocks in
+  let scenarios = Array.of_list (sample_scenarios 3) in
+  let client_end, server_end = Transport.pair () in
+  let server =
+    Domain.spawn (fun () -> withholding_manager exec server_end ~withhold:1)
+  in
+  let conn =
+    RM.Pipelined.create (single_shot_spec "withholder" client_end) ~total_blocks
+  in
+  let submit tag =
+    match RM.Pipelined.submit conn ~tag scenarios.(tag) with
+    | Ok () -> ignore (RM.Pipelined.flush conn)
+    | Error e -> Alcotest.failf "submit: %s" (RM.string_of_error e)
+  in
+  submit 0;
+  let first = RM.Pipelined.oldest_sent_ms conn in
+  checkb "the first request is the oldest" true (first <> None);
+  Unix.sleepf 0.005;
+  submit 1;
+  submit 2;
+  checkb "later requests do not move the oldest" true
+    (RM.Pipelined.oldest_sent_ms conn = first);
+  let answered = ref [] in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while List.length !answered < 2 && Unix.gettimeofday () < deadline do
+    List.iter
+      (fun (tag, result) ->
+        match result with
+        | Ok outcome ->
+            checkb
+              (Printf.sprintf "tag %d matched its own scenario" tag)
+              true
+              (outcome_equal outcome (exec.Afex.Executor.run_scenario scenarios.(tag)));
+            answered := tag :: !answered
+        | Error e -> Alcotest.failf "drain: %s" (RM.string_of_error e))
+      (RM.Pipelined.drain conn);
+    if List.length !answered < 2 then Unix.sleepf 0.002
+  done;
+  checkb "the later requests were answered" true
+    (List.sort compare !answered = [ 1; 2 ]);
+  checki "the withheld request is still on the wire" 1 (RM.Pipelined.pending conn);
+  checkb "replies to later requests leave the oldest in place" true
+    (RM.Pipelined.oldest_sent_ms conn = first);
+  RM.Pipelined.fail conn;
+  checkb "the straggler is orphaned" true (RM.Pipelined.take_orphans conn = [ 0 ]);
+  RM.Pipelined.close conn;
+  Domain.join server;
+  (* The event loop times the connection out from that deadline: the
+     withheld test falls back and runs locally, the others arrive from
+     the manager, and no outcome changes. *)
+  let client_end, server_end = Transport.pair () in
+  let server =
+    Domain.spawn (fun () -> withholding_manager exec server_end ~withhold:1)
+  in
+  let timeout_ms = 300 in
+  let ae =
+    AE.create
+      ~remotes:[ single_shot_spec "withholder" client_end ]
+      ~request_timeout_ms:timeout_ms ~inflight:3 ~total_blocks ()
+  in
+  let started = Afex.Executor.monotonic_ms () in
+  Array.iteri
+    (fun tag scenario ->
+      AE.submit ae ~tag
+        {
+          AE.scenario = Some scenario;
+          start = (fun () -> Afex.Executor.job_done (exec.Afex.Executor.run_scenario scenario));
+        })
+    scenarios;
+  let results = Array.make 3 None in
+  let finished = Array.make 3 0.0 in
+  while Array.exists Option.is_none results do
+    List.iter
+      (fun (tag, result) ->
+        results.(tag) <- Some result;
+        finished.(tag) <- Afex.Executor.monotonic_ms ())
+      (AE.poll ae ~block:true)
+  done;
+  AE.close ae;
+  Domain.join server;
+  Array.iteri
+    (fun tag result ->
+      match result with
+      | Some (Ok outcome) ->
+          checkb
+            (Printf.sprintf "test %d has its local outcome" tag)
+            true
+            (outcome_equal outcome (exec.Afex.Executor.run_scenario scenarios.(tag)))
+      | Some (Error _) | None -> Alcotest.failf "test %d failed" tag)
+    results;
+  let stats = AE.stats ae in
+  checki "all three went to the manager" 3 stats.AE.remote_runs;
+  checki "only the withheld one fell back" 1 stats.AE.remote_fallbacks;
+  checkb "the withheld test waited out the timeout" true
+    (finished.(0) -. started >= float_of_int timeout_ms)
 
 let test_pipelined_credit () =
   (* The credit is fixed when the connection is created: the event loop
@@ -584,6 +660,16 @@ let test_pipelined_credit () =
   RM.Pipelined.close unbounded;
   RM.Loopback.shutdown lb
 
+(* Submit every task under its index and poll until all have come back;
+   results are indexed by submission position. *)
+let run_all ae tasks =
+  Array.iteri (fun tag task -> AE.submit ae ~tag task) tasks;
+  let results = Array.make (Array.length tasks) None in
+  while Array.exists Option.is_none results do
+    List.iter (fun (tag, r) -> results.(tag) <- Some r) (AE.poll ae ~block:true)
+  done;
+  Array.map Option.get results
+
 let test_async_zero_delay_jobs () =
   (* delay 0: every job's readiness estimate is already due at dispatch.
      The loop must complete the batch without spinning and the outcomes
@@ -603,7 +689,7 @@ let test_async_zero_delay_jobs () =
         })
       scenarios
   in
-  let results = AE.exec_batch ae tasks in
+  let results = run_all ae tasks in
   Array.iteri
     (fun i result ->
       match result with
@@ -660,7 +746,7 @@ let test_fd_backed_jobs_overlap () =
   in
   let ae = AE.create ~inflight:4 ~total_blocks:exec.Afex.Executor.total_blocks () in
   let started = Unix.gettimeofday () in
-  let results = AE.exec_batch ae (Array.mapi make_task scenarios) in
+  let results = run_all ae (Array.mapi make_task scenarios) in
   let wall_s = Unix.gettimeofday () -. started in
   List.iter Domain.join !writers;
   Array.iteri
@@ -687,15 +773,6 @@ let suite =
       test_prop_shrinks_list_structurally;
     Alcotest.test_case "prop: pair shrinks both sides" `Quick
       test_prop_pair_shrinks_both_sides;
-    Alcotest.test_case "wheel: deadline order with ties" `Quick
-      test_wheel_orders_by_deadline_then_seq;
-    Alcotest.test_case "wheel: wraparound" `Quick test_wheel_wraparound;
-    Alcotest.test_case "wheel: cancel" `Quick test_wheel_cancel;
-    Alcotest.test_case "wheel: expiry ordering (property)" `Quick
-      test_wheel_expiry_order_property;
-    Alcotest.test_case "wheel: zero-delay deadlines" `Quick test_wheel_zero_delay;
-    Alcotest.test_case "wheel: shared deadline bucket" `Quick
-      test_wheel_shared_deadline_bucket;
     Alcotest.test_case "history identical across inflight" `Quick
       test_history_identical_across_inflight;
     Alcotest.test_case "async session counts pinned" `Quick
@@ -715,6 +792,8 @@ let suite =
     Alcotest.test_case "pipelined fail cancels awaiting" `Quick
       test_pipelined_fail_cancels_awaiting;
     Alcotest.test_case "pipelined credit" `Quick test_pipelined_credit;
+    Alcotest.test_case "straggler deadline is the oldest request" `Quick
+      test_straggler_deadline_is_oldest_request;
     Alcotest.test_case "zero-delay async jobs" `Quick test_async_zero_delay_jobs;
     Alcotest.test_case "fd-backed jobs overlap" `Quick test_fd_backed_jobs_overlap;
   ]

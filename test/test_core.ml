@@ -542,7 +542,19 @@ let test_replsim_executor_allocation_gate () =
    falling back: about 1,100 words per run. Walking the trace by runs
    of one call site, with no closure, and looking the optional
    attributes up first, a run allocates about 120 words, half of them
-   the coverage bitset. The ceiling is about twice that. *)
+   the coverage bitset. The ceiling is about twice that.
+
+   The multi-fault executor on apache's two-arm space: the walk counted
+   every call of the trace in a hash table and searched the pending arms
+   with a closure, about 950 words per run. Finding each arm's call
+   first and covering the trace between triggers a run at a time, a run
+   allocates about 265, of which decoding the scenario takes about 115.
+   The ceiling is again about twice that. *)
+let words_per_run exec scenarios =
+  let before = Gc.minor_words () in
+  Array.iter (fun s -> ignore (exec.Executor.run_scenario s)) scenarios;
+  (Gc.minor_words () -. before) /. float_of_int (Array.length scenarios)
+
 let test_executor_allocation_gate () =
   let module Mysql = Afex_simtarget.Mysql in
   let exec = Executor.of_target (Mysql.target ()) in
@@ -559,11 +571,24 @@ let test_executor_allocation_gate () =
             s
         | None -> Alcotest.fail "fitness-guided search ran dry")
   in
-  let before = Gc.minor_words () in
-  Array.iter (fun s -> ignore (exec.Executor.run_scenario s)) scenarios;
-  let words = (Gc.minor_words () -. before) /. float_of_int runs in
+  let words = words_per_run exec scenarios in
   if words > 250.0 then
-    Alcotest.failf "mysql run_scenario allocates %.0f words per run (ceiling 250)" words
+    Alcotest.failf "mysql run_scenario allocates %.0f words per run (ceiling 250)" words;
+  let module Apache = Afex_simtarget.Apache in
+  let exec = Executor.of_target_multi (Apache.target ()) in
+  let explorer =
+    Explorer.create (Config.random_search ~seed:7 ()) (Apache.multi_space ()) exec
+  in
+  let scenarios =
+    Array.init runs (fun _ ->
+        match Explorer.next explorer with
+        | Some p -> Explorer.scenario_for explorer p
+        | None -> Alcotest.fail "random search ran dry")
+  in
+  let words = words_per_run exec scenarios in
+  if words > 550.0 then
+    Alcotest.failf
+      "two-arm apache run_scenario allocates %.0f words per run (ceiling 550)" words
 
 (* The wire's reply path on mysql: the manager encodes each outcome as a
    RESULT record through [report_of_outcome], and the explorer decodes

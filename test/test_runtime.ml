@@ -1,9 +1,10 @@
-(* The work-stealing runtime's two data structures in isolation — the
-   submission-indexed reorder buffer and the Chase–Lev-style deque —
-   plus the cross-executor determinism matrix the whole design exists
-   for: the same campaign exported byte-identically from the inline,
-   Domain-stealing, event-loop and loopback-remote backends, and a kill
-   at a reorder-buffer sync watermark resumed to the same bytes. *)
+(* The runtime's reorder buffer in isolation, its Domain backend under
+   real concurrency (every task runs exactly once, including tasks still
+   queued at shutdown), and the cross-executor determinism matrix the
+   whole design exists for: the same campaign exported byte-identically
+   from the inline, Domain, event-loop and loopback-remote backends,
+   and a kill at a reorder-buffer sync watermark resumed to the same
+   bytes. *)
 
 module Runtime = Afex_cluster.Runtime
 module Pool = Afex_cluster.Pool
@@ -19,6 +20,8 @@ module Netsim = Afex_simtarget.Netsim
 module Netfault = Afex_injector.Netfault
 module Replsim = Afex_simtarget.Replsim
 module Replfault = Afex_injector.Replfault
+module Outcome = Afex_injector.Outcome
+module Fault = Afex_injector.Fault
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -137,82 +140,92 @@ let test_reorder_custom_base () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-(* --- the work-stealing deque ------------------------------------------- *)
+(* --- the Domain backend ------------------------------------------------ *)
 
-(* 0 = push, 1 = owner pop, 2 = steal: any single-threaded interleaving
-   must agree with the list model (push at the bottom, pop LIFO, steal
-   FIFO) and never lose or duplicate an element. capacity 2 forces the
-   ring to grow under load. *)
-let test_prop_deque_matches_model () =
-  Prop.check ~count:300 "deque ops match the list model"
-    (Prop.list ~max_length:40 (Prop.int_range 0 2))
-    (fun ops ->
-      let d = Runtime.Deque.create ~capacity:2 () in
-      let model = ref [] in
-      let counter = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | 0 ->
-              incr counter;
-              Runtime.Deque.push d !counter;
-              model := !model @ [ !counter ]
-          | 1 -> (
-              let expect =
-                match List.rev !model with [] -> None | x :: _ -> Some x
-              in
-              let got = Runtime.Deque.pop d in
-              if got <> expect then ok := false;
-              match expect with
-              | Some _ -> model := List.rev (List.tl (List.rev !model))
-              | None -> ())
-          | _ -> (
-              let expect = match !model with [] -> None | x :: _ -> Some x in
-              let got = Runtime.Deque.steal d in
-              if got <> expect then ok := false;
-              match expect with
-              | Some _ -> model := List.tl !model
-              | None -> ()))
-        ops;
-      !ok && Runtime.Deque.length d = List.length !model)
+(* A task that counts its own runs, so a lost or doubled task shows. *)
+let counting_task runs seq =
+  let outcome () =
+    {
+      Outcome.fault = Fault.make ~test_id:seq ~func:"read" ~call_number:1 ();
+      status = Outcome.Passed;
+      triggered = false;
+      coverage = Afex_stats.Bitset.create 1;
+      injection_stack = None;
+      crash_stack = None;
+      duration_ms = 0.0;
+    }
+  in
+  let run () =
+    Atomic.incr runs.(seq);
+    outcome ()
+  in
+  { Runtime.seq; scenario = None; run; start = (fun () -> Afex.Executor.job_done (run ())) }
 
-let test_deque_concurrent_steal_no_loss () =
-  (* Three thieves and the owner race to empty the deque; every element
-     must surface exactly once. The last-element race (pop vs steal) is
-     the only lock-free subtlety in the structure, so hammer it. *)
-  let d = Runtime.Deque.create ~capacity:4 () in
+let test_domains_run_each_task_once () =
   let n = 2000 in
-  for i = 1 to n do
-    Runtime.Deque.push d i
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  let rt = Runtime.domains ~jobs:4 () in
+  for seq = 0 to n - 1 do
+    Runtime.submit rt (counting_task runs seq)
   done;
-  let taken = Array.init 4 (fun _ -> ref []) in
-  let drain take mine =
-    let rec go misses =
-      if misses < 10_000 then
-        match take () with
-        | Some v ->
-            mine := v :: !mine;
-            go 0
-        | None -> go (misses + 1)
-    in
-    go 0
+  let completed = Array.make n 0 in
+  while Runtime.outstanding rt > 0 do
+    List.iter
+      (fun (seq, result) ->
+        (match result with
+        | Ok o when o.Outcome.fault.Fault.test_id = seq -> ()
+        | Ok _ -> Alcotest.failf "task %d completed with another task's outcome" seq
+        | Error e -> Alcotest.failf "task %d raised %s" seq (Printexc.to_string e));
+        completed.(seq) <- completed.(seq) + 1)
+      (Runtime.poll rt ~block:true)
+  done;
+  checkb "nothing comes back from an idle runtime" true
+    (Runtime.poll rt ~block:true = []);
+  Runtime.shutdown rt;
+  checkb "every task completed exactly once" true
+    (Array.for_all (fun c -> c = 1) completed);
+  checkb "every task ran exactly once" true
+    (Array.for_all (fun r -> Atomic.get r = 1) runs)
+
+let test_domains_shutdown_drains_queue () =
+  (* Both workers block in their first task until a helper opens the
+     gate, well after [shutdown] has closed the backend: the other tasks
+     are still queued when it does, and must all run before it returns. *)
+  let n = 200 in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  let gate = Atomic.make false in
+  let rt = Runtime.domains ~jobs:2 () in
+  for seq = 0 to n - 1 do
+    let task = counting_task runs seq in
+    Runtime.submit rt
+      {
+        task with
+        Runtime.run =
+          (fun () ->
+            while not (Atomic.get gate) do
+              Domain.cpu_relax ()
+            done;
+            task.Runtime.run ());
+      }
+  done;
+  let opener =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.05;
+        Atomic.set gate true)
   in
-  let thieves =
-    List.init 3 (fun k ->
-        Domain.spawn (fun () -> drain (fun () -> Runtime.Deque.steal d) taken.(k)))
-  in
-  drain (fun () -> Runtime.Deque.pop d) taken.(3);
-  List.iter Domain.join thieves;
-  let all = List.concat_map (fun r -> !r) (Array.to_list taken) in
-  checki "every element surfaced" n (List.length all);
-  checki "no element twice" n (List.length (List.sort_uniq compare all));
-  checki "deque drained" 0 (Runtime.Deque.length d)
+  Runtime.shutdown rt;
+  Domain.join opener;
+  checkb "every queued task ran exactly once" true
+    (Array.for_all (fun r -> Atomic.get r = 1) runs);
+  checkb "submit after shutdown is refused" true
+    (match Runtime.submit rt (counting_task runs 0) with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 (* --- the cross-executor determinism matrix ----------------------------- *)
 
 (* One campaign per target family, exported from every backend the
-   runtime unifies — inline (jobs 1), work-stealing Domains (jobs 4),
+   runtime unifies — inline (jobs 1), worker Domains (jobs 4),
    the async event loop (inflight 8) and a loopback remote manager
    on the event loop — and byte-diffed pairwise. This is the
    tentpole's contract: parallelism placement may change throughput,
@@ -356,8 +369,8 @@ let suite =
       ("reorder head-of-line gap", test_reorder_head_of_line_gap);
       ("reorder peek does not advance", test_reorder_peek_does_not_advance);
       ("reorder custom base sequence", test_reorder_custom_base);
-      ("prop: deque matches model", test_prop_deque_matches_model);
-      ("deque concurrent steal no loss", test_deque_concurrent_steal_no_loss);
+      ("domains run each task once", test_domains_run_each_task_once);
+      ("domains shutdown drains the queue", test_domains_shutdown_drains_queue);
       ("matrix: mysql", test_matrix_mysql);
       ("matrix: netsim", test_matrix_netsim);
       ("matrix: replsim", test_matrix_replsim);
