@@ -110,14 +110,14 @@ let feedback_weight_test () =
 module Message = Afex_cluster.Message
 
 (* A representative report: mid-campaign coverage (contiguous runs plus
-   strays), two stacks and a fault the connection has already seen. *)
+   strays), two stacks whose frames the connection has already seen,
+   and a fault, which crosses as its five fields. *)
 let wire_report () =
   let rng = Rng.create 42 in
   {
     Message.seq = 1234;
     status = Outcome.Crashed;
     triggered = true;
-    new_blocks = 0;
     fault =
       Fault.make ~test_id:17 ~func:"read" ~call_number:3 ~errno:"EIO"
         ~retval:(-1) ();

@@ -641,13 +641,29 @@ let explore_cmd =
             let pool =
               Afex_cluster.Pool.create ~remotes:specs ~inflight ~jobs pool_executor
             in
+            (* A checkpoint write that fails mid-campaign (a full disk, a
+               file size limit) ends the run with one line, as a bad
+               --checkpoint or --resume does. The directory resumes like
+               one a crash left at that write. *)
+            let checkpoint_failed m =
+              prerr_endline ("afex: checkpoint: " ^ m);
+              exit 2
+            in
             let result, stats =
-              Fun.protect
-                ~finally:(fun () -> Afex_cluster.Pool.shutdown pool)
-                (fun () ->
-                  Afex_cluster.Pool.session ?checkpoint
-                    ~batch_size:(if batch = 0 then max_int else batch)
-                    ~iterations pool config sub)
+              try
+                Fun.protect
+                  ~finally:(fun () -> Afex_cluster.Pool.shutdown pool)
+                  (fun () ->
+                    Afex_cluster.Pool.session ?checkpoint
+                      ~batch_size:(if batch = 0 then max_int else batch)
+                      ~iterations pool config sub)
+              with
+              | Unix.Unix_error (err, fn, arg) when Option.is_some checkpoint ->
+                  checkpoint_failed
+                    (String.concat " " (List.filter (( <> ) "") [ fn; arg ])
+                    ^ ": " ^ Unix.error_message err)
+              | (Sys_error m | Failure m) when Option.is_some checkpoint ->
+                  checkpoint_failed m
             in
             (result, Some (stats, Afex_cluster.Pool.remote_stats pool))
           end

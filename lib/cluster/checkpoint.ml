@@ -81,7 +81,7 @@ let add_record b (c : Test_case.t) =
   Message.add_f64 b c.impact;
   Message.add_f64 b c.fitness;
   Message.add_f64 b c.duration_ms;
-  Message.add_str b (Message.fault_to_string c.fault);
+  Message.add_fault b c.fault;
   add_stack b c.injection_stack;
   add_stack b c.crash_stack
 
@@ -94,7 +94,7 @@ let read_record c =
   let impact = f64 "record impact" c in
   let fitness = f64 "record fitness" c in
   let duration_ms = f64 "record duration" c in
-  let fault = get "record fault" (Message.fault_of_string (str "record fault" c)) in
+  let fault = get "record fault" (Message.read_fault c) in
   let injection_stack = read_stack "injection stack" c in
   let crash_stack = read_stack "crash stack" c in
   {
@@ -118,7 +118,7 @@ module Snapshot = struct
   (* The header line, then one fixed-order sequence of fields and a
      checksum of everything before it. Other versions are refused by the
      header rather than resumed against state they do not describe. *)
-  let header = "afex-checkpoint 6"
+  let header = "afex-checkpoint 7"
 
   let add_index b (d : Index.dump) =
     add_list add_int_array b d.d_entries;
@@ -296,7 +296,7 @@ module Framer = struct
     let n = f.len in
     f.len <- 0;
     if Unix.write fd f.out 0 n <> n then
-      failwith ("checkpoint: short " ^ what ^ " write")
+      failwith ("short " ^ what ^ " write")
 end
 
 (* The record at [pos], decoded: [`Cut] when the end of [s] cuts it
@@ -325,22 +325,23 @@ let unframe decode s pos =
 
 (* {2 The write-ahead journal}
 
-   One framed record per released outcome: the candidate's point key,
-   then the outcome as one wire reply ({!Message.V2.encode_reply}),
-   encoded with fresh codec state so that each record decodes on its
-   own. Outcomes are journaled at reorder-buffer release, so a
-   well-formed journal is strictly seq-ascending. *)
+   One framed record per released outcome: the candidate's point, as
+   the record codec writes it, then the outcome as one wire reply
+   ({!Message.V2.encode_reply}), encoded with fresh codec state so that
+   each record decodes on its own. Outcomes are journaled at
+   reorder-buffer release, so a well-formed journal is strictly
+   seq-ascending. *)
 
 let read_outcome payload =
   let c = { Message.data = payload; pos = 0 } in
-  let key = str "journal point" c in
+  let point = read_point "journal point" c in
   match
     Message.V2.decode_replies (Message.V2.client_dec ())
       (String.sub payload c.pos (Message.remaining c))
   with
   | Ok [ Message.Scenario_result r ] ->
       if r.Message.seq < 1 then bad "journal outcome: bad sequence number";
-      (r.Message.seq, key, r)
+      (r.Message.seq, point, r)
   | Ok _ -> bad "journal record: not one outcome"
   | Error m -> bad "journal outcome: %s" m
 
@@ -461,7 +462,7 @@ type t = {
   mutable appends : int;
   mutable snapshots : int;
   mutable last_snapshot_iterations : int;
-  mutable replay : (int * string * Message.run_report) list;
+  mutable replay : (int * Point.t * Message.run_report) list;
   was_resumed : bool;
   n_replayed_records : int;
   loaded : Snapshot.t option;
@@ -633,10 +634,10 @@ let replay_pending t = t.replay <> []
 let due t ~iterations =
   t.replay = [] && iterations - t.last_snapshot_iterations >= t.every
 
-let append_outcome t ~point_key ~seq outcome =
+let append_outcome t ~point ~seq outcome =
   Message.V2.clear_server_enc t.journal_enc;
   Framer.add t.framer (fun b ->
-      Message.add_str b point_key;
+      add_point b point;
       Message.V2.encode_reply t.journal_enc b
         (Message.Scenario_result (Message.report_of_outcome ~seq outcome)));
   Framer.write "journal" t.wal_fd t.framer;

@@ -19,12 +19,12 @@
       a quiescent reorder-buffer watermark (released = submitted): the
       records above the frontier, plus a {e mark} naming how many
       records and bytes of [records.log] it vouches for. Written
-      atomically (temp file + [rename]): an [afex-checkpoint 6] header
+      atomically (temp file + [rename]): an [afex-checkpoint 7] header
       line, one fixed-order sequence of fields, and a checksum of
       everything before it.
     - [wal.log] — one framed record per released outcome since the last
       snapshot, appended {e before} progress is considered durable: the
-      candidate's point key, then the outcome as one
+      candidate's point, then the outcome as one
       {!Message.V2.encode_reply} record with fresh codec state, so every
       record decodes on its own. Outcomes release in submission order,
       so the journal is strictly ascending in the absolute iteration
@@ -70,7 +70,7 @@ module Snapshot : sig
   }
 
   val encode : t -> string
-  (** Versioned ([afex-checkpoint 6]) and checksummed; the exact bytes
+  (** Versioned ([afex-checkpoint 7]) and checksummed; the exact bytes
       written to [snapshot.afex]. Encoding is a pure function of the
       snapshot, so equal states produce equal files. *)
 
@@ -149,10 +149,11 @@ val loaded_snapshot : t -> Snapshot.t option
     its own, so [explorer.records] is the whole history; [None] after
     {!start}. *)
 
-val next_replay : t -> (int * string * Message.run_report) option
+val next_replay :
+  t -> (int * Afex_faultspace.Point.t * Message.run_report) option
 (** Pop the next journaled outcome to replay, oldest first: the
-    absolute iteration number, the candidate's point key, and the
-    measured report. *)
+    absolute iteration number, the candidate's point, and the measured
+    report. *)
 
 val replay_pending : t -> bool
 
@@ -162,7 +163,8 @@ val due : t -> iterations:int -> bool
     journal, which would drop them). *)
 
 val append_outcome :
-  t -> point_key:string -> seq:int -> Afex_injector.Outcome.t -> unit
+  t -> point:Afex_faultspace.Point.t -> seq:int -> Afex_injector.Outcome.t ->
+  unit
 (** Journal one released outcome ([seq] is the absolute iteration
     number). One framed record, one [write]. *)
 

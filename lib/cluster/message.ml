@@ -4,7 +4,7 @@ module Fault = Afex_injector.Fault
 module Outcome = Afex_injector.Outcome
 module Bitset = Afex_stats.Bitset
 
-let protocol_version = 2
+let protocol_version = 3
 (* The largest string field a decoder accepts, and the bound on a
    decoded block index. *)
 let max_line = 1 lsl 20
@@ -201,55 +201,23 @@ let read_status c =
     in
     Ok (status, flags land 4 <> 0)
 
-(* The characters of [string_of_int n]. Counting on the non-positive
-   side covers [min_int]. *)
-let decimal_length n =
-  let rec digits m k = if m > -10 then k else digits (m / 10) (k + 1) in
-  if n < 0 then digits n 2 else digits (-n) 1
+(* A fault as its five fields (Fig. 5): the test id, call number and
+   return value as zigzag varints, the function and errno as
+   length-prefixed strings, so any name crosses exactly. *)
+let add_fault b (f : Fault.t) =
+  add_sv b f.test_id;
+  add_str b f.func;
+  add_sv b f.call_number;
+  add_str b f.errno;
+  add_sv b f.retval
 
-(* Write [string_of_int n] into [b] at [pos]; return the position after
-   it. *)
-let blit_decimal b pos n =
-  let stop = pos + decimal_length n in
-  if n < 0 then Bytes.unsafe_set b pos '-';
-  let m = ref (if n < 0 then n else -n) in
-  for i = stop - 1 downto (if n < 0 then pos + 1 else pos) do
-    Bytes.unsafe_set b i (Char.unsafe_chr (48 - (!m mod 10)));
-    m := !m / 10
-  done;
-  stop
-
-let blit_text b pos s =
-  Bytes.unsafe_blit_string s 0 b pos (String.length s);
-  pos + String.length s
-
-(* [Scenario.to_string (Fault.to_scenario f)], built in one allocation:
-   it runs for every wire reply, journal record and logged record. *)
-let fault_to_string (f : Fault.t) =
-  let b =
-    Bytes.create
-      (String.length "testId " + decimal_length f.test_id
-      + String.length " function " + String.length f.func
-      + String.length " errno " + String.length f.errno
-      + String.length " retval " + decimal_length f.retval
-      + String.length " callNumber " + decimal_length f.call_number)
-  in
-  let pos = blit_text b 0 "testId " in
-  let pos = blit_decimal b pos f.test_id in
-  let pos = blit_text b pos " function " in
-  let pos = blit_text b pos f.func in
-  let pos = blit_text b pos " errno " in
-  let pos = blit_text b pos f.errno in
-  let pos = blit_text b pos " retval " in
-  let pos = blit_decimal b pos f.retval in
-  let pos = blit_text b pos " callNumber " in
-  ignore (blit_decimal b pos f.call_number);
-  Bytes.unsafe_to_string b
-
-let fault_of_string s =
-  match Scenario.of_string s with
-  | Error e -> Error e
-  | Ok scenario -> Fault.of_scenario scenario
+let read_fault c =
+  let* test_id = read_sv c in
+  let* func = read_str c in
+  let* call_number = read_sv c in
+  let* errno = read_str c in
+  let* retval = read_sv c in
+  Ok { Fault.test_id; func; call_number; errno; retval }
 
 (* ------------------------------------------------------------------ *)
 (* Handshake                                                           *)
@@ -301,7 +269,6 @@ type run_report = {
   seq : int;
   status : Outcome.status;
   triggered : bool;
-  new_blocks : int;
   fault : Fault.t;
   coverage : Bitset.t;
   injection_stack : string list option;
@@ -318,7 +285,6 @@ let report_of_outcome ~seq (o : Outcome.t) =
     seq;
     status = o.Outcome.status;
     triggered = o.Outcome.triggered;
-    new_blocks = 0 (* the explorer recomputes against its own coverage *);
     fault = o.Outcome.fault;
     coverage = o.Outcome.coverage;
     injection_stack = o.Outcome.injection_stack;
@@ -349,7 +315,7 @@ let outcome_of_report ~total_blocks r =
       }
 
 (* ------------------------------------------------------------------ *)
-(* Wire protocol v2: binary records, coalesced several to a frame      *)
+(* The wire protocol (version 3): binary records, several to a frame  *)
 (* ------------------------------------------------------------------ *)
 
 (* A frame payload is a concatenation of tagged binary records built
@@ -592,16 +558,13 @@ module V2 = struct
         add_uv b (List.length ids);
         List.iter (add_uv b) ids
 
-  (* Interning may discover strings the peer has never seen: those are
+  (* Interning may discover frames the peer has never seen: those are
      shipped in a DICT record immediately before the report that uses
      them, in the same coalesced frame. The record carries its explicit
      base id so a duplicated frame re-defines entries identically (a
      no-op) and a dropped one leaves a detectable gap. The dictionary
-     holds stack frames and fault descriptors alike. Stack frames
-     repeat, so steady-state reports ship their ids; faults mostly do
-     not (every fault of an 8,000-test mysql campaign is distinct), so
-     a fault's text usually crosses in its own report's DICT record and
-     the dictionary grows by about one entry per test. *)
+     holds stack frames only, so the target's code bounds it; the fault
+     crosses as its fields. *)
   let encode_reply enc b = function
     | Manager_error { seq; message } ->
         Buffer.add_char b (Char.chr tag_error);
@@ -610,7 +573,6 @@ module V2 = struct
     | Scenario_result r ->
         let pending = ref [] in
         let base = enc.next_id in
-        let fault_id = intern enc pending (fault_to_string r.fault) in
         let ids = Option.map (List.map (intern enc pending)) in
         let istack = ids r.injection_stack in
         let cstack = ids r.crash_stack in
@@ -624,9 +586,8 @@ module V2 = struct
         Buffer.add_char b (Char.chr tag_result);
         add_uv b r.seq;
         add_status b r.status ~triggered:r.triggered;
-        add_uv b r.new_blocks;
         add_f64 b r.duration_ms;
-        add_uv b fault_id;
+        add_fault b r.fault;
         add_coverage b r.coverage;
         add_stack_ids b istack;
         add_stack_ids b cstack
@@ -716,36 +677,24 @@ module V2 = struct
         else if tag = tag_result then begin
           let* seq = read_uv c in
           let* status, triggered = read_status c in
-          let* new_blocks = read_uv c in
-            let* duration_ms = read_f64 c in
-            let* fault_id = read_uv c in
-            let* fault_s =
-              if fault_id >= dec.n_frames then
-                Error
-                  (Printf.sprintf
-                     "unknown fault id %d (dictionary has %d): connection \
-                      state desynchronized"
-                     fault_id dec.n_frames)
-              else Ok dec.frames.(fault_id)
-            in
-            let* fault = fault_of_string fault_s in
-            let* coverage = read_coverage ~capacity:dec.capacity c in
-            let* injection_stack = read_stack dec c in
-            let* crash_stack = read_stack dec c in
-            loop
-              (Scenario_result
-                 {
-                   seq;
-                   status;
-                   triggered;
-                   new_blocks;
-                   fault;
-                   coverage;
-                   injection_stack;
-                   crash_stack;
-                   duration_ms;
-                 }
-              :: acc)
+          let* duration_ms = read_f64 c in
+          let* fault = read_fault c in
+          let* coverage = read_coverage ~capacity:dec.capacity c in
+          let* injection_stack = read_stack dec c in
+          let* crash_stack = read_stack dec c in
+          loop
+            (Scenario_result
+               {
+                 seq;
+                 status;
+                 triggered;
+                 fault;
+                 coverage;
+                 injection_stack;
+                 crash_stack;
+                 duration_ms;
+               }
+            :: acc)
         end
         else if tag = tag_error then begin
           let* seq = read_sv c in

@@ -5,10 +5,11 @@
     result. Every decoder is total and returns [Error] on malformed
     input — wire bytes are never trusted.
 
-    There is one wire protocol, {!V2}: a connection opens with a
-    [HELLO afex 2] handshake, the manager answers [WELCOME afex 2] or,
-    for any other version, [REJECT] with a readable reason, and from
-    then on each frame packs several varint-encoded binary records.
+    There is one wire protocol, {!V2} (version 3; the module keeps its
+    name): a connection opens with a [HELLO afex 3] handshake, the
+    manager answers [WELCOME afex 3] or, for any other version, [REJECT]
+    with a readable reason, and from then on each frame packs several
+    varint-encoded binary records.
 
     The {!Checkpoint} files store the same report data with the same
     {{!field_codecs}field codecs}: the journal holds {!V2.encode_reply}
@@ -16,7 +17,7 @@
     from the codecs below. *)
 
 val protocol_version : int
-(** The one wire protocol version (2): the only one [HELLO] offers and
+(** The one wire protocol version (3): the only one [HELLO] offers and
     the only one a manager welcomes. *)
 
 (** {2:field_codecs Field codecs}
@@ -49,13 +50,11 @@ val add_status :
   Buffer.t -> Afex_injector.Outcome.status -> triggered:bool -> unit
 (** One byte: the status code and the triggered flag. *)
 
-val fault_to_string : Afex_injector.Fault.t -> string
-(** The fault as its scenario string,
-    [Scenario.to_string (Fault.to_scenario f)] byte for byte: the form
-    both the wire's dictionary and the checkpoint records carry. One
-    allocation, the string itself. *)
-
-val fault_of_string : string -> (Afex_injector.Fault.t, string) result
+val add_fault : Buffer.t -> Afex_injector.Fault.t -> unit
+(** The fault's five fields (Fig. 5), as wire replies, journal records
+    and logged records carry it: the test id, function, call number,
+    errno and return value, the integers as {!add_sv} and the names as
+    {!add_str}, so any name round-trips exactly. *)
 
 type cursor = { data : string; mutable pos : int }
 (** A read position in [data]. *)
@@ -82,6 +81,9 @@ val read_status :
   cursor -> (Afex_injector.Outcome.status * bool, string) result
 (** The status and the triggered flag. *)
 
+val read_fault : cursor -> (Afex_injector.Fault.t, string) result
+(** The fault {!add_fault} wrote. *)
+
 (** {2 Handshake} *)
 
 type greeting = Welcome of int | Reject of string
@@ -104,9 +106,6 @@ type run_report = {
   seq : int;
   status : Afex_injector.Outcome.status;
   triggered : bool;
-  new_blocks : int;
-      (** manager-side guess; the explorer recomputes against its own
-          covered set, so managers send 0 *)
   fault : Afex_injector.Fault.t;
       (** the atomic fault the manager decoded and injected *)
   coverage : Afex_stats.Bitset.t;
@@ -135,17 +134,18 @@ val outcome_of_report :
     of that capacity. [Error] if the report's coverage is wider, which
     for a decoded report means a block outside [\[0, total_blocks)]. *)
 
-(** {2 Wire protocol v2}
+(** {2 The binary wire protocol (version 3)}
 
     The binary wire codec. A frame payload is a concatenation of tagged
     records built from the {{!field_codecs}field codecs} — requests and
     reports coalesce, many to a frame. Each direction carries
     per-connection codec state:
 
-    - the server interns stack frames and fault descriptors into a
-      dictionary, announced to the client through incremental [DICT]
-      records (explicit base id, new entries only), so steady-state
-      reports ship int ids;
+    - the server interns stack frames into a dictionary, announced to
+      the client through incremental [DICT] records (explicit base id,
+      new entries only), so steady-state reports ship int ids; the
+      fault crosses as its fields ({!add_fault}), so the target's code,
+      not the campaign's length, bounds the dictionary;
     - the client delta-encodes each scenario against the previous one
       sent on the connection (mutations touch few axes).
 
@@ -193,8 +193,8 @@ module V2 : sig
   (** {3 Server -> client} *)
 
   type server_enc
-  (** The interning dictionary: string -> id, grown as reports mention
-      new stack frames or fault descriptors. *)
+  (** The interning dictionary: stack frame -> id, grown as reports
+      mention new frames. *)
 
   val server_enc : unit -> server_enc
 
@@ -205,9 +205,9 @@ module V2 : sig
       fresh {!server_enc}, with no allocation. *)
 
   val encode_reply : server_enc -> Buffer.t -> from_manager -> unit
-  (** Append one reply. Newly interned strings (stack frames and the
-      fault descriptor) are announced in a [DICT] record immediately
-      preceding the report that uses them, inside the same frame. *)
+  (** Append one reply. Newly interned stack frames are announced in a
+      [DICT] record immediately preceding the report that uses them,
+      inside the same frame. *)
 
   type client_dec
   (** The mirror dictionary: id -> frame string. *)

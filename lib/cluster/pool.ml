@@ -275,7 +275,7 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
     (match
        match checkpoint with Some cp -> Checkpoint.next_replay cp | None -> None
      with
-    | Some (seq, key, report) -> (
+    | Some (seq, journaled, report) -> (
         (* The explorer is deterministic, so it must regenerate exactly
            the candidate the journal recorded; a mismatch means the
            checkpoint belongs to a different campaign (and slipped past
@@ -290,13 +290,13 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
                 (Printf.sprintf
                    "Pool: journal replays iteration %d where %d was expected"
                    seq abs);
-            let pkey = Point.key p.Afex.Mutator.point in
-            if key <> pkey then
+            let point = p.Afex.Mutator.point in
+            if not (Point.equal journaled point) then
               failwith
                 (Printf.sprintf
                    "Pool: journaled outcome %d is for point %s, but the \
                     explorer regenerated %s"
-                   seq key pkey);
+                   seq (Point.to_string journaled) (Point.to_string point));
             ignore (seeded_rng ());
             let outcome =
               match
@@ -425,7 +425,7 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
        outcomes are not re-appended. *)
     (match checkpoint with
     | Some cp when not m.m_journaled ->
-        Checkpoint.append_outcome cp ~point_key:(Point.key point) ~seq outcome
+        Checkpoint.append_outcome cp ~point ~seq outcome
     | Some _ | None -> ());
     let case = Afex.Explorer.report explorer m.m_proposal outcome in
     if m.m_memo then

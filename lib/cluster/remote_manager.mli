@@ -189,8 +189,8 @@ end
 (** {2 The server side} *)
 
 val serve_connection : Node_manager.t -> Transport.t -> (unit, error) result
-(** Handshake — welcoming [HELLO afex 2] and answering any other version
-    with a [REJECT] that names version 2, then [Error (Protocol _)] —
+(** Handshake — welcoming [HELLO afex 3] and answering any other version
+    with a [REJECT] that names version 3, then [Error (Protocol _)] —
     then decode requests / run them / reply until [Shutdown] or the peer
     disconnects (both [Ok]).
 

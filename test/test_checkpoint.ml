@@ -286,28 +286,35 @@ let test_meta_mismatch_rejected () =
       | Ok _ -> Alcotest.fail "resume under a different seed must be refused"
       | Error e -> checkb "names the mismatched key" true (contains e "seed"))
 
-(* A version-5 checkpoint as the text-format release wrote it
-   ([explore -t apache -n 40 --seed 7 --checkpoint]): the decoder and
-   resume must both refuse it by its header. *)
+(* A version-5 checkpoint as the text-format release wrote it, and a
+   version-6 one, whose records carry their faults as scenario text
+   (each made by [explore -t apache -n 40 --seed 7 --checkpoint]): the
+   decoder and resume must both refuse them by their header. *)
 let test_version_5_refused () =
-  let golden = Filename.concat "golden" "checkpoint_v5" in
-  let expected = "afex-checkpoint 6" in
-  (match
-     Checkpoint.Snapshot.decode
-       (read_file (Filename.concat golden "snapshot.afex"))
-   with
-  | Ok _ -> Alcotest.fail "a version-5 snapshot must be refused"
-  | Error e -> checkb "names the expected header" true (contains e expected));
-  with_dir (fun dir ->
-      List.iter
-        (fun f ->
-          write_file (Filename.concat dir f)
-            (read_file (Filename.concat golden f)))
-        [ "snapshot.afex"; "records.log"; "wal.log" ];
-      match Checkpoint.resume ~dir meta with
-      | Ok _ -> Alcotest.fail "resume of a version-5 checkpoint must be refused"
-      | Error e ->
-          checkb "resume names the expected header" true (contains e expected))
+  let expected = "afex-checkpoint 7" in
+  List.iter
+    (fun version ->
+      let golden = Filename.concat "golden" ("checkpoint_v" ^ version) in
+      (match
+         Checkpoint.Snapshot.decode
+           (read_file (Filename.concat golden "snapshot.afex"))
+       with
+      | Ok _ -> Alcotest.failf "a version-%s snapshot must be refused" version
+      | Error e -> checkb "names the expected header" true (contains e expected));
+      with_dir (fun dir ->
+          List.iter
+            (fun f ->
+              write_file (Filename.concat dir f)
+                (read_file (Filename.concat golden f)))
+            [ "snapshot.afex"; "records.log"; "wal.log" ];
+          match Checkpoint.resume ~dir meta with
+          | Ok _ ->
+              Alcotest.failf "resume of a version-%s checkpoint must be refused"
+                version
+          | Error e ->
+              checkb "resume names the expected header" true
+                (contains e expected)))
+    [ "5"; "6" ]
 
 (* ---- crash-point sweep over a real pooled campaign ------------------- *)
 
@@ -766,15 +773,24 @@ let test_encoders_match_reference () =
       coverage_codec_agrees b)
 
 (* Wire replies, journal records and logged records carry a fault as
-   [Message.fault_to_string], which builds the string in one allocation.
-   It must write the bytes of the scenario printer it replaced. *)
-let reference_fault_string f =
-  Afex_faultspace.Scenario.to_string (Afex_injector.Fault.to_scenario f)
-
-let test_fault_strings_match_reference () =
+   its five fields through [Message.add_fault]/[read_fault]: every
+   fault must come back equal from exactly the bytes written, names
+   with spaces and extreme integers included, and every cut of those
+   bytes must read as an error. *)
+let test_fault_codec_roundtrips () =
   let module Fault = Afex_injector.Fault in
-  let agrees f =
-    String.equal (Message.fault_to_string f) (reference_fault_string f)
+  let roundtrips f =
+    let b = Buffer.create 32 in
+    Message.add_fault b f;
+    let bytes = Buffer.contents b in
+    let c = { Message.data = bytes; pos = 0 } in
+    Message.read_fault c = Ok f
+    && Message.remaining c = 0
+    && List.for_all
+         (fun n ->
+           Result.is_error
+             (Message.read_fault { Message.data = String.sub bytes 0 n; pos = 0 }))
+         (List.init (String.length bytes) Fun.id)
   in
   List.iter
     (fun n ->
@@ -782,20 +798,19 @@ let test_fault_strings_match_reference () =
         { Fault.test_id = n; func = "read"; call_number = n; errno = "EIO";
           retval = n }
       in
-      if not (agrees f) then
-        Alcotest.failf "fault string disagrees at %d: %S" n
-          (Message.fault_to_string f))
-    [ 0; 1; 9; 10; 99; 100; -1; -9; -10; -100; 1_000_000_007; max_int; min_int ];
+      if not (roundtrips f) then
+        Alcotest.failf "fault codec disagrees at %d" n)
+    [ 0; 1; 63; 64; -64; -65; 1_000_000_007; max_int; min_int ];
   let small = Prop.int_range (-1000) 1000
   and big = Prop.int_range 0 (1 lsl 40)
   and name =
-    Prop.choose [ ""; "read"; "pthread_mutex_lock"; "a b"; "ENOMEM"; "%" ]
+    Prop.choose [ ""; "read"; "pthread_mutex_lock"; "a b"; "ENOMEM"; "%"; "\n" ]
   in
-  Prop.check ~count:500 "fault_to_string matches the scenario printer"
+  Prop.check ~count:500 "the fault codec round-trips"
     (Prop.pair (Prop.pair (Prop.pair big big) small) (Prop.pair name name))
     (fun (((test_id, call_number), retval), (func, errno)) ->
-      agrees { Fault.test_id; func; call_number; errno; retval }
-      && agrees
+      roundtrips { Fault.test_id; func; call_number; errno; retval }
+      && roundtrips
            { Fault.test_id = -test_id; func; call_number = -call_number;
              errno; retval = retval * 1_000_003 });
   let rng = Rng.create 17 in
@@ -806,9 +821,9 @@ let test_fault_strings_match_reference () =
           Afex_injector.Plugin.fault_of_point_exn sub
             (Afex_faultspace.Subspace.random_point rng sub)
         in
-        if not (agrees f) then
-          Alcotest.failf "%s: fault string disagrees on %S" target
-            (reference_fault_string f)
+        if not (roundtrips f) then
+          Alcotest.failf "%s: fault codec disagrees on %s" target
+            (Fault.to_string f)
       done)
     [
       ("mysql", Mysql.space ());
@@ -848,8 +863,8 @@ let test_framing_matches_reference () =
         (Checkpoint.Framer.contents f)
         (String.concat "" (List.map (fun p -> reference_framed (add p)) payloads)));
   (* A journal is the reference framing of each record's payload: the
-     point key, then the outcome as a reply encoded with fresh codec
-     state. *)
+     point's components, then the outcome as a reply encoded with fresh
+     codec state. *)
   with_dir (fun dir ->
       let exec = Afex.Executor.of_target (Mysql.target ()) in
       let sub = Mysql.space () in
@@ -861,22 +876,23 @@ let test_framing_matches_reference () =
               exec.Afex.Executor.run_scenario
                 (Afex_faultspace.Subspace.values sub p)
             in
-            (i + 1, Afex_faultspace.Point.key p, o))
+            (i + 1, p, o))
       in
       (match Checkpoint.start ~dir meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
           List.iter
-            (fun (seq, point_key, o) ->
-              Checkpoint.append_outcome cp ~point_key ~seq o)
+            (fun (seq, point, o) -> Checkpoint.append_outcome cp ~point ~seq o)
             records;
           Checkpoint.close cp);
       let expected =
         String.concat ""
           (List.map
-             (fun (seq, point_key, o) ->
+             (fun (seq, point, o) ->
                reference_framed (fun b ->
-                   Message.add_str b point_key;
+                   let components = Afex_faultspace.Point.to_list point in
+                   Message.add_uv b (List.length components);
+                   List.iter (Message.add_uv b) components;
                    Message.V2.encode_reply (Message.V2.server_enc ()) b
                      (Message.Scenario_result (Message.report_of_outcome ~seq o))))
              records)
@@ -1002,7 +1018,7 @@ let suite =
     ("damaged record log rejected", `Quick, test_record_log_damage_rejected);
     ("checkpoint decoders are total (property)", `Quick, test_decoders_total);
     ("journal encoders match reference", `Quick, test_encoders_match_reference);
-    ("fault strings match reference", `Quick, test_fault_strings_match_reference);
+    ("fault codec round-trips", `Quick, test_fault_codec_roundtrips);
     ("framing matches reference", `Quick, test_framing_matches_reference);
     ("snapshot cost tracks new tests", `Quick,
       test_snapshot_cost_tracks_new_tests);

@@ -317,7 +317,7 @@ let test_handshake_codec () =
     [ ""; "WELCOME"; "WELCOME afex nope"; "HELLO afex 1" ]
 
 let test_serve_rejects_version_mismatch () =
-  (* The handshake is a strict version check: every version but 2 is
+  (* The handshake is a strict version check: every version but 3 is
      refused with a reason that names the one the manager speaks. *)
   List.iter
     (fun version ->
@@ -330,15 +330,15 @@ let test_serve_rejects_version_mismatch () =
       (match Message.decode_greeting (get_ok "greeting" (client.Transport.recv ())) with
       | Ok (Message.Reject reason) ->
           checkb
-            (Printf.sprintf "REJECT of v%d names version 2: %S" version reason)
-            true (contains reason "version 2")
+            (Printf.sprintf "REJECT of v%d names version 3: %S" version reason)
+            true (contains reason "version 3")
       | _ -> Alcotest.failf "protocol version %d must be rejected" version);
       client.Transport.close ();
       checkb
         (Printf.sprintf "server reported the protocol error for v%d" version)
         true
         (match Domain.join d with Error (RM.Protocol _) -> true | _ -> false))
-    [ 1; 3; 999 ]
+    [ 1; 2; 999 ]
 
 (* A dial whose far end has already greeted: the handshake completes (or
    fails) without a server domain. [open_ends] keeps the server ends
@@ -389,8 +389,11 @@ let test_client_refuses_old_welcome () =
 let statuses = [| Outcome.Passed; Outcome.Test_failed; Outcome.Crashed; Outcome.Hung |]
 
 let random_report rng =
-  let funcs = [| "read"; "write"; "malloc"; "\xc3\xa9crire_r\xc3\xa9seau"; "select" |] in
-  let errnos = [| "EIO"; "ENOMEM"; "EINTR" |] in
+  let funcs =
+    [| "read"; "write"; "malloc"; "\xc3\xa9crire_r\xc3\xa9seau"; "select"; "";
+       "a b"; "%" |]
+  in
+  let errnos = [| "EIO"; "ENOMEM"; "EINTR"; ""; "a b"; "%" |] in
   let frames =
     [|
       "";
@@ -414,7 +417,6 @@ let random_report rng =
     Message.seq = Rng.int rng 100_000;
     status = pick statuses;
     triggered = Rng.bernoulli rng 0.5;
-    new_blocks = Rng.int rng 50;
     fault =
       Fault.make ~test_id:(Rng.int rng 50) ~func:(pick funcs)
         ~call_number:(Rng.int rng 6) ~errno:(pick errnos)
@@ -448,8 +450,6 @@ let report_arb =
          else []);
         (if r.Message.triggered then [ { r with Message.triggered = false } ]
          else []);
-        (if r.Message.new_blocks <> 0 then [ { r with Message.new_blocks = 0 } ]
-         else []);
         (if r.Message.duration_ms <> 0.0 then
            [ { r with Message.duration_ms = 0.0 } ]
          else []);
@@ -476,12 +476,12 @@ let report_arb =
       | None -> "-"
       | Some frames -> Printf.sprintf "%S" (String.concat "|" frames)
     in
-    Printf.sprintf "seq %d, %s%s, %d new, %h ms, %S, coverage [%s], %s, %s"
+    Printf.sprintf "seq %d, %s%s, %h ms, %S, coverage [%s], %s, %s"
       r.seq
       (Outcome.status_to_string r.status)
       (if r.triggered then " (triggered)" else "")
-      r.new_blocks r.duration_ms
-      (Message.fault_to_string r.fault)
+      r.duration_ms
+      (Fault.to_string r.fault)
       (String.concat ";" (List.map string_of_int (list_of_bits r.coverage)))
       (stack r.injection_stack) (stack r.crash_stack)
   in
@@ -1074,9 +1074,9 @@ let test_v2_dict_interning () =
           checkb "report survives interning" true (r' = r)
       | _ -> Alcotest.fail "interned reply must decode")
     [ first; second ];
-  (* 3 unique stack frames + the fault descriptor. *)
-  checki "server interned 4 unique strings" 4 (V2.server_dict_size senc);
-  checki "client mirrors the dictionary" 4 (V2.client_dict_size cdec)
+  (* 3 unique stack frames; the fault crosses as its fields. *)
+  checki "server interned 3 unique frames" 3 (V2.server_dict_size senc);
+  checki "client mirrors the dictionary" 3 (V2.client_dict_size cdec)
 
 let test_v2_desync_is_error () =
   let report stack =
@@ -1118,9 +1118,46 @@ let test_v2_desync_is_error () =
   (match (V2.decode_replies cdec2 b1, V2.decode_replies cdec2 b1) with
   | Ok [ _ ], Ok [ _ ] -> ()
   | _ -> Alcotest.fail "a duplicated reply frame must decode cleanly");
-  (* The fault descriptor and one stack frame, interned exactly once. *)
-  checki "duplicate DICT did not grow the dictionary" 2
+  (* The one stack frame, interned exactly once. *)
+  checki "duplicate DICT did not grow the dictionary" 1
     (V2.client_dict_size cdec2)
+
+(* The dictionary holds stack frames only, so the target's code bounds
+   it however long a connection lives: after a 4,000-test mysql session
+   through one manager it holds exactly the distinct frames of the
+   session's stacks. Every mysql fault is new, so a dictionary that
+   interned faults held about 4,000 entries more. *)
+let test_v2_dict_bounded_by_target () =
+  let module Mysql = Afex_simtarget.Mysql in
+  let exec = Afex.Executor.of_target (Mysql.target ()) in
+  let lb = RM.Loopback.create ~executor:exec () in
+  let pool =
+    Pool.create ~remotes:[ RM.Loopback.spec lb ] ~inflight:32 ~jobs:0
+      (Pool.Pure exec)
+  in
+  let result, stats =
+    Pool.session ~iterations:4_000 pool (Config.fitness_guided ~seed:7 ())
+      (Mysql.space ())
+  in
+  let dict_size =
+    match Pool.remote_stats pool with
+    | [ (_, s) ] -> s.RM.dict_size
+    | _ -> Alcotest.fail "expected one manager"
+  in
+  Pool.shutdown pool;
+  RM.Loopback.shutdown lb;
+  let frames = Hashtbl.create 512 in
+  List.iter
+    (fun (c : Test_case.t) ->
+      List.iter
+        (Option.iter (List.iter (fun f -> Hashtbl.replace frames f ())))
+        [ c.Test_case.injection_stack; c.Test_case.crash_stack ])
+    result.Session.executed;
+  checki "4,000 tests" 4_000 result.Session.iterations;
+  checki "every test ran over the wire" stats.Pool.executed stats.Pool.remote_runs;
+  checki "on one connection" 1 (RM.Loopback.connections lb);
+  checki "the dictionary holds the session's distinct frames"
+    (Hashtbl.length frames) dict_size
 
 (* --- every wire decoder is total --- *)
 
@@ -1188,23 +1225,12 @@ let frame_total prefix bytes =
 let reply_with_coverage runs =
   let b = Buffer.create 64 in
   let uv = Message.add_uv b in
-  let fault =
-    Scenario.to_string
-      (Fault.to_scenario (Fault.make ~test_id:0 ~func:"read" ~call_number:1 ()))
-  in
-  (* DICT: base 0, one entry, the fault. *)
-  Buffer.add_char b '\x03';
-  uv 0;
-  uv 1;
-  uv (String.length fault);
-  Buffer.add_string b fault;
-  (* RESULT: seq 1, passed, 0 new blocks, 0.0 ms, fault id 0. *)
+  (* RESULT: seq 1, passed, 0.0 ms, a fault. *)
   Buffer.add_char b '\x04';
   uv 1;
   Buffer.add_char b '\x00';
-  uv 0;
   Buffer.add_string b (String.make 8 '\x00');
-  uv 0;
+  Message.add_fault b (Fault.make ~test_id:0 ~func:"read" ~call_number:1 ());
   uv (List.length runs);
   List.iter
     (fun (gap, len1) ->
@@ -1471,6 +1497,7 @@ let suite =
       ("v2: sized decoder shares coverage", test_v2_sized_coverage);
       ("v2: dictionary interning reaches steady state", test_v2_dict_interning);
       ("v2: desync is an error, never a wrong report", test_v2_desync_is_error);
+      ("v2: the target bounds the dictionary", test_v2_dict_bounded_by_target);
       ("frame decoder at chunk granularities 1-7", test_decoder_chunk_granularity);
       ("wire decoders are total (property)", test_wire_decoders_total);
       ("pipelined requests coalesce into frames", test_pipelined_coalescing);
