@@ -632,41 +632,37 @@ let explore_cmd =
                        (Afex_faultspace.Scenario.to_string scenario))
                    executor)
         in
-        let result, pool_stats =
-          if
-            jobs = 1 && batch = 1 && specs = [] && inflight = 1
-            && latency_model = None && Option.is_none checkpoint
-          then (Afex.Session.run ~iterations config sub executor, None)
-          else begin
-            let pool =
-              Afex_cluster.Pool.create ~remotes:specs ~inflight ~jobs pool_executor
-            in
-            (* A checkpoint write that fails mid-campaign (a full disk, a
-               file size limit) ends the run with one line, as a bad
-               --checkpoint or --resume does. The directory resumes like
-               one a crash left at that write. *)
-            let checkpoint_failed m =
-              prerr_endline ("afex: checkpoint: " ^ m);
-              exit 2
-            in
-            let result, stats =
-              try
-                Fun.protect
-                  ~finally:(fun () -> Afex_cluster.Pool.shutdown pool)
-                  (fun () ->
-                    Afex_cluster.Pool.session ?checkpoint
-                      ~batch_size:(if batch = 0 then max_int else batch)
-                      ~iterations pool config sub)
-              with
-              | Unix.Unix_error (err, fn, arg) when Option.is_some checkpoint ->
-                  checkpoint_failed
-                    (String.concat " " (List.filter (( <> ) "") [ fn; arg ])
-                    ^ ": " ^ Unix.error_message err)
-              | (Sys_error m | Failure m) when Option.is_some checkpoint ->
-                  checkpoint_failed m
-            in
-            (result, Some (stats, Afex_cluster.Pool.remote_stats pool))
-          end
+        let pool =
+          Afex_cluster.Pool.create ~remotes:specs ~inflight ~jobs pool_executor
+        in
+        (* A checkpoint write that fails mid-campaign (a full disk, a file
+           size limit) ends the run with one line, as a bad --checkpoint
+           or --resume does. The directory resumes like one a crash left
+           at that write. *)
+        let checkpoint_failed m =
+          prerr_endline ("afex: checkpoint: " ^ m);
+          exit 2
+        in
+        let (result, stats), remote_stats =
+          try
+            Fun.protect
+              ~finally:(fun () -> Afex_cluster.Pool.shutdown pool)
+              (fun () ->
+                let session =
+                  Afex_cluster.Pool.session ?checkpoint
+                    ~batch_size:(if batch = 0 then max_int else batch)
+                    ~iterations pool config sub
+                in
+                (* Before shutdown: a closed connection's dictionary
+                   reads 0. *)
+                (session, Afex_cluster.Pool.remote_stats pool))
+          with
+          | Unix.Unix_error (err, fn, arg) when Option.is_some checkpoint ->
+              checkpoint_failed
+                (String.concat " " (List.filter (( <> ) "") [ fn; arg ])
+                ^ ": " ^ Unix.error_message err)
+          | (Sys_error m | Failure m) when Option.is_some checkpoint ->
+              checkpoint_failed m
         in
         print_string (Afex_report.Session_report.render ~top ~target result);
         if rarity then begin
@@ -685,41 +681,38 @@ let explore_cmd =
             m.Afex.Mutator.masked_rejects m.Afex.Mutator.rejects
             m.Afex.Mutator.random_fallbacks
         end;
-        (match pool_stats with
-        | None -> ()
-        | Some (s, remote_stats) ->
-            if inflight > 1 then Format.printf "async: %d in flight@." inflight;
-            Format.printf
-              "pool: %d jobs, %d executed, %d cache hits, %.0f ms wall \
-               (%.0f tests/s; %.0f ms generating, %.0f ms stalled, %.0f ms \
-               merging)@."
-              jobs s.Afex_cluster.Pool.executed
-              s.Afex_cluster.Pool.cache_hits s.Afex_cluster.Pool.wall_ms
-              (if s.Afex_cluster.Pool.wall_ms <= 0.0 then 0.0
-               else 1000.0 *. float_of_int result.Afex.Session.iterations
-                    /. s.Afex_cluster.Pool.wall_ms)
-              s.Afex_cluster.Pool.gen_ms s.Afex_cluster.Pool.stall_ms
-              s.Afex_cluster.Pool.merge_ms;
-            if remote_stats <> [] then begin
-              Format.printf "remote: %d runs over the wire, %d local fallbacks@."
-                s.Afex_cluster.Pool.remote_runs s.Afex_cluster.Pool.remote_fallbacks;
-              List.iter
-                (fun (name, (r : Afex_cluster.Remote_manager.stats)) ->
-                  Format.printf
-                    "  %s: %d requests, %d retries, %d dials, %d manager errors@."
-                    name r.Afex_cluster.Remote_manager.requests
-                    r.Afex_cluster.Remote_manager.retries
-                    r.Afex_cluster.Remote_manager.dials
-                    r.Afex_cluster.Remote_manager.manager_errors;
-                  Format.printf
-                    "    %d frames out / %d in, %d bytes out / %d in, dict %d@."
-                    r.Afex_cluster.Remote_manager.frames_out
-                    r.Afex_cluster.Remote_manager.frames_in
-                    r.Afex_cluster.Remote_manager.bytes_out
-                    r.Afex_cluster.Remote_manager.bytes_in
-                    r.Afex_cluster.Remote_manager.dict_size)
-                remote_stats
-            end);
+        if inflight > 1 then Format.printf "async: %d in flight@." inflight;
+        Format.printf
+          "pool: %d jobs, %d executed, %d cache hits, %.0f ms wall (%.0f \
+           tests/s; %.0f ms generating, %.0f ms stalled, %.0f ms merging)@."
+          jobs stats.Afex_cluster.Pool.executed
+          stats.Afex_cluster.Pool.cache_hits stats.Afex_cluster.Pool.wall_ms
+          (if stats.Afex_cluster.Pool.wall_ms <= 0.0 then 0.0
+           else 1000.0 *. float_of_int result.Afex.Session.iterations
+                /. stats.Afex_cluster.Pool.wall_ms)
+          stats.Afex_cluster.Pool.gen_ms stats.Afex_cluster.Pool.stall_ms
+          stats.Afex_cluster.Pool.merge_ms;
+        if remote_stats <> [] then begin
+          Format.printf "remote: %d runs over the wire, %d local fallbacks@."
+            stats.Afex_cluster.Pool.remote_runs
+            stats.Afex_cluster.Pool.remote_fallbacks;
+          List.iter
+            (fun (name, (r : Afex_cluster.Remote_manager.stats)) ->
+              Format.printf
+                "  %s: %d requests, %d retries, %d dials, %d manager errors@."
+                name r.Afex_cluster.Remote_manager.requests
+                r.Afex_cluster.Remote_manager.retries
+                r.Afex_cluster.Remote_manager.dials
+                r.Afex_cluster.Remote_manager.manager_errors;
+              Format.printf
+                "    %d frames out / %d in, %d bytes out / %d in, dict %d@."
+                r.Afex_cluster.Remote_manager.frames_out
+                r.Afex_cluster.Remote_manager.frames_in
+                r.Afex_cluster.Remote_manager.bytes_out
+                r.Afex_cluster.Remote_manager.bytes_in
+                r.Afex_cluster.Remote_manager.dict_size)
+            remote_stats
+        end;
         (match assess with
         | None -> ()
         | Some k ->

@@ -1,4 +1,5 @@
 module Outcome = Afex_injector.Outcome
+module Scenario = Afex_faultspace.Scenario
 module Pipelined = Remote_manager.Pipelined
 
 let src = Logs.Src.create "afex.async" ~doc:"Single-domain async I/O executor"
@@ -8,11 +9,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* ------------------------------------------------------------------ *)
 (* The event loop                                                      *)
 (* ------------------------------------------------------------------ *)
-
-type task = {
-  scenario : Afex_faultspace.Scenario.t option;
-  start : unit -> Afex.Executor.job;
-}
 
 type stats = {
   local_runs : int;
@@ -34,15 +30,16 @@ type local = { job : Afex.Executor.job; mutable due : float }
 
 (* Submission state is persistent on [t], not per batch: tags flow
    [injections] -> (started: [local_jobs] or a manager's wire) ->
-   [done_q]. [live] holds every incomplete tag's task — the local
-   fallback needs the thunk long after submission. *)
+   [done_q]. [live] holds every incomplete tag's scenario — the local
+   fallback needs it long after submission. *)
 type t = {
+  exec : Afex.Executor.async;
   inflight : int;
   request_timeout_ms : int;
   remotes : remote array;
   mutable rr : int; (* round-robin dispatch cursor *)
   injections : int Queue.t; (* submitted tags not yet started *)
-  live : (int, task) Hashtbl.t; (* tag -> task until completion *)
+  live : (int, Scenario.t) Hashtbl.t; (* tag -> scenario until completion *)
   local_jobs : (int, local) Hashtbl.t;
   done_q : (int * (Outcome.t, exn) result) Queue.t;
   mutable active : int; (* started, not completed *)
@@ -59,13 +56,13 @@ let poll_fallback_ms = 1.0
 
 let now_ms = Afex.Executor.monotonic_ms
 
-let create ?(remotes = []) ?(request_timeout_ms = 10_000) ~inflight
-    ~total_blocks () =
+let create ?(remotes = []) ?(request_timeout_ms = 10_000) ~inflight exec =
   if inflight < 1 then
     invalid_arg "Async_executor.create: inflight must be positive";
   if request_timeout_ms < 1 then
     invalid_arg "Async_executor.create: request timeout must be positive";
   {
+    exec;
     inflight;
     request_timeout_ms;
     remotes =
@@ -77,7 +74,7 @@ let create ?(remotes = []) ?(request_timeout_ms = 10_000) ~inflight
              let conn =
                Pipelined.create spec
                  ~credit:(1 + ((inflight - 1) / List.length remotes))
-                 ~total_blocks
+                 ~total_blocks:exec.Afex.Executor.async_total_blocks
              in
              { conn; not_before = 0.0; seen_failures = 0 })
            remotes);
@@ -138,9 +135,9 @@ let complete t tag result =
 let start_local t tag =
   match Hashtbl.find_opt t.live tag with
   | None -> ()
-  | Some task -> (
+  | Some scenario -> (
       t.n_local <- t.n_local + 1;
-      match task.start () with
+      match t.exec.Afex.Executor.start scenario with
       | exception e -> complete t tag (Error e)
       | job -> (
           match job.Afex.Executor.poll () with
@@ -215,18 +212,15 @@ let dispatch t =
     let tag = Queue.pop t.injections in
     match Hashtbl.find_opt t.live tag with
     | None -> ()
-    | Some task -> (
+    | Some scenario ->
         t.active <- t.active + 1;
         if t.active > t.max_seen then t.max_seen <- t.active;
-        match task.scenario with
-        | Some scenario when Array.length t.remotes > 0 ->
-            if not (try_remote t tag scenario) then begin
-              if
-                Array.exists (fun r -> not (Pipelined.abandoned r.conn)) t.remotes
-              then t.n_fallback <- t.n_fallback + 1;
-              start_local t tag
-            end
-        | Some _ | None -> start_local t tag)
+        if Array.length t.remotes = 0 then start_local t tag
+        else if not (try_remote t tag scenario) then begin
+          if Array.exists (fun r -> not (Pipelined.abandoned r.conn)) t.remotes
+          then t.n_fallback <- t.n_fallback + 1;
+          start_local t tag
+        end
   done
 
 let drain_remotes t =
@@ -340,10 +334,10 @@ let step t ~max_wait_s =
   dispatch t;
   flush_remotes t
 
-let submit t ~tag task =
+let submit t ~tag scenario =
   if Hashtbl.mem t.live tag then
     invalid_arg (Printf.sprintf "Async_executor.submit: tag %d is already live" tag);
-  Hashtbl.replace t.live tag task;
+  Hashtbl.replace t.live tag scenario;
   Queue.push tag t.injections;
   (* Start eagerly — submission overlaps with whatever the caller does
      next (for the pool: generating the next candidate). *)

@@ -17,22 +17,13 @@
     dispatch-overhead model is the prediction this design chases;
     [bench async] measures the distance).
 
-    The loop is driven incrementally: {!submit} enqueues a tagged test
-    (dispatched eagerly, up to [inflight] concurrent), {!poll} runs the
+    The loop is driven incrementally: {!submit} enqueues a tagged
+    scenario (dispatched eagerly, up to [inflight] concurrent), {!poll} runs the
     loop and returns whatever completed, in completion order. The
     {!Runtime} wraps this pair as its event-loop backend and restores
     submission order in its reorder buffer. *)
 
 type t
-
-type task = {
-  scenario : Afex_faultspace.Scenario.t option;
-      (** What to ship to a remote manager; [None] pins the task local
-          (cache probes, non-serialisable work). *)
-  start : unit -> Afex.Executor.job;
-      (** The local way to run it — also the fallback when every remote
-          path fails. *)
-}
 
 type stats = {
   local_runs : int;  (** jobs started on this domain (incl. fallbacks) *)
@@ -48,10 +39,12 @@ val create :
   ?remotes:Remote_manager.spec list ->
   ?request_timeout_ms:int ->
   inflight:int ->
-  total_blocks:int ->
-  unit ->
+  Afex.Executor.async ->
   t
-(** [inflight] is fixed for the executor's lifetime. Each of the [m]
+(** [create ~inflight exec]: a test that runs on this domain, because
+    no manager took it or one failed it, starts through [exec], whose
+    [async_total_blocks] also sizes the connections' reply decoders.
+    [inflight] is fixed for the executor's lifetime. Each of the [m]
     remote connections gets a credit of [ceil (inflight / m)], so
     healthy managers always have room for the whole window, and with
     [inflight = m] each holds exactly one request: a slow manager
@@ -64,8 +57,8 @@ val create :
     @raise Invalid_argument if [inflight < 1] or the timeout is not
     positive. *)
 
-val submit : t -> tag:int -> task -> unit
-(** Enqueue one test under the caller's [tag] and dispatch eagerly if
+val submit : t -> tag:int -> Afex_faultspace.Scenario.t -> unit
+(** Enqueue one scenario under the caller's [tag] and dispatch eagerly if
     the in-flight window has room (remotes preferred — round-robin over
     dispatchable connections, backoff gates respected — with local
     fallback on any remote failure). The tag comes back from {!poll}.

@@ -110,7 +110,6 @@ module Snapshot = struct
 
   type t = {
     meta : (string * string) list;
-    master_state : int64;
     mark : mark;
     explorer : Explorer.Snapshot.t;
   }
@@ -118,7 +117,7 @@ module Snapshot = struct
   (* The header line, then one fixed-order sequence of fields and a
      checksum of everything before it. Other versions are refused by the
      header rather than resumed against state they do not describe. *)
-  let header = "afex-checkpoint 7"
+  let header = "afex-checkpoint 8"
 
   let add_index b (d : Index.dump) =
     add_list add_int_array b d.d_entries;
@@ -139,7 +138,6 @@ module Snapshot = struct
         Message.add_str b k;
         Message.add_str b v)
       b t.meta;
-    Message.add_i64 b t.master_state;
     add_pair b (t.mark.logged, t.mark.log_bytes);
     let x = t.explorer in
     Message.add_i64 b x.rng_state;
@@ -173,7 +171,6 @@ module Snapshot = struct
           (k, str "meta value" c))
         c
     in
-    let master_state = get "master rng" (Message.read_i64 c) in
     let logged, log_bytes = read_pair "record-log mark" c in
     let rng_state = get "explorer rng" (Message.read_i64 c) in
     let issued = uv "issued" c in
@@ -207,7 +204,6 @@ module Snapshot = struct
     if Message.remaining c > 0 then bad "%d trailing bytes" (Message.remaining c);
     {
       meta;
-      master_state;
       mark = { logged; log_bytes };
       explorer =
         {
@@ -666,7 +662,7 @@ let freeze t (x : Explorer.Snapshot.t) =
   end;
   live
 
-let write_snapshot t ~master_state explorer =
+let write_snapshot t explorer =
   let x = Explorer.capture ~since:t.mark.Snapshot.logged explorer in
   let live = freeze t x in
   t.hooks.before_rename ();
@@ -674,7 +670,6 @@ let write_snapshot t ~master_state explorer =
     Snapshot.encode
       {
         Snapshot.meta = t.cp_meta;
-        master_state;
         mark = t.mark;
         explorer = { x with Explorer.Snapshot.records = live };
       }

@@ -15,11 +15,11 @@
       snapshot appends the records between the old and the new frontier
       in one write, so a snapshot costs what happened since the last
       one, not the whole history.
-    - [snapshot.afex] — the rest of the explorer and pool state at
-      a quiescent reorder-buffer watermark (released = submitted): the
+    - [snapshot.afex] — the rest of the explorer state at a
+      quiescent reorder-buffer watermark (released = submitted): the
       records above the frontier, plus a {e mark} naming how many
       records and bytes of [records.log] it vouches for. Written
-      atomically (temp file + [rename]): an [afex-checkpoint 7] header
+      atomically (temp file + [rename]): an [afex-checkpoint 8] header
       line, one fixed-order sequence of fields, and a checksum of
       everything before it.
     - [wal.log] — one framed record per released outcome since the last
@@ -61,7 +61,6 @@ module Snapshot : sig
         (** campaign identity: every flag that shapes the search, checked
             on resume so a snapshot cannot silently continue under a
             different configuration *)
-    master_state : int64;  (** the pool's master RNG position *)
     mark : mark;
     explorer : Afex.Explorer.Snapshot.t;
         (** in a decoded file, [records] holds only the records above
@@ -70,7 +69,7 @@ module Snapshot : sig
   }
 
   val encode : t -> string
-  (** Versioned ([afex-checkpoint 7]) and checksummed; the exact bytes
+  (** Versioned ([afex-checkpoint 8]) and checksummed; the exact bytes
       written to [snapshot.afex]. Encoding is a pure function of the
       snapshot, so equal states produce equal files. *)
 
@@ -168,7 +167,7 @@ val append_outcome :
 (** Journal one released outcome ([seq] is the absolute iteration
     number). One framed record, one [write]. *)
 
-val write_snapshot : t -> master_state:int64 -> Afex.Explorer.t -> unit
+val write_snapshot : t -> Afex.Explorer.t -> unit
 (** Capture the explorer (walking its records only down to the mark),
     append the records that became final to [records.log], atomically
     replace [snapshot.afex], and truncate the journal.

@@ -1,31 +1,18 @@
-module Rng = Afex_stats.Rng
 module Bitset = Afex_stats.Bitset
-module Scenario = Afex_faultspace.Scenario
 module Point = Afex_faultspace.Point
 module Outcome = Afex_injector.Outcome
 module Test_case = Afex.Test_case
 
-type executor =
-  | Pure of Afex.Executor.t
-  | Seeded of {
-      total_blocks : int;
-      description : string;
-      run : Rng.t -> Scenario.t -> Outcome.t;
-    }
-  | Async of Afex.Executor.async
+type executor = Pure of Afex.Executor.t | Async of Afex.Executor.async
 
 let total_blocks = function
   | Pure e -> e.Afex.Executor.total_blocks
-  | Seeded s -> s.total_blocks
   | Async a -> a.Afex.Executor.async_total_blocks
 
 (* The explorer only uses the executor for sizing its coverage bitset and
    for log lines; all actual execution goes through the pool. *)
 let explorer_executor = function
   | Pure e -> e
-  | Seeded { total_blocks; description; run = _ } ->
-      Afex.Executor.of_scenario_fn ~total_blocks ~description (fun _ ->
-          invalid_arg "Pool: a seeded executor only runs on the pool")
   | Async a ->
       Afex.Executor.of_scenario_fn ~total_blocks:a.Afex.Executor.async_total_blocks
         ~description:a.Afex.Executor.async_description (fun _ ->
@@ -41,30 +28,29 @@ type t = {
 let create ?(remotes = []) ?(inflight = 1) ?request_timeout_ms ~jobs executor =
   if jobs < 0 then invalid_arg "Pool.create: jobs must be non-negative";
   if inflight < 1 then invalid_arg "Pool.create: inflight must be positive";
-  let async_mode =
-    inflight > 1 || remotes <> []
-    || (match executor with Async _ -> true | Pure _ | Seeded _ -> false)
+  let event_loop exec =
+    (* Event-loop concurrency is orthogonal to Domain parallelism; mixing
+       them would make the schedule depend on both, for no benefit — an
+       async target or a remote manager waits, it doesn't compute. *)
+    if jobs > 1 then
+      invalid_arg
+        "Pool.create: remotes, inflight > 1 and Async executors multiplex \
+         on a single domain; use jobs <= 1";
+    (* At least one request per manager in flight, as many as [inflight]
+       allows. *)
+    Runtime.event_loop
+      (Async_executor.create ~remotes ?request_timeout_ms
+         ~inflight:(max inflight (List.length remotes)) exec)
   in
   let runtime =
-    if async_mode then begin
-      (* Event-loop concurrency is orthogonal to Domain parallelism; mixing
-         them would make the schedule depend on both, for no benefit — an
-         async target or a remote manager waits, it doesn't compute. *)
-      if jobs > 1 then
-        invalid_arg
-          "Pool.create: remotes, inflight > 1 and Async executors multiplex \
-           on a single domain; use jobs <= 1";
-      (* At least one request per manager in flight, as many as
-         [inflight] allows. *)
-      Runtime.event_loop
-        (Async_executor.create ~remotes ?request_timeout_ms
-           ~inflight:(max inflight (List.length remotes))
-           ~total_blocks:(total_blocks executor) ())
-    end
-    else if jobs = 0 then
-      invalid_arg "Pool.create: need at least one worker (jobs or remotes)"
-    else if jobs = 1 then Runtime.inline ()
-    else Runtime.domains ~jobs ()
+    match executor with
+    | Pure e when inflight = 1 && remotes = [] ->
+        if jobs = 0 then
+          invalid_arg "Pool.create: need at least one worker (jobs or remotes)"
+        else if jobs = 1 then Runtime.inline e.Afex.Executor.run_scenario
+        else Runtime.domains ~jobs e.Afex.Executor.run_scenario
+    | Pure e -> event_loop (Afex.Executor.async_of_sync e)
+    | Async a -> event_loop a
   in
   { jobs; executor; runtime; shut = false }
 
@@ -172,20 +158,10 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
         | Ok e -> e
         | Error m -> failwith ("Pool.session: cannot resume: " ^ m))
   in
-  (* Seeded executors get one RNG stream per candidate, split off the
-     session master at submission time: stream identity depends only on
-     (seed, submission index), never on the worker that runs the task or
-     the order completions arrive. *)
-  let master =
-    match resume_snap with
-    | None -> Rng.create config.Afex.Config.seed
-    | Some snap -> Rng.of_state snap.Checkpoint.Snapshot.master_state
-  in
   let write_snapshot () =
     match checkpoint with
     | None -> ()
-    | Some cp ->
-        Checkpoint.write_snapshot cp ~master_state:(Rng.state master) explorer
+    | Some cp -> Checkpoint.write_snapshot cp explorer
   in
   (* A fresh checkpointed campaign writes its base snapshot before any
      work, so a crash before the first cadence snapshot still resumes
@@ -203,10 +179,6 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
     | None ->
         Coverage_sets.add coverage_sets coverage coverage;
         coverage
-  in
-  let memoize =
-    memoize
-    && (match t.executor with Pure _ | Async _ -> true | Seeded _ -> false)
   in
   let executed = ref 0 and cache_hits = ref 0 in
   let remote_runs0, remote_fallbacks0 = remote_counts t in
@@ -262,10 +234,19 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
        && (not (target_met ()))
        && not (time_exhausted ())
   in
-  let seeded_rng () =
-    match t.executor with
-    | Seeded _ -> Some (Rng.split master)
-    | Pure _ | Async _ -> None
+  (* A submission whose outcome is known already: a journal replay, a
+     memo hit or a duplicate of a point in flight. *)
+  let offer seq p ~memo ~journaled slot =
+    Hashtbl.replace metas seq
+      { m_proposal = p; m_memo = memo; m_journaled = journaled;
+        m_worker = false };
+    Runtime.Reorder.offer reorder ~seq slot
+  in
+  (* A submission that a runtime worker runs. *)
+  let execute seq p ~memo scenario =
+    Hashtbl.replace metas seq
+      { m_proposal = p; m_memo = memo; m_journaled = false; m_worker = true };
+    Runtime.submit t.runtime ~seq scenario
   in
   (* One submission: consume a journaled outcome if any is queued for
      replay, otherwise generate a fresh candidate and decide — in
@@ -297,7 +278,6 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
                    "Pool: journaled outcome %d is for point %s, but the \
                     explorer regenerated %s"
                    seq (Point.to_string journaled) (Point.to_string point));
-            ignore (seeded_rng ());
             let outcome =
               match
                 Message.outcome_of_report
@@ -307,10 +287,7 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
               | Error m ->
                   failwith ("Pool: journaled outcome does not decode: " ^ m)
             in
-            Hashtbl.replace metas abs
-              { m_proposal = p; m_memo = memoize; m_journaled = true;
-                m_worker = false };
-            Runtime.Reorder.offer reorder ~seq:abs (Ready (Ok outcome));
+            offer abs p ~memo:memoize ~journaled:true (Ready (Ok outcome));
             submitted := abs)
     | None -> (
         match Afex.Explorer.next explorer with
@@ -319,60 +296,19 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
             let abs = !submitted + 1 in
             let point = p.Afex.Mutator.point in
             let scenario = Afex.Explorer.scenario_for explorer p in
-            let rng = seeded_rng () in
-            let fresh ~memo ~wire run start =
-              Hashtbl.replace metas abs
-                { m_proposal = p; m_memo = memo; m_journaled = false;
-                  m_worker = true };
-              Runtime.submit t.runtime
-                { Runtime.seq = abs; scenario = wire; run; start }
-            in
-            (* A synchronous thunk as nonblocking work: [start] just runs
-               it to completion, so the event loop degenerates
-               gracefully. *)
-            let sync run =
-              (run, fun () -> Afex.Executor.job_done (run ()))
-            in
-            let immediate slot =
-              Hashtbl.replace metas abs
-                { m_proposal = p; m_memo = false; m_journaled = false;
-                  m_worker = false };
-              Runtime.Reorder.offer reorder ~seq:abs slot
-            in
-            let memoized wire run start =
-              if not memoize then fresh ~memo:false ~wire run start
-              else
-                match Point.Tbl.find_opt cache point with
-                | Some m ->
-                    incr cache_hits;
-                    immediate (Ready (Ok (outcome_of_memo m)))
-                | None ->
-                    if Point.Tbl.mem inflight point then begin
-                      incr cache_hits;
-                      immediate Dup
-                    end
-                    else begin
-                      Point.Tbl.replace inflight point ();
-                      fresh ~memo:true ~wire run start
-                    end
-            in
-            (match t.executor with
-            | Seeded { run; _ } ->
-                (* The RNG closure cannot cross the wire: never remoted,
-                   never memoized. *)
-                let rng = Option.get rng in
-                let thunk () = run rng scenario in
-                let run, start = sync thunk in
-                fresh ~memo:false ~wire:None run start
-            | Pure exec ->
-                let thunk () = exec.Afex.Executor.run_scenario scenario in
-                let run, start = sync thunk in
-                memoized (Some scenario) run start
-            | Async a ->
-                let start () = a.Afex.Executor.start scenario in
-                memoized (Some scenario)
-                  (fun () -> Afex.Executor.run_job_blocking (start ()))
-                  start);
+            (if not memoize then execute abs p ~memo:false scenario
+             else
+               match Point.Tbl.find_opt cache point with
+               | Some m ->
+                   incr cache_hits;
+                   offer abs p ~memo:false ~journaled:false
+                     (Ready (Ok (outcome_of_memo m)))
+               | None when Point.Tbl.mem inflight point ->
+                   incr cache_hits;
+                   offer abs p ~memo:false ~journaled:false Dup
+               | None ->
+                   Point.Tbl.replace inflight point ();
+                   execute abs p ~memo:true scenario);
             submitted := abs));
     gen_acc := !gen_acc +. (1000.0 *. (Unix.gettimeofday () -. t0))
   in

@@ -34,16 +34,6 @@ type executor =
   | Pure of Afex.Executor.t
       (** Deterministic executor: outcome is a function of the scenario
           alone. Eligible for memoization. *)
-  | Seeded of {
-      total_blocks : int;
-      description : string;
-      run : Afex_stats.Rng.t -> Afex_faultspace.Scenario.t -> Afex_injector.Outcome.t;
-    }
-      (** Stochastic executor (e.g. {!Afex_injector.Engine.nondeterminism}
-          models): each task receives its own RNG stream, split off the
-          session master at submission time in submission order, so runs
-          replay exactly for a fixed seed regardless of [jobs]. Never
-          memoized. *)
   | Async of Afex.Executor.async
       (** Latency-bound executor with a nonblocking start/poll split
           (e.g. a simulated slow target, or a wrapped fork/exec'd
@@ -67,10 +57,11 @@ val create :
   jobs:int ->
   executor ->
   t
-(** Without remotes, [inflight = 1] and a [Pure] or [Seeded]
-    executor, spawns [jobs] worker domains. The explorer pushes onto
-    one FIFO they share, and an idle worker takes the oldest task, so
-    one slow scenario never idles the rest of the fleet.
+(** Without remotes, [inflight = 1] and a [Pure] executor, spawns
+    [jobs] worker domains, each running the executor's [run_scenario].
+    The explorer pushes onto one FIFO they share, and an idle worker
+    takes the oldest task, so one slow scenario never idles the rest of
+    the fleet.
 
     Otherwise the pool runs single-domain event-loop mode
     ({!Async_executor}): [remotes <> []], [inflight > 1] or an [Async]
@@ -81,12 +72,12 @@ val create :
     pipelined connection on the loop, dialed lazily on first use; a
     manager that fails (dead, exhausted retries, byzantine replies, or
     holding a request past [request_timeout_ms]) has its tests re-run
-    locally on the loop — so remotes affect throughput, never the
-    explored-point history. [Seeded] tasks are never sent remotely
-    (their RNG stream cannot cross the wire). The explored-point history
-    is identical at every [inflight] value and every remote mix (and to
-    the Domain path at equal [batch_size]): results merge in submission
-    order regardless of completion order.
+    locally on the loop, a [Pure] executor through
+    {!Afex.Executor.async_of_sync} — so remotes affect throughput, never
+    the explored-point history. The explored-point history is identical
+    at every [inflight] value and every remote mix (and to the Domain
+    path at equal [batch_size]): results merge in submission order
+    regardless of completion order.
     @raise Invalid_argument if [jobs < 0], [jobs = 0] with no remotes,
     [inflight < 1], or event-loop mode is combined with [jobs > 1]. *)
 
@@ -96,7 +87,8 @@ val async_stats : t -> Async_executor.stats option
 (** Event-loop counters, when in event-loop mode. *)
 
 val remote_stats : t -> (string * Remote_manager.stats) list
-(** One [(name, stats)] per remote manager, in [create] order. *)
+(** One [(name, stats)] per remote manager, in [create] order. Read it
+    before {!shutdown}: a closed connection's dictionary reads 0. *)
 
 val shutdown : t -> unit
 (** Joins all worker domains / closes every remote connection.
@@ -146,8 +138,7 @@ val session :
     they too are [jobs]-independent. With [batch_size = 1] the schedule
     degenerates to exactly {!Afex.Session.run}'s candidate stream.
 
-    [memoize] (default [true]) enables the outcome cache for [Pure]
-    and [Async] executors; it is ignored for [Seeded] ones.
+    [memoize] (default [true]) enables the outcome cache.
 
     [sync_every] (default 512) spaces the schedule's quiescent sync
     watermarks: submissions never cross a multiple of [sync_every] until
@@ -165,10 +156,9 @@ val session :
     flight); a {!Checkpoint.resume} handle first restores the snapshot,
     then replays the journaled outcomes — applied without re-execution,
     flowing through the same sliding-window schedule — before generating
-    new work. Because the explorer and the per-candidate RNG streams are
-    deterministic, the resulting history (and every export derived from
-    it) is byte-for-byte the history the uninterrupted run would have
-    produced.
+    new work. Because the explorer is deterministic, the resulting
+    history (and every export derived from it) is byte-for-byte the
+    history the uninterrupted run would have produced.
     @raise Invalid_argument when combined with [stop] (a predicate
     cannot be captured in a snapshot); @raise Failure when the snapshot
     or journal contradicts the regenerated campaign. *)

@@ -1,4 +1,5 @@
 module Outcome = Afex_injector.Outcome
+module Scenario = Afex_faultspace.Scenario
 
 let src = Logs.Src.create "afex.runtime" ~doc:"Unified execution runtime"
 
@@ -43,22 +44,17 @@ end
 (* The runtime                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type task = {
-  seq : int;
-  scenario : Afex_faultspace.Scenario.t option;
-  run : unit -> Outcome.t;
-  start : unit -> Afex.Executor.job;
-}
-
 type completion = int * (Outcome.t, exn) result
 
-(* Shared state of the Domain backend. Tasks travel explorer -> [tasks]
-   -> worker over one FIFO; completions travel worker -> explorer over a
-   second. Each queue has its own mutex and condition: the explorer
-   pushes under [work_lock] and signals one sleeping worker, and a
-   worker waits only while [tasks] is empty and the backend is open. *)
+(* Shared state of the Domain backend. Tasks, each a sequence number
+   and a scenario, travel explorer -> [tasks] -> worker over one FIFO;
+   completions travel worker -> explorer over a second. Each queue has
+   its own mutex and condition: the explorer pushes under [work_lock]
+   and signals one sleeping worker, and a worker waits only while
+   [tasks] is empty and the backend is open. *)
 type queues = {
-  tasks : task Queue.t;
+  run : Scenario.t -> Outcome.t;
+  tasks : (int * Scenario.t) Queue.t;
   work_lock : Mutex.t;
   work_cond : Condition.t;
   mutable closed : bool;
@@ -68,7 +64,7 @@ type queues = {
 }
 
 type backend =
-  | Inline of completion Queue.t
+  | Inline of (Scenario.t -> Outcome.t) * completion Queue.t
   | Domains of queues * unit Domain.t array
   | Event_loop of Async_executor.t
 
@@ -86,7 +82,7 @@ let push_completion s c =
   Condition.signal s.done_cond;
   Mutex.unlock s.done_lock
 
-let run_local task = try Ok (task.run ()) with e -> Error e
+let run_local run scenario = try Ok (run scenario) with e -> Error e
 
 (* Take the oldest task, sleeping while there is none; after shutdown,
    keep taking until the queue is drained, then exit. *)
@@ -99,8 +95,8 @@ let worker s =
     let next = Queue.take_opt s.tasks in
     Mutex.unlock s.work_lock;
     match next with
-    | Some task ->
-        push_completion s (task.seq, run_local task);
+    | Some (seq, scenario) ->
+        push_completion s (seq, run_local s.run scenario);
         loop ()
     | None -> ()
   in
@@ -108,17 +104,18 @@ let worker s =
 
 (* ---- construction ------------------------------------------------- *)
 
-let inline () =
+let inline run =
   {
-    backend = Inline (Queue.create ());
+    backend = Inline (run, Queue.create ());
     live = 0;
     shut = false;
   }
 
-let domains ~jobs () =
+let domains ~jobs run =
   if jobs < 1 then invalid_arg "Runtime.domains: need at least one worker";
   let s =
     {
+      run;
       tasks = Queue.create ();
       work_lock = Mutex.create ();
       work_cond = Condition.create ();
@@ -147,24 +144,22 @@ let async t = match t.backend with Event_loop a -> Some a | Inline _ | Domains _
 
 (* ---- the submit/poll surface -------------------------------------- *)
 
-let submit t task =
+let submit t ~seq scenario =
   if t.shut then invalid_arg "Runtime.submit: the runtime was shut down";
   t.live <- t.live + 1;
   match t.backend with
-  | Inline q -> Queue.push (task.seq, run_local task) q
-  | Event_loop a ->
-      Async_executor.submit a ~tag:task.seq
-        { Async_executor.scenario = task.scenario; start = task.start }
+  | Inline (run, q) -> Queue.push (seq, run_local run scenario) q
+  | Event_loop a -> Async_executor.submit a ~tag:seq scenario
   | Domains (s, _) ->
       Mutex.lock s.work_lock;
-      Queue.push task s.tasks;
+      Queue.push (seq, scenario) s.tasks;
       Condition.signal s.work_cond;
       Mutex.unlock s.work_lock
 
 let poll t ~block =
   let completions =
     match t.backend with
-    | Inline q ->
+    | Inline (_, q) ->
         let out = List.of_seq (Queue.to_seq q) in
         Queue.clear q;
         out

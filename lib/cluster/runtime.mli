@@ -16,9 +16,11 @@
       caller), local worker Domains sharing one FIFO of tasks, and the
       single-domain async event loop (local jobs and every remote
       manager) — behind one interface, so {!Pool} drives them without
-      knowing which backend runs a task. Tests are independent and the
-      explorer is the only producer, so an idle worker simply takes the
-      oldest queued task: one slow scenario never idles the rest. *)
+      knowing which backend runs a task. A task is what the wire
+      carries, a sequence number and a scenario; each backend receives
+      the executor once, when it is created. Tests are independent and
+      the explorer is the only producer, so an idle worker simply takes
+      the oldest queued task: one slow scenario never idles the rest. *)
 
 (** A submission-indexed reorder buffer: out-of-order [offer]s, strictly
     in-order release. Single-consumer; pure bookkeeping (no locks), so
@@ -52,41 +54,30 @@ end
 
 (** {2 The runtime} *)
 
-type task = {
-  seq : int;  (** submission index; comes back with the completion *)
-  scenario : Afex_faultspace.Scenario.t option;
-      (** what the event loop ships to a remote manager; [None] pins the
-          task local (seeded executors, whose RNG closure cannot
-          travel) *)
-  run : unit -> Afex_injector.Outcome.t;
-      (** the synchronous form: Domain workers and the inline backend *)
-  start : unit -> Afex.Executor.job;
-      (** the nonblocking form the event loop multiplexes *)
-}
-
 type t
 
-val inline : unit -> t
-(** Tasks execute synchronously at {!submit} on the calling domain — the
-    [jobs = 1] degenerate case, and the determinism baseline every other
-    backend must reproduce. *)
+val inline : (Afex_faultspace.Scenario.t -> Afex_injector.Outcome.t) -> t
+(** [inline run]: each task runs through [run] synchronously at
+    {!submit} on the calling domain — the [jobs = 1] degenerate case,
+    and the determinism baseline every other backend must reproduce. *)
 
-val domains : jobs:int -> unit -> t
+val domains :
+  jobs:int -> (Afex_faultspace.Scenario.t -> Afex_injector.Outcome.t) -> t
 (** The Domain backend: [jobs] local worker domains taking tasks from
-    one FIFO, oldest first. Which worker runs a task shifts placement,
-    never the history.
+    one FIFO, oldest first, each running [run] on the task's scenario.
+    Which worker runs a task shifts placement, never the history.
     @raise Invalid_argument if [jobs < 1]. *)
 
 val event_loop : Async_executor.t -> t
-(** Wrap the single-domain async event loop: {!submit} enqueues on the
-    loop, {!poll} runs it. Remote managers live here, as pipelined
-    connections of the executor. The runtime owns the executor and
-    closes it on {!shutdown}. *)
+(** Wrap the single-domain async event loop, which holds its own
+    executor: {!submit} enqueues on the loop, {!poll} runs it. Remote
+    managers live here, as pipelined connections of the executor. The
+    runtime owns the executor and closes it on {!shutdown}. *)
 
-val submit : t -> task -> unit
-(** Hand one task to the backend. Never blocks on execution (the inline
-    backend runs the task, by definition). Sequence numbers are the
-    caller's; they come back verbatim in completions. *)
+val submit : t -> seq:int -> Afex_faultspace.Scenario.t -> unit
+(** Hand one task, a scenario under the caller's sequence number, to the
+    backend. Never blocks on execution (the inline backend runs the
+    task, by definition). [seq] comes back verbatim in the completion. *)
 
 val poll : t -> block:bool -> (int * (Afex_injector.Outcome.t, exn) result) list
 (** Completions since the last poll, in completion order (not submission

@@ -45,8 +45,6 @@ let of_fn ~total_blocks ~description run =
 let of_scenario_fn ~total_blocks ~description run_scenario =
   { run_scenario; total_blocks; description }
 
-let run_fault t fault = t.run_scenario (Fault.to_scenario fault)
-
 (* ------------------------------------------------------------------ *)
 (* Nonblocking execution                                               *)
 (* ------------------------------------------------------------------ *)

@@ -39,9 +39,6 @@ val of_scenario_fn :
   (Afex_faultspace.Scenario.t -> Afex_injector.Outcome.t) ->
   t
 
-val run_fault : t -> Afex_injector.Fault.t -> Afex_injector.Outcome.t
-(** Convenience: encode the fault as a scenario and run it. *)
-
 (** {2 Nonblocking execution}
 
     For latency-bound targets (a real system under test, a remote

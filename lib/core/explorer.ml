@@ -2,7 +2,6 @@ module Rng = Afex_stats.Rng
 module Bitset = Afex_stats.Bitset
 module Subspace = Afex_faultspace.Subspace
 module Point = Afex_faultspace.Point
-module Plugin = Afex_injector.Plugin
 module Outcome = Afex_injector.Outcome
 module Sensor = Afex_injector.Sensor
 module Relevance = Afex_quality.Relevance
@@ -198,9 +197,6 @@ let next t =
 let scenario_for t (proposal : Mutator.proposal) =
   Subspace.values t.sub (t.transform proposal.Mutator.point)
 
-let fault_for t (proposal : Mutator.proposal) =
-  Plugin.fault_of_point_exn t.sub (t.transform proposal.Mutator.point)
-
 let report t (proposal : Mutator.proposal) outcome =
   let point = proposal.Mutator.point in
   remove_pending t point;
@@ -312,7 +308,6 @@ let execute t proposal =
   report t proposal (t.executor.Executor.run_scenario (scenario_for t proposal))
 
 let iterations t = t.iterations
-let pending_count t = Point.Tbl.length t.pending
 let records t = List.rev t.records
 let failed_count t = t.failed
 let crashed_count t = t.crashed

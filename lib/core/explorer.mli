@@ -26,11 +26,6 @@ val scenario_for : t -> Mutator.proposal -> Afex_faultspace.Scenario.t
 (** The concrete fault scenario for a proposal (transform applied). This
     is exactly what travels to a node manager on the wire. *)
 
-val fault_for : t -> Mutator.proposal -> Afex_injector.Fault.t
-(** The proposal decoded as a single fault — only valid on standard
-    3-axis (plus optional errno/retval) spaces.
-    @raise Invalid_argument on compound spaces. *)
-
 val report : t -> Mutator.proposal -> Afex_injector.Outcome.t -> Test_case.t
 (** Feed back the outcome of a candidate returned by {!next}: scores
     impact and fitness (relevance- and feedback-weighted), updates
@@ -44,10 +39,6 @@ val execute : t -> Mutator.proposal -> Test_case.t
 
 val iterations : t -> int
 (** Number of reported (executed) tests. *)
-
-val pending_count : t -> int
-(** Candidates handed out by {!next} and not yet {!report}ed — the
-    explorer's in-flight window when the cluster layer pipelines it. *)
 
 val records : t -> Test_case.t list
 (** Chronological. *)

@@ -587,17 +587,11 @@ let test_straggler_deadline_is_oldest_request () =
   let ae =
     AE.create
       ~remotes:[ single_shot_spec "withholder" client_end ]
-      ~request_timeout_ms:timeout_ms ~inflight:3 ~total_blocks ()
+      ~request_timeout_ms:timeout_ms ~inflight:3
+      (Afex.Executor.async_of_sync exec)
   in
   let started = Afex.Executor.monotonic_ms () in
-  Array.iteri
-    (fun tag scenario ->
-      AE.submit ae ~tag
-        {
-          AE.scenario = Some scenario;
-          start = (fun () -> Afex.Executor.job_done (exec.Afex.Executor.run_scenario scenario));
-        })
-    scenarios;
+  Array.iteri (fun tag scenario -> AE.submit ae ~tag scenario) scenarios;
   let results = Array.make 3 None in
   let finished = Array.make 3 0.0 in
   while Array.exists Option.is_none results do
@@ -660,11 +654,11 @@ let test_pipelined_credit () =
   RM.Pipelined.close unbounded;
   RM.Loopback.shutdown lb
 
-(* Submit every task under its index and poll until all have come back;
-   results are indexed by submission position. *)
-let run_all ae tasks =
-  Array.iteri (fun tag task -> AE.submit ae ~tag task) tasks;
-  let results = Array.make (Array.length tasks) None in
+(* Submit every scenario under its index and poll until all have come
+   back; results are indexed by submission position. *)
+let run_all ae scenarios =
+  Array.iteri (fun tag scenario -> AE.submit ae ~tag scenario) scenarios;
+  let results = Array.make (Array.length scenarios) None in
   while Array.exists Option.is_none results do
     List.iter (fun (tag, r) -> results.(tag) <- Some r) (AE.poll ae ~block:true)
   done;
@@ -677,19 +671,8 @@ let test_async_zero_delay_jobs () =
   let exec = executor () in
   let instant = Afex.Executor.delayed ~delay_ms:(fun _ -> 0.0) exec in
   let scenarios = Array.of_list (sample_scenarios 6) in
-  let ae =
-    AE.create ~inflight:3 ~total_blocks:exec.Afex.Executor.total_blocks ()
-  in
-  let tasks =
-    Array.map
-      (fun scenario ->
-        {
-          AE.scenario = Some scenario;
-          start = (fun () -> instant.Afex.Executor.start scenario);
-        })
-      scenarios
-  in
-  let results = run_all ae tasks in
+  let ae = AE.create ~inflight:3 instant in
+  let results = run_all ae scenarios in
   Array.iteri
     (fun i result ->
       match result with
@@ -711,42 +694,47 @@ let test_fd_backed_jobs_overlap () =
   let exec = executor () in
   let scenarios = Array.of_list (sample_scenarios 4) in
   let writers = ref [] in
-  let make_task i scenario =
-    let delay_s = 0.02 +. (0.01 *. float_of_int i) in
+  (* The i-th scenario's job completes 20 + 10 i ms after it starts. *)
+  let start scenario =
+    let i = ref 0 in
+    Array.iteri (fun j s -> if s == scenario then i := j) scenarios;
+    let delay_s = 0.02 +. (0.01 *. float_of_int !i) in
+    let r, w = Unix.pipe () in
+    writers :=
+      Domain.spawn (fun () ->
+          Unix.sleepf delay_s;
+          ignore (Unix.write w (Bytes.of_string "x") 0 1);
+          Unix.close w)
+      :: !writers;
+    let outcome = ref None in
     {
-      AE.scenario = None;
-      start =
+      Afex.Executor.poll =
         (fun () ->
-          let r, w = Unix.pipe () in
-          writers :=
-            Domain.spawn (fun () ->
-                Unix.sleepf delay_s;
-                ignore (Unix.write w (Bytes.of_string "x") 0 1);
-                Unix.close w)
-            :: !writers;
-          let outcome = ref None in
-          {
-            Afex.Executor.poll =
-              (fun () ->
-                match !outcome with
-                | Some o -> Some o
-                | None -> (
-                    match Unix.select [ r ] [] [] 0.0 with
-                    | [], _, _ -> None
-                    | _ ->
-                        ignore (Unix.read r (Bytes.create 1) 0 1);
-                        Unix.close r;
-                        let o = exec.Afex.Executor.run_scenario scenario in
-                        outcome := Some o;
-                        Some o));
-            wait_fd = Some r;
-            ready_at_ms = (fun () -> None);
-          });
+          match !outcome with
+          | Some o -> Some o
+          | None -> (
+              match Unix.select [ r ] [] [] 0.0 with
+              | [], _, _ -> None
+              | _ ->
+                  ignore (Unix.read r (Bytes.create 1) 0 1);
+                  Unix.close r;
+                  let o = exec.Afex.Executor.run_scenario scenario in
+                  outcome := Some o;
+                  Some o));
+      wait_fd = Some r;
+      ready_at_ms = (fun () -> None);
     }
   in
-  let ae = AE.create ~inflight:4 ~total_blocks:exec.Afex.Executor.total_blocks () in
+  let ae =
+    AE.create ~inflight:4
+      {
+        Afex.Executor.start;
+        async_total_blocks = exec.Afex.Executor.total_blocks;
+        async_description = "fd-backed";
+      }
+  in
   let started = Unix.gettimeofday () in
-  let results = run_all ae (Array.mapi make_task scenarios) in
+  let results = run_all ae scenarios in
   let wall_s = Unix.gettimeofday () -. started in
   List.iter Domain.join !writers;
   Array.iteri

@@ -117,7 +117,6 @@ let arb_snapshot =
       let logged = Rng.int rng (Explorer.iterations ex + 1) in
       {
         Checkpoint.Snapshot.meta;
-        master_state = Rng.state (Rng.create (Rng.int rng 10_000));
         mark =
           { Checkpoint.Snapshot.logged; log_bytes = Rng.int rng 1_000_000 };
         explorer = Explorer.capture ~since:logged ex;
@@ -236,7 +235,6 @@ let test_restore_rejects_foreign_points () =
         Checkpoint.Snapshot.encode
           {
             Checkpoint.Snapshot.meta;
-            master_state = 0L;
             mark = { Checkpoint.Snapshot.logged = 0; log_bytes = 0 };
             explorer = { snap with Explorer.Snapshot.records };
           }
@@ -259,7 +257,7 @@ let test_start_refuses_existing () =
       (match Checkpoint.start ~dir meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
-          Checkpoint.write_snapshot cp ~master_state:1L
+          Checkpoint.write_snapshot cp
             (Explorer.create (Config.fitness_guided ~seed:1 ()) (space ())
                (executor ()));
           Checkpoint.close cp);
@@ -278,7 +276,7 @@ let test_meta_mismatch_rejected () =
       (match Checkpoint.start ~dir meta with
       | Error e -> Alcotest.fail e
       | Ok cp ->
-          Checkpoint.write_snapshot cp ~master_state:1L
+          Checkpoint.write_snapshot cp
             (Explorer.create (Config.fitness_guided ~seed:1 ()) (space ())
                (executor ()));
           Checkpoint.close cp);
@@ -286,12 +284,13 @@ let test_meta_mismatch_rejected () =
       | Ok _ -> Alcotest.fail "resume under a different seed must be refused"
       | Error e -> checkb "names the mismatched key" true (contains e "seed"))
 
-(* A version-5 checkpoint as the text-format release wrote it, and a
-   version-6 one, whose records carry their faults as scenario text
-   (each made by [explore -t apache -n 40 --seed 7 --checkpoint]): the
-   decoder and resume must both refuse them by their header. *)
+(* A version-5 checkpoint as the text-format release wrote it, a
+   version-6 one, whose records carry their faults as scenario text, and
+   a version-7 one, whose snapshot carries the pool's master RNG (each
+   made by [explore -t apache -n 40 --seed 7 --checkpoint]): the decoder
+   and resume must all refuse them by their header. *)
 let test_version_5_refused () =
-  let expected = "afex-checkpoint 7" in
+  let expected = "afex-checkpoint 8" in
   List.iter
     (fun version ->
       let golden = Filename.concat "golden" ("checkpoint_v" ^ version) in
@@ -314,7 +313,7 @@ let test_version_5_refused () =
           | Error e ->
               checkb "resume names the expected header" true
                 (contains e expected)))
-    [ "5"; "6" ]
+    [ "5"; "6"; "7" ]
 
 (* ---- crash-point sweep over a real pooled campaign ------------------- *)
 

@@ -319,34 +319,6 @@ let test_shutdown_idempotent () =
   Pool.shutdown pool;
   checki "jobs recorded" 3 (Pool.jobs pool)
 
-(* --- seeded (stochastic) executors --- *)
-
-let seeded_executor () =
-  let target = Apache.target () in
-  Pool.Seeded
-    {
-      total_blocks = Afex_simtarget.Target.total_blocks target;
-      description = "apache (nondet)";
-      run =
-        (fun rng scenario ->
-          let e =
-            Afex.Executor.of_target ~nondet:{ Afex_injector.Engine.rng; dodge_probability = 0.3 }
-              target
-          in
-          e.Afex.Executor.run_scenario scenario);
-    }
-
-let test_seeded_replayable_across_jobs () =
-  let run jobs =
-    fst
-      (Pool.run ~jobs ~iterations:300
-         (Config.fitness_guided ~seed:31 ())
-         (Apache.space ()) (seeded_executor ()))
-  in
-  let a = run 1 and b = run 4 in
-  checkb "per-task RNG streams make nondet runs replayable" true
-    (history a = history b)
-
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -365,5 +337,4 @@ let suite =
       ("stop target respected", test_stop_target_respected);
       ("rejects bad arguments", test_rejects_bad_arguments);
       ("shutdown idempotent", test_shutdown_idempotent);
-      ("seeded executor replayable", test_seeded_replayable_across_jobs);
     ]

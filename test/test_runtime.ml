@@ -142,31 +142,34 @@ let test_reorder_custom_base () =
 
 (* --- the Domain backend ------------------------------------------------ *)
 
-(* A task that counts its own runs, so a lost or doubled task shows. *)
-let counting_task runs seq =
-  let outcome () =
-    {
-      Outcome.fault = Fault.make ~test_id:seq ~func:"read" ~call_number:1 ();
-      status = Outcome.Passed;
-      triggered = false;
-      coverage = Afex_stats.Bitset.create 1;
-      injection_stack = None;
-      crash_stack = None;
-      duration_ms = 0.0;
-    }
+(* Each task's scenario names its own seq, and one run function counts
+   the runs of every seq, so a lost or doubled task shows. *)
+let task_scenario seq = [ ("testId", Afex_faultspace.Value.Int seq) ]
+
+let counting_run ?(before = ignore) runs scenario =
+  let seq =
+    match scenario with
+    | [ ("testId", Afex_faultspace.Value.Int seq) ] -> seq
+    | _ -> Alcotest.fail "a task arrived with another scenario"
   in
-  let run () =
-    Atomic.incr runs.(seq);
-    outcome ()
-  in
-  { Runtime.seq; scenario = None; run; start = (fun () -> Afex.Executor.job_done (run ())) }
+  before ();
+  Atomic.incr runs.(seq);
+  {
+    Outcome.fault = Fault.make ~test_id:seq ~func:"read" ~call_number:1 ();
+    status = Outcome.Passed;
+    triggered = false;
+    coverage = Afex_stats.Bitset.create 1;
+    injection_stack = None;
+    crash_stack = None;
+    duration_ms = 0.0;
+  }
 
 let test_domains_run_each_task_once () =
   let n = 2000 in
   let runs = Array.init n (fun _ -> Atomic.make 0) in
-  let rt = Runtime.domains ~jobs:4 () in
+  let rt = Runtime.domains ~jobs:4 (counting_run runs) in
   for seq = 0 to n - 1 do
-    Runtime.submit rt (counting_task runs seq)
+    Runtime.submit rt ~seq (task_scenario seq)
   done;
   let completed = Array.make n 0 in
   while Runtime.outstanding rt > 0 do
@@ -194,19 +197,14 @@ let test_domains_shutdown_drains_queue () =
   let n = 200 in
   let runs = Array.init n (fun _ -> Atomic.make 0) in
   let gate = Atomic.make false in
-  let rt = Runtime.domains ~jobs:2 () in
+  let wait_for_gate () =
+    while not (Atomic.get gate) do
+      Domain.cpu_relax ()
+    done
+  in
+  let rt = Runtime.domains ~jobs:2 (counting_run ~before:wait_for_gate runs) in
   for seq = 0 to n - 1 do
-    let task = counting_task runs seq in
-    Runtime.submit rt
-      {
-        task with
-        Runtime.run =
-          (fun () ->
-            while not (Atomic.get gate) do
-              Domain.cpu_relax ()
-            done;
-            task.Runtime.run ());
-      }
+    Runtime.submit rt ~seq (task_scenario seq)
   done;
   let opener =
     Domain.spawn (fun () ->
@@ -218,7 +216,7 @@ let test_domains_shutdown_drains_queue () =
   checkb "every queued task ran exactly once" true
     (Array.for_all (fun r -> Atomic.get r = 1) runs);
   checkb "submit after shutdown is refused" true
-    (match Runtime.submit rt (counting_task runs 0) with
+    (match Runtime.submit rt ~seq:0 (task_scenario 0) with
     | () -> false
     | exception Invalid_argument _ -> true)
 
