@@ -20,8 +20,8 @@
     The loop is driven incrementally: {!submit} enqueues a tagged
     scenario (dispatched eagerly, up to [inflight] concurrent), {!poll} runs the
     loop and returns whatever completed, in completion order. The
-    {!Runtime} wraps this pair as its event-loop backend and restores
-    submission order in its reorder buffer. *)
+    {!Runtime} wraps this pair as its event-loop backend, and {!Pool}'s
+    window restores submission order. *)
 
 type t
 

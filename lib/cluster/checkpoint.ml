@@ -324,8 +324,8 @@ let unframe decode s pos =
    One framed record per released outcome: the candidate's point, as
    the record codec writes it, then the outcome as one wire reply
    ({!Message.V2.encode_reply}), encoded with fresh codec state so that
-   each record decodes on its own. Outcomes are journaled at
-   reorder-buffer release, so a well-formed journal is strictly
+   each record decodes on its own. Outcomes are journaled at their
+   release from the window, so a well-formed journal is strictly
    seq-ascending. *)
 
 let read_outcome payload =

@@ -16,7 +16,7 @@
       in one write, so a snapshot costs what happened since the last
       one, not the whole history.
     - [snapshot.afex] — the rest of the explorer state at a
-      quiescent reorder-buffer watermark (released = submitted): the
+      quiescent sync watermark of the window (released = submitted): the
       records above the frontier, plus a {e mark} naming how many
       records and bytes of [records.log] it vouches for. Written
       atomically (temp file + [rename]): an [afex-checkpoint 8] header

@@ -22,7 +22,6 @@ type t = {
   jobs : int;
   executor : executor;
   runtime : Runtime.t;
-  mutable shut : bool;
 }
 
 let create ?(remotes = []) ?(inflight = 1) ?request_timeout_ms ~jobs executor =
@@ -52,7 +51,7 @@ let create ?(remotes = []) ?(inflight = 1) ?request_timeout_ms ~jobs executor =
     | Pure e -> event_loop (Afex.Executor.async_of_sync e)
     | Async a -> event_loop a
   in
-  { jobs; executor; runtime; shut = false }
+  { jobs; executor; runtime }
 
 let jobs t = t.jobs
 
@@ -70,11 +69,7 @@ let remote_counts t =
   | Some s -> (s.Async_executor.remote_runs, s.Async_executor.remote_fallbacks)
   | None -> (0, 0)
 
-let shutdown t =
-  if not t.shut then begin
-    t.shut <- true;
-    Runtime.shutdown t.runtime
-  end
+let shutdown t = Runtime.shutdown t.runtime
 
 (* ------------------------------------------------------------------ *)
 (* The session loop                                                    *)
@@ -91,14 +86,16 @@ type stats = {
   wall_ms : float;
 }
 
-(* What the memo cache keeps of an executed point: the record
-   [Explorer.report] returned for its first run, which the explorer
-   keeps anyway, and its coverage, one copy per distinct set of the
-   session. The record holds every other field of the outcome. *)
-type memo = { case : Test_case.t; coverage : Bitset.t }
+(* What the memo cache keeps of a point: [Running] while its fresh run
+   is in flight, so a later identical candidate waits on it as a [Dup]
+   instead of occupying a worker; then the record [Explorer.report]
+   returned for that run, which the explorer keeps anyway, and its
+   coverage, one copy per distinct set of the session. The record holds
+   every other field of the outcome. *)
+type memo = Running | Ran of { case : Test_case.t; coverage : Bitset.t }
 
 (* The first run's outcome, field for field. *)
-let outcome_of_memo { case = c; coverage } =
+let outcome_of_memo (c : Test_case.t) coverage =
   {
     Outcome.fault = c.Test_case.fault;
     status = c.Test_case.status;
@@ -116,20 +113,21 @@ module Coverage_sets = Hashtbl.Make (struct
   let hash = Bitset.hash
 end)
 
-(* What the reorder buffer holds for one submission: the outcome itself
-   when it is known (worker completion, memo-cache hit, journal replay),
-   or a deferred duplicate that resolves against its point's cache entry
-   at release time — its original is an earlier submission, so it has
-   released (and populated the cache) by then. *)
-type slot = Ready of (Outcome.t, exn) result | Dup
+(* How a submission is satisfied: run by the runtime, replayed from the
+   journal (not re-journaled), or served by the memo cache (a hit, or a
+   duplicate of a point in flight). *)
+type source = Fresh | Replayed | Cached
 
-(* Per-submission bookkeeping the release path needs, keyed by sequence
-   number and dropped at release. *)
-type meta = {
-  m_proposal : Afex.Mutator.proposal;
-  m_memo : bool;  (* memoizing, and the outcome is not a cache hit *)
-  m_journaled : bool;  (* replayed from the WAL: don't re-journal *)
-  m_worker : bool;  (* occupies a runtime worker until it completes *)
+(* Where a submission's outcome stands. A [Dup] resolves against its
+   point's cache entry at release: its original is an earlier
+   submission, so it has released (and filled the entry) by then. *)
+type slot = Waiting | Done of (Outcome.t, exn) result | Dup
+
+(* One submission in the window, from submission to release. *)
+type entry = {
+  proposal : Afex.Mutator.proposal;
+  source : source;
+  mutable slot : slot;
 }
 
 let session ?transform ?stop ?time_budget_ms ?checkpoint
@@ -204,14 +202,10 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
   let base = Afex.Explorer.iterations explorer in
   let submitted = ref base and released = ref base in
   let exhausted = ref false in
-  let reorder : slot Runtime.Reorder.t =
-    Runtime.Reorder.create ~next:(base + 1) ()
-  in
-  let metas : (int, meta) Hashtbl.t = Hashtbl.create 64 in
-  (* Points with a fresh execution submitted but not yet released: a
-     later identical candidate piggybacks on it as a [Dup] instead of
-     occupying a worker. *)
-  let inflight : unit Point.Tbl.t = Point.Tbl.create 16 in
+  (* The window: every submission not yet released, by sequence
+     number. A queued task's entry is filled in place when its
+     completion arrives. *)
+  let window : (int, entry) Hashtbl.t = Hashtbl.create 64 in
   (* Sync watermarks: every [sync_every] releases, the schedule refuses
      to submit past the boundary until everything before it has
      released, so the window drains to quiescence. The drain is part of
@@ -234,19 +228,8 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
        && (not (target_met ()))
        && not (time_exhausted ())
   in
-  (* A submission whose outcome is known already: a journal replay, a
-     memo hit or a duplicate of a point in flight. *)
-  let offer seq p ~memo ~journaled slot =
-    Hashtbl.replace metas seq
-      { m_proposal = p; m_memo = memo; m_journaled = journaled;
-        m_worker = false };
-    Runtime.Reorder.offer reorder ~seq slot
-  in
-  (* A submission that a runtime worker runs. *)
-  let execute seq p ~memo scenario =
-    Hashtbl.replace metas seq
-      { m_proposal = p; m_memo = memo; m_journaled = false; m_worker = true };
-    Runtime.submit t.runtime ~seq scenario
+  let add seq proposal source slot =
+    Hashtbl.add window seq { proposal; source; slot }
   in
   (* One submission: consume a journaled outcome if any is queued for
      replay, otherwise generate a fresh candidate and decide — in
@@ -287,7 +270,7 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
               | Error m ->
                   failwith ("Pool: journaled outcome does not decode: " ^ m)
             in
-            offer abs p ~memo:memoize ~journaled:true (Ready (Ok outcome));
+            add abs p Replayed (Done (Ok outcome));
             submitted := abs)
     | None -> (
         match Afex.Explorer.next explorer with
@@ -296,77 +279,83 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
             let abs = !submitted + 1 in
             let point = p.Afex.Mutator.point in
             let scenario = Afex.Explorer.scenario_for explorer p in
-            (if not memoize then execute abs p ~memo:false scenario
-             else
-               match Point.Tbl.find_opt cache point with
-               | Some m ->
-                   incr cache_hits;
-                   offer abs p ~memo:false ~journaled:false
-                     (Ready (Ok (outcome_of_memo m)))
-               | None when Point.Tbl.mem inflight point ->
-                   incr cache_hits;
-                   offer abs p ~memo:false ~journaled:false Dup
-               | None ->
-                   Point.Tbl.replace inflight point ();
-                   execute abs p ~memo:true scenario);
+            let memo = if memoize then Point.Tbl.find_opt cache point else None in
+            (match memo with
+            | Some (Ran { case; coverage }) ->
+                incr cache_hits;
+                add abs p Cached (Done (Ok (outcome_of_memo case coverage)))
+            | Some Running ->
+                incr cache_hits;
+                add abs p Cached Dup
+            | None ->
+                if memoize then Point.Tbl.add cache point Running;
+                (* The runtime runs it on the spot, or answers through
+                   [Runtime.poll]. *)
+                add abs p Fresh
+                  (match Runtime.submit t.runtime ~seq:abs scenario with
+                  | Some result -> Done result
+                  | None -> Waiting));
             submitted := abs));
     gen_acc := !gen_acc +. (1000.0 *. (Unix.gettimeofday () -. t0))
   in
   (* Release exactly the next submission, blocking on the runtime while
-     the head of line is outstanding (completions for later submissions
-     are absorbed into the reorder buffer as they arrive). *)
+     it is outstanding (completions for later submissions fill their
+     entries as they arrive). A completion must match a waiting entry. *)
   let absorb completions =
     List.iter
-      (fun (seq, result) -> Runtime.Reorder.offer reorder ~seq (Ready result))
+      (fun (seq, result) ->
+        match Hashtbl.find_opt window seq with
+        | Some ({ slot = Waiting; _ } as e) -> e.slot <- Done result
+        | Some { slot = Done _ | Dup; _ } | None ->
+            invalid_arg
+              (Printf.sprintf "Pool: completion %d matches no waiting submission"
+                 seq))
       completions
   in
+  let waiting e = match e.slot with Waiting -> true | Done _ | Dup -> false in
   let release_one () =
-    let seq = Runtime.Reorder.watermark reorder in
-    (match Runtime.Reorder.peek reorder with
-    | Some _ -> ()
-    | None ->
-        absorb (Runtime.poll t.runtime ~block:false);
-        if Runtime.Reorder.peek reorder = None then begin
-          let t0 = Unix.gettimeofday () in
-          while Runtime.Reorder.peek reorder = None do
-            if Runtime.outstanding t.runtime = 0 then
-              failwith "Pool: a submitted task produced no completion";
-            absorb (Runtime.poll t.runtime ~block:true)
-          done;
-          stall_acc := !stall_acc +. (1000.0 *. (Unix.gettimeofday () -. t0))
-        end);
-    let slot =
-      match Runtime.Reorder.pop reorder with Some s -> s | None -> assert false
-    in
+    let seq = !released + 1 in
+    let e = Hashtbl.find window seq in
+    if waiting e then begin
+      absorb (Runtime.poll t.runtime ~block:false);
+      if waiting e then begin
+        let t0 = Unix.gettimeofday () in
+        while waiting e do
+          if Runtime.outstanding t.runtime = 0 then
+            failwith "Pool: a submitted task produced no completion";
+          absorb (Runtime.poll t.runtime ~block:true)
+        done;
+        stall_acc := !stall_acc +. (1000.0 *. (Unix.gettimeofday () -. t0))
+      end
+    end;
+    Hashtbl.remove window seq;
     let t0 = Unix.gettimeofday () in
-    let m = Hashtbl.find metas seq in
-    Hashtbl.remove metas seq;
-    let point = m.m_proposal.Afex.Mutator.point in
+    let point = e.proposal.Afex.Mutator.point in
     let outcome =
-      match slot with
-      | Ready (Ok o) -> o
-      | Ready (Error e) -> raise e
+      match e.slot with
+      | Done (Ok o) -> o
+      | Done (Error exn) -> raise exn
       | Dup -> (
           match Point.Tbl.find_opt cache point with
-          | Some memo -> outcome_of_memo memo
-          | None -> raise (Invalid_argument "Pool: duplicate of a failed scenario"))
+          | Some (Ran { case; coverage }) -> outcome_of_memo case coverage
+          | Some Running | None ->
+              raise (Invalid_argument "Pool: duplicate of a failed scenario"))
+      | Waiting -> assert false
     in
-    if m.m_worker then begin
-      incr executed;
-      if m.m_memo then Point.Tbl.remove inflight point
-    end;
+    (match e.source with Fresh -> incr executed | Replayed | Cached -> ());
     (* Journal the outcome before the explorer absorbs it: a crash
        between the two re-applies it from the journal on resume, which
        is idempotent — the reverse order would lose it. Replayed
        outcomes are not re-appended. *)
-    (match checkpoint with
-    | Some cp when not m.m_journaled ->
-        Checkpoint.append_outcome cp ~point ~seq outcome
-    | Some _ | None -> ());
-    let case = Afex.Explorer.report explorer m.m_proposal outcome in
-    if m.m_memo then
-      Point.Tbl.replace cache point
-        { case; coverage = share outcome.Outcome.coverage };
+    (match (checkpoint, e.source) with
+    | Some cp, (Fresh | Cached) -> Checkpoint.append_outcome cp ~point ~seq outcome
+    | Some _, Replayed | None, _ -> ());
+    let case = Afex.Explorer.report explorer e.proposal outcome in
+    (match e.source with
+    | (Fresh | Replayed) when memoize ->
+        Point.Tbl.replace cache point
+          (Ran { case; coverage = share outcome.Outcome.coverage })
+    | Fresh | Replayed | Cached -> ());
     (match stop with
     | Some s when s.Afex.Session.matches case ->
         Point.Tbl.replace matched case.Afex.Test_case.point ();

@@ -6,8 +6,9 @@
 
     The explorer thread keeps a sliding window of up to [batch_size]
     candidates in flight: it submits to the runtime while the window has
-    room and otherwise merges the oldest outstanding outcome, released
-    by the runtime's reorder buffer strictly in submission order. There
+    room and otherwise merges the oldest outstanding outcome. The window
+    is one table from sequence number to submission, filled in place as
+    outcomes arrive and released strictly in submission order. There
     is no batch barrier — generation overlaps execution, and one slow
     test delays only its own release, not a whole batch. Because
     generation and merging both happen sequentially on the explorer

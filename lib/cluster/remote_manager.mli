@@ -14,9 +14,9 @@
     dead or byzantine manager can slow a campaign down but never corrupt
     it. The dial and the handshake are the only blocking calls: each
     waits at most the connect or greeting timeout, on the caller's
-    thread. Completions re-enter the explorer through the
-    runtime's reorder buffer, so remote health affects throughput, never
-    the explored history. *)
+    thread. Completions re-enter the explorer through {!Pool}'s
+    window, in submission order, so remote health affects throughput,
+    never the explored history. *)
 
 type error =
   | Transport of Transport.error

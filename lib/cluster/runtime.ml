@@ -6,41 +6,6 @@ let src = Logs.Src.create "afex.runtime" ~doc:"Unified execution runtime"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 (* ------------------------------------------------------------------ *)
-(* Reorder buffer                                                      *)
-(* ------------------------------------------------------------------ *)
-
-module Reorder = struct
-  type 'a t = { mutable next : int; buf : (int, 'a) Hashtbl.t }
-
-  let create ?(next = 0) () = { next; buf = Hashtbl.create 64 }
-
-  let offer t ~seq v =
-    if seq < t.next then
-      invalid_arg
-        (Printf.sprintf
-           "Runtime.Reorder.offer: sequence %d was already released (watermark \
-            %d)"
-           seq t.next);
-    if Hashtbl.mem t.buf seq then
-      invalid_arg
-        (Printf.sprintf "Runtime.Reorder.offer: duplicate sequence %d" seq);
-    Hashtbl.replace t.buf seq v
-
-  let peek t = Hashtbl.find_opt t.buf t.next
-
-  let pop t =
-    match Hashtbl.find_opt t.buf t.next with
-    | None -> None
-    | Some v ->
-        Hashtbl.remove t.buf t.next;
-        t.next <- t.next + 1;
-        Some v
-
-  let watermark t = t.next
-  let buffered t = Hashtbl.length t.buf
-end
-
-(* ------------------------------------------------------------------ *)
 (* The runtime                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -64,13 +29,13 @@ type queues = {
 }
 
 type backend =
-  | Inline of (Scenario.t -> Outcome.t) * completion Queue.t
+  | Inline of (Scenario.t -> Outcome.t)
   | Domains of queues * unit Domain.t array
   | Event_loop of Async_executor.t
 
 type t = {
   backend : backend;
-  mutable live : int;  (* submitted, completion not yet polled *)
+  mutable live : int;  (* queued on a backend, completion not yet polled *)
   mutable shut : bool;
 }
 
@@ -106,7 +71,7 @@ let worker s =
 
 let inline run =
   {
-    backend = Inline (run, Queue.create ());
+    backend = Inline run;
     live = 0;
     shut = false;
   }
@@ -146,23 +111,24 @@ let async t = match t.backend with Event_loop a -> Some a | Inline _ | Domains _
 
 let submit t ~seq scenario =
   if t.shut then invalid_arg "Runtime.submit: the runtime was shut down";
-  t.live <- t.live + 1;
   match t.backend with
-  | Inline (run, q) -> Queue.push (seq, run_local run scenario) q
-  | Event_loop a -> Async_executor.submit a ~tag:seq scenario
+  | Inline run -> Some (run_local run scenario)
+  | Event_loop a ->
+      t.live <- t.live + 1;
+      Async_executor.submit a ~tag:seq scenario;
+      None
   | Domains (s, _) ->
+      t.live <- t.live + 1;
       Mutex.lock s.work_lock;
       Queue.push (seq, scenario) s.tasks;
       Condition.signal s.work_cond;
-      Mutex.unlock s.work_lock
+      Mutex.unlock s.work_lock;
+      None
 
 let poll t ~block =
   let completions =
     match t.backend with
-    | Inline (_, q) ->
-        let out = List.of_seq (Queue.to_seq q) in
-        Queue.clear q;
-        out
+    | Inline _ -> []
     | Event_loop a -> Async_executor.poll a ~block
     | Domains (s, _) ->
         Mutex.lock s.done_lock;

@@ -14,8 +14,6 @@ let string_of_error = function
   | Corrupt m -> Printf.sprintf "corrupt stream: %s" m
   | Io m -> Printf.sprintf "I/O error: %s" m
 
-let pp_error ppf e = Format.pp_print_string ppf (string_of_error e)
-
 let max_frame = 4 * 1024 * 1024
 let magic0 = 'A'
 let magic1 = 'F'

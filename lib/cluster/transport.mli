@@ -22,7 +22,6 @@ type error =
   | Io of string  (** operating-system level failure *)
 
 val string_of_error : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val max_frame : int
 (** Maximum payload bytes per frame (4 MiB). A garbage length prefix is
@@ -87,20 +86,14 @@ type t = {
   peer : string;  (** human-readable endpoint description *)
   counters : counters;
 }
-(** One endpoint of a connection. Not thread-safe: a transport belongs to
-    exactly one worker at a time. *)
-
-val of_fd :
-  ?recv_timeout_ms:int ->
-  ?mangle:(string -> string list) ->
-  peer:string ->
-  Unix.file_descr ->
-  t
-(** Framed transport over a connected stream socket (or socketpair end).
-    [recv_timeout_ms] (default 5000) bounds every receive — a silent peer
-    becomes {!Timeout}, never a deadlock. [mangle] intercepts each encoded
-    frame before it is written and returns the chunks actually sent —
-    identity by default; {!chaos_mangler} injects transport faults. *)
+(** One endpoint of a connection, a framed transport over a connected
+    stream socket (or socketpair end), built by {!pair}, {!connect_tcp}
+    or {!accept}. Not thread-safe: a transport belongs to exactly one
+    worker at a time. Each builder's [recv_timeout_ms] (default 5000)
+    bounds every receive — a silent peer becomes {!Timeout}, never a
+    deadlock. A [mangle] intercepts each encoded frame before it is
+    written and returns the chunks actually sent — identity by default;
+    {!chaos_mangler} injects transport faults. *)
 
 val pair :
   ?recv_timeout_ms:int ->
@@ -142,7 +135,8 @@ type chaos = {
 val no_chaos : chaos
 
 val chaos_mangler : rng:Afex_stats.Rng.t -> chaos -> string -> string list
-(** Seeded frame mangler for [of_fd]'s [mangle]: every decision draws
+(** Seeded frame mangler for the [mangle] hooks of {!pair} and
+    {!accept} ({!connect_tcp} takes none): every decision draws
     from [rng], so a chaos run is reproducible. The mangled stream must
     never be silently accepted — the checksum, magic and length checks
     above turn every surviving corruption into a typed {!error}. *)

@@ -30,10 +30,6 @@ let bits64 t = next t
 
 let split t = of_state (mix (next t))
 
-let split_n t n =
-  if n < 0 then invalid_arg "Rng.split_n: negative count";
-  Array.init n (fun _ -> split t)
-
 (* Non-negative 62-bit value, safe to use as an OCaml int. *)
 let[@inline] positive_int t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 

@@ -29,12 +29,6 @@ val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent from the remainder of [t]'s stream. *)
 
-val split_n : t -> int -> t array
-(** [split_n t n] draws [n] independent streams from [t] (advancing it [n]
-    times). Stream [i] depends only on [t]'s state and [i], so a batch of
-    parallel consumers seeded this way is replayable regardless of how the
-    work is later scheduled. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -319,6 +319,45 @@ let test_shutdown_idempotent () =
   Pool.shutdown pool;
   checki "jobs recorded" 3 (Pool.jobs pool)
 
+(* --- allocation --- *)
+
+(* With a window of one on the inline runtime, [Pool.session] explores
+   exactly [Session.run]'s history, so the minor words it allocates
+   beyond [Session.run] are the pool's own: the window, the memo cache
+   and the runtime round trip. Tracking each test in three tables (a
+   sequence-keyed metadata table, a reorder buffer and a table of points
+   in flight) and queueing each inline result until the next poll cost
+   about 68 words per test on this campaign. One window table, a cache
+   that marks a point in flight, and a [Runtime.submit] that returns the
+   inline result cost about 28. The gate fails above 45. *)
+let test_pool_allocation_gate () =
+  let tests = 5_000 in
+  let words f =
+    Gc.full_major ();
+    let before = Gc.minor_words () in
+    let r = f () in
+    (r, Gc.minor_words () -. before)
+  in
+  let config = Config.fitness_guided ~seed:7 () and sub = Mysql.space () in
+  let exec = Afex.Executor.of_target (Mysql.target ()) in
+  let sequential, sequential_words =
+    words (fun () -> Session.run ~iterations:tests config sub exec)
+  in
+  let config = Config.fitness_guided ~seed:7 () and sub = Mysql.space () in
+  let pool = Pool.create ~jobs:1 (Pool.Pure (Afex.Executor.of_target (Mysql.target ()))) in
+  let (pooled, _), pooled_words =
+    words (fun () -> Pool.session ~batch_size:1 ~iterations:tests pool config sub)
+  in
+  Pool.shutdown pool;
+  checki "tests" tests pooled.Session.iterations;
+  checkb "identical history" true (history sequential = history pooled);
+  let extra = (pooled_words -. sequential_words) /. float_of_int tests in
+  if extra > 45.0 then
+    Alcotest.failf
+      "Pool.session allocates %.1f minor words per test beyond Session.run \
+       (ceiling 45)"
+      extra
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -337,4 +376,5 @@ let suite =
       ("stop target respected", test_stop_target_respected);
       ("rejects bad arguments", test_rejects_bad_arguments);
       ("shutdown idempotent", test_shutdown_idempotent);
+      ("pool allocation gate", test_pool_allocation_gate);
     ]

@@ -1,10 +1,9 @@
-(* The runtime's reorder buffer in isolation, its Domain backend under
-   real concurrency (every task runs exactly once, including tasks still
-   queued at shutdown), and the cross-executor determinism matrix the
-   whole design exists for: the same campaign exported byte-identically
-   from the inline, Domain, event-loop and loopback-remote backends,
-   and a kill at a reorder-buffer sync watermark resumed to the same
-   bytes. *)
+(* The runtime's Domain backend under real concurrency (every task
+   runs exactly once, including tasks still queued at shutdown), and the
+   cross-executor determinism matrix the whole design exists for: the
+   same campaign exported byte-identically from the inline, Domain,
+   event-loop and loopback-remote backends, and a kill at one of the
+   window's sync watermarks resumed to the same bytes. *)
 
 module Runtime = Afex_cluster.Runtime
 module Pool = Afex_cluster.Pool
@@ -13,7 +12,6 @@ module RM = Afex_cluster.Remote_manager
 module Config = Afex.Config
 module Session = Afex.Session
 module Export = Afex_report.Export
-module Rng = Afex_stats.Rng
 module Apache = Afex_simtarget.Apache
 module Mysql = Afex_simtarget.Mysql
 module Netsim = Afex_simtarget.Netsim
@@ -24,121 +22,7 @@ module Outcome = Afex_injector.Outcome
 module Fault = Afex_injector.Fault
 
 let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
-
-(* --- the reorder buffer ------------------------------------------------ *)
-
-(* A random permutation of 0..n-1: the completion order of n submitted
-   tasks, as adversarial as a scheduler can make it. *)
-let arb_perm =
-  Prop.make
-    ~show:(fun l -> "[" ^ String.concat ";" (List.map string_of_int l) ^ "]")
-    (fun rng ->
-      let n = Rng.int rng 26 in
-      let a = Array.init n (fun i -> i) in
-      for i = n - 1 downto 1 do
-        let j = Rng.int rng (i + 1) in
-        let t = a.(i) in
-        a.(i) <- a.(j);
-        a.(j) <- t
-      done;
-      Array.to_list a)
-
-let test_prop_reorder_release_order () =
-  Prop.check ~count:300 "release order = submission order" arb_perm (fun perm ->
-      let n = List.length perm in
-      let rb = Runtime.Reorder.create () in
-      let released = ref [] in
-      let ok = ref true in
-      List.iter
-        (fun seq ->
-          Runtime.Reorder.offer rb ~seq seq;
-          let rec drain () =
-            let w = Runtime.Reorder.watermark rb in
-            match Runtime.Reorder.pop rb with
-            | Some v ->
-                (* each pop releases exactly the watermark and advances
-                   it by exactly one *)
-                if v <> w then ok := false;
-                if Runtime.Reorder.watermark rb <> w + 1 then ok := false;
-                released := v :: !released;
-                drain ()
-            | None -> ()
-          in
-          drain ())
-        perm;
-      !ok
-      && List.rev !released = List.init n (fun i -> i)
-      && Runtime.Reorder.buffered rb = 0
-      && Runtime.Reorder.watermark rb = n)
-
-let test_prop_reorder_rejects_dup_and_stale () =
-  Prop.check ~count:300 "duplicate and stale offers raise" arb_perm (fun perm ->
-      match perm with
-      | [] -> true
-      | _ ->
-          let rb = Runtime.Reorder.create () in
-          let dup_ok = ref true in
-          List.iter
-            (fun seq ->
-              Runtime.Reorder.offer rb ~seq seq;
-              match Runtime.Reorder.offer rb ~seq seq with
-              | () -> dup_ok := false
-              | exception Invalid_argument _ -> ())
-            perm;
-          let rec drain () =
-            match Runtime.Reorder.pop rb with Some _ -> drain () | None -> ()
-          in
-          drain ();
-          let stale_ok =
-            match Runtime.Reorder.offer rb ~seq:0 0 with
-            | () -> false
-            | exception Invalid_argument _ -> true
-          in
-          !dup_ok && stale_ok)
-
-let test_reorder_head_of_line_gap () =
-  let rb = Runtime.Reorder.create () in
-  Runtime.Reorder.offer rb ~seq:1 11;
-  Runtime.Reorder.offer rb ~seq:3 33;
-  checkb "pop blocked on the gap" true (Runtime.Reorder.pop rb = None);
-  checkb "peek blocked on the gap" true (Runtime.Reorder.peek rb = None);
-  checki "backlog counts buffered" 2 (Runtime.Reorder.buffered rb);
-  checki "watermark unmoved" 0 (Runtime.Reorder.watermark rb);
-  Runtime.Reorder.offer rb ~seq:0 0;
-  checkb "gap filled releases the head" true (Runtime.Reorder.pop rb = Some 0);
-  checkb "then the buffered successor" true (Runtime.Reorder.pop rb = Some 11);
-  checkb "next gap blocks again" true (Runtime.Reorder.pop rb = None);
-  Runtime.Reorder.offer rb ~seq:2 22;
-  checkb "late middle releases" true (Runtime.Reorder.pop rb = Some 22);
-  checkb "tail releases" true (Runtime.Reorder.pop rb = Some 33);
-  checki "drained" 0 (Runtime.Reorder.buffered rb)
-
-let test_reorder_peek_does_not_advance () =
-  let rb = Runtime.Reorder.create () in
-  Runtime.Reorder.offer rb ~seq:0 7;
-  checkb "peek sees the head" true (Runtime.Reorder.peek rb = Some 7);
-  checkb "peek again sees the same head" true (Runtime.Reorder.peek rb = Some 7);
-  checki "watermark unmoved by peek" 0 (Runtime.Reorder.watermark rb);
-  checkb "pop still releases it" true (Runtime.Reorder.pop rb = Some 7);
-  checki "watermark moved by pop" 1 (Runtime.Reorder.watermark rb)
-
-let test_reorder_custom_base () =
-  (* A resumed campaign creates its buffer at the snapshot's iteration
-     count, not zero. *)
-  let rb = Runtime.Reorder.create ~next:100 () in
-  Runtime.Reorder.offer rb ~seq:102 2;
-  Runtime.Reorder.offer rb ~seq:100 0;
-  Runtime.Reorder.offer rb ~seq:101 1;
-  checkb "releases from the base" true (Runtime.Reorder.pop rb = Some 0);
-  checkb "in order" true (Runtime.Reorder.pop rb = Some 1);
-  checkb "to the tail" true (Runtime.Reorder.pop rb = Some 2);
-  checki "watermark counts from the base" 103 (Runtime.Reorder.watermark rb);
-  checkb "seq below the base is stale" true
-    (match Runtime.Reorder.offer rb ~seq:99 9 with
-    | () -> false
-    | exception Invalid_argument _ -> true)
 
 (* --- the Domain backend ------------------------------------------------ *)
 
@@ -169,7 +53,8 @@ let test_domains_run_each_task_once () =
   let runs = Array.init n (fun _ -> Atomic.make 0) in
   let rt = Runtime.domains ~jobs:4 (counting_run runs) in
   for seq = 0 to n - 1 do
-    Runtime.submit rt ~seq (task_scenario seq)
+    if Runtime.submit rt ~seq (task_scenario seq) <> None then
+      Alcotest.failf "task %d ran on the caller" seq
   done;
   let completed = Array.make n 0 in
   while Runtime.outstanding rt > 0 do
@@ -204,7 +89,8 @@ let test_domains_shutdown_drains_queue () =
   in
   let rt = Runtime.domains ~jobs:2 (counting_run ~before:wait_for_gate runs) in
   for seq = 0 to n - 1 do
-    Runtime.submit rt ~seq (task_scenario seq)
+    if Runtime.submit rt ~seq (task_scenario seq) <> None then
+      Alcotest.failf "task %d ran on the caller" seq
   done;
   let opener =
     Domain.spawn (fun () ->
@@ -217,7 +103,7 @@ let test_domains_shutdown_drains_queue () =
     (Array.for_all (fun r -> Atomic.get r = 1) runs);
   checkb "submit after shutdown is refused" true
     (match Runtime.submit rt ~seq:0 (task_scenario 0) with
-    | () -> false
+    | _ -> false
     | exception Invalid_argument _ -> true)
 
 (* --- the cross-executor determinism matrix ----------------------------- *)
@@ -291,7 +177,7 @@ let test_sequential_leg_matches_session_run () =
     (Export.summary_to_json ~target:"mysql" sequential)
     (Export.summary_to_json ~target:"mysql" pooled)
 
-(* --- kill -9 at a reorder-buffer sync watermark ------------------------ *)
+(* --- kill -9 at a sync watermark of the window ------------------------- *)
 
 exception Crash
 
@@ -362,11 +248,6 @@ let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
-      ("prop: reorder release order", test_prop_reorder_release_order);
-      ("prop: reorder rejects dup and stale", test_prop_reorder_rejects_dup_and_stale);
-      ("reorder head-of-line gap", test_reorder_head_of_line_gap);
-      ("reorder peek does not advance", test_reorder_peek_does_not_advance);
-      ("reorder custom base sequence", test_reorder_custom_base);
       ("domains run each task once", test_domains_run_each_task_once);
       ("domains shutdown drains the queue", test_domains_shutdown_drains_queue);
       ("matrix: mysql", test_matrix_mysql);
