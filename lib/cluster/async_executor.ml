@@ -18,28 +18,22 @@ type stats = {
   wakeups : int;
 }
 
-type remote = {
-  conn : Pipelined.conn;
-  mutable not_before : float; (* backoff gate on the monotonic clock *)
-  mutable seen_failures : int;
-}
-
 (* A started local job and the {!Afex.Executor.monotonic_ms} instant at
    which the loop polls it next. *)
 type local = { job : Afex.Executor.job; mutable due : float }
 
-(* Submission state is persistent on [t], not per batch: tags flow
-   [injections] -> (started: [local_jobs] or a manager's wire) ->
-   [done_q]. [live] holds every incomplete tag's scenario — the local
-   fallback needs it long after submission. *)
+(* A test in flight is held in exactly one place: [injections] until
+   it starts, then [local_jobs] or a manager's connection (which keeps
+   the scenario until the request is answered, and hands back whatever
+   it cannot answer as an orphan to run here), then [done_q]. The tag
+   is the caller's sequence number, and the wire's. *)
 type t = {
   exec : Afex.Executor.async;
   inflight : int;
   request_timeout_ms : int;
-  remotes : remote array;
+  remotes : Pipelined.conn array;
   mutable rr : int; (* round-robin dispatch cursor *)
-  injections : int Queue.t; (* submitted tags not yet started *)
-  live : (int, Scenario.t) Hashtbl.t; (* tag -> scenario until completion *)
+  injections : (int * Scenario.t) Queue.t; (* submitted, not yet started *)
   local_jobs : (int, local) Hashtbl.t;
   done_q : (int * (Outcome.t, exn) result) Queue.t;
   mutable active : int; (* started, not completed *)
@@ -71,16 +65,12 @@ let create ?(remotes = []) ?(request_timeout_ms = 10_000) ~inflight exec =
            (fun spec ->
              (* Each manager's share of the window, rounded up (see the
                 .mli); [remotes] is not empty here. *)
-             let conn =
-               Pipelined.create spec
-                 ~credit:(1 + ((inflight - 1) / List.length remotes))
-                 ~total_blocks:exec.Afex.Executor.async_total_blocks
-             in
-             { conn; not_before = 0.0; seen_failures = 0 })
+             Pipelined.create spec
+               ~credit:(1 + ((inflight - 1) / List.length remotes))
+               ~total_blocks:exec.Afex.Executor.async_total_blocks)
            remotes);
     rr = 0;
     injections = Queue.create ();
-    live = Hashtbl.create 64;
     local_jobs = Hashtbl.create 16;
     done_q = Queue.create ();
     active = 0;
@@ -102,54 +92,30 @@ let stats t =
 
 let remote_stats t =
   Array.to_list
-    (Array.map (fun r -> (Pipelined.name r.conn, Pipelined.stats r.conn)) t.remotes)
+    (Array.map (fun c -> (Pipelined.name c, Pipelined.stats c)) t.remotes)
 
-let close t = Array.iter (fun r -> Pipelined.close r.conn) t.remotes
-
-(* A manager failed: gate its next attempt behind the exponential backoff
-   — never a sleep. A gated manager holds no test: {!dispatch} runs the
-   test locally instead, so the gate needs no wakeup of its own. *)
-let refresh_gate t ix =
-  let r = t.remotes.(ix) in
-  let f = Pipelined.failures r.conn in
-  if f > r.seen_failures then begin
-    r.seen_failures <- f;
-    if not (Pipelined.abandoned r.conn) then begin
-      r.not_before <- now_ms () +. Pipelined.backoff_ms r.conn;
-      Log.debug (fun m ->
-          m "%s: backoff until t+%.1fms (failure %d/%d)" (Pipelined.name r.conn)
-            (Pipelined.backoff_ms r.conn) f
-            (Pipelined.max_attempts r.conn))
-    end
-  end
-  else if f < r.seen_failures then r.seen_failures <- f
+let close t = Array.iter Pipelined.close t.remotes
 
 let complete t tag result =
-  if Hashtbl.mem t.live tag then begin
-    Hashtbl.remove t.live tag;
-    Hashtbl.remove t.local_jobs tag;
-    t.active <- t.active - 1;
-    Queue.push (tag, result) t.done_q
-  end
+  Hashtbl.remove t.local_jobs tag;
+  t.active <- t.active - 1;
+  Queue.push (tag, result) t.done_q
 
-let start_local t tag =
-  match Hashtbl.find_opt t.live tag with
-  | None -> ()
-  | Some scenario -> (
-      t.n_local <- t.n_local + 1;
-      match t.exec.Afex.Executor.start scenario with
+let start_local t tag scenario =
+  t.n_local <- t.n_local + 1;
+  match t.exec.Afex.Executor.start scenario with
+  | exception e -> complete t tag (Error e)
+  | job -> (
+      match job.Afex.Executor.poll () with
+      | Some outcome -> complete t tag (Ok outcome)
       | exception e -> complete t tag (Error e)
-      | job -> (
-          match job.Afex.Executor.poll () with
-          | Some outcome -> complete t tag (Ok outcome)
-          | exception e -> complete t tag (Error e)
-          | None ->
-              let due =
-                match job.Afex.Executor.ready_at_ms () with
-                | Some d -> Float.max d (now_ms ())
-                | None -> now_ms () +. poll_fallback_ms
-              in
-              Hashtbl.replace t.local_jobs tag { job; due }))
+      | None ->
+          let due =
+            match job.Afex.Executor.ready_at_ms () with
+            | Some d -> Float.max d (now_ms ())
+            | None -> now_ms () +. poll_fallback_ms
+          in
+          Hashtbl.replace t.local_jobs tag { job; due })
 
 let poll_slot t tag =
   match Hashtbl.find_opt t.local_jobs tag with
@@ -165,14 +131,14 @@ let poll_slot t tag =
             | Some d when d > now -> d
             | Some _ | None -> now +. poll_fallback_ms))
 
-let fallback t tag =
-  if Hashtbl.mem t.live tag then begin
-    t.n_fallback <- t.n_fallback + 1;
-    start_local t tag
-  end
-
-let absorb_orphans t ix =
-  List.iter (fallback t) (Pipelined.take_orphans t.remotes.(ix).conn)
+(* Run here every test a manager handed back: stranded by a failure,
+   refused, or answered with an unusable report. *)
+let absorb_orphans t conn =
+  List.iter
+    (fun (tag, scenario) ->
+      t.n_fallback <- t.n_fallback + 1;
+      start_local t tag scenario)
+    (Pipelined.take_orphans conn)
 
 (* Try to put the test on a manager's wire; [false] = the caller runs
    it locally. Submit failures drop the connection, orphaning whatever
@@ -183,23 +149,18 @@ let try_remote t tag scenario =
     if k >= m then false
     else begin
       let ix = (t.rr + k) mod m in
-      let r = t.remotes.(ix) in
-      if
-        Pipelined.dispatchable r.conn
-        && Pipelined.has_credit r.conn
-        && now_ms () >= r.not_before
-      then begin
-        match Pipelined.submit r.conn ~tag scenario with
+      let conn = t.remotes.(ix) in
+      if Pipelined.dispatchable conn && Pipelined.has_credit conn then begin
+        match Pipelined.submit conn ~tag scenario with
         | Ok () ->
             t.rr <- (ix + 1) mod m;
             t.n_remote <- t.n_remote + 1;
             true
         | Error e ->
             Log.debug (fun m ->
-                m "%s: submit failed: %s" (Pipelined.name r.conn)
+                m "%s: submit failed: %s" (Pipelined.name conn)
                   (Remote_manager.string_of_error e));
-            refresh_gate t ix;
-            absorb_orphans t ix;
+            absorb_orphans t conn;
             go (k + 1)
       end
       else go (k + 1)
@@ -209,54 +170,40 @@ let try_remote t tag scenario =
 
 let dispatch t =
   while t.active < t.inflight && not (Queue.is_empty t.injections) do
-    let tag = Queue.pop t.injections in
-    match Hashtbl.find_opt t.live tag with
-    | None -> ()
-    | Some scenario ->
-        t.active <- t.active + 1;
-        if t.active > t.max_seen then t.max_seen <- t.active;
-        if Array.length t.remotes = 0 then start_local t tag
-        else if not (try_remote t tag scenario) then begin
-          if Array.exists (fun r -> not (Pipelined.abandoned r.conn)) t.remotes
-          then t.n_fallback <- t.n_fallback + 1;
-          start_local t tag
-        end
+    let tag, scenario = Queue.pop t.injections in
+    t.active <- t.active + 1;
+    if t.active > t.max_seen then t.max_seen <- t.active;
+    if Array.length t.remotes = 0 then start_local t tag scenario
+    else if not (try_remote t tag scenario) then begin
+      if Array.exists (fun c -> not (Pipelined.abandoned c)) t.remotes then
+        t.n_fallback <- t.n_fallback + 1;
+      start_local t tag scenario
+    end
   done
 
 let drain_remotes t =
-  Array.iteri
-    (fun ix r ->
+  Array.iter
+    (fun conn ->
       List.iter
-        (fun (tag, result) ->
-          match result with
-          | Ok outcome -> complete t tag (Ok outcome)
-          | Error e ->
-              Log.debug (fun m ->
-                  m "%s: test %d failed remotely (%s); re-running locally"
-                    (Pipelined.name r.conn) tag
-                    (Remote_manager.string_of_error e));
-              fallback t tag)
-        (Pipelined.drain r.conn);
-      refresh_gate t ix;
-      absorb_orphans t ix)
+        (fun (tag, outcome) -> complete t tag (Ok outcome))
+        (Pipelined.drain conn);
+      absorb_orphans t conn)
     t.remotes
 
 (* Nothing may sit in a coalescing buffer while the loop blocks in
    [select] waiting for replies those very requests would produce. *)
 let flush_remotes t =
-  Array.iteri
-    (fun ix r ->
-      match Pipelined.flush r.conn with
+  Array.iter
+    (fun conn ->
+      match Pipelined.flush conn with
       | Ok () -> ()
-      | Error _ ->
-          refresh_gate t ix;
-          absorb_orphans t ix)
+      | Error _ -> absorb_orphans t conn)
     t.remotes
 
 (* Every request shares one timeout, so a connection's first deadline
    is its oldest unanswered request's. *)
-let request_deadline t r =
-  match Pipelined.oldest_sent_ms r.conn with
+let request_deadline t conn =
+  match Pipelined.oldest_sent_ms conn with
   | Some sent -> sent +. float_of_int t.request_timeout_ms
   | None -> infinity
 
@@ -264,7 +211,7 @@ let request_deadline t r =
    falls due, or a connection's oldest request times out. *)
 let next_deadline t =
   Array.fold_left
-    (fun acc r -> Float.min acc (request_deadline t r))
+    (fun acc conn -> Float.min acc (request_deadline t conn))
     (Hashtbl.fold
        (fun _ l acc -> if l.due < acc then l.due else acc)
        t.local_jobs infinity)
@@ -288,8 +235,8 @@ let step t ~max_wait_s =
   in
   let remote_fds =
     Array.fold_left
-      (fun acc r ->
-        match Pipelined.wait_fd r.conn with Some fd -> fd :: acc | None -> acc)
+      (fun acc conn ->
+        match Pipelined.wait_fd conn with Some fd -> fd :: acc | None -> acc)
       [] t.remotes
   in
   let fds = List.map fst fd_slots @ remote_fds in
@@ -319,26 +266,22 @@ let step t ~max_wait_s =
     (Hashtbl.fold
        (fun tag l acc -> if l.due <= now then tag :: acc else acc)
        t.local_jobs []);
-  Array.iteri
-    (fun ix r ->
-      if request_deadline t r <= now then begin
+  Array.iter
+    (fun conn ->
+      if request_deadline t conn <= now then begin
         (* A straggling manager forfeits everything it holds. *)
         Log.debug (fun m ->
-            m "%s: request timeout after %dms" (Pipelined.name r.conn)
+            m "%s: request timeout after %dms" (Pipelined.name conn)
               t.request_timeout_ms);
-        Pipelined.fail r.conn;
-        refresh_gate t ix;
-        absorb_orphans t ix
+        Pipelined.fail conn;
+        absorb_orphans t conn
       end)
     t.remotes;
   dispatch t;
   flush_remotes t
 
 let submit t ~tag scenario =
-  if Hashtbl.mem t.live tag then
-    invalid_arg (Printf.sprintf "Async_executor.submit: tag %d is already live" tag);
-  Hashtbl.replace t.live tag scenario;
-  Queue.push tag t.injections;
+  Queue.push (tag, scenario) t.injections;
   (* Start eagerly — submission overlaps with whatever the caller does
      next (for the pool: generating the next candidate). *)
   dispatch t
@@ -346,9 +289,11 @@ let submit t ~tag scenario =
 let poll t ~block =
   dispatch t;
   flush_remotes t;
-  if Queue.is_empty t.done_q && Hashtbl.length t.live > 0 then
+  (* After [dispatch], tests wait in [injections] only while the window
+     is full, so [active] counts whether anything is outstanding. *)
+  if Queue.is_empty t.done_q && t.active > 0 then
     if block then
-      while Queue.is_empty t.done_q && Hashtbl.length t.live > 0 do
+      while Queue.is_empty t.done_q && t.active > 0 do
         step t ~max_wait_s:0.1
       done
     else step t ~max_wait_s:0.0;

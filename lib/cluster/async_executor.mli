@@ -21,7 +21,11 @@
     scenario (dispatched eagerly, up to [inflight] concurrent), {!poll} runs the
     loop and returns whatever completed, in completion order. The
     {!Runtime} wraps this pair as its event-loop backend, and {!Pool}'s
-    window restores submission order. *)
+    window restores submission order. The tag is the pool's sequence
+    number and, for a remote test, the request's sequence number on the
+    wire. A test in flight is held in one place: the loop's queue until
+    it starts, then its local job or the manager connection it rides,
+    which hands back every test it cannot answer for a local run. *)
 
 type t
 
@@ -30,7 +34,8 @@ type stats = {
   remote_runs : int;  (** requests put on a manager's wire *)
   remote_fallbacks : int;
       (** tests that tried a remote path and re-ran locally: submit
-          failures, orphaned requests, straggler timeouts *)
+          failures, requests a manager stranded, refused or answered
+          unusably, straggler timeouts *)
   max_inflight : int;  (** high-water mark of concurrent tests *)
   wakeups : int;  (** event-loop iterations *)
 }
@@ -61,8 +66,8 @@ val submit : t -> tag:int -> Afex_faultspace.Scenario.t -> unit
 (** Enqueue one scenario under the caller's [tag] and dispatch eagerly if
     the in-flight window has room (remotes preferred — round-robin over
     dispatchable connections, backoff gates respected — with local
-    fallback on any remote failure). The tag comes back from {!poll}.
-    @raise Invalid_argument if [tag] is already outstanding. *)
+    fallback on any remote failure). The tag, non-negative and not
+    outstanding already, comes back from {!poll}. *)
 
 val poll : t -> block:bool -> (int * (Afex_injector.Outcome.t, exn) result) list
 (** Run the event loop and return the completions it produced, oldest

@@ -130,16 +130,15 @@ type entry = {
   mutable slot : slot;
 }
 
-let session ?transform ?stop ?time_budget_ms ?checkpoint
-    ?(batch_size = 32) ?(memoize = true) ?(sync_every = 512) ~iterations t
-    config sub =
+let session ?transform ?stop ?checkpoint ?(batch_size = 32) ?(memoize = true)
+    ?(sync_every = 512) ~iterations t config sub =
   if batch_size < 1 then invalid_arg "Pool.session: batch_size must be positive";
   if sync_every < 1 then invalid_arg "Pool.session: sync_every must be positive";
   (match (stop, checkpoint) with
   | Some _, Some _ ->
       invalid_arg
         "Pool.session: a checkpoint cannot capture a stop predicate; bound a \
-         checkpointed campaign with iterations or a time budget"
+         checkpointed campaign with iterations"
   | (Some _ | None), _ -> ());
   let started = Unix.gettimeofday () in
   let resume_snap = Option.bind checkpoint Checkpoint.loaded_snapshot in
@@ -187,11 +186,6 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
     | Some s -> Point.Tbl.length matched >= s.Afex.Session.count
     | None -> false
   in
-  let time_exhausted () =
-    match time_budget_ms with
-    | Some budget -> Afex.Explorer.simulated_ms explorer >= budget
-    | None -> false
-  in
   (* The deterministic sliding-window schedule. [submitted] and
      [released] are absolute iteration counts; the driver submits while
      the window has room and otherwise releases the head of line, so the
@@ -225,8 +219,7 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
     replay_pending ()
     || (not !exhausted)
        && !submitted < iterations
-       && (not (target_met ()))
-       && not (time_exhausted ())
+       && not (target_met ())
   in
   let add seq proposal source slot =
     Hashtbl.add window seq { proposal; source; slot }
@@ -321,9 +314,9 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
       if waiting e then begin
         let t0 = Unix.gettimeofday () in
         while waiting e do
-          if Runtime.outstanding t.runtime = 0 then
-            failwith "Pool: a submitted task produced no completion";
-          absorb (Runtime.poll t.runtime ~block:true)
+          match Runtime.poll t.runtime ~block:true with
+          | [] -> failwith "Pool: a submitted task produced no completion"
+          | completions -> absorb completions
         done;
         stall_acc := !stall_acc +. (1000.0 *. (Unix.gettimeofday () -. t0))
       end
@@ -421,12 +414,12 @@ let session ?transform ?stop ?time_budget_ms ?checkpoint
       wall_ms = 1000.0 *. (Unix.gettimeofday () -. started);
     } )
 
-let run ?transform ?stop ?time_budget_ms ?checkpoint ?batch_size
-    ?memoize ?sync_every ?remotes ?inflight ?request_timeout_ms ~jobs
-    ~iterations config sub executor =
+let run ?transform ?stop ?checkpoint ?batch_size ?memoize ?sync_every
+    ?remotes ?inflight ?request_timeout_ms ~jobs ~iterations config sub
+    executor =
   let t = create ?remotes ?inflight ?request_timeout_ms ~jobs executor in
   Fun.protect
     ~finally:(fun () -> shutdown t)
     (fun () ->
-      session ?transform ?stop ?time_budget_ms ?checkpoint ?batch_size
-        ?memoize ?sync_every ~iterations t config sub)
+      session ?transform ?stop ?checkpoint ?batch_size ?memoize ?sync_every
+        ~iterations t config sub)

@@ -118,7 +118,6 @@ type stats = {
 val session :
   ?transform:(Afex_faultspace.Point.t -> Afex_faultspace.Point.t) ->
   ?stop:Afex.Session.stop ->
-  ?time_budget_ms:float ->
   ?checkpoint:Checkpoint.t ->
   ?batch_size:int ->
   ?memoize:bool ->
@@ -133,10 +132,10 @@ val session :
     [batch_size] (default 32) is the in-flight window: the explorer
     submits a candidate whenever fewer than that many are outstanding,
     and otherwise merges the oldest outstanding outcome — generation
-    overlaps execution, with no barrier between them. [stop] targets and
-    [time_budget_ms] are checked at submission time against the merged
-    prefix (plus per-case during the merge for [stop_iteration]), so
-    they too are [jobs]-independent. With [batch_size = 1] the schedule
+    overlaps execution, with no barrier between them. [stop] targets
+    are checked at submission time against the merged prefix (plus
+    per-case during the merge for [stop_iteration]), so they too are
+    [jobs]-independent. With [batch_size = 1] the schedule
     degenerates to exactly {!Afex.Session.run}'s candidate stream.
 
     [memoize] (default [true]) enables the outcome cache.
@@ -167,7 +166,6 @@ val session :
 val run :
   ?transform:(Afex_faultspace.Point.t -> Afex_faultspace.Point.t) ->
   ?stop:Afex.Session.stop ->
-  ?time_budget_ms:float ->
   ?checkpoint:Checkpoint.t ->
   ?batch_size:int ->
   ?memoize:bool ->

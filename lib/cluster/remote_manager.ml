@@ -7,13 +7,11 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type error =
   | Transport of Transport.error
   | Protocol of string
-  | Manager of string
   | Exhausted of { attempts : int; last : string }
 
 let string_of_error = function
   | Transport e -> Transport.string_of_error e
   | Protocol m -> Printf.sprintf "protocol error: %s" m
-  | Manager m -> Printf.sprintf "manager error: %s" m
   | Exhausted { attempts; last } ->
       Printf.sprintf "gave up after %d attempts (last: %s)" attempts last
 
@@ -125,20 +123,20 @@ type stats = {
 module Pipelined = struct
   type conn_state = Idle | Connected of live | Abandoned
 
-  (* A request on the wire: the caller's tag and when it was submitted,
-     on {!Afex.Executor.monotonic_ms}. *)
-  type request = { tag : int; sent_ms : float }
+  (* A request on the wire: its scenario, kept until it is answered, and
+     when it was submitted, on {!Afex.Executor.monotonic_ms}. *)
+  type request = { scenario : Afex_faultspace.Scenario.t; sent_ms : float }
 
   type conn = {
     spec : spec;
     total_blocks : int;
     mutable state : conn_state;
-    outstanding : (int, request) Hashtbl.t; (* wire seq -> request *)
-    mutable orphans : int list;
+    outstanding : (int, request) Hashtbl.t; (* tag, the wire seq -> request *)
+    mutable orphans : (int * Afex_faultspace.Scenario.t) list;
     acct : wire_acct;
-    mutable seq : int;
     credit : int; (* in-flight cap *)
     mutable failures : int; (* consecutive connection-level failures *)
+    mutable not_before : float; (* reconnect backoff gate, monotonic ms *)
     mutable n_requests : int;
     mutable n_retries : int;
     mutable n_dials : int;
@@ -154,9 +152,9 @@ module Pipelined = struct
       outstanding = Hashtbl.create 16;
       orphans = [];
       acct = { frames_out = 0; frames_in = 0; bytes_out = 0; bytes_in = 0 };
-      seq = 0;
       credit;
       failures = 0;
+      not_before = 0.0;
       n_requests = 0;
       n_retries = 0;
       n_dials = 0;
@@ -177,19 +175,12 @@ module Pipelined = struct
            t.outstanding infinity)
 
   let failures t = t.failures
-  let max_attempts t = t.spec.max_attempts
-
-  (* Exponential reconnect backoff, surfaced as data: the event loop
-     turns it into a dispatch gate, so other in-flight tests keep
-     progressing while a manager cools off. *)
-  let backoff_ms t =
-    if t.spec.backoff_ms <= 0.0 then 0.0
-    else t.spec.backoff_ms *. (2.0 ** float_of_int (max 0 (t.failures - 1)))
-
   let abandoned t = match t.state with Abandoned -> true | _ -> false
 
   let dispatchable t =
-    match t.state with Abandoned -> false | Idle | Connected _ -> true
+    match t.state with
+    | Abandoned -> false
+    | Idle | Connected _ -> Afex.Executor.monotonic_ms () >= t.not_before
 
   let wait_fd t =
     match t.state with
@@ -222,26 +213,36 @@ module Pipelined = struct
     }
 
   let take_orphans t =
-    let tags = List.rev t.orphans in
+    let orphans = List.rev t.orphans in
     t.orphans <- [];
-    tags
+    orphans
+
+  let orphan_all t =
+    Hashtbl.iter
+      (fun tag r -> t.orphans <- (tag, r.scenario) :: t.orphans)
+      t.outstanding;
+    Hashtbl.reset t.outstanding
 
   (* Drop the connection: every request still in flight on it is orphaned
      (the caller re-runs those locally), and after [max_attempts]
      consecutive failures the manager is written off for good. Never
-     sleeps — backoff is the {e caller's} timer (see {!backoff_ms}). *)
+     sleeps: the exponential reconnect backoff becomes a gate that
+     {!dispatchable} reads, so the caller runs other tests meanwhile. *)
   let fail t =
     (match t.state with
     | Connected l -> retire t.acct l
     | Idle | Abandoned -> ());
-    Hashtbl.iter (fun _ r -> t.orphans <- r.tag :: t.orphans) t.outstanding;
-    Hashtbl.reset t.outstanding;
+    orphan_all t;
     t.failures <- t.failures + 1;
     t.n_retries <- t.n_retries + 1;
     t.state <- (if t.failures >= t.spec.max_attempts then Abandoned else Idle);
+    let backoff_ms =
+      t.spec.backoff_ms *. (2.0 ** float_of_int (t.failures - 1))
+    in
+    t.not_before <- Afex.Executor.monotonic_ms () +. backoff_ms;
     Log.debug (fun m ->
-        m "%s: pipelined connection failure %d/%d" t.spec.name t.failures
-          t.spec.max_attempts)
+        m "%s: pipelined connection failure %d/%d, backoff %.1fms" t.spec.name
+          t.failures t.spec.max_attempts backoff_ms)
 
   let connection t =
     match t.state with
@@ -293,19 +294,17 @@ module Pipelined = struct
     match connection t with
     | Error e -> Error e
     | Ok l ->
-        t.seq <- t.seq + 1;
-        let seq = t.seq in
         (* Coalesce: the record lands in the connection buffer and the
            frame goes out when the buffer reaches [flush_bytes], when
            half the credit is queued (the manager runs one half-window
            while the explorer handles the replies to the other), when
            the credit is exhausted (nothing more is coming until replies
            arrive), or when the event loop is about to wait ({!flush}). *)
-        Message.V2.encode_request l.enc l.out ~seq scenario;
+        Message.V2.encode_request l.enc l.out ~seq:tag scenario;
         l.queued <- l.queued + 1;
         t.n_requests <- t.n_requests + 1;
-        Hashtbl.replace t.outstanding seq
-          { tag; sent_ms = Afex.Executor.monotonic_ms () };
+        Hashtbl.replace t.outstanding tag
+          { scenario; sent_ms = Afex.Executor.monotonic_ms () };
         if
           Buffer.length l.out >= flush_bytes
           || l.queued >= t.credit / 2
@@ -317,12 +316,21 @@ module Pipelined = struct
               (* [fail] orphaned everything on the wire including this
                  request, but its failure is reported synchronously: the
                  caller owns this retry, not {!take_orphans}. *)
-              t.orphans <- List.filter (fun tg -> tg <> tag) t.orphans;
+              t.orphans <- List.filter (fun (tg, _) -> tg <> tag) t.orphans;
               Error e)
         else Ok ()
 
+  (* Hand one answered request back to the caller as an orphan: the
+     manager refused it, or its report does not rebuild. Either is a
+     verdict on this test alone, so the connection stays up. *)
+  let give_up t tag (r : request) reason =
+    Hashtbl.remove t.outstanding tag;
+    t.orphans <- (tag, r.scenario) :: t.orphans;
+    Log.debug (fun m ->
+        m "%s: test %d comes back unanswered (%s)" t.spec.name tag reason)
+
   (* Everything already on the wire, matched out of order: responses
-     carry the request's seq, so a manager answering seq 5 before seq 3
+     carry the request's tag, so a manager answering tag 5 before tag 3
      (or a duplicated frame from the chaos mangler) is handled without
      any head-of-line blocking. *)
   let drain t =
@@ -344,24 +352,26 @@ module Pipelined = struct
               | Message.Manager_error { seq; message } :: rest -> (
                   match Hashtbl.find_opt t.outstanding seq with
                   | None -> consume rest acc (* stale duplicate *)
-                  | Some { tag; _ } ->
-                      Hashtbl.remove t.outstanding seq;
+                  | Some r ->
                       t.n_manager_errors <- t.n_manager_errors + 1;
-                      consume rest ((tag, Error (Manager message)) :: acc))
-              | Message.Scenario_result r :: rest -> (
-                  match Hashtbl.find_opt t.outstanding r.Message.seq with
+                      give_up t seq r ("manager error: " ^ message);
+                      consume rest acc)
+              | Message.Scenario_result report :: rest -> (
+                  let tag = report.Message.seq in
+                  match Hashtbl.find_opt t.outstanding tag with
                   | None -> consume rest acc (* stale duplicate *)
-                  | Some { tag; _ } ->
-                      Hashtbl.remove t.outstanding r.Message.seq;
+                  | Some r -> (
                       t.failures <- 0;
-                      let result =
-                        match
-                          Message.outcome_of_report ~total_blocks:t.total_blocks r
-                        with
-                        | Ok outcome -> Ok outcome
-                        | Error m -> Error (Protocol ("unusable report: " ^ m))
-                      in
-                      consume rest ((tag, result) :: acc))
+                      match
+                        Message.outcome_of_report ~total_blocks:t.total_blocks
+                          report
+                      with
+                      | Ok outcome ->
+                          Hashtbl.remove t.outstanding tag;
+                          consume rest ((tag, outcome) :: acc)
+                      | Error m ->
+                          give_up t tag r ("unusable report: " ^ m);
+                          consume rest acc))
             and loop acc =
               match l.tr.Transport.try_recv ~timeout_ms:0 with
               | Ok None -> List.rev acc
@@ -387,8 +397,7 @@ module Pipelined = struct
         ignore (l.tr.Transport.send (Buffer.contents l.out));
         retire t.acct l
     | Idle | Abandoned -> ());
-    Hashtbl.iter (fun _ r -> t.orphans <- r.tag :: t.orphans) t.outstanding;
-    Hashtbl.reset t.outstanding;
+    orphan_all t;
     t.state <- Abandoned
 end
 

@@ -4,16 +4,18 @@
 
     There is one client, {!Pipelined}, and one wire protocol
     ({!Message.V2}). The client owns reliability: a strict version
-    handshake on every connection, several sequence-numbered requests
-    outstanding at once with replies matched out of order (stale and
-    duplicated replies are skipped), and reconnection on any transport
-    fault, with the exponential backoff schedule surfaced as data rather
-    than slept. After [max_attempts] consecutive connection failures the
-    manager is abandoned. Every request a failure strands is handed back
-    to the caller — {!Async_executor}, which re-runs it locally — so a
-    dead or byzantine manager can slow a campaign down but never corrupt
-    it. The dial and the handshake are the only blocking calls: each
-    waits at most the connect or greeting timeout, on the caller's
+    handshake on every connection, several requests outstanding at once,
+    each under the caller's tag as its sequence number, with replies
+    matched out of order (stale and duplicated replies are skipped), and
+    reconnection on any transport fault behind an exponential backoff
+    gate that is read, never slept. After [max_attempts] consecutive
+    connection failures the manager is abandoned. Every request the
+    connection cannot answer (stranded by a failure, refused by the
+    manager, or answered with an unusable report) is handed back with its
+    scenario to the caller — {!Async_executor}, which re-runs it locally
+    — so a dead or byzantine manager can slow a campaign down but never
+    corrupt it. The dial and the handshake are the only blocking calls:
+    each waits at most the connect or greeting timeout, on the caller's
     thread. Completions re-enter the explorer through {!Pool}'s
     window, in submission order, so remote health affects throughput,
     never the explored history. *)
@@ -22,9 +24,6 @@ type error =
   | Transport of Transport.error
   | Protocol of string
       (** handshake failure, version mismatch, or an undecodable reply *)
-  | Manager of string
-      (** the manager executed the scenario and reported a failure;
-          deterministic, so never retried *)
   | Exhausted of { attempts : int; last : string }
       (** retry budget spent; [last] is the final attempt's failure *)
 
@@ -77,13 +76,14 @@ type stats = {
 
 (** {2 The pipelined client}
 
-    The client keeps several seq-tagged requests outstanding on one
-    connection, matches responses {e out of order}, and never sleeps:
-    every failure is reported synchronously and the retry/backoff
-    schedule is exposed as data ({!Pipelined.backoff_ms}) for the caller
-    — in practice [Async_executor], which runs a gated manager's tests
-    locally — so other in-flight tests keep progressing while a manager
-    reconnects. Each request records when it was sent, and
+    The client keeps several requests outstanding on one connection,
+    each under the caller's tag, matches responses {e out of order}, and
+    never sleeps: every failure is reported synchronously, and
+    {!Pipelined.dispatchable} stays [false] until the reconnect backoff
+    has passed, so the caller — in practice [Async_executor], which runs
+    a gated manager's tests locally — keeps other in-flight tests
+    progressing while a manager reconnects. Each request keeps its
+    scenario until answered and records when it was sent;
     {!Pipelined.oldest_sent_ms} exposes the oldest, from which the
     caller times out a straggling connection. *)
 
@@ -101,42 +101,47 @@ module Pipelined : sig
 
   val submit : conn -> tag:int -> Afex_faultspace.Scenario.t -> (unit, error) result
   (** Send one request without waiting for its response. [tag] is the
-      caller's identifier for the test (the pool uses batch slots); it
-      comes back in {!drain}. On any failure the connection is dropped
-      ({!take_orphans} yields every request that was riding on it) and
-      the error returned — the caller owns the retry/fallback policy.
-      A dial whose handshake is rejected, or welcomed with any version
-      but {!Message.protocol_version}, is such a failure. *)
+      caller's non-negative identifier for the test (the pool's sequence
+      number), sent as the request's sequence number; it comes back in
+      {!drain} or {!take_orphans}. On any failure the connection is
+      dropped ({!take_orphans} yields every other request that was riding
+      on it) and the error returned — the caller owns the retry/fallback
+      policy. A dial whose handshake is rejected, or welcomed with any
+      version but {!Message.protocol_version}, is such a failure. *)
 
-  val drain : conn -> (int * (Afex_injector.Outcome.t, error) result) list
-  (** Collect every response currently available, without blocking
-      (receive with a zero timeout). Responses are matched to tags by
-      sequence number, in whatever order the manager answered, and
-      rebuilt into full outcomes (coverage, fault, stacks, exact
-      duration), so the explorer's accounting is bit-identical to an
-      in-process run; stale duplicates (chaos) are skipped. A
-      connection-level failure — undecodable frame, closed peer, a
-      [seq = -1] manager error — drops the connection; the affected
-      tags appear in {!take_orphans}. *)
+  val drain : conn -> (int * Afex_injector.Outcome.t) list
+  (** Collect every answer currently available, without blocking
+      (receive with a zero timeout). Responses are matched to tags, in
+      whatever order the manager answered, and rebuilt into full
+      outcomes (coverage, fault, stacks, exact duration), so the
+      explorer's accounting is bit-identical to an in-process run;
+      stale duplicates (chaos) are skipped. A request the manager
+      refuses (counted in [manager_errors]) or answers with a report
+      that does not rebuild goes to {!take_orphans}, and the connection
+      stays up. A connection-level failure — undecodable frame, closed
+      peer, a [seq = -1] manager error — drops the connection and
+      orphans every request on it. *)
 
-  val take_orphans : conn -> int list
-  (** Tags stranded by connection failures since the last call, oldest
-      first. Call after a failed {!submit}, after {!drain}, and after
-      {!fail}. Each orphaned test must be re-run (the pool falls back to
-      a local worker). *)
+  val take_orphans : conn -> (int * Afex_faultspace.Scenario.t) list
+  (** Every request handed back since the last call, with its scenario:
+      stranded by a connection failure, refused, or answered unusably.
+      Call after a failed {!submit}, {!drain}, {!flush} or {!fail}; each
+      orphan must be re-run (the event loop runs it locally). *)
 
   val fail : conn -> unit
   (** Declare the connection dead (its oldest request outlived the
       caller's timeout: slow-manager straggler control). Drops it,
-      orphans everything in flight, and counts a consecutive failure. *)
+      orphans everything in flight, counts a consecutive failure and
+      closes the backoff gate ({!dispatchable}). *)
 
   val wait_fd : conn -> Unix.file_descr option
   (** The fd event loops [select] on, when connected. *)
 
   val dispatchable : conn -> bool
-  (** The connection can accept a {!submit} (possibly dialing first);
-      [false] once abandoned. The caller must additionally respect
-      {!backoff_ms} after a failure. *)
+  (** The connection can accept a {!submit} (possibly dialing first):
+      [false] once abandoned, and after a connection failure until its
+      reconnect backoff (the spec's [backoff_ms], doubled per further
+      consecutive failure) has passed. *)
 
   val abandoned : conn -> bool
   (** [max_attempts] consecutive connection failures: written off. *)
@@ -173,12 +178,6 @@ module Pipelined : sig
   val failures : conn -> int
   (** Consecutive connection-level failures (reset by any success). *)
 
-  val backoff_ms : conn -> float
-  (** How long the caller should wait before the next {!submit} after a
-      failure: an exponential schedule over consecutive failures,
-      surfaced as data for the caller's dispatch gate. *)
-
-  val max_attempts : conn -> int
   val name : conn -> string
   val stats : conn -> stats
 

@@ -26,6 +26,7 @@ type queues = {
   done_lock : Mutex.t;
   done_cond : Condition.t;
   done_q : completion Queue.t;
+  mutable outstanding : int; (* explorer-side: submitted, not yet polled *)
 }
 
 type backend =
@@ -33,11 +34,7 @@ type backend =
   | Domains of queues * unit Domain.t array
   | Event_loop of Async_executor.t
 
-type t = {
-  backend : backend;
-  mutable live : int;  (* queued on a backend, completion not yet polled *)
-  mutable shut : bool;
-}
+type t = { backend : backend; mutable shut : bool }
 
 (* ---- worker side -------------------------------------------------- *)
 
@@ -69,12 +66,7 @@ let worker s =
 
 (* ---- construction ------------------------------------------------- *)
 
-let inline run =
-  {
-    backend = Inline run;
-    live = 0;
-    shut = false;
-  }
+let inline run = { backend = Inline run; shut = false }
 
 let domains ~jobs run =
   if jobs < 1 then invalid_arg "Runtime.domains: need at least one worker";
@@ -88,23 +80,13 @@ let domains ~jobs run =
       done_lock = Mutex.create ();
       done_cond = Condition.create ();
       done_q = Queue.create ();
+      outstanding = 0;
     }
   in
   let workers = Array.init jobs (fun _ -> Domain.spawn (fun () -> worker s)) in
-  {
-    backend = Domains (s, workers);
-    live = 0;
-    shut = false;
-  }
+  { backend = Domains (s, workers); shut = false }
 
-let event_loop async =
-  {
-    backend = Event_loop async;
-    live = 0;
-    shut = false;
-  }
-
-let outstanding t = t.live
+let event_loop async = { backend = Event_loop async; shut = false }
 let async t = match t.backend with Event_loop a -> Some a | Inline _ | Domains _ -> None
 
 (* ---- the submit/poll surface -------------------------------------- *)
@@ -114,11 +96,10 @@ let submit t ~seq scenario =
   match t.backend with
   | Inline run -> Some (run_local run scenario)
   | Event_loop a ->
-      t.live <- t.live + 1;
       Async_executor.submit a ~tag:seq scenario;
       None
   | Domains (s, _) ->
-      t.live <- t.live + 1;
+      s.outstanding <- s.outstanding + 1;
       Mutex.lock s.work_lock;
       Queue.push (seq, scenario) s.tasks;
       Condition.signal s.work_cond;
@@ -126,23 +107,20 @@ let submit t ~seq scenario =
       None
 
 let poll t ~block =
-  let completions =
-    match t.backend with
-    | Inline _ -> []
-    | Event_loop a -> Async_executor.poll a ~block
-    | Domains (s, _) ->
-        Mutex.lock s.done_lock;
-        if block && t.live > 0 then
-          while Queue.is_empty s.done_q do
-            Condition.wait s.done_cond s.done_lock
-          done;
-        let out = List.of_seq (Queue.to_seq s.done_q) in
-        Queue.clear s.done_q;
-        Mutex.unlock s.done_lock;
-        out
-  in
-  t.live <- t.live - List.length completions;
-  completions
+  match t.backend with
+  | Inline _ -> []
+  | Event_loop a -> Async_executor.poll a ~block
+  | Domains (s, _) ->
+      Mutex.lock s.done_lock;
+      if block && s.outstanding > 0 then
+        while Queue.is_empty s.done_q do
+          Condition.wait s.done_cond s.done_lock
+        done;
+      let out = List.of_seq (Queue.to_seq s.done_q) in
+      Queue.clear s.done_q;
+      Mutex.unlock s.done_lock;
+      s.outstanding <- s.outstanding - List.length out;
+      out
 
 let shutdown t =
   if not t.shut then begin
@@ -156,6 +134,7 @@ let shutdown t =
         Condition.broadcast s.work_cond;
         Mutex.unlock s.work_lock;
         Array.iter Domain.join workers;
-        if t.live > 0 then
-          Log.debug (fun m -> m "shutdown with %d completions unpolled" t.live)
+        if s.outstanding > 0 then
+          Log.debug (fun m ->
+              m "shutdown with %d completions unpolled" s.outstanding)
   end

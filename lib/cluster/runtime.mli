@@ -53,12 +53,10 @@ val submit :
 val poll : t -> block:bool -> (int * (Afex_injector.Outcome.t, exn) result) list
 (** Completions since the last poll, in completion order (not submission
     order — that is the caller's job). [block = true] waits until at
-    least one completion is available; returns [[]] only when nothing is
-    outstanding. [block = false] returns immediately after giving the
-    backend a chance to make progress. *)
-
-val outstanding : t -> int
-(** Queued tasks whose completions have not been polled yet. *)
+    least one completion is available, so [[]] means no queued task is
+    still without a polled completion: the caller needs no count of its
+    own. [block = false] returns immediately after giving the backend a
+    chance to make progress. *)
 
 val async : t -> Async_executor.t option
 (** The wrapped event loop, when the backend is one: remote counters

@@ -12,15 +12,3 @@ let top_faults executor ~sensor ~trials ~n result =
       let scenario = Afex_injector.Fault.to_scenario case.Test_case.fault in
       (case, impact_precision executor ~sensor ~trials scenario))
     (Session.top_faults result ~n)
-
-(* Executed records do not retain their coverage sets (only the novelty
-   count), so rarity is assessed the same way precision is: re-run the
-   fault and score the observed coverage against the session's final
-   histogram. *)
-let top_fault_rarity executor ~rarity ~n result =
-  List.map
-    (fun (case : Test_case.t) ->
-      let scenario = Afex_injector.Fault.to_scenario case.Test_case.fault in
-      let outcome = executor.Executor.run_scenario scenario in
-      (case, Rarity.bonus rarity outcome.Afex_injector.Outcome.coverage))
-    (Session.top_faults result ~n)

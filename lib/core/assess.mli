@@ -23,15 +23,3 @@ val top_faults :
   (Test_case.t * Afex_quality.Precision.t) list
 (** Precision of the [n] highest-impact faults of a session, highest
     impact first. *)
-
-val top_fault_rarity :
-  Executor.t ->
-  rarity:Rarity.t ->
-  n:int ->
-  Session.result ->
-  (Test_case.t * float) list
-(** Rarity bonus (against the session's final histogram) of the coverage
-    each of the [n] highest-impact faults reaches on a single re-run —
-    the companion signal to {!impact_precision}: precision says a fault
-    reproduces, the bonus says it exercises code the session rarely
-    touched. *)

@@ -302,11 +302,10 @@ let test_pipelined_out_of_order_responses () =
   let deadline = Unix.gettimeofday () +. 5.0 in
   while Hashtbl.length collected < 3 && Unix.gettimeofday () < deadline do
     List.iter
-      (fun (tag, result) ->
-        match result with
-        | Ok outcome -> Hashtbl.replace collected tag outcome
-        | Error e -> Alcotest.failf "drain: %s" (RM.string_of_error e))
+      (fun (tag, outcome) -> Hashtbl.replace collected tag outcome)
       (RM.Pipelined.drain conn);
+    if RM.Pipelined.take_orphans conn <> [] then
+      Alcotest.fail "drain: a request came back unanswered";
     if Hashtbl.length collected < 3 then Unix.sleepf 0.002
   done;
   checki "all three responses matched" 3 (Hashtbl.length collected);
@@ -433,11 +432,12 @@ let test_chaos_under_pipelining () =
 
 let test_pipelined_fail_cancels_awaiting () =
   (* The straggler path: a request is on the wire, the manager dies, and
-     the caller declares the connection dead while it is gated behind its
-     reconnect backoff. The request must leave the wire (nothing pending,
-     and no oldest request left whose deadline could punish the
-     connection again), the tag must come back exactly once via
-     take_orphans, and repeated deaths must spend the retry budget. *)
+     the caller declares the connection dead. The request must leave the
+     wire (nothing pending, and no oldest request left whose deadline
+     could punish the connection again), the tag must come back exactly
+     once via take_orphans, with its scenario, the connection must stay
+     gated until its reconnect backoff has passed, and repeated deaths
+     must spend the retry budget. *)
   let exec = executor () in
   let slow =
     Afex.Executor.sync_of_async
@@ -459,19 +459,35 @@ let test_pipelined_fail_cancels_awaiting () =
     (match RM.Pipelined.oldest_sent_ms conn with
     | Some sent -> sent >= before && sent <= after
     | None -> false);
+  let failed = Afex.Executor.monotonic_ms () in
   RM.Pipelined.fail conn;
+  let gated = not (RM.Pipelined.dispatchable conn) in
+  (* Only a host stall of 5 ms between the two reads could open it. *)
+  checkb "the backoff gate closes at the failure" true
+    (gated || Afex.Executor.monotonic_ms () -. failed >= 5.0);
+  checkb "not written off after one failure" false
+    (RM.Pipelined.abandoned conn);
   checki "nothing left on the wire" 0 (RM.Pipelined.pending conn);
   checkb "no oldest request left to time out" true
     (RM.Pipelined.oldest_sent_ms conn = None);
-  checkb "orphaned exactly once" true (RM.Pipelined.take_orphans conn = [ 7 ]);
+  checkb "orphaned exactly once, with its scenario" true
+    (RM.Pipelined.take_orphans conn = [ (7, scenario) ]);
   checkb "a second take finds nothing" true (RM.Pipelined.take_orphans conn = []);
   checki "one consecutive failure" 1 (RM.Pipelined.failures conn);
-  checkb "backoff surfaced as data, never a sleep" true
-    (RM.Pipelined.backoff_ms conn >= 5.0);
-  checkb "still dispatchable before the budget is spent" true
+  (* The gate is read, never slept: it opens once the 5 ms backoff has
+     passed. *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while
+    (not (RM.Pipelined.dispatchable conn)) && Unix.gettimeofday () < deadline
+  do
+    Unix.sleepf 0.001
+  done;
+  let opened = Afex.Executor.monotonic_ms () in
+  checkb "dispatchable again before the budget is spent" true
     (RM.Pipelined.dispatchable conn);
-  (* The remote dies again mid-backoff, before any reconnect: no request
-     is in flight, so no phantom orphan may appear — but the failure must
+  checkb "not before the backoff has passed" true (opened -. failed >= 5.0);
+  (* The remote dies again before any reconnect: no request is in
+     flight, so no phantom orphan may appear — but the failure must
      still count against the budget. *)
   RM.Pipelined.fail conn;
   checki "failures accumulate" 2 (RM.Pipelined.failures conn);
@@ -525,15 +541,16 @@ let withholding_manager exec (server_end : Transport.t) ~withhold =
 
 let test_straggler_deadline_is_oldest_request () =
   (* The manager answers the second and third requests and withholds the
-     first. Every request shares one timeout, so the connection's
-     straggler deadline is the first request's send time plus that
-     timeout, and the replies to the later requests must not move it. *)
+     first, whose tag 0 is its sequence number on the wire. Every
+     request shares one timeout, so the connection's straggler deadline
+     is the first request's send time plus that timeout, and the replies
+     to the later requests must not move it. *)
   let exec = executor () in
   let total_blocks = exec.Afex.Executor.total_blocks in
   let scenarios = Array.of_list (sample_scenarios 3) in
   let client_end, server_end = Transport.pair () in
   let server =
-    Domain.spawn (fun () -> withholding_manager exec server_end ~withhold:1)
+    Domain.spawn (fun () -> withholding_manager exec server_end ~withhold:0)
   in
   let conn =
     RM.Pipelined.create (single_shot_spec "withholder" client_end) ~total_blocks
@@ -555,15 +572,13 @@ let test_straggler_deadline_is_oldest_request () =
   let deadline = Unix.gettimeofday () +. 5.0 in
   while List.length !answered < 2 && Unix.gettimeofday () < deadline do
     List.iter
-      (fun (tag, result) ->
-        match result with
-        | Ok outcome ->
-            checkb
-              (Printf.sprintf "tag %d matched its own scenario" tag)
-              true
-              (outcome_equal outcome (exec.Afex.Executor.run_scenario scenarios.(tag)));
-            answered := tag :: !answered
-        | Error e -> Alcotest.failf "drain: %s" (RM.string_of_error e))
+      (fun (tag, outcome) ->
+        checkb
+          (Printf.sprintf "tag %d matched its own scenario" tag)
+          true
+          (outcome_equal outcome
+             (exec.Afex.Executor.run_scenario scenarios.(tag)));
+        answered := tag :: !answered)
       (RM.Pipelined.drain conn);
     if List.length !answered < 2 then Unix.sleepf 0.002
   done;
@@ -573,7 +588,8 @@ let test_straggler_deadline_is_oldest_request () =
   checkb "replies to later requests leave the oldest in place" true
     (RM.Pipelined.oldest_sent_ms conn = first);
   RM.Pipelined.fail conn;
-  checkb "the straggler is orphaned" true (RM.Pipelined.take_orphans conn = [ 0 ]);
+  checkb "the straggler is orphaned" true
+    (RM.Pipelined.take_orphans conn = [ (0, scenarios.(0)) ]);
   RM.Pipelined.close conn;
   Domain.join server;
   (* The event loop times the connection out from that deadline: the
@@ -581,7 +597,7 @@ let test_straggler_deadline_is_oldest_request () =
      the manager, and no outcome changes. *)
   let client_end, server_end = Transport.pair () in
   let server =
-    Domain.spawn (fun () -> withholding_manager exec server_end ~withhold:1)
+    Domain.spawn (fun () -> withholding_manager exec server_end ~withhold:0)
   in
   let timeout_ms = 300 in
   let ae =
@@ -641,12 +657,9 @@ let test_pipelined_credit () =
     (RM.Pipelined.has_credit conn);
   let deadline = Unix.gettimeofday () +. 5.0 in
   while RM.Pipelined.pending conn > 0 && Unix.gettimeofday () < deadline do
-    List.iter
-      (fun (_, result) ->
-        match result with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "drain: %s" (RM.string_of_error e))
-      (RM.Pipelined.drain conn);
+    ignore (RM.Pipelined.drain conn);
+    if RM.Pipelined.take_orphans conn <> [] then
+      Alcotest.fail "drain: a request came back unanswered";
     if RM.Pipelined.pending conn > 0 then Unix.sleepf 0.002
   done;
   checkb "the response gives the credit back" true (RM.Pipelined.has_credit conn);

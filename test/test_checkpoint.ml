@@ -989,7 +989,7 @@ let test_stop_incompatible () =
                     (Invalid_argument
                        "Pool.session: a checkpoint cannot capture a stop \
                         predicate; bound a checkpointed campaign with \
-                        iterations or a time budget")
+                        iterations")
                     (fun () ->
                       ignore
                         (Pool.session ~checkpoint:cp

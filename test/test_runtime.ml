@@ -56,17 +56,27 @@ let test_domains_run_each_task_once () =
     if Runtime.submit rt ~seq (task_scenario seq) <> None then
       Alcotest.failf "task %d ran on the caller" seq
   done;
+  (* A blocking poll answers [[]] only once every task's completion has
+     been polled. *)
   let completed = Array.make n 0 in
-  while Runtime.outstanding rt > 0 do
-    List.iter
-      (fun (seq, result) ->
-        (match result with
-        | Ok o when o.Outcome.fault.Fault.test_id = seq -> ()
-        | Ok _ -> Alcotest.failf "task %d completed with another task's outcome" seq
-        | Error e -> Alcotest.failf "task %d raised %s" seq (Printexc.to_string e));
-        completed.(seq) <- completed.(seq) + 1)
-      (Runtime.poll rt ~block:true)
-  done;
+  let rec drain () =
+    match Runtime.poll rt ~block:true with
+    | [] -> ()
+    | completions ->
+        List.iter
+          (fun (seq, result) ->
+            (match result with
+            | Ok o when o.Outcome.fault.Fault.test_id = seq -> ()
+            | Ok _ ->
+                Alcotest.failf "task %d completed with another task's outcome"
+                  seq
+            | Error e ->
+                Alcotest.failf "task %d raised %s" seq (Printexc.to_string e));
+            completed.(seq) <- completed.(seq) + 1)
+          completions;
+        drain ()
+  in
+  drain ();
   checkb "nothing comes back from an idle runtime" true
     (Runtime.poll rt ~block:true = []);
   Runtime.shutdown rt;

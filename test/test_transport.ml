@@ -511,18 +511,21 @@ let test_outcome_report_roundtrip () =
 
 (* --- the pipelined client over the loopback --- *)
 
-(* The event loop's duties towards one connection, minus its timer
-   wheel: keep every unanswered scenario submitted, drain replies,
-   resubmit orphans, and declare the connection dead once it has been
-   silent for [stall_ms] (the loop's request timeout; generous by
-   default, so a slow host never fails a clean wire). Returns each
-   scenario's accepted result; a scenario still unanswered when the
-   connection is abandoned stays [None]. *)
+(* The event loop's duties towards one connection: keep every
+   unanswered scenario submitted while the connection is dispatchable,
+   drain replies, resubmit orphans, and declare the connection dead once
+   requests have been pending without a reply for [stall_ms] (the loop's
+   request timeout; generous by default, so a slow host never fails a
+   clean wire). An idle connection behind its backoff gate is not
+   stalled. Returns each scenario's accepted outcome; a scenario still
+   unanswered when the connection is abandoned stays [None]. *)
 let pipelined_results ?(stall_ms = 2000.0) conn scenarios =
   let results = Array.map (fun _ -> None) scenarios in
   let on_wire = Array.map (fun _ -> false) scenarios in
   let forget () =
-    List.iter (fun tag -> on_wire.(tag) <- false) (RM.Pipelined.take_orphans conn)
+    List.iter
+      (fun (tag, _) -> on_wire.(tag) <- false)
+      (RM.Pipelined.take_orphans conn)
   in
   let deadline = Unix.gettimeofday () +. 20.0 in
   let last_progress = ref (Unix.gettimeofday ()) in
@@ -543,19 +546,19 @@ let pipelined_results ?(stall_ms = 2000.0) conn scenarios =
       scenarios;
     let replies = RM.Pipelined.drain conn in
     List.iter
-      (fun (tag, r) ->
-        results.(tag) <- Some r;
+      (fun (tag, outcome) ->
+        results.(tag) <- Some outcome;
         on_wire.(tag) <- false)
       replies;
     forget ();
     let now = Unix.gettimeofday () in
-    if replies <> [] then last_progress := now
-    else if now -. !last_progress > stall_ms /. 1000.0 then begin
+    if replies <> [] || RM.Pipelined.pending conn = 0 then last_progress := now;
+    if now -. !last_progress > stall_ms /. 1000.0 then begin
       RM.Pipelined.fail conn;
       forget ();
       last_progress := now
     end
-    else Unix.sleepf 0.0005
+    else if replies = [] then Unix.sleepf 0.0005
   done;
   results
 
@@ -569,7 +572,7 @@ let test_loopback_outcome_equality () =
   let scenarios = Array.of_list (sample_scenarios 20) in
   Array.iteri
     (fun tag result ->
-      let remote = get_ok "remote run" (Option.get result) in
+      let remote = Option.get result in
       let local = exec.Afex.Executor.run_scenario scenarios.(tag) in
       checkb "remote outcome equals local outcome" true (outcome_equal remote local))
     (pipelined_results conn scenarios);
@@ -591,13 +594,27 @@ let test_loopback_manager_error_not_retried () =
   in
   let lb = RM.Loopback.create ~executor:failing () in
   let conn = RM.Pipelined.create (RM.Loopback.spec lb) ~total_blocks:10 in
-  (match pipelined_results conn [| List.hd (sample_scenarios 1) |] with
-  | [| Some (Error (RM.Manager m)) |] ->
-      checkb "the manager's message survives" true (m = "executor exploded")
-  | _ -> Alcotest.fail "a manager-side failure must surface as Manager");
+  let scenario = List.hd (sample_scenarios 1) in
+  (match RM.Pipelined.submit conn ~tag:0 scenario with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "submit: %s" (RM.string_of_error e));
+  (* The refused test comes back to the caller, scenario and all, to run
+     elsewhere; the manager's message is only logged. *)
+  let orphans = ref [] in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while !orphans = [] && Unix.gettimeofday () < deadline do
+    if RM.Pipelined.drain conn <> [] then
+      Alcotest.fail "a refused test came back answered";
+    orphans := RM.Pipelined.take_orphans conn;
+    if !orphans = [] then Unix.sleepf 0.002
+  done;
+  checkb "the refused test comes back with its scenario" true
+    (!orphans = [ (0, scenario) ]);
   let s = RM.Pipelined.stats conn in
   checki "manager errors are deterministic: no retry" 0 s.RM.retries;
   checki "counted" 1 s.RM.manager_errors;
+  checki "nothing left on the wire" 0 (RM.Pipelined.pending conn);
+  checkb "the connection stays up" true (RM.Pipelined.dispatchable conn);
   RM.Pipelined.close conn;
   RM.Loopback.shutdown lb
 
@@ -634,8 +651,7 @@ let run_under_chaos ~chaos_to_server ~chaos_to_client ~seed =
       | Some r ->
           incr accepted;
           checkb "chaos never corrupts an accepted outcome" true
-            (outcome_equal (get_ok "accepted outcome" r)
-               (exec.Afex.Executor.run_scenario scenarios.(tag))))
+            (outcome_equal r (exec.Afex.Executor.run_scenario scenarios.(tag))))
     (pipelined_results ~stall_ms:50.0 conn scenarios);
   checkb "the connection was never written off" false
     (RM.Pipelined.abandoned conn);
@@ -832,6 +848,51 @@ let test_pool_dead_remote_falls_back () =
   checkb "every scenario was recovered locally" true (with_dead = local);
   checki "nothing ran over the wire" 0 stats.Pool.remote_runs;
   checkb "the fallback path was exercised" true (stats.Pool.remote_fallbacks > 0)
+
+let test_pool_manager_errors_fall_back () =
+  (* A manager that refuses every test with an odd testId: each refused
+     test comes back to the event loop and runs locally, the connection
+     stays up for the others, and the history is the local one. *)
+  let exec = executor () in
+  let refusing =
+    Afex.Executor.of_scenario_fn ~total_blocks:exec.Afex.Executor.total_blocks
+      ~description:"refuses odd testIds" (fun scenario ->
+        match List.assoc_opt "testId" scenario with
+        | Some (Afex_faultspace.Value.Int id) when id mod 2 = 1 ->
+            invalid_arg "odd testId"
+        | Some _ | None -> exec.Afex.Executor.run_scenario scenario)
+  in
+  let lb = RM.Loopback.create ~executor:refusing () in
+  let pool =
+    Pool.create ~remotes:[ RM.Loopback.spec lb ] ~inflight:8 ~jobs:0
+      (Pool.Pure exec)
+  in
+  let (result, stats), remote =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        let session =
+          Pool.session ~batch_size:16 ~iterations:150 pool
+            (Config.fitness_guided ~seed:41 ())
+            (Apache.space ())
+        in
+        (session, Pool.remote_stats pool))
+  in
+  RM.Loopback.shutdown lb;
+  let local, _ = pool_history ~jobs:1 ~seed:41 () in
+  checkb "history equals local" true (history result = local);
+  let s =
+    match remote with
+    | [ (_, s) ] -> s
+    | _ -> Alcotest.fail "expected one manager's counters"
+  in
+  checkb "the manager refused some tests" true (s.RM.manager_errors > 0);
+  checki "every refused test ran locally" s.RM.manager_errors
+    stats.Pool.remote_fallbacks;
+  checki "a refusal drops no connection" 0 s.RM.retries;
+  checki "each executed test ran once on the wire or locally"
+    (stats.Pool.remote_runs - s.RM.manager_errors + stats.Pool.remote_fallbacks)
+    stats.Pool.executed
 
 let test_pool_rejects_bad_worker_mix () =
   let exec () = Pool.Pure (executor ()) in
@@ -1383,8 +1444,7 @@ let test_pipelined_coalescing () =
   checki "all six answered" 6 (List.length !results);
   checkb "no orphans on a clean wire" true (RM.Pipelined.take_orphans conn = []);
   List.iter
-    (fun (tag, r) ->
-      let outcome = get_ok "pipelined outcome" r in
+    (fun (tag, outcome) ->
       checkb "pipelined outcome equals local" true
         (outcome_equal outcome
            (exec.Afex.Executor.run_scenario scenarios.(tag))))
@@ -1490,6 +1550,8 @@ let suite =
       ("pool: one request per manager by default", test_pool_one_request_per_manager);
       ("pool: chaotic remote matches local", test_pool_chaotic_remote_matches_local);
       ("pool: dead remote falls back", test_pool_dead_remote_falls_back);
+      ( "pool: manager errors fall back locally",
+        test_pool_manager_errors_fall_back );
       ("pool: rejects bad worker mix", test_pool_rejects_bad_worker_mix);
       ("v2: varint properties", test_varint_properties);
       ("v2: request codec (coalesce, delta, desync)", test_v2_request_codec);
