@@ -15,6 +15,10 @@ let log_src = Logs.Src.create "afex.explorer" ~doc:"AFEX exploration progress"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* A record of floats only is stored flat, so advancing the clock boxes
+   nothing. *)
+type clock = { mutable simulated_ms : float }
+
 type t = {
   config : Config.t;
   sub : Subspace.t;
@@ -49,7 +53,7 @@ type t = {
   mutable crashed : int;
   mutable hung : int;
   mutable triggered : int;
-  mutable simulated_ms : float;
+  clock : clock;
 }
 
 (* Only the fitness-guided strategy mutates, and kernels are built on
@@ -98,7 +102,7 @@ let create ?(transform = fun p -> p) config sub executor =
     crashed = 0;
     hung = 0;
     triggered = 0;
-    simulated_ms = 0.0;
+    clock = { simulated_ms = 0.0 };
   }
 
 let is_pending t p = Point.Tbl.mem t.pending p
@@ -197,6 +201,13 @@ let next t =
 let scenario_for t (proposal : Mutator.proposal) =
   Subspace.values t.sub (t.transform proposal.Mutator.point)
 
+(* Tests that left the queue leave the rare-block map with it. *)
+let rec forget rare_block = function
+  | [] -> ()
+  | (c : Test_case.t) :: rest ->
+      Hashtbl.remove rare_block c.Test_case.birth;
+      forget rare_block rest
+
 let report t (proposal : Mutator.proposal) outcome =
   let point = proposal.Mutator.point in
   remove_pending t point;
@@ -269,19 +280,23 @@ let report t (proposal : Mutator.proposal) outcome =
         b
     | None -> None
   in
-  t.simulated_ms <-
-    t.simulated_ms +. outcome.Outcome.duration_ms +. t.config.Config.setup_ms;
+  t.clock.simulated_ms <-
+    t.clock.simulated_ms +. outcome.Outcome.duration_ms +. t.config.Config.setup_ms;
   t.records <- case :: t.records;
   if t.iterations mod 100 = 0 then
     Log.info (fun m ->
         m "%s: %d tests, %d failed, %d crashes, %d blocks covered, queue %d"
           t.executor.Executor.description t.iterations t.failed t.crashed
           (Bitset.count t.covered) (Pqueue.size t.queue));
-  Log.debug (fun m ->
-      m "#%d %a -> %s (impact %.1f, fitness %.1f)" t.iterations
-        Afex_faultspace.Point.pp point
-        (Outcome.status_to_string outcome.Outcome.status)
-        impact fitness);
+  (* Checked here, so that no test pays for the message's closure. *)
+  (match Logs.Src.level log_src with
+  | Some Logs.Debug ->
+      Log.debug (fun m ->
+          m "#%d %a -> %s (impact %.1f, fitness %.1f)" t.iterations
+            Afex_faultspace.Point.pp point
+            (Outcome.status_to_string outcome.Outcome.status)
+            impact fitness)
+  | Some _ | None -> ());
   (* Learning. *)
   (match proposal.Mutator.mutated_axis with
   | Some axis -> Sensitivity.record t.sensitivity ~axis ~fitness
@@ -293,14 +308,20 @@ let report t (proposal : Mutator.proposal) outcome =
       (match rarest with
       | Some b -> Hashtbl.replace t.rare_block case.Test_case.birth b
       | None -> ());
-      let leave (c : Test_case.t) =
-        Hashtbl.remove t.rare_block c.Test_case.birth
+      (match Pqueue.insert ~policy:t.config.Config.eviction t.rng t.queue case with
+      | Some c -> Hashtbl.remove t.rare_block c.Test_case.birth
+      | None -> ());
+      let retired =
+        Pqueue.age t.queue ~decay:t.config.Config.aging_decay
+          ~retire_below:t.config.Config.retire_threshold
       in
-      Option.iter leave
-        (Pqueue.insert ~policy:t.config.Config.eviction t.rng t.queue case);
-      List.iter leave
-        (Pqueue.age t.queue ~decay:t.config.Config.aging_decay
-           ~retire_below:t.config.Config.retire_threshold)
+      forget t.rare_block retired;
+      (* The queue owns a queued test's fitness: hand [case] its aged
+         value, unless aging retired it (its entry was the newest, so it
+         heads the retired) and so wrote it already. *)
+      (match retired with
+      | c :: _ when c == case -> ()
+      | _ -> Pqueue.settle_newest t.queue)
   | Config.Random_search | Config.Exhaustive -> ());
   case
 
@@ -308,14 +329,17 @@ let execute t proposal =
   report t proposal (t.executor.Executor.run_scenario (scenario_for t proposal))
 
 let iterations t = t.iterations
-let records t = List.rev t.records
+let records t =
+  Pqueue.settle t.queue;
+  List.rev t.records
+
 let failed_count t = t.failed
 let crashed_count t = t.crashed
 let hung_count t = t.hung
 let triggered_count t = t.triggered
 let covered_blocks t = Bitset.count t.covered
-let simulated_ms t = t.simulated_ms
-let sensitivity_probabilities t = Sensitivity.probabilities t.sensitivity
+let simulated_ms t = t.clock.simulated_ms
+let sensitivity_probabilities t = Array.copy (Sensitivity.probabilities t.sensitivity)
 let rarity_histogram t = t.rarity
 let mutator_stats t = t.mutator_stats
 let failure_index t = t.failure_index
@@ -358,6 +382,7 @@ module Snapshot = struct
       invalid_arg
         "Explorer.Snapshot.capture: candidates still in flight — snapshots \
          are only taken at batch boundaries";
+    Pqueue.settle e.queue;
     (* [e.records] is newest first: walk it only down to [since]. *)
     let rec above acc = function
       | (c : Test_case.t) :: rest when c.Test_case.birth > since ->
@@ -372,7 +397,7 @@ module Snapshot = struct
       crashed = e.crashed;
       hung = e.hung;
       triggered = e.triggered;
-      simulated_ms = e.simulated_ms;
+      simulated_ms = e.clock.simulated_ms;
       cursor_consumed = e.cursor_consumed;
       covered = Bitset.copy e.covered;
       records = above [] e.records;
@@ -496,8 +521,9 @@ let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
   in
   let history = History.create () in
   List.iter (fun c -> History.add history c.Test_case.point) s.Snapshot.records;
-  (* The queue is restored by reference into the record list: aging decays
-     the very fitness values the history reports, exactly as live. *)
+  (* The queue is restored by reference into the record list, and takes
+     each queued record's fitness from it, exactly as live. A NaN there
+     would raise out of the next parent draw. *)
   let by_birth = Hashtbl.create 64 in
   List.iter
     (fun c -> Hashtbl.replace by_birth c.Test_case.birth c)
@@ -511,6 +537,8 @@ let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
           else begin
             Hashtbl.replace seen b ();
             match Hashtbl.find_opt by_birth b with
+            | Some c when Float.is_nan c.Test_case.fitness ->
+                err "queued test %d has a NaN fitness" b
             | Some c -> resolve (c :: acc) rest
             | None -> err "queue refers to unknown test %d" b
           end)
@@ -562,5 +590,5 @@ let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
       crashed = s.Snapshot.crashed;
       hung = s.Snapshot.hung;
       triggered = s.Snapshot.triggered;
-      simulated_ms = s.Snapshot.simulated_ms;
+      clock = { simulated_ms = s.Snapshot.simulated_ms };
     }

@@ -29,7 +29,10 @@ val scenario_for : t -> Mutator.proposal -> Afex_faultspace.Scenario.t
 val report : t -> Mutator.proposal -> Afex_injector.Outcome.t -> Test_case.t
 (** Feed back the outcome of a candidate returned by {!next}: scores
     impact and fitness (relevance- and feedback-weighted), updates
-    coverage, Q_priority, History, sensitivity, and ages the queue. *)
+    coverage, Q_priority, History, sensitivity, and ages the queue. The
+    record returned carries its fitness after this report's aging; while
+    it stays queued, later reports age the queue's copy, not its field
+    (see {!records}). *)
 
 val execute : t -> Mutator.proposal -> Test_case.t
 (** [report] after running the fault on the session's executor — the
@@ -41,7 +44,8 @@ val iterations : t -> int
 (** Number of reported (executed) tests. *)
 
 val records : t -> Test_case.t list
-(** Chronological. *)
+(** Chronological. Each record's [fitness] is current: the queued ones
+    are settled ({!Pqueue.settle}) first. *)
 
 val failed_count : t -> int
 val crashed_count : t -> int
@@ -62,6 +66,7 @@ val crash_index : t -> Afex_quality.Index.t
     items align with the crashing records in {!records} order. *)
 
 val sensitivity_probabilities : t -> float array
+(** A copy of {!Sensitivity.probabilities}. *)
 
 val rarity_histogram : t -> Rarity.t option
 (** The global block hit-count histogram, present iff the configuration
@@ -74,6 +79,8 @@ val mutator_stats : t -> Mutator.stats
     exhaustion. All zeros for the non-guided strategies. *)
 
 val queue_snapshot : t -> Test_case.t list
+(** Q_priority's tests ({!Pqueue.elements}), each [fitness] current. *)
+
 val history_size : t -> int
 val subspace : t -> Afex_faultspace.Subspace.t
 val config : t -> Config.t
@@ -126,7 +133,9 @@ module Snapshot : sig
       caller that already holds them — the checkpoint's record log —
       pays only for the newer ones, since the walk stops there. Only a
       queued test's fitness still changes (aging), so records older
-      than every queued test are final.
+      than every queued test are final. The queue is settled
+      ({!Pqueue.settle}) first, so every record captured carries its
+      current fitness.
       @raise Invalid_argument if any candidate is still pending —
       snapshots are only meaningful at batch boundaries, when every
       issued candidate has been reported. *)
@@ -147,7 +156,8 @@ val restore :
     the checkpoint layer records campaign metadata for exactly this).
     Internal consistency is revalidated — record birth order, record
     points inside the subspace, statistic tallies, queue references,
-    cursor position, coverage bounds — and any
+    no NaN among queued fitness values and sensitivity samples, cursor
+    position, coverage bounds — and any
     violation is a clean [Error], never an exception, so a corrupt
     snapshot that slipped past the file checksum still cannot crash the
     resuming process. *)

@@ -101,45 +101,51 @@ let mutate ?mask ~kernels params rng sub sens ~parent =
   in
   (Point.with_component parent.Test_case.point axis_index new_value, axis_index)
 
+let[@inline] novel history is_pending p =
+  (not (History.mem history p)) && not (is_pending p)
+
+(* [next]'s attempt loop, at top level so that a call builds no
+   closure: the counters record what burnt the attempt budget, so a
+   mask-heavy session degrading to random search is visible instead of
+   silent. *)
+let rec attempt stats mask kernels params rng sub sens queue history is_pending k =
+  if k >= params.max_attempts then begin
+    (* Neighbourhoods exhausted: fall back to uniform exploration. *)
+    (match stats with
+    | Some s -> s.random_fallbacks <- s.random_fallbacks + 1
+    | None -> ());
+    { point = Subspace.random_point rng sub; mutated_axis = None }
+  end
+  else begin
+    match Pqueue.sample rng queue with
+    | None ->
+        let p = Subspace.random_point rng sub in
+        if novel history is_pending p then { point = p; mutated_axis = None }
+        else begin
+          (match stats with Some s -> s.rejects <- s.rejects + 1 | None -> ());
+          attempt stats mask kernels params rng sub sens queue history is_pending
+            (k + 1)
+        end
+    | Some parent ->
+        let m = mask parent in
+        let point, axis = mutate ?mask:m ~kernels params rng sub sens ~parent in
+        if novel history is_pending point && Subspace.mem sub point then begin
+          (match (stats, m) with
+          | Some s, Some _ -> s.masked <- s.masked + 1
+          | _ -> ());
+          { point; mutated_axis = Some axis }
+        end
+        else begin
+          (match (stats, m) with
+          | Some s, Some _ -> s.masked_rejects <- s.masked_rejects + 1
+          | Some s, None -> s.rejects <- s.rejects + 1
+          | None, _ -> ());
+          attempt stats mask kernels params rng sub sens queue history is_pending
+            (k + 1)
+        end
+  end
+
 let next ?stats ?(mask = fun (_ : Test_case.t) -> None) ~kernels params rng
     sub sens ~queue ~history ~is_pending =
-  let tally f = match stats with Some s -> f s | None -> () in
-  tally (fun s -> s.proposals <- s.proposals + 1);
-  let novel p = (not (History.mem history p)) && not (is_pending p) in
-  let rec attempt k =
-    if k >= params.max_attempts then begin
-      (* Neighbourhoods exhausted: fall back to uniform exploration. The
-         counters above record what burnt the attempt budget, so a
-         mask-heavy session degrading to random search is visible instead
-         of silent. *)
-      tally (fun s -> s.random_fallbacks <- s.random_fallbacks + 1);
-      { point = Subspace.random_point rng sub; mutated_axis = None }
-    end
-    else begin
-      match Pqueue.sample rng queue with
-      | None ->
-          let p = Subspace.random_point rng sub in
-          if novel p then { point = p; mutated_axis = None }
-          else begin
-            tally (fun s -> s.rejects <- s.rejects + 1);
-            attempt (k + 1)
-          end
-      | Some parent ->
-          let m = mask parent in
-          let point, axis = mutate ?mask:m ~kernels params rng sub sens ~parent in
-          if novel point && Subspace.mem sub point then begin
-            (match m with
-            | Some _ -> tally (fun s -> s.masked <- s.masked + 1)
-            | None -> ());
-            { point; mutated_axis = Some axis }
-          end
-          else begin
-            tally (fun s ->
-                match m with
-                | Some _ -> s.masked_rejects <- s.masked_rejects + 1
-                | None -> s.rejects <- s.rejects + 1);
-            attempt (k + 1)
-          end
-    end
-  in
-  attempt 0
+  (match stats with Some s -> s.proposals <- s.proposals + 1 | None -> ());
+  attempt stats mask kernels params rng sub sens queue history is_pending 0

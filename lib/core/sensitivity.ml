@@ -3,7 +3,15 @@
    oldest in place. *)
 type axis_state = { ring : float array; mutable head : int; mutable len : int }
 
-type t = { window : int; axes : axis_state array; prior : float }
+(* [probs] caches {!probabilities}: it is recomputed on the first read
+   after a [record] ([stale]), and handed out as is. *)
+type t = {
+  window : int;
+  axes : axis_state array;
+  prior : float;
+  probs : float array;
+  mutable stale : bool;
+}
 
 let create ?(window = 20) ~dims () =
   if dims < 1 then invalid_arg "Sensitivity.create: dims < 1";
@@ -14,6 +22,8 @@ let create ?(window = 20) ~dims () =
       Array.init dims (fun _ ->
           { ring = Array.make window 0.0; head = window - 1; len = 0 });
     prior = 1.0;
+    probs = Array.make dims 0.0;
+    stale = true;
   }
 
 let record t ~axis ~fitness =
@@ -21,7 +31,8 @@ let record t ~axis ~fitness =
   let head = if state.head = t.window - 1 then 0 else state.head + 1 in
   state.ring.(head) <- fitness;
   state.head <- head;
-  if state.len < t.window then state.len <- state.len + 1
+  if state.len < t.window then state.len <- state.len + 1;
+  t.stale <- true
 
 (* The k-th newest sample, k < len. *)
 let[@inline] sample t state k =
@@ -42,29 +53,36 @@ let[@inline] value t i =
     !acc
   end
 
-let values t =
-  let raw = Array.make (Array.length t.axes) 0.0 in
+let fill_values t raw =
   for i = 0 to Array.length raw - 1 do
     raw.(i) <- value t i
-  done;
+  done
+
+let values t =
+  let raw = Array.make (Array.length t.axes) 0.0 in
+  fill_values t raw;
   raw
 
 let probabilities t =
-  let p = values t in
-  let n = Array.length p in
-  let total = ref 0.0 in
-  for i = 0 to n - 1 do
-    total := !total +. p.(i)
-  done;
-  let total = !total in
-  let uniform = 1.0 /. float_of_int n in
-  if total <= 0.0 then Array.fill p 0 n uniform
-  else begin
-    (* 10% of the mass stays uniform: no axis is ever fully abandoned. *)
-    let epsilon = 0.10 in
+  let p = t.probs in
+  if t.stale then begin
+    fill_values t p;
+    let n = Array.length p in
+    let total = ref 0.0 in
     for i = 0 to n - 1 do
-      p.(i) <- (epsilon *. uniform) +. ((1.0 -. epsilon) *. p.(i) /. total)
-    done
+      total := !total +. p.(i)
+    done;
+    let total = !total in
+    let uniform = 1.0 /. float_of_int n in
+    if total <= 0.0 then Array.fill p 0 n uniform
+    else begin
+      (* 10% of the mass stays uniform: no axis is ever fully abandoned. *)
+      let epsilon = 0.10 in
+      for i = 0 to n - 1 do
+        p.(i) <- (epsilon *. uniform) +. ((1.0 -. epsilon) *. p.(i) /. total)
+      done
+    end;
+    t.stale <- false
   end;
   p
 
@@ -95,6 +113,10 @@ let load ?(window = 20) ~dims samples =
          (Array.length samples) dims)
   else if Array.exists (fun s -> List.length s > window) samples then
     Error "Sensitivity.load: more samples than the window admits"
+  else if Array.exists (List.exists Float.is_nan) samples then
+    (* A live session never records one, and it would reach the axis
+       draw's weights. *)
+    Error "Sensitivity.load: NaN sample"
   else begin
     let t = create ~window ~dims () in
     (* Oldest first, so the newest ends at [head]. *)

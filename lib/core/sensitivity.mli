@@ -19,7 +19,10 @@ val values : t -> float array
 val probabilities : t -> float array
 (** Normalized axis-choice distribution (line 5 of Algorithm 1), with a
     small floor on every axis so no direction is ever abandoned
-    completely. *)
+    completely. The vector is cached: it is recomputed only on the first
+    call after a {!record}, and the array returned is [t]'s own. Treat it
+    as read-only; its contents are valid until the next {!record}, so
+    copy it to keep them. *)
 
 val dims : t -> int
 
@@ -36,4 +39,5 @@ val dump : t -> float list array
 
 val load : ?window:int -> dims:int -> float list array -> (t, string) result
 (** Inverse of {!dump}. [Error] — never an exception — when the axis
-    count disagrees with [dims] or any window is over-full. *)
+    count disagrees with [dims], any window is over-full or any sample is
+    NaN. *)

@@ -973,6 +973,97 @@ let test_snapshot_cost_tracks_new_tests () =
        (limit 1.15x)"
       short long
 
+(* The bytes of a checkpointed mysql campaign, computed before the queue
+   kept fitness in a column of its own: a snapshot must still hold each
+   queued record's aged fitness, and the record log each retired
+   record's final one. *)
+let test_checkpoint_bytes_pinned () =
+  with_dir (fun dir ->
+      let cp =
+        match Checkpoint.start ~every:500 ~dir [ ("probe", "1") ] with
+        | Ok cp -> cp
+        | Error e -> Alcotest.fail e
+      in
+      let pool =
+        Pool.create ~jobs:1 (Pool.Pure (Afex.Executor.of_target (Mysql.target ())))
+      in
+      ignore
+        (Pool.session ~checkpoint:cp ~iterations:3000 pool
+           (Config.fitness_guided ~seed:9 ())
+           (Mysql.space ()));
+      Pool.shutdown pool;
+      Checkpoint.close cp;
+      let file name expect_bytes expect_md5 =
+        let s = read_file (Filename.concat dir name) in
+        Alcotest.(check int) (name ^ " bytes") expect_bytes (String.length s);
+        checks (name ^ " digest") expect_md5 (Digest.to_hex (Digest.string s))
+      in
+      file "snapshot.afex" 31_464 "9f206faa99ecf6ade6d891a6ef57f8f1";
+      file "records.log" 389_646 "f953bab968c96ba567a41f8b9dfe91ef";
+      file "wal.log" 0 (Digest.to_hex (Digest.string "")))
+
+(* No live session queues a NaN fitness or records a NaN sample (aging
+   retires a NaN at once, since [nan >= x] is false), but a snapshot
+   whose checksum holds can carry one, and the next parent draw would
+   raise out of the resumed session. *)
+let test_restore_rejects_nan () =
+  let config = Config.fitness_guided ~seed:7 () in
+  let ex = Explorer.create config (space ()) (executor ()) in
+  for _ = 1 to 200 do
+    match Explorer.next ex with
+    | Some p -> ignore (Explorer.execute ex p)
+    | None -> ()
+  done;
+  let snap = Explorer.capture ex in
+  let restores (s : Explorer.Snapshot.t) =
+    let bytes =
+      Checkpoint.Snapshot.encode
+        {
+          Checkpoint.Snapshot.meta;
+          mark = { Checkpoint.Snapshot.logged = 0; log_bytes = 0 };
+          explorer = s;
+        }
+    in
+    match Checkpoint.Snapshot.decode bytes with
+    | Error e -> Alcotest.failf "checksummed snapshot refused: %s" e
+    | Ok decoded -> (
+        match
+          Explorer.restore config (space ()) (executor ())
+            decoded.Checkpoint.Snapshot.explorer
+        with
+        | Ok _ -> true
+        | Error _ -> false)
+  in
+  checkb "the untouched snapshot restores" true (restores snap);
+  let queued =
+    match snap.Explorer.Snapshot.queue with
+    | b :: _ -> b
+    | [] -> Alcotest.fail "nothing queued"
+  in
+  let records =
+    List.map
+      (fun (c : Afex.Test_case.t) ->
+        if c.Afex.Test_case.birth = queued then
+          { c with Afex.Test_case.fitness = Float.nan }
+        else c)
+      snap.Explorer.Snapshot.records
+  in
+  checkb "a queued NaN fitness refused" false
+    (restores { snap with Explorer.Snapshot.records });
+  let sensitivity = Array.copy snap.Explorer.Snapshot.sensitivity in
+  let axis =
+    match
+      List.find_opt
+        (fun i -> sensitivity.(i) <> [])
+        (List.init (Array.length sensitivity) Fun.id)
+    with
+    | Some i -> i
+    | None -> Alcotest.fail "no sensitivity samples"
+  in
+  sensitivity.(axis) <- Float.nan :: List.tl sensitivity.(axis);
+  checkb "a NaN sensitivity sample refused" false
+    (restores { snap with Explorer.Snapshot.sensitivity })
+
 let test_stop_incompatible () =
   with_dir (fun dir ->
       match Checkpoint.start ~dir meta with
@@ -1021,6 +1112,8 @@ let suite =
     ("framing matches reference", `Quick, test_framing_matches_reference);
     ("snapshot cost tracks new tests", `Quick,
       test_snapshot_cost_tracks_new_tests);
+    ("checkpoint bytes pinned across versions", `Quick, test_checkpoint_bytes_pinned);
+    ("restore rejects NaN fitness and samples", `Quick, test_restore_rejects_nan);
     ("torn journal tail is re-executed", `Quick, test_torn_wal_tail_tolerated);
     ("interior journal corruption rejected", `Quick, test_corrupt_wal_interior_rejected);
     ("stop predicates cannot be checkpointed", `Quick, test_stop_incompatible);

@@ -465,8 +465,13 @@ let test_pinned_history_apache () =
    probes) and [report] (queue insert and aging, sensitivity). With the
    mutated axis's Gaussian rebuilt on every draw this loop allocated
    about 5,560 words per step; with cached kernels, in-place sampling and
-   point-keyed tables it allocates about 220. The ceiling is about twice
-   that. *)
+   point-keyed tables it allocates about 220, and the gate capped the
+   step at 450. Aging then re-boxed the fitness of every queued record
+   on every report, and [next] built a closure per tally: about 64 words
+   per [next] and 149 per [report]. With the queue's fitness in a column
+   of its own, a cached sensitivity vector and no closures, they take
+   about 38 each, and each has a ceiling of 80: any return of aging's
+   boxes fails the report's. *)
 
 let stub_blocks = 64
 
@@ -494,22 +499,30 @@ let test_explorer_allocation_gate () =
       (stub_executor passed)
   in
   let steps = 2000 in
-  let before = Gc.minor_words () in
+  (* Summed in a float array, so that counting boxes nothing. *)
+  let words = [| 0.0; 0.0 |] in
   for _ = 1 to steps do
+    let w0 = Gc.minor_words () in
     match Explorer.next explorer with
     | Some p ->
+        let w1 = Gc.minor_words () in
         (* Every fourth test id "fails", so the queue keeps fit parents
            and generation stays on the mutation path. *)
         let o = if Point.get p.Mutator.point 0 mod 4 = 0 then failed else passed in
-        ignore (Explorer.report explorer p o)
+        ignore (Explorer.report explorer p o);
+        words.(0) <- words.(0) +. (w1 -. w0);
+        words.(1) <- words.(1) +. (Gc.minor_words () -. w1)
     | None -> Alcotest.fail "fitness-guided search ran dry"
   done;
-  let words = (Gc.minor_words () -. before) /. float_of_int steps in
   checkb "mostly mutation proposals" true
     ((Explorer.mutator_stats explorer).Mutator.proposals > 1900);
-  if words > 450.0 then
-    Alcotest.failf "explorer next+report allocates %.0f words per step (ceiling 450)"
-      words
+  Array.iteri
+    (fun i call ->
+      let per_step = words.(i) /. float_of_int steps in
+      if per_step > 80.0 then
+        Alcotest.failf "explorer %s allocates %.1f words per step (ceiling 80)" call
+          per_step)
+    [| "next"; "report" |]
 
 (* The replsim executor on the benchmark's cluster: decode a two-arm
    scenario, simulate, build the outcome. The simulator allocated about
@@ -759,7 +772,12 @@ let test_exhausted_matches_reference_loop () =
 (* An always-passing stub empties the queue, so every step draws at
    random; the history covers apache's space within 12,000 steps. Drawing
    and probing all 202 points allocated about 3,150 words per saturated
-   step; skipping the 201 that would be rejected leaves about 130. *)
+   step; skipping the 201 that would be rejected left about 126, under a
+   ceiling of 400. Each passed test then retired at once, which emptied
+   the queue, and the next insert allocated its array again; [report]
+   also built a closure per test for its debug message. With the queue's
+   arrays allocated once and no closure, a step allocates about 57, and
+   the ceiling is 125. *)
 let test_saturated_explorer_allocation_gate () =
   let module Apache = Afex_simtarget.Apache in
   let passed = stub_outcome Outcome.Passed in
@@ -783,10 +801,86 @@ let test_saturated_explorer_allocation_gate () =
     step ()
   done;
   let words = (Gc.minor_words () -. before) /. float_of_int steps in
-  if words > 400.0 then
+  if words > 125.0 then
     Alcotest.failf
-      "saturated explorer next+report allocates %.0f words per step (ceiling 400)"
+      "saturated explorer next+report allocates %.1f words per step (ceiling 125)"
       words
+
+(* --- Fitness pinned across versions ---
+
+   The history digests above hash points and statuses, so a record that
+   hands out a stale or wrong fitness passes them. These digests add each
+   record's impact and fitness bits, and were computed before the queue
+   kept fitness in a column of its own: every record the library hands
+   out (returned by [report], read through [records] or
+   [queue_snapshot], or resumed from a checkpoint) must carry the value
+   that aging its field in place gave. *)
+
+let fitness_lines b records =
+  List.iter
+    (fun (c : Test_case.t) ->
+      Buffer.add_string b (Point.key c.Test_case.point);
+      Buffer.add_char b ' ';
+      Buffer.add_string b (Outcome.status_to_string c.Test_case.status);
+      Printf.bprintf b " %Lx %Lx\n"
+        (Int64.bits_of_float c.Test_case.impact)
+        (Int64.bits_of_float c.Test_case.fitness))
+    records
+
+let fitness_digest records =
+  let b = Buffer.create 65536 in
+  fitness_lines b records;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_fitness () =
+  let module Mysql = Afex_simtarget.Mysql in
+  let module Pool = Afex_cluster.Pool in
+  let module Replsim = Afex_simtarget.Replsim in
+  let module Replfault = Afex_injector.Replfault in
+  let check = Alcotest.(check string) in
+  let mysql () = Executor.of_target (Mysql.target ()) in
+  let r =
+    Session.run ~iterations:5000 (Config.fitness_guided ~seed:7 ()) (Mysql.space ())
+      (mysql ())
+  in
+  check "mysql seed 7 session" "e9e03b1705ca2e62254dc9449dd8947e"
+    (fitness_digest r.Session.executed);
+  (* The queue empties and refills once the space saturates. *)
+  let r =
+    Session.run ~iterations:15_000 (feedback_config 505) (Afex_simtarget.Apache.space ())
+      (apache_executor ())
+  in
+  check "apache seed 505 session, 15,000 tests" "50314324da42a6d009b2116f8af1b301"
+    (fitness_digest r.Session.executed);
+  let explorer =
+    Explorer.create (Config.fitness_guided ~seed:7 ()) (Mysql.space ()) (mysql ())
+  in
+  let returned = Buffer.create 65536 and queued = Buffer.create 65536 in
+  for step = 1 to 3000 do
+    (match Explorer.next explorer with
+    | Some p -> fitness_lines returned [ Explorer.execute explorer p ]
+    | None -> Alcotest.fail "fitness-guided search ran dry");
+    if step mod 97 = 0 then fitness_lines queued (Explorer.queue_snapshot explorer)
+  done;
+  let digest b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  check "mysql seed 7, the record each step returns" "56322288b0e1eeab5c0437c6db0d0ff8"
+    (digest returned);
+  check "mysql seed 7, the queue every 97 steps" "23de74885453a64771a04d03e3d5d402"
+    (digest queued);
+  check "mysql seed 7, the final records" "dc06c7f11d82b510d74ba572eb10d285"
+    (fitness_digest (Explorer.records explorer));
+  let cluster = Replsim.make ~n:12 ~rounds:300 ~seed:11 () in
+  let exec =
+    Executor.of_scenario_fn ~total_blocks:(Replsim.total_blocks cluster)
+      ~description:(Replfault.description cluster) (Replfault.run_scenario cluster)
+  in
+  let r, _ =
+    Pool.run ~jobs:1 ~iterations:1500
+      (Config.with_rarity ~mask:true (Config.fitness_guided ~seed:701 ()))
+      (Replfault.multi_space ~arms:2 cluster) (Pool.Pure exec)
+  in
+  check "replsim two-arm rarity with masking" "42a98751f3ebe3245b68901d17838f75"
+    (fitness_digest r.Session.executed)
 
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -830,4 +924,5 @@ let suite =
       ("pinned history apache saturated", test_pinned_history_apache_saturated);
       ("exhausted space matches reference loop", test_exhausted_matches_reference_loop);
       ("saturated explorer allocation gate", test_saturated_explorer_allocation_gate);
+      ("fitness pinned across versions", test_pinned_fitness);
     ]

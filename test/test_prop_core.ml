@@ -209,6 +209,161 @@ let test_pqueue_draws_match_reference () =
       in
       sampled && evicted && aged)
 
+(* --- Q_priority against the queue that aged records in place ------- *)
+
+(* Q_priority as it was before it kept fitness in a column of its own:
+   every draw read the queued records' [fitness] fields, and aging
+   rewrote them in place. *)
+module Reference_queue = struct
+  module Dist = Afex_stats.Dist
+
+  type t = {
+    capacity : int;
+    mutable entries : Test_case.t array;
+    mutable size : int;
+    weights : float array;
+  }
+
+  let create ~capacity =
+    { capacity; entries = [||]; size = 0; weights = Array.make capacity 0.0 }
+
+  let weight ~inverse (c : Test_case.t) =
+    let w = Float.max 1e-6 c.fitness in
+    if inverse then Float.max 1e-6 (1.0 /. w) else w
+
+  let draw ~inverse rng t =
+    for i = 0 to t.size - 1 do
+      t.weights.(i) <- weight ~inverse t.entries.(i)
+    done;
+    Dist.sample_weighted_prefix rng t.weights ~len:t.size
+
+  let push_front t case k =
+    Array.blit t.entries 0 t.entries 1 k;
+    t.entries.(0) <- case
+
+  let insert ~policy rng t case =
+    if t.size < t.capacity then begin
+      if t.size = 0 then t.entries <- Array.make t.capacity case;
+      push_front t case t.size;
+      t.size <- t.size + 1;
+      None
+    end
+    else begin
+      let victim_index =
+        match policy with
+        | Pqueue.Inverse_fitness -> draw ~inverse:true rng t
+        | Pqueue.Drop_min ->
+            let best = ref 0 and best_fitness = ref infinity in
+            for i = 0 to t.size - 1 do
+              let f = t.entries.(i).fitness in
+              if f < !best_fitness then begin
+                best := i;
+                best_fitness := f
+              end
+            done;
+            !best
+      in
+      let victim = t.entries.(victim_index) in
+      push_front t case victim_index;
+      Some victim
+    end
+
+  let sample rng t =
+    if t.size = 0 then None else Some t.entries.(draw ~inverse:false rng t)
+
+  let age t ~decay ~retire_below =
+    for i = 0 to t.size - 1 do
+      let case = t.entries.(i) in
+      case.fitness <- case.fitness *. decay
+    done;
+    let kept = ref 0 and retired = ref [] in
+    for i = 0 to t.size - 1 do
+      let case = t.entries.(i) in
+      if case.fitness >= retire_below then begin
+        t.entries.(!kept) <- case;
+        incr kept
+      end
+      else retired := case :: !retired
+    done;
+    t.size <- !kept;
+    List.rev !retired
+
+  let elements t = List.init t.size (fun i -> t.entries.(i))
+end
+
+(* Ops as small ints again: n mod 5 picks insert (either policy),
+   sample, age or elements, n / 5 the fitness or the decay. Each insert
+   gives the two queues twin records that share a birth, so a return is
+   matched by birth and then checked physically. *)
+let arb_column_ops =
+  Prop.(
+    pair
+      (pair (int_range 1 8) (int_range 0 9999))
+      (list ~max_length:60 (int_range 0 499)))
+
+let fitness_choices = [| 0.0; 1.0; 25.0; 1e-9; -3.0; 0.49; 0.51; 1e7; 3.5; 0.7; 2.0 |]
+
+let test_pqueue_matches_in_place_reference () =
+  Prop.check ~count:300 "pqueue = in-place aging reference" arb_column_ops
+    (fun ((capacity, seed), ops) ->
+      let q = Pqueue.create ~capacity and r = Reference_queue.create ~capacity in
+      let rq = Rng.create seed and rr = Rng.create seed in
+      let mine = Hashtbl.create 64 and theirs = Hashtbl.create 64 in
+      let left = ref [] in
+      let twin (c : Test_case.t) (d : Test_case.t) =
+        c.birth = d.birth
+        && Hashtbl.find mine c.birth == c
+        && Hashtbl.find theirs d.birth == d
+      in
+      let same_fitness (c : Test_case.t) (d : Test_case.t) =
+        Int64.equal (Int64.bits_of_float c.fitness) (Int64.bits_of_float d.fitness)
+      in
+      let same_read cs ds =
+        List.length cs = List.length ds
+        && List.for_all2 (fun c d -> twin c d && same_fitness c d) cs ds
+      in
+      List.for_all
+        (fun n ->
+          let arg = n / 5 in
+          let returns_agree =
+            match n mod 5 with
+            | (0 | 1) as op ->
+                let birth = Hashtbl.length mine in
+                let fitness = fitness_choices.(arg mod Array.length fitness_choices) in
+                let c = { (case ~fitness (Point.of_list [ birth ])) with birth } in
+                let d = { c with birth } in
+                Hashtbl.replace mine birth c;
+                Hashtbl.replace theirs birth d;
+                let policy = if op = 0 then Pqueue.Inverse_fitness else Pqueue.Drop_min in
+                (match
+                   (Pqueue.insert ~policy rq q c, Reference_queue.insert ~policy rr r d)
+                 with
+                | None, None -> true
+                | Some c, Some d ->
+                    left := c.birth :: !left;
+                    twin c d && same_fitness c d
+                | Some _, None | None, Some _ -> false)
+            | 2 -> (
+                match (Pqueue.sample rq q, Reference_queue.sample rr r) with
+                | None, None -> true
+                | Some c, Some d -> twin c d
+                | Some _, None | None, Some _ -> false)
+            | 3 ->
+                let decay = if arg mod 2 = 0 then 0.98 else 0.5 in
+                let cs = Pqueue.age q ~decay ~retire_below:0.5
+                and ds = Reference_queue.age r ~decay ~retire_below:0.5 in
+                List.iter (fun (c : Test_case.t) -> left := c.birth :: !left) cs;
+                same_read cs ds
+            | _ -> same_read (Pqueue.elements q) (Reference_queue.elements r)
+          in
+          returns_agree
+          && Rng.state rq = Rng.state rr
+          && Pqueue.size q = r.Reference_queue.size
+          && List.for_all
+               (fun b -> same_fitness (Hashtbl.find mine b) (Hashtbl.find theirs b))
+               !left)
+        ops)
+
 (* --- History is insertion-order insensitive ------------------------- *)
 
 let arb_points =
@@ -306,4 +461,6 @@ let suite =
       test_shrinking_reports_minimal_ops;
     Alcotest.test_case "pqueue draws match reference" `Quick
       test_pqueue_draws_match_reference;
+    Alcotest.test_case "pqueue matches in-place aging" `Quick
+      test_pqueue_matches_in_place_reference;
   ]
