@@ -762,9 +762,11 @@ let explore_cmd =
                  ~wal_appends:st.Afex_cluster.Checkpoint.wal_appends
                  ~replayed_records:st.Afex_cluster.Checkpoint.replayed_records ());
             Format.printf
-              "checkpoint: %d snapshots, %d journal appends%s; provenance in %s@."
+              "checkpoint: %d snapshots, %d journal appends in %d writes%s; \
+               provenance in %s@."
               st.Afex_cluster.Checkpoint.snapshots_written
               st.Afex_cluster.Checkpoint.wal_appends
+              st.Afex_cluster.Checkpoint.wal_writes
               (if st.Afex_cluster.Checkpoint.was_resumed then
                  Printf.sprintf " (replayed %d journaled outcomes)"
                    st.Afex_cluster.Checkpoint.replayed_records

@@ -54,16 +54,29 @@ let add_opt b = function
   | Some n -> Message.add_uv b (n + 1)
 
 let read_opt what c = match uv what c with 0 -> None | n -> Some (n - 1)
-let add_point b p = add_ints b (Point.to_list p)
+(* A point goes out as its components, the bytes of [add_ints] over
+   [Point.to_list]. *)
+let add_point b p =
+  let n = Point.dim p in
+  Message.add_uv b n;
+  for i = 0 to n - 1 do
+    Message.add_uv b (Point.get p i)
+  done
 
 let read_point what c =
   match read_ints what c with [] -> bad "%s: empty point" what | l -> Point.of_list l
 
+let rec add_strs b = function
+  | [] -> ()
+  | s :: rest ->
+      Message.add_str b s;
+      add_strs b rest
+
 let add_stack b = function
-  | None -> add_opt b None
+  | None -> Message.add_uv b 0
   | Some frames ->
-      add_opt b (Some (List.length frames));
-      List.iter (Message.add_str b) frames
+      Message.add_uv b (List.length frames + 1);
+      add_strs b frames
 
 let read_stack what c =
   Option.map (fun n -> read_n n (str what) c) (read_opt what c)
@@ -117,17 +130,17 @@ module Snapshot = struct
   (* The header line, then one fixed-order sequence of fields and a
      checksum of everything before it. Other versions are refused by the
      header rather than resumed against state they do not describe. *)
-  let header = "afex-checkpoint 8"
+  let header = "afex-checkpoint 9"
 
+  (* An index's distinct traces and partition; which test observed
+     which trace is in the records, and restore rebuilds it. *)
   let add_index b (d : Index.dump) =
     add_list add_int_array b d.d_entries;
-    add_ints b d.d_parent;
-    add_ints b d.d_items
+    add_ints b d.d_parent
 
   let read_index what c =
     let d_entries = read_list (read_int_array what) c in
-    let d_parent = read_ints what c in
-    { Index.d_entries; d_parent; d_items = read_ints what c }
+    { Index.d_entries; d_parent = read_ints what c }
 
   let encode t =
     let b = Buffer.create 4096 in
@@ -266,9 +279,11 @@ module Framer = struct
   let create () =
     { payload = Buffer.create 256; out = Bytes.create 1024; len = 0 }
 
-  let add f fill =
+  let start f =
     Buffer.clear f.payload;
-    fill f.payload;
+    f.payload
+
+  let finish f =
     let n = Buffer.length f.payload and pos = f.len in
     let stop = pos + header_bytes + n in
     if stop > Bytes.length f.out then begin
@@ -321,12 +336,12 @@ let unframe decode s pos =
 
 (* {2 The write-ahead journal}
 
-   One framed record per released outcome: the candidate's point, as
+   One framed record per journaled outcome: the candidate's point, as
    the record codec writes it, then the outcome as one wire reply
-   ({!Message.V2.encode_reply}), encoded with fresh codec state so that
-   each record decodes on its own. Outcomes are journaled at their
-   release from the window, so a well-formed journal is strictly
-   seq-ascending. *)
+   ({!Message.V2.encode_outcome}: the bytes of {!Message.V2.encode_reply}
+   with fresh codec state), so each record decodes on its own. The pool
+   stages outcomes in sequence order and flushes each group in one
+   write, so a well-formed journal is strictly seq-ascending. *)
 
 let read_outcome payload =
   let c = { Message.data = payload; pos = 0 } in
@@ -451,11 +466,12 @@ type t = {
   hooks : hooks;
   wal_fd : Unix.file_descr;
   log_fd : Unix.file_descr;
-  journal_enc : Message.V2.server_enc;
-      (** emptied before each journal record, which must decode alone *)
+  record_dict : Message.V2.record_dict;
   framer : Framer.t;
   mutable mark : Snapshot.mark;  (** what [records.log] holds *)
+  mutable staged : int;  (** journal records framed and not yet written *)
   mutable appends : int;
+  mutable writes : int;  (** journal writes *)
   mutable snapshots : int;
   mutable last_snapshot_iterations : int;
   mutable replay : (int * Point.t * Message.run_report) list;
@@ -495,10 +511,11 @@ let start ?(hooks = no_hooks) ?(every = 500) ~dir meta =
         Ok
           {
             cp_dir = dir; every; cp_meta = meta; hooks; wal_fd; log_fd;
-            journal_enc = Message.V2.server_enc (); framer = Framer.create ();
-            mark = { Snapshot.logged = 0; log_bytes = 0 }; appends = 0;
-            snapshots = 0; last_snapshot_iterations = 0; replay = [];
-            was_resumed = false; n_replayed_records = 0; loaded = None;
+            record_dict = Message.V2.record_dict (); framer = Framer.create ();
+            mark = { Snapshot.logged = 0; log_bytes = 0 }; staged = 0;
+            appends = 0; writes = 0; snapshots = 0;
+            last_snapshot_iterations = 0; replay = []; was_resumed = false;
+            n_replayed_records = 0; loaded = None;
           }
       end
     with Unix.Unix_error (e, fn, arg) ->
@@ -601,8 +618,9 @@ let resume ?(hooks = no_hooks) ?(every = 500) ~dir meta =
       Ok
         {
           cp_dir = dir; every; cp_meta = meta; hooks; wal_fd; log_fd;
-          journal_enc = Message.V2.server_enc (); framer = Framer.create ();
-          mark = snap.Snapshot.mark; appends = 0; snapshots = 0;
+          record_dict = Message.V2.record_dict (); framer = Framer.create ();
+          mark = snap.Snapshot.mark; staged = 0; appends = 0; writes = 0;
+          snapshots = 0;
           last_snapshot_iterations =
             snap.Snapshot.explorer.Explorer.Snapshot.iterations;
           replay; was_resumed = true;
@@ -630,15 +648,24 @@ let replay_pending t = t.replay <> []
 let due t ~iterations =
   t.replay = [] && iterations - t.last_snapshot_iterations >= t.every
 
-let append_outcome t ~point ~seq outcome =
-  Message.V2.clear_server_enc t.journal_enc;
-  Framer.add t.framer (fun b ->
-      add_point b point;
-      Message.V2.encode_reply t.journal_enc b
-        (Message.Scenario_result (Message.report_of_outcome ~seq outcome)));
-  Framer.write "journal" t.wal_fd t.framer;
-  t.appends <- t.appends + 1;
-  t.hooks.on_append t.appends
+let stage t ~point ~seq outcome =
+  let b = Framer.start t.framer in
+  add_point b point;
+  Message.V2.encode_outcome t.record_dict b ~seq outcome;
+  Framer.finish t.framer;
+  t.staged <- t.staged + 1
+
+let flush t =
+  let n = t.staged in
+  if n > 0 then begin
+    t.staged <- 0;
+    Framer.write "journal" t.wal_fd t.framer;
+    t.writes <- t.writes + 1;
+    for _ = 1 to n do
+      t.appends <- t.appends + 1;
+      t.hooks.on_append t.appends
+    done
+  end
 
 (* Append the records that became final since the last snapshot, in
    one write; the rest of the capture stays in the snapshot. *)
@@ -646,7 +673,8 @@ let freeze t (x : Explorer.Snapshot.t) =
   let f = frontier x in
   let rec go n = function
     | (c : Test_case.t) :: rest when c.birth <= f ->
-        Framer.add t.framer (fun b -> add_record b c);
+        add_record (Framer.start t.framer) c;
+        Framer.finish t.framer;
         go (n + 1) rest
     | live -> (n, live)
   in
@@ -663,6 +691,8 @@ let freeze t (x : Explorer.Snapshot.t) =
   live
 
 let write_snapshot t explorer =
+  if t.staged > 0 then
+    invalid_arg "Checkpoint.write_snapshot: journal records staged, not flushed";
   let x = Explorer.capture ~since:t.mark.Snapshot.logged explorer in
   let live = freeze t x in
   t.hooks.before_rename ();
@@ -690,6 +720,7 @@ type stats = {
   was_resumed : bool;
   snapshots_written : int;
   wal_appends : int;
+  wal_writes : int;
   replayed_records : int;
 }
 
@@ -698,6 +729,7 @@ let stats (t : t) =
     was_resumed = t.was_resumed;
     snapshots_written = t.snapshots;
     wal_appends = t.appends;
+    wal_writes = t.writes;
     replayed_records = t.n_replayed_records;
   }
 

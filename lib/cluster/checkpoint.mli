@@ -19,16 +19,26 @@
       quiescent sync watermark of the window (released = submitted): the
       records above the frontier, plus a {e mark} naming how many
       records and bytes of [records.log] it vouches for. Written
-      atomically (temp file + [rename]): an [afex-checkpoint 8] header
+      atomically (temp file + [rename]): an [afex-checkpoint 9] header
       line, one fixed-order sequence of fields, and a checksum of
-      everything before it.
-    - [wal.log] — one framed record per released outcome since the last
-      snapshot, appended {e before} progress is considered durable: the
+      everything before it. Each redundancy index goes in as its
+      distinct traces and their partition, not as the order in which
+      tests observed them: that order is the records' own, and
+      {!Afex.Explorer.restore} rebuilds it from them.
+    - [wal.log] — one framed record per journaled outcome since the
+      last snapshot, written {e before} the search absorbs it: the
       candidate's point, then the outcome as one
       {!Message.V2.encode_reply} record with fresh codec state, so every
-      record decodes on its own. Outcomes release in submission order,
-      so the journal is strictly ascending in the absolute iteration
-      each record carries; no batch framing is needed.
+      record decodes on its own. The pool journals in groups: when it
+      releases an outcome the journal lacks, it {!stage}s that outcome
+      and every later one of the window already known, then {!flush}es
+      them in one [write]. So the journal is strictly ascending and
+      contiguous in the absolute iteration each record carries, and may
+      run up to one window ahead of what the search has absorbed; no
+      batch framing is needed. Replayed outcomes are never journaled
+      again, and snapshots, which truncate the journal, are taken only
+      at quiescent watermarks, when every journaled outcome has been
+      absorbed.
 
     The record log and the snapshot share one record codec. The journal
     and the record log share one framing: the payload's length, a
@@ -43,12 +53,15 @@
     rename and the journal truncation — and [--resume] reconstructs the
     exact state: log bytes past the mark are dropped, the logged records
     and the snapshot restore the last watermark, the journal tail replays
-    the outcomes released after it, and the deterministic explorer
-    regenerates everything else. The final export is byte-identical to
-    the uninterrupted run's (proven in CI by a kill -9 harness).
+    the outcomes journaled after it (a whole group written ahead of the
+    search included, so fewer tests run again), and the deterministic
+    explorer regenerates everything else. A kill inside a group's write
+    leaves whole records and one torn tail, which resume drops. The
+    final export is byte-identical to the uninterrupted run's (proven in
+    CI by a kill -9 harness).
 
     Durability is against process death, not media loss: files are
-    flushed to the OS on every append but not fsynced. *)
+    handed to the OS on every write but not fsynced. *)
 
 module Snapshot : sig
   type mark = {
@@ -69,7 +82,7 @@ module Snapshot : sig
   }
 
   val encode : t -> string
-  (** Versioned ([afex-checkpoint 8]) and checksummed; the exact bytes
+  (** Versioned ([afex-checkpoint 9]) and checksummed; the exact bytes
       written to [snapshot.afex]. Encoding is a pure function of the
       snapshot, so equal states produce equal files. *)
 
@@ -90,9 +103,13 @@ module Framer : sig
 
   val create : unit -> t
 
-  val add : t -> (Buffer.t -> unit) -> unit
-  (** Frame one record after those already framed; the function writes
-      its payload into the (empty) buffer it is given. *)
+  val start : t -> Buffer.t
+  (** The handle's payload buffer, emptied: write one record's payload
+      into it, then {!finish}. *)
+
+  val finish : t -> unit
+  (** Frame the payload written since {!start} after the records
+      already framed. *)
 
   val contents : t -> string
   (** The records framed since the last write, as they would be
@@ -101,9 +118,10 @@ end
 
 type hooks = {
   on_append : int -> unit;
-      (** called after every journal append with the running append
-          count — the kill-9 test harness raises from here to simulate a
-          crash at a precise write *)
+      (** called once per journal record, after the write of its group,
+          with the running count of records journaled — the kill-9 test
+          harness raises from here to simulate a crash after a precise
+          write *)
   before_rename : unit -> unit;
       (** called between the record-log append and the snapshot
           [rename] — the crash window in which [records.log] runs ahead
@@ -161,22 +179,33 @@ val due : t -> iterations:int -> bool
     outcomes are still waiting to replay (a snapshot truncates the
     journal, which would drop them). *)
 
-val append_outcome :
+val stage :
   t -> point:Afex_faultspace.Point.t -> seq:int -> Afex_injector.Outcome.t ->
   unit
-(** Journal one released outcome ([seq] is the absolute iteration
-    number). One framed record, one [write]. *)
+(** Frame one outcome's journal record ([seq] is the absolute iteration
+    number) after those already staged. Nothing is written until
+    {!flush}. The record is encoded straight from the outcome
+    ({!Message.V2.encode_outcome}), so once the handle's buffers have
+    grown staging allocates nothing. Stage outcomes in ascending,
+    contiguous [seq] order, each once. *)
+
+val flush : t -> unit
+(** Write every staged record in one [write], then call [on_append]
+    once per record. Does nothing when nothing is staged. *)
 
 val write_snapshot : t -> Afex.Explorer.t -> unit
 (** Capture the explorer (walking its records only down to the mark),
     append the records that became final to [records.log], atomically
-    replace [snapshot.afex], and truncate the journal.
-    @raise Invalid_argument if the explorer has candidates in flight. *)
+    replace [snapshot.afex], and truncate the journal. Every journaled
+    outcome must have been reported to the explorer by then.
+    @raise Invalid_argument if the explorer has candidates in flight or
+    journal records are staged and not flushed. *)
 
 type stats = {
   was_resumed : bool;
   snapshots_written : int;
-  wal_appends : int;
+  wal_appends : int;  (** journal records written *)
+  wal_writes : int;  (** [write]s that carried them, one per group *)
   replayed_records : int;  (** journaled outcomes applied without re-execution *)
 }
 

@@ -123,17 +123,17 @@ let read_f64 c = Result.map Int64.float_of_bits (read_i64 c)
    start) and the run length minus one. Coverage is overwhelmingly
    contiguous stretches of block indices, so a run costs ~2 bytes
    regardless of its length, where per-block gap encoding pays for
-   every block. Both directions go straight between the bitset's bytes
-   and the varints. *)
+   every block. Both directions go straight between the bitset and the
+   varints: [Bitset.fold_runs] finds the runs a word at a time and
+   [Bitset.set_run] fills them a byte at a time. *)
+let add_run b prev_end first last =
+  add_uv b (first - prev_end - 1);
+  add_uv b (last - first);
+  last
+
 let add_coverage b cov =
-  add_uv b (Bitset.fold_runs (fun n _ _ -> n + 1) 0 cov);
-  ignore
-    (Bitset.fold_runs
-       (fun prev_end first last ->
-         add_uv b (first - prev_end - 1);
-         add_uv b (last - first);
-         last)
-       (-1) cov)
+  add_uv b (Bitset.runs cov);
+  ignore (Bitset.fold_runs add_run b (-1) cov : int)
 
 (* Validate [k] runs and return where the last one ends. A few bytes
    must not conjure a giant bitset, so every block index stays below
@@ -529,34 +529,84 @@ module V2 = struct
 
   (* -- server -> client ------------------------------------------- *)
 
-  type server_enc = {
-    interned : (string, int) Hashtbl.t;
-    mutable next_id : int;
-  }
+  (* The frames a dictionary has announced, by id: ids go in first-use
+     order. *)
+  type frames = { mutable names : string array; mutable count : int }
 
-  let server_enc () = { interned = Hashtbl.create 64; next_id = 0 }
-  let server_dict_size enc = enc.next_id
+  let frames () = { names = Array.make 16 ""; count = 0 }
 
-  let clear_server_enc enc =
-    Hashtbl.clear enc.interned;
-    enc.next_id <- 0
+  let push_frame d frame =
+    if d.count = Array.length d.names then begin
+      let grown = Array.make (2 * d.count) "" in
+      Array.blit d.names 0 grown 0 d.count;
+      d.names <- grown
+    end;
+    d.names.(d.count) <- frame;
+    d.count <- d.count + 1
 
-  let intern enc pending frame =
-    match Hashtbl.find_opt enc.interned frame with
-    | Some id -> id
-    | None ->
-        let id = enc.next_id in
-        Hashtbl.add enc.interned frame id;
-        enc.next_id <- id + 1;
-        pending := frame :: !pending;
-        id
+  type server_enc = { interned : (string, int) Hashtbl.t; dict : frames }
 
-  let add_stack_ids b = function
+  let server_enc () = { interned = Hashtbl.create 64; dict = frames () }
+  let server_dict_size enc = enc.dict.count
+
+  let intern enc frame =
+    match Hashtbl.find enc.interned frame with
+    | _ -> ()
+    | exception Not_found ->
+        Hashtbl.add enc.interned frame enc.dict.count;
+        push_frame enc.dict frame
+
+  (* [f d frame] on each frame of a stack, in order. *)
+  let rec each_frame f d = function
+    | [] -> ()
+    | frame :: rest ->
+        f d frame;
+        each_frame f d rest
+
+  let each_stack_frame f d = function
+    | None -> ()
+    | Some frames -> each_frame f d frames
+
+  let interned_id enc frame = Hashtbl.find enc.interned frame
+
+  (* A DICT record announcing the frames of [d] from id [base] on, or
+     nothing when there are none. *)
+  let add_dict b d ~base =
+    if d.count > base then begin
+      Buffer.add_char b (Char.chr tag_dict);
+      add_uv b base;
+      add_uv b (d.count - base);
+      for id = base to d.count - 1 do
+        add_str b d.names.(id)
+      done
+    end
+
+  let rec add_ids b frame_id dict = function
+    | [] -> ()
+    | frame :: rest ->
+        add_uv b (frame_id dict frame);
+        add_ids b frame_id dict rest
+
+  let add_stack_ids b frame_id dict = function
     | None -> Buffer.add_char b '\x00'
-    | Some ids ->
+    | Some frames ->
         Buffer.add_char b '\x01';
-        add_uv b (List.length ids);
-        List.iter (add_uv b) ids
+        add_uv b (List.length frames);
+        add_ids b frame_id dict frames
+
+  (* The RESULT record, the one layout that wire replies and journal
+     records share: its stack frames go out as the ids [frame_id dict]
+     gives them, which a DICT record before it has announced. *)
+  let add_result b frame_id dict ~seq ~status ~triggered ~duration_ms ~fault
+      ~coverage injection_stack crash_stack =
+    Buffer.add_char b (Char.chr tag_result);
+    add_uv b seq;
+    add_status b status ~triggered;
+    add_f64 b duration_ms;
+    add_fault b fault;
+    add_coverage b coverage;
+    add_stack_ids b frame_id dict injection_stack;
+    add_stack_ids b frame_id dict crash_stack
 
   (* Interning may discover frames the peer has never seen: those are
      shipped in a DICT record immediately before the report that uses
@@ -571,26 +621,40 @@ module V2 = struct
         add_sv b seq;
         add_str b message
     | Scenario_result r ->
-        let pending = ref [] in
-        let base = enc.next_id in
-        let ids = Option.map (List.map (intern enc pending)) in
-        let istack = ids r.injection_stack in
-        let cstack = ids r.crash_stack in
-        let news = List.rev !pending in
-        if news <> [] then begin
-          Buffer.add_char b (Char.chr tag_dict);
-          add_uv b base;
-          add_uv b (List.length news);
-          List.iter (add_str b) news
-        end;
-        Buffer.add_char b (Char.chr tag_result);
-        add_uv b r.seq;
-        add_status b r.status ~triggered:r.triggered;
-        add_f64 b r.duration_ms;
-        add_fault b r.fault;
-        add_coverage b r.coverage;
-        add_stack_ids b istack;
-        add_stack_ids b cstack
+        let base = enc.dict.count in
+        each_stack_frame intern enc r.injection_stack;
+        each_stack_frame intern enc r.crash_stack;
+        add_dict b enc.dict ~base;
+        add_result b interned_id enc ~seq:r.seq ~status:r.status
+          ~triggered:r.triggered ~duration_ms:r.duration_ms ~fault:r.fault
+          ~coverage:r.coverage r.injection_stack r.crash_stack
+
+  (* A record that decodes alone carries its own dictionary: its
+     distinct frames in first-use order, ids from 0, as a fresh
+     [server_enc] would intern them. A stack holds a handful of frames,
+     so a linear scan of a reused array finds them without hashing. *)
+  type record_dict = frames
+
+  let record_dict = frames
+
+  let rec local_find d frame i =
+    if i = d.count then -1
+    else if String.equal d.names.(i) frame then i
+    else local_find d frame (i + 1)
+
+  let local_id d frame = local_find d frame 0
+
+  let local_add d frame = if local_id d frame < 0 then push_frame d frame
+
+  let encode_outcome d b ~seq (o : Outcome.t) =
+    d.count <- 0;
+    each_stack_frame local_add d o.Outcome.injection_stack;
+    each_stack_frame local_add d o.Outcome.crash_stack;
+    add_dict b d ~base:0;
+    add_result b local_id d ~seq ~status:o.Outcome.status
+      ~triggered:o.Outcome.triggered ~duration_ms:o.Outcome.duration_ms
+      ~fault:o.Outcome.fault ~coverage:o.Outcome.coverage
+      o.Outcome.injection_stack o.Outcome.crash_stack
 
   type client_dec = {
     mutable frames : string array;

@@ -44,7 +44,8 @@ val add_f64 : Buffer.t -> float -> unit
 val add_coverage : Buffer.t -> Afex_stats.Bitset.t -> unit
 (** The set bits as run-length varints: the run count, then per run its
     gap from the previous run's end (the first run's start) and its
-    length minus one. Scans the bitset's bytes; builds no list. *)
+    length minus one. Scans the bitset a word at a time
+    ({!Afex_stats.Bitset.fold_runs}) and allocates nothing. *)
 
 val add_status :
   Buffer.t -> Afex_injector.Outcome.status -> triggered:bool -> unit
@@ -200,14 +201,26 @@ module V2 : sig
 
   val server_dict_size : server_enc -> int
 
-  val clear_server_enc : server_enc -> unit
-  (** Empty the dictionary: the next reply encodes as it would from a
-      fresh {!server_enc}, with no allocation. *)
-
   val encode_reply : server_enc -> Buffer.t -> from_manager -> unit
   (** Append one reply. Newly interned stack frames are announced in a
       [DICT] record immediately preceding the report that uses them,
       inside the same frame. *)
+
+  type record_dict
+  (** Scratch for {!encode_outcome}: a reused array of the record's
+      distinct frames. *)
+
+  val record_dict : unit -> record_dict
+
+  val encode_outcome :
+    record_dict -> Buffer.t -> seq:int -> Afex_injector.Outcome.t -> unit
+  (** Append exactly what [encode_reply (server_enc ()) b (Scenario_result
+      (report_of_outcome ~seq o))] appends — a record that decodes alone,
+      with its own [DICT] of its distinct frames in first-use order —
+      straight from the outcome. The frames are found by a linear scan
+      of the scratch array, and the RESULT record is written by the code
+      {!encode_reply} uses, so once the scratch has grown a record
+      allocates nothing. *)
 
   type client_dec
   (** The mirror dictionary: id -> frame string. *)

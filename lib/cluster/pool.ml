@@ -306,6 +306,24 @@ let session ?transform ?stop ?checkpoint ?(batch_size = 32) ?(memoize = true)
       completions
   in
   let waiting e = match e.slot with Waiting -> true | Done _ | Dup -> false in
+  (* Group commit: the release of an outcome the journal lacks also
+     stages every later outcome of the window already known and due for
+     the journal, up to the first that is waiting, a duplicate, an error
+     or a replay, so one write carries them all. Each so staged skips
+     the journal at its own release. The journal thus stays contiguous
+     and runs at most one window ahead of the explorer, and a sync
+     watermark, where the window is empty, finds every journaled outcome
+     absorbed. Returns the last sequence number staged. *)
+  let journaled = ref base in
+  let rec stage_known cp seq =
+    match Hashtbl.find window seq with
+    | { proposal; source = Fresh | Cached; slot = Done (Ok o) } ->
+        Checkpoint.stage cp ~point:proposal.Afex.Mutator.point ~seq o;
+        stage_known cp (seq + 1)
+    | { source = Replayed; _ } | { slot = Waiting | Dup | Done (Error _); _ } ->
+        seq - 1
+    | exception Not_found -> seq - 1
+  in
   let release_one () =
     let seq = !released + 1 in
     let e = Hashtbl.find window seq in
@@ -339,10 +357,13 @@ let session ?transform ?stop ?checkpoint ?(batch_size = 32) ?(memoize = true)
     (* Journal the outcome before the explorer absorbs it: a crash
        between the two re-applies it from the journal on resume, which
        is idempotent — the reverse order would lose it. Replayed
-       outcomes are not re-appended. *)
+       outcomes are not journaled again. *)
     (match (checkpoint, e.source) with
-    | Some cp, (Fresh | Cached) -> Checkpoint.append_outcome cp ~point ~seq outcome
-    | Some _, Replayed | None, _ -> ());
+    | Some cp, (Fresh | Cached) when seq > !journaled ->
+        Checkpoint.stage cp ~point ~seq outcome;
+        journaled := stage_known cp (seq + 1);
+        Checkpoint.flush cp
+    | Some _, (Fresh | Cached | Replayed) | None, _ -> ());
     let case = Afex.Explorer.report explorer e.proposal outcome in
     (match e.source with
     | (Fresh | Replayed) when memoize ->

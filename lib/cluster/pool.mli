@@ -151,12 +151,18 @@ val session :
 
     [checkpoint] arms crash-safe campaign persistence: a fresh
     {!Checkpoint.start} handle writes a base snapshot before any work,
-    journals every merged outcome at release, and snapshots at the
-    handle's cadence on the next sync watermark (where nothing is in
-    flight); a {!Checkpoint.resume} handle first restores the snapshot,
-    then replays the journaled outcomes — applied without re-execution,
-    flowing through the same sliding-window schedule — before generating
-    new work. Because the explorer is deterministic, the resulting
+    journals every outcome before the explorer absorbs it, and snapshots
+    at the handle's cadence on the next sync watermark (where nothing is
+    in flight). The journal commits in groups: the release of an outcome
+    it lacks also stages every later outcome of the window already known
+    (run, or served by the memo cache), up to the first still waiting, a
+    duplicate of a point in flight or an error, and one write carries
+    them all. So the journal runs at most one window ahead of the
+    explorer, stays contiguous, and is empty of unabsorbed outcomes at
+    every watermark. A {!Checkpoint.resume} handle first restores the
+    snapshot, then replays the journaled outcomes — applied without
+    re-execution or journaling, flowing through the same sliding-window
+    schedule — before generating new work. Because the explorer is deterministic, the resulting
     history (and every export derived from it) is byte-for-byte the
     history the uninterrupted run would have produced.
     @raise Invalid_argument when combined with [stop] (a predicate

@@ -43,6 +43,11 @@ type t = {
           whether to mask mutations of that parent *)
   mutator_stats : Mutator.stats;
   kernels : Mutator.kernels;  (** per-axis Gaussian tables of the mutator *)
+  stats_arg : Mutator.stats option;
+  mask : (Test_case.t -> bool array option) option;
+  pending_mem : Point.t -> bool;
+      (** [Mutator.next]'s [?stats], [?mask] and [is_pending], built once
+          so that a call allocates none of them *)
   mutable seeds : Point.t list;  (** analysis-provided seeds, consumed first *)
   mutable cursor : Point.t Seq.t;  (** exhaustive strategy only *)
   mutable cursor_consumed : int;  (** points taken off [cursor] so far *)
@@ -63,8 +68,43 @@ let kernels_for config sub =
   | Config.Fitness_guided params -> Mutator.kernels params sub
   | Config.Random_search | Config.Exhaustive -> Mutator.kernels Mutator.default_params sub
 
+(* FairFuzz masking: a parent is rare-reaching while the rarest block it
+   covered is still below the cutoff against the *current* histogram (a
+   block everyone has since piled into stops justifying pins). The pin set
+   comes from the live sensitivity profile: axes paying off above the
+   uniform share are what established the position. Built once per
+   explorer; the closure reads the live tables when it is called. *)
+let mask_for config rarity rare_block sensitivity =
+  match (rarity, config.Config.rarity) with
+  | Some hist, Some rc when rc.Config.mask ->
+      Some
+        (fun (parent : Test_case.t) ->
+          match Hashtbl.find_opt rare_block parent.Test_case.birth with
+          | Some b when Rarity.is_rare hist ~cutoff:rc.Config.cutoff b ->
+              let m = Sensitivity.mask sensitivity in
+              (* A mask must pin something and leave something free to be
+                 worth applying; early sessions (flat sensitivity) mutate
+                 unmasked. *)
+              if Array.exists Fun.id m && Array.exists not m then Some m
+              else None
+          | _ -> None)
+  | _ -> None
+
 let create ?(transform = fun p -> p) config sub executor =
   let intern = Trace_intern.create () in
+  let sensitivity =
+    Sensitivity.create ~window:config.Config.sensitivity_window
+      ~dims:(Subspace.dim sub) ()
+  in
+  let pending = Point.Tbl.create 64 in
+  let rarity =
+    Option.map
+      (fun (_ : Config.rarity) ->
+        Rarity.create ~blocks:executor.Executor.total_blocks)
+      config.Config.rarity
+  in
+  let rare_block = Hashtbl.create 64 in
+  let mutator_stats = Mutator.create_stats () in
   {
     config;
     sub;
@@ -73,10 +113,8 @@ let create ?(transform = fun p -> p) config sub executor =
     rng = Rng.create config.Config.seed;
     queue = Pqueue.create ~capacity:config.Config.queue_capacity;
     history = History.create ();
-    sensitivity =
-      Sensitivity.create ~window:config.Config.sensitivity_window
-        ~dims:(Subspace.dim sub) ();
-    pending = Point.Tbl.create 64;
+    sensitivity;
+    pending;
     (* One intern table for the whole session: redundancy feedback and
        both cluster indexes tokenize each stack frame exactly once. *)
     intern;
@@ -84,14 +122,13 @@ let create ?(transform = fun p -> p) config sub executor =
     failure_index = Index.create ~intern ();
     crash_index = Index.create ~intern ();
     covered = Bitset.create executor.Executor.total_blocks;
-    rarity =
-      Option.map
-        (fun (_ : Config.rarity) ->
-          Rarity.create ~blocks:executor.Executor.total_blocks)
-        config.Config.rarity;
-    rare_block = Hashtbl.create 64;
-    mutator_stats = Mutator.create_stats ();
+    rarity;
+    rare_block;
+    mutator_stats;
     kernels = kernels_for config sub;
+    stats_arg = Some mutator_stats;
+    mask = mask_for config rarity rare_block sensitivity;
+    pending_mem = Point.Tbl.mem pending;
     seeds = config.Config.initial_seeds;
     cursor = Subspace.enumerate sub;
     cursor_consumed = 0;
@@ -143,26 +180,6 @@ let random_novel t =
     draw 0
   end
 
-(* FairFuzz masking: a parent is rare-reaching while the rarest block it
-   covered is still below the cutoff against the *current* histogram (a
-   block everyone has since piled into stops justifying pins). The pin set
-   comes from the live sensitivity profile: axes paying off above the
-   uniform share are what established the position. *)
-let mask_for t =
-  match (t.rarity, t.config.Config.rarity) with
-  | Some hist, Some rc when rc.Config.mask ->
-      fun (parent : Test_case.t) -> (
-        match Hashtbl.find_opt t.rare_block parent.Test_case.birth with
-        | Some b when Rarity.is_rare hist ~cutoff:rc.Config.cutoff b ->
-            let m = Sensitivity.mask t.sensitivity in
-            (* A mask must pin something and leave something free to be
-               worth applying; early sessions (flat sensitivity) mutate
-               unmasked. *)
-            if Array.exists Fun.id m && Array.exists not m then Some m
-            else None
-        | _ -> None)
-  | _ -> fun _ -> None
-
 let next t =
   let proposal =
     match t.config.Config.strategy with
@@ -185,9 +202,9 @@ let next t =
             then Some { Mutator.point = random_novel t; mutated_axis = None }
             else
               Some
-                (Mutator.next ~stats:t.mutator_stats ~mask:(mask_for t)
-                   ~kernels:t.kernels params t.rng t.sub t.sensitivity
-                   ~queue:t.queue ~history:t.history ~is_pending:(is_pending t)))
+                (Mutator.next ?stats:t.stats_arg ?mask:t.mask ~kernels:t.kernels
+                   params t.rng t.sub t.sensitivity ~queue:t.queue
+                   ~history:t.history ~is_pending:t.pending_mem))
   in
   (match proposal with
   | Some p ->
@@ -200,6 +217,19 @@ let next t =
 
 let scenario_for t (proposal : Mutator.proposal) =
   Subspace.values t.sub (t.transform proposal.Mutator.point)
+
+(* Which redundancy index a record feeds, and with what trace: its crash
+   stack goes to the crash index, and a failed, triggered test's
+   injection stack ([] when none was captured) to the failure index, in
+   that order. [report] observes through it and [restore] replays
+   through it, so the two cannot disagree. *)
+let feed_indexes feed ~crash ~failure (c : Test_case.t) =
+  (match c.Test_case.crash_stack with
+  | Some stack -> feed crash stack
+  | None -> ());
+  if Test_case.failed c && c.Test_case.triggered then
+    feed failure
+      (match c.Test_case.injection_stack with Some s -> s | None -> [])
 
 (* Tests that left the queue leave the rare-block map with it. *)
 let rec forget rare_block = function
@@ -264,12 +294,7 @@ let report t (proposal : Mutator.proposal) outcome =
   (* Online redundancy analysis: the indexes absorb each trace as it
      arrives, so {!Session.summarize} reads finished clusters instead of
      re-running the quadratic batch pass over the whole history. *)
-  (match outcome.Outcome.crash_stack with
-  | Some stack -> Index.observe t.crash_index stack
-  | None -> ());
-  if Test_case.failed case && case.Test_case.triggered then
-    Index.observe t.failure_index
-      (Option.value case.Test_case.injection_stack ~default:[]);
+  feed_indexes Index.observe ~crash:t.crash_index ~failure:t.failure_index case;
   (* Rarity bookkeeping: remember which rare frontier this test stood on
      (pre-observation, matching the bonus), then absorb its coverage. *)
   let rarest =
@@ -425,6 +450,29 @@ let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
   let* feedback = Feedback.load ~intern s.Snapshot.feedback in
   let* failure_index = Index.load ~intern s.Snapshot.failure_index in
   let* crash_index = Index.load ~intern s.Snapshot.crash_index in
+  (* The indexes' observation order is the records': replay each in
+     birth order, by the rule [report] observes by. *)
+  let* () =
+    let rec replay = function
+      | [] -> Ok ()
+      | (c : Test_case.t) :: rest -> (
+          match
+            feed_indexes Index.replay ~crash:crash_index ~failure:failure_index
+              c
+          with
+          | () -> replay rest
+          | exception Not_found ->
+              err "record %d observes a trace its index does not hold"
+                c.Test_case.birth)
+    in
+    replay s.Snapshot.records
+  in
+  let* () =
+    match (Index.unobserved failure_index, Index.unobserved crash_index) with
+    | 0, 0 -> Ok ()
+    | f, c ->
+        err "%d failure and %d crash traces that no record observes" f c
+  in
   let* sensitivity =
     Sensitivity.load ~window:config.Config.sensitivity_window
       ~dims:(Subspace.dim sub) s.Snapshot.sensitivity
@@ -560,6 +608,8 @@ let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
       if !short then err "cursor beyond the end of the subspace" else Ok !c
     end
   in
+  let pending = Point.Tbl.create 64 in
+  let mutator_stats = Mutator.copy_stats s.Snapshot.mutator in
   Ok
     {
       config;
@@ -570,7 +620,7 @@ let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
       queue;
       history;
       sensitivity;
-      pending = Point.Tbl.create 64;
+      pending;
       intern;
       feedback;
       failure_index;
@@ -578,8 +628,11 @@ let restore ?(transform = fun p -> p) config sub executor (s : Snapshot.t) =
       covered;
       rarity;
       rare_block;
-      mutator_stats = Mutator.copy_stats s.Snapshot.mutator;
+      mutator_stats;
       kernels = kernels_for config sub;
+      stats_arg = Some mutator_stats;
+      mask = mask_for config rarity rare_block sensitivity;
+      pending_mem = Point.Tbl.mem pending;
       seeds = s.Snapshot.seeds;
       cursor;
       cursor_consumed = s.Snapshot.cursor_consumed;

@@ -120,6 +120,9 @@ module Snapshot : sig
     feedback : int array list;
     failure_index : Afex_quality.Index.dump;
     crash_index : Afex_quality.Index.dump;
+        (** each index's distinct traces and partition; which record
+            observed which trace is in [records], and {!restore} replays
+            it *)
     rarity : (int * (int * int) list) option;
         (** {!Rarity.dump}, present iff rarity is enabled *)
     rare_blocks : (int * int) list;
@@ -154,10 +157,15 @@ val restore :
 (** Rebuild an explorer from a snapshot taken under the same config,
     subspace, executor and transform (the caller guarantees the match;
     the checkpoint layer records campaign metadata for exactly this).
+    Each redundancy index's observation order is rebuilt by replaying
+    the records in birth order by the rule {!report} observes by: a
+    crash stack to the crash index, a failed, triggered test's
+    injection stack ([[]] when none was captured) to the failure index.
     Internal consistency is revalidated — record birth order, record
     points inside the subspace, statistic tallies, queue references,
     no NaN among queued fitness values and sensitivity samples, cursor
-    position, coverage bounds — and any
-    violation is a clean [Error], never an exception, so a corrupt
-    snapshot that slipped past the file checksum still cannot crash the
-    resuming process. *)
+    position, coverage bounds, a record trace that is no index entry,
+    an index entry that no record observes — and any violation is a
+    clean [Error], never an exception, so a corrupt snapshot that
+    slipped past the file checksum still cannot crash the resuming
+    process. *)

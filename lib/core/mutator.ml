@@ -62,19 +62,22 @@ let masked_weights ~mask weights =
     Array.mapi (fun i _ -> if mask.(i) then 0.0 else 1.0) w
   else w
 
-let mutate ?mask ~kernels params rng sub sens ~parent =
-  let axis_index =
-    match mask with
-    | None ->
-        if params.uniform_axis_choice then Rng.int rng (Subspace.dim sub)
-        else Dist.sample_weighted rng (Sensitivity.probabilities sens)
-    | Some mask ->
-        let base =
-          if params.uniform_axis_choice then Array.make (Subspace.dim sub) 1.0
-          else Sensitivity.probabilities sens
-        in
-        Dist.sample_weighted rng (masked_weights ~mask base)
-  in
+(* A mutation draws its axis, then the axis's new value: [next]'s
+   attempt loop calls the two halves directly, so that an attempt builds
+   no pair. *)
+let mutation_axis ?mask params rng sub sens =
+  match mask with
+  | None ->
+      if params.uniform_axis_choice then Rng.int rng (Subspace.dim sub)
+      else Dist.sample_weighted rng (Sensitivity.probabilities sens)
+  | Some mask ->
+      let base =
+        if params.uniform_axis_choice then Array.make (Subspace.dim sub) 1.0
+        else Sensitivity.probabilities sens
+      in
+      Dist.sample_weighted rng (masked_weights ~mask base)
+
+let offspring ~kernels params rng sub sens ~parent axis_index =
   let axis = Subspace.axis sub axis_index in
   let n = Axis.cardinality axis in
   let old_value = Point.get parent.Test_case.point axis_index in
@@ -99,7 +102,11 @@ let mutate ?mask ~kernels params rng sub sens ~parent =
       Dist.sample_gaussian_excluding rng kernel ~center:old_value
     end
   in
-  (Point.with_component parent.Test_case.point axis_index new_value, axis_index)
+  Point.with_component parent.Test_case.point axis_index new_value
+
+let mutate ?mask ~kernels params rng sub sens ~parent =
+  let axis = mutation_axis ?mask params rng sub sens in
+  (offspring ~kernels params rng sub sens ~parent axis, axis)
 
 let[@inline] novel history is_pending p =
   (not (History.mem history p)) && not (is_pending p)
@@ -128,7 +135,8 @@ let rec attempt stats mask kernels params rng sub sens queue history is_pending 
         end
     | Some parent ->
         let m = mask parent in
-        let point, axis = mutate ?mask:m ~kernels params rng sub sens ~parent in
+        let axis = mutation_axis ?mask:m params rng sub sens in
+        let point = offspring ~kernels params rng sub sens ~parent axis in
         if novel history is_pending point && Subspace.mem sub point then begin
           (match (stats, m) with
           | Some s, Some _ -> s.masked <- s.masked + 1

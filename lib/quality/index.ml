@@ -178,7 +178,6 @@ let representatives t = List.map List.hd (clusters t)
 type dump = {
   d_entries : int array list;  (* distinct traces, id order *)
   d_parent : int list;  (* raw union-find vector, one slot per distinct *)
-  d_items : int list;  (* observation order *)
 }
 
 let dump t =
@@ -186,7 +185,6 @@ let dump t =
     d_entries =
       List.init t.n_distinct (fun i -> Array.copy t.entries.(i).tokens);
     d_parent = List.init t.n_distinct (fun i -> Vec.get t.parent i);
-    d_items = List.init (Vec.length t.items) (fun i -> Vec.get t.items i);
   }
 
 exception Bad of string
@@ -223,10 +221,16 @@ let load ?threshold ~intern d =
     for i = 0 to n - 1 do
       if Vec.get t.parent i = i then t.n_clusters <- t.n_clusters + 1
     done;
-    List.iter
-      (fun id ->
-        if id < 0 || id >= n then bad "item refers to unknown distinct %d" id;
-        Vec.push t.items id)
-      d.d_items;
     Ok t
   with Bad m -> Error ("Index.load: " ^ m)
+
+let replay t trace =
+  let tokens = Array.of_list (List.map (Trace_intern.find t.intern) trace) in
+  Vec.push t.items (Hashtbl.find t.exact tokens)
+
+let unobserved t =
+  let seen = Array.make t.n_distinct false in
+  for i = 0 to Vec.length t.items - 1 do
+    seen.(Vec.get t.items i) <- true
+  done;
+  Array.fold_left (fun n s -> if s then n else n + 1) 0 seen

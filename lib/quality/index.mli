@@ -46,22 +46,35 @@ val representatives : t -> int list
 
 (** {2 Snapshots}
 
-    The whole index state relative to a shared intern table: distinct
-    traces in id order, the raw union-find vector, and the observation
-    log. Re-observing would re-run the quadratic linkage; loading the
-    dump is linear and restores the partition bit-for-bit. *)
+    The index's distinct traces and their partition, relative to a
+    shared intern table: distinct traces in id order and the raw
+    union-find vector. Re-observing would re-run the quadratic linkage;
+    loading the dump is linear and restores the partition bit-for-bit.
+    The observation order is not in the dump: whoever observed the
+    traces keeps them, and hands them to {!replay} after {!load}. *)
 
 type dump = {
   d_entries : int array list;  (** distinct traces, id order *)
   d_parent : int list;  (** union-find parent of each distinct id *)
-  d_items : int list;  (** distinct id per observation, oldest first *)
 }
 
 val dump : t -> dump
 
 val load :
   ?threshold:float -> intern:Trace_intern.t -> dump -> (t, string) result
-(** Inverse of {!dump} against the same (restored) intern table.
-    [Error] — never an exception — on token ids outside the table,
-    duplicate traces, non-min-rooted parents, mismatched vector lengths
-    or out-of-range items, so corrupt snapshots are rejected cleanly. *)
+(** Inverse of {!dump} against the same (restored) intern table, with no
+    observation yet ([length] 0). [Error] — never an exception — on
+    token ids outside the table, duplicate traces, non-min-rooted
+    parents or mismatched vector lengths, so corrupt snapshots are
+    rejected cleanly. *)
+
+val replay : t -> string list -> unit
+(** Append one observation of a trace the index already holds, as
+    {!observe} would: a lookup that interns no frame and adds no
+    distinct trace. Raises [Not_found] if the trace is not one of the
+    index's distinct traces. *)
+
+val unobserved : t -> int
+(** Distinct traces that no observation names: 0 in an index built by
+    {!observe}, and in a loaded one once every observation is
+    replayed. *)

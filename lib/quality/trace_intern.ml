@@ -25,6 +25,8 @@ let intern_frame t frame =
       Hashtbl.add t.ids frame id;
       id
 
+let find t frame = Hashtbl.find t.ids frame
+
 let intern t trace =
   let arr = Array.make (List.length trace) 0 in
   List.iteri (fun i frame -> arr.(i) <- intern_frame t frame) trace;

@@ -19,6 +19,9 @@ val size : t -> int
 val intern_frame : t -> string -> int
 (** Id of a frame, allocating the next id on first sight. *)
 
+val find : t -> string -> int
+(** Id of a frame already interned; raises [Not_found] otherwise. *)
+
 val intern : t -> string list -> int array
 (** Tokenize a whole trace, in order. *)
 

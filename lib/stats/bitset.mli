@@ -27,12 +27,20 @@ val extend : t -> int -> t
     @raise Invalid_argument if [n < capacity t]. *)
 
 val set_run : t -> int -> int -> unit
-(** [set_run t first last] sets bits [first] to [last], both included.
+(** [set_run t first last] sets bits [first] to [last], both included,
+    a byte at a time.
     @raise Invalid_argument unless [0 <= first <= last < capacity t]. *)
 
-val fold_runs : ('a -> int -> int -> 'a) -> 'a -> t -> 'a
-(** [fold_runs f acc t] folds [f acc first last] over the maximal runs
-    of set bits, in ascending order. Allocates nothing itself. *)
+val runs : t -> int
+(** The number of maximal runs of set bits. *)
+
+val fold_runs : ('c -> 'a -> int -> int -> 'a) -> 'c -> 'a -> t -> 'a
+(** [fold_runs f c acc t] folds [f c acc first last] over the maximal
+    runs of set bits, in ascending order. The scan takes its run
+    boundaries from each 32-bit word's transition mask and steps over
+    words without one. It allocates nothing itself, so a toplevel [f]
+    that keeps its state in [c] and an immediate [acc] folds without
+    allocating. *)
 
 val equal : t -> t -> bool
 

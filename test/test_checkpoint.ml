@@ -290,7 +290,7 @@ let test_meta_mismatch_rejected () =
    made by [explore -t apache -n 40 --seed 7 --checkpoint]): the decoder
    and resume must all refuse them by their header. *)
 let test_version_5_refused () =
-  let expected = "afex-checkpoint 8" in
+  let expected = "afex-checkpoint 9" in
   List.iter
     (fun version ->
       let golden = Filename.concat "golden" ("checkpoint_v" ^ version) in
@@ -313,7 +313,7 @@ let test_version_5_refused () =
           | Error e ->
               checkb "resume names the expected header" true
                 (contains e expected)))
-    [ "5"; "6"; "7" ]
+    [ "5"; "6"; "7"; "8" ]
 
 (* ---- crash-point sweep over a real pooled campaign ------------------- *)
 
@@ -359,6 +359,69 @@ let resume_to_end ~dir ~config =
         ~finally:(fun () -> Checkpoint.close cp)
         (fun () -> session_exports ~checkpoint:cp config)
 
+(* [session_exports]' schedule on a bare explorer, up to the sync
+   watermark [upto]: a window of 8 tests, drained at every multiple of
+   25, each run by the executor at its release. The memo cache only
+   spares a rerun of a deterministic executor, so the explorer sees the
+   session's outcomes in the session's order. *)
+let explorer_at config upto =
+  let ex = Explorer.create config (space ()) (executor ()) in
+  let window = Queue.create () in
+  let submitted = ref 0 and released = ref 0 and next_sync = ref 25 in
+  let rec go () =
+    if !released >= !next_sync then begin
+      next_sync := !next_sync + 25;
+      go ()
+    end
+    else if
+      !submitted - !released < 8 && !submitted < !next_sync && !submitted < upto
+    then begin
+      (match Explorer.next ex with
+      | Some p -> Queue.push p window
+      | None -> Alcotest.fail "the explorer ran dry");
+      incr submitted;
+      go ()
+    end
+    else if !released < !submitted then begin
+      ignore (Explorer.execute ex (Queue.pop window));
+      incr released;
+      go ()
+    end
+  in
+  go ();
+  ex
+
+(* The explorer a resume restores rebuilds each index's observation
+   order from the records: both indexes must equal those of the
+   uninterrupted explorer at the snapshot's iteration. *)
+let check_restored_indexes ~dir ~config =
+  match Checkpoint.resume ~every:25 ~dir meta with
+  | Error e -> Alcotest.fail e
+  | Ok cp -> (
+      Checkpoint.close cp;
+      let snap = Option.get (Checkpoint.loaded_snapshot cp) in
+      let x = snap.Checkpoint.Snapshot.explorer in
+      match Explorer.restore config (space ()) (executor ()) x with
+      | Error e -> Alcotest.fail e
+      | Ok restored ->
+          let at = x.Explorer.Snapshot.iterations in
+          let live = explorer_at config at in
+          Alcotest.(check int) "same iteration" at (Explorer.iterations live);
+          List.iter
+            (fun (what, index) ->
+              let module Index = Afex_quality.Index in
+              Alcotest.(check int)
+                (Printf.sprintf "%s index length at %d" what at)
+                (Index.length (index live))
+                (Index.length (index restored));
+              Alcotest.(check (list (list int)))
+                (Printf.sprintf "%s index clusters at %d" what at)
+                (Index.clusters (index live))
+                (Index.clusters (index restored)))
+            [
+              ("failure", Explorer.failure_index); ("crash", Explorer.crash_index);
+            ])
+
 let test_kill_point_sweep () =
   let config = Config.fitness_guided ~seed:7 () in
   let base_json, base_csv = session_exports config in
@@ -390,6 +453,7 @@ let test_kill_point_sweep () =
               (Printf.sprintf "records logged before the crash at append %d" k)
               true
               (log_size dir > 0);
+          check_restored_indexes ~dir ~config;
           let json, csv = resume_to_end ~dir ~config in
           checks (Printf.sprintf "JSON identical after crash at append %d" k)
             base_json json;
@@ -521,6 +585,85 @@ let test_torn_wal_tail_tolerated () =
           let last = List.hd (List.rev (framed_records b)) in
           String.length b - String.length last + 5 );
     ]
+
+(* The journal's groups in an uninterrupted campaign: each as the
+   running append count of its first record, and its size. *)
+let journal_groups config =
+  let groups = ref [] and handle = ref None and writes = ref 0 in
+  let on_append n =
+    let w = (Checkpoint.stats (Option.get !handle)).Checkpoint.wal_writes in
+    if w <> !writes then begin
+      writes := w;
+      groups := (n, 1) :: !groups
+    end
+    else
+      match !groups with
+      | (first, size) :: rest -> groups := (first, size + 1) :: rest
+      | [] -> assert false
+  in
+  with_dir (fun dir ->
+      match
+        Checkpoint.start ~hooks:{ Checkpoint.no_hooks with Checkpoint.on_append }
+          ~every:25 ~dir meta
+      with
+      | Error e -> Alcotest.fail e
+      | Ok cp ->
+          handle := Some cp;
+          ignore (session_exports ~checkpoint:cp config);
+          Checkpoint.close cp);
+  List.rev !groups
+
+(* A kill right after a group's write leaves that whole group in the
+   journal, ahead of what the explorer absorbed; a kill inside the write
+   leaves its first records whole and the next one torn. Resume replays
+   the whole records, drops the torn one and re-runs it, and exports
+   what the uninterrupted campaign exports. So does a crash raised from
+   [on_append] halfway through a group's callbacks. *)
+let test_torn_group_resumes () =
+  let config = Config.fitness_guided ~seed:7 () in
+  let base_json, base_csv = session_exports config in
+  let first, size =
+    match
+      List.find_opt (fun (first, size) -> first > 100 && size >= 4)
+        (journal_groups config)
+    with
+    | Some g -> g
+    | None -> Alcotest.fail "no group of four records"
+  in
+  let resumes dir =
+    let json, csv = resume_to_end ~dir ~config in
+    checks "JSON identical" base_json json;
+    checks "CSV identical" base_csv csv
+  in
+  with_dir (fun dir ->
+      checkb "crashed after the group's write" true
+        (crash_at ~dir ~config
+           {
+             Checkpoint.no_hooks with
+             Checkpoint.on_append = (fun n -> if n = first then raise Crash);
+           });
+      let wal = Filename.concat dir "wal.log" in
+      let bytes = read_file wal in
+      let records = framed_records bytes in
+      let n = List.length records in
+      checkb "the whole group is journaled" true (n >= size);
+      (* The group is the journal's last [size] records: keep its first
+         two and part of its third. *)
+      let third =
+        List.fold_left ( + ) 0
+          (List.map String.length (List.filteri (fun i _ -> i < n - size + 2) records))
+      in
+      write_file wal (String.sub bytes 0 (third + 20));
+      resumes dir);
+  with_dir (fun dir ->
+      checkb "crashed halfway through the group's callbacks" true
+        (crash_at ~dir ~config
+           {
+             Checkpoint.no_hooks with
+             Checkpoint.on_append =
+               (fun n -> if n = first + (size / 2) then raise Crash);
+           });
+      resumes dir)
 
 let test_corrupt_wal_interior_rejected () =
   let config = Config.fitness_guided ~seed:7 () in
@@ -728,6 +871,43 @@ let coverage_codec_agrees b =
       && Bitset.capacity back = List.fold_left (fun _ i -> i + 1) 0 blocks
       && Bitset.equal (Bitset.extend back (Bitset.capacity b)) b
 
+(* Every outcome of a 3,000-test seed-9 session of mysql, apache and
+   the replicated-consensus simulator, with its point, recorded as the
+   executor returns it. *)
+let session_outcomes =
+  lazy
+    (let module Replsim = Afex_simtarget.Replsim in
+     let module Replfault = Afex_injector.Replfault in
+     let record sub (exec : Afex.Executor.t) =
+       let log = ref [] in
+       let recording =
+         Afex.Executor.of_scenario_fn ~total_blocks:exec.Afex.Executor.total_blocks
+           ~description:"recording" (fun s ->
+             let o = exec.Afex.Executor.run_scenario s in
+             log := o :: !log;
+             o)
+       in
+       let r =
+         Afex.Session.run ~iterations:3000 (Config.fitness_guided ~seed:9 ()) sub
+           recording
+       in
+       List.map2
+         (fun (c : Afex.Test_case.t) o -> (c.Afex.Test_case.point, o))
+         r.Afex.Session.executed (List.rev !log)
+     in
+     let cluster = Replsim.make ~n:12 ~rounds:300 ~seed:11 () in
+     [
+       ("mysql", record (Mysql.space ()) (Afex.Executor.of_target (Mysql.target ())));
+       ("apache", record (space ()) (executor ()));
+       ( "replsim",
+         record
+           (Replfault.multi_space ~arms:2 cluster)
+           (Afex.Executor.of_scenario_fn
+              ~total_blocks:(Replsim.total_blocks cluster)
+              ~description:(Replfault.description cluster)
+              (Replfault.run_scenario cluster)) );
+     ])
+
 let test_encoders_match_reference () =
   let sets capacity =
     let make f =
@@ -745,6 +925,13 @@ let test_encoders_match_reference () =
       make (fun i -> i = capacity - 1);
       make (fun i -> i >= capacity / 2);
       make (fun i -> i mod 9 < 4);
+      (* whole words of ones, runs across word boundaries, and runs that
+         reach the last block *)
+      make (fun i -> i >= 32 && i < 96);
+      make (fun i -> i mod 50 < 40);
+      make (fun i -> i mod 33 >= 20);
+      make (fun i -> i >= capacity - 40);
+      make (fun i -> i mod 64 = 31 || i mod 64 = 32);
     ]
   in
   List.iter
@@ -756,11 +943,19 @@ let test_encoders_match_reference () =
               capacity
               (String.concat ";" (List.map string_of_int (blocks_of b))))
         (sets capacity))
-    [ 0; 1; 7; 8; 9; 63; 64; 65 ];
+    [ 0; 1; 7; 8; 9; 31; 32; 33; 63; 64; 65; 127; 128; 129; 1000; 4095; 4096 ];
+  List.iter
+    (fun (target, outcomes) ->
+      List.iteri
+        (fun i (_, (o : Afex_injector.Outcome.t)) ->
+          if not (coverage_codec_agrees o.Afex_injector.Outcome.coverage) then
+            Alcotest.failf "coverage codec disagrees on %s test %d" target (i + 1))
+        outcomes)
+    (Lazy.force session_outcomes);
   Prop.check ~count:300 "coverage codec matches the list codec"
-    (Prop.pair (Prop.int_range 0 300)
+    (Prop.pair (Prop.int_range 0 4096)
        (Prop.list ~max_length:20
-          (Prop.pair (Prop.int_range 0 299) (Prop.int_range 0 20))))
+          (Prop.pair (Prop.int_range 0 4095) (Prop.int_range 0 300))))
     (fun (capacity, runs) ->
       let b = Bitset.create capacity in
       List.iter
@@ -857,7 +1052,11 @@ let test_framing_matches_reference () =
   Prop.check ~count:200 "framing matches the reference" payload_arb
     (fun payloads ->
       let f = Checkpoint.Framer.create () in
-      List.iter (fun p -> Checkpoint.Framer.add f (add p)) payloads;
+      List.iter
+        (fun p ->
+          add p (Checkpoint.Framer.start f);
+          Checkpoint.Framer.finish f)
+        payloads;
       String.equal
         (Checkpoint.Framer.contents f)
         (String.concat "" (List.map (fun p -> reference_framed (add p)) payloads)));
@@ -881,8 +1080,11 @@ let test_framing_matches_reference () =
       | Error e -> Alcotest.fail e
       | Ok cp ->
           List.iter
-            (fun (seq, point, o) -> Checkpoint.append_outcome cp ~point ~seq o)
+            (fun (seq, point, o) ->
+              Checkpoint.stage cp ~point ~seq o;
+              if seq mod 7 = 0 then Checkpoint.flush cp)
             records;
+          Checkpoint.flush cp;
           Checkpoint.close cp);
       let expected =
         String.concat ""
@@ -898,6 +1100,128 @@ let test_framing_matches_reference () =
       in
       checkb "journal bytes equal the reference framing" true
         (String.equal expected (read_file (Filename.concat dir "wal.log"))))
+
+(* A journal record is the reference framing of the point's components
+   and the outcome as a reply from a fresh encoder, whatever the group
+   it was written in. Every outcome of the three sessions is checked,
+   apache's crash stacks among them, and so are stacks that repeat a
+   frame within themselves and across the two, and empty ones. *)
+let test_journal_records_match_reference () =
+  let reference seq point o =
+    reference_framed (fun b ->
+        let components = Afex_faultspace.Point.to_list point in
+        Message.add_uv b (List.length components);
+        List.iter (Message.add_uv b) components;
+        Message.V2.encode_reply (Message.V2.server_enc ()) b
+          (Message.Scenario_result (Message.report_of_outcome ~seq o)))
+  in
+  let sessions = Lazy.force session_outcomes in
+  let crafted =
+    let point, (o : Afex_injector.Outcome.t) = List.hd (List.assoc "mysql" sessions) in
+    List.map
+      (fun (injection_stack, crash_stack) ->
+        (point, { o with Afex_injector.Outcome.injection_stack; crash_stack }))
+      [
+        (Some [ "a"; "b"; "a"; "a" ], Some [ "b"; "c"; "a"; "c" ]);
+        (Some [], None);
+        (None, Some []);
+        (Some [], Some [ "x"; "x" ]);
+        (Some [ "only" ], Some [ "only" ]);
+        (None, None);
+      ]
+  in
+  checkb "apache crashes carry stacks" true
+    (List.exists
+       (fun (_, (o : Afex_injector.Outcome.t)) ->
+         o.Afex_injector.Outcome.crash_stack <> None)
+       (List.assoc "apache" sessions));
+  List.iter
+    (fun (what, outcomes) ->
+      with_dir (fun dir ->
+          (match Checkpoint.start ~dir meta with
+          | Error e -> Alcotest.fail e
+          | Ok cp ->
+              (* Groups of 1, 2, ..., 9 records, over and over. *)
+              let staged = ref 0 and size = ref 1 in
+              List.iteri
+                (fun i (point, o) ->
+                  Checkpoint.stage cp ~point ~seq:(i + 1) o;
+                  incr staged;
+                  if !staged = !size then begin
+                    Checkpoint.flush cp;
+                    staged := 0;
+                    size := (!size mod 9) + 1
+                  end)
+                outcomes;
+              Checkpoint.flush cp;
+              Checkpoint.close cp);
+          let expected =
+            String.concat ""
+              (List.mapi (fun i (point, o) -> reference (i + 1) point o) outcomes)
+          in
+          checkb (what ^ ": journal bytes equal the reference") true
+            (String.equal expected (read_file (Filename.concat dir "wal.log")))))
+    (("crafted stacks", crafted) :: sessions)
+
+(* Staging and flushing a journal record allocates nothing once the
+   handle's buffers have grown: about 103 minor words per outcome while
+   each record built a report, a reply box, a framing closure, a point
+   list and interned its frames through a hash table. *)
+let test_journal_allocation_gate () =
+  let outcomes = List.assoc "mysql" (Lazy.force session_outcomes) in
+  with_dir (fun dir ->
+      match Checkpoint.start ~dir meta with
+      | Error e -> Alcotest.fail e
+      | Ok cp ->
+          let journal seq0 =
+            List.iteri
+              (fun i (point, o) ->
+                Checkpoint.stage cp ~point ~seq:(seq0 + i) o;
+                if i mod 32 = 31 then Checkpoint.flush cp)
+              outcomes;
+            Checkpoint.flush cp
+          in
+          journal 1;
+          let w0 = Gc.minor_words () in
+          journal (List.length outcomes + 1);
+          let words = (Gc.minor_words () -. w0) /. float_of_int (List.length outcomes) in
+          Checkpoint.close cp;
+          if words > 2.0 then
+            Alcotest.failf
+              "the journal allocates %.1f minor words per outcome (ceiling 2)"
+              words)
+
+(* The pool journals a window's known outcomes in one write: 94 writes
+   for a 3,000-test mysql campaign, where one write per outcome made
+   3,000. *)
+(* A 3,000-test seed-9 mysql campaign checkpointed into [dir] at the
+   default cadence, and its checkpoint's counts. *)
+let seed9_campaign dir =
+  let cp =
+    match Checkpoint.start ~every:500 ~dir [ ("probe", "1") ] with
+    | Ok cp -> cp
+    | Error e -> Alcotest.fail e
+  in
+  let pool =
+    Pool.create ~jobs:1 (Pool.Pure (Afex.Executor.of_target (Mysql.target ())))
+  in
+  ignore
+    (Pool.session ~checkpoint:cp ~iterations:3000 pool
+       (Config.fitness_guided ~seed:9 ())
+       (Mysql.space ()));
+  Pool.shutdown pool;
+  let st = Checkpoint.stats cp in
+  Checkpoint.close cp;
+  st
+
+let test_journal_group_commit () =
+  with_dir (fun dir ->
+      let st = seed9_campaign dir in
+      Alcotest.(check int) "every outcome journaled" 3000
+        st.Checkpoint.wal_appends;
+      if st.Checkpoint.wal_writes > 100 then
+        Alcotest.failf "%d journal writes for 3,000 outcomes (ceiling 100)"
+          st.Checkpoint.wal_writes)
 
 (* ---- snapshot cost ---------------------------------------------------- *)
 
@@ -973,32 +1297,41 @@ let test_snapshot_cost_tracks_new_tests () =
        (limit 1.15x)"
       short long
 
+(* The snapshot holds the explorer's live state and the indexes'
+   distinct traces, which a campaign's length barely moves; it held
+   every failing test's observation too, so it grew from 37,246 bytes at
+   8,000 tests to 56,180 at 32,000 (1.51x). *)
+let test_snapshot_size_tracks_live_state () =
+  let size n =
+    with_dir (fun dir ->
+        ignore (mysql_campaign ~dir n);
+        String.length (read_file (Filename.concat dir "snapshot.afex")))
+  in
+  let short = size 8_000 in
+  let long = size 32_000 in
+  if float_of_int long > 1.25 *. float_of_int short then
+    Alcotest.failf
+      "the final snapshot grew from %d bytes at 8,000 tests to %d at 32,000 \
+       (limit 1.25x)"
+      short long
+
 (* The bytes of a checkpointed mysql campaign, computed before the queue
    kept fitness in a column of its own: a snapshot must still hold each
    queued record's aged fitness, and the record log each retired
-   record's final one. *)
+   record's final one. The record log's pin dates from then; the
+   snapshot's was recomputed once for version 9, which equals the
+   version-8 file (31,464 bytes, 9f206faa...) with the header digit, the
+   two indexes' observation lists (1,217 and 399 entries) and the
+   checksum trailer set aside. *)
 let test_checkpoint_bytes_pinned () =
   with_dir (fun dir ->
-      let cp =
-        match Checkpoint.start ~every:500 ~dir [ ("probe", "1") ] with
-        | Ok cp -> cp
-        | Error e -> Alcotest.fail e
-      in
-      let pool =
-        Pool.create ~jobs:1 (Pool.Pure (Afex.Executor.of_target (Mysql.target ())))
-      in
-      ignore
-        (Pool.session ~checkpoint:cp ~iterations:3000 pool
-           (Config.fitness_guided ~seed:9 ())
-           (Mysql.space ()));
-      Pool.shutdown pool;
-      Checkpoint.close cp;
+      ignore (seed9_campaign dir);
       let file name expect_bytes expect_md5 =
         let s = read_file (Filename.concat dir name) in
         Alcotest.(check int) (name ^ " bytes") expect_bytes (String.length s);
         checks (name ^ " digest") expect_md5 (Digest.to_hex (Digest.string s))
       in
-      file "snapshot.afex" 31_464 "9f206faa99ecf6ade6d891a6ef57f8f1";
+      file "snapshot.afex" 29_844 "9bc41182a0f45ed2e768becc4941d57e";
       file "records.log" 389_646 "f953bab968c96ba567a41f8b9dfe91ef";
       file "wal.log" 0 (Digest.to_hex (Digest.string "")))
 
@@ -1064,6 +1397,76 @@ let test_restore_rejects_nan () =
   checkb "a NaN sensitivity sample refused" false
     (restores { snap with Explorer.Snapshot.sensitivity })
 
+(* A snapshot holds no index's observation order, so restore rebuilds it
+   from the records and refuses a snapshot whose checksum holds but
+   whose records and indexes disagree: a record whose crash stack the
+   crash index lacks, or an index entry that no record observes. *)
+let test_restore_rejects_unobserved_traces () =
+  let config = Config.fitness_guided ~seed:7 () in
+  let ex = Explorer.create config (space ()) (executor ()) in
+  for _ = 1 to 200 do
+    match Explorer.next ex with
+    | Some p -> ignore (Explorer.execute ex p)
+    | None -> ()
+  done;
+  let snap = Explorer.capture ex in
+  let restore (s : Explorer.Snapshot.t) =
+    let bytes =
+      Checkpoint.Snapshot.encode
+        {
+          Checkpoint.Snapshot.meta;
+          mark = { Checkpoint.Snapshot.logged = 0; log_bytes = 0 };
+          explorer = s;
+        }
+    in
+    match Checkpoint.Snapshot.decode bytes with
+    | Error e -> Alcotest.failf "checksummed snapshot refused: %s" e
+    | Ok decoded ->
+        Explorer.restore config (space ()) (executor ())
+          decoded.Checkpoint.Snapshot.explorer
+  in
+  (match restore snap with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "the untouched snapshot is refused: %s" e);
+  let stack =
+    match
+      List.find_map
+        (fun (c : Afex.Test_case.t) -> c.Afex.Test_case.crash_stack)
+        snap.Explorer.Snapshot.records
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "no crash in 200 apache tests"
+  in
+  let with_crash_stacks f =
+    {
+      snap with
+      Explorer.Snapshot.records =
+        List.map
+          (fun (c : Afex.Test_case.t) ->
+            { c with Afex.Test_case.crash_stack = f c.Afex.Test_case.crash_stack })
+          snap.Explorer.Snapshot.records;
+    }
+  in
+  List.iter
+    (fun (what, s) ->
+      match restore s with
+      | Ok _ -> Alcotest.failf "%s: restore must refuse it" what
+      | Error e -> checkb (what ^ ": names the restore") true (contains e "restore"))
+    [
+      ( "a crash stack with a frame the intern table lacks",
+        with_crash_stacks (function
+          | Some s when s = stack -> Some ("no such frame" :: s)
+          | other -> other) );
+      ( "a crash stack of known frames that is no entry",
+        with_crash_stacks (function
+          | Some s when s = stack -> Some (s @ s)
+          | other -> other) );
+      ( "a crash trace that no record observes",
+        with_crash_stacks (function
+          | Some s when s = stack -> None
+          | other -> other) );
+    ]
+
 let test_stop_incompatible () =
   with_dir (fun dir ->
       match Checkpoint.start ~dir meta with
@@ -1110,11 +1513,21 @@ let suite =
     ("journal encoders match reference", `Quick, test_encoders_match_reference);
     ("fault codec round-trips", `Quick, test_fault_codec_roundtrips);
     ("framing matches reference", `Quick, test_framing_matches_reference);
+    ("journal records match the reply reference", `Quick,
+      test_journal_records_match_reference);
+    ("journal allocation gate", `Quick, test_journal_allocation_gate);
+    ("journal writes one group per window", `Quick, test_journal_group_commit);
     ("snapshot cost tracks new tests", `Quick,
       test_snapshot_cost_tracks_new_tests);
     ("checkpoint bytes pinned across versions", `Quick, test_checkpoint_bytes_pinned);
     ("restore rejects NaN fitness and samples", `Quick, test_restore_rejects_nan);
+    ("restore rejects traces records and indexes disagree on", `Quick,
+      test_restore_rejects_unobserved_traces);
+    ("snapshot size tracks live state", `Quick,
+      test_snapshot_size_tracks_live_state);
     ("torn journal tail is re-executed", `Quick, test_torn_wal_tail_tolerated);
+    ("torn journal group resumes byte-identically", `Quick,
+      test_torn_group_resumes);
     ("interior journal corruption rejected", `Quick, test_corrupt_wal_interior_rejected);
     ("stop predicates cannot be checkpointed", `Quick, test_stop_incompatible);
     ("restore rejects points outside the subspace", `Quick,

@@ -469,9 +469,12 @@ let test_pinned_history_apache () =
    step at 450. Aging then re-boxed the fitness of every queued record
    on every report, and [next] built a closure per tally: about 64 words
    per [next] and 149 per [report]. With the queue's fitness in a column
-   of its own, a cached sensitivity vector and no closures, they take
-   about 38 each, and each has a ceiling of 80: any return of aging's
-   boxes fails the report's. *)
+   of its own, a cached sensitivity vector and no closures, they took
+   about 40 each, and each had a ceiling of 80: any return of aging's
+   boxes fails the report's. [next] then still built [Mutator.next]'s
+   [is_pending] closure and the [Some] boxes of its [?stats] and [?mask]
+   on every call; built once per explorer, it takes about 31.5, and its
+   ceiling is 38, which the per-call arguments fail. *)
 
 let stub_blocks = 64
 
@@ -517,12 +520,12 @@ let test_explorer_allocation_gate () =
   checkb "mostly mutation proposals" true
     ((Explorer.mutator_stats explorer).Mutator.proposals > 1900);
   Array.iteri
-    (fun i call ->
+    (fun i (call, ceiling) ->
       let per_step = words.(i) /. float_of_int steps in
-      if per_step > 80.0 then
-        Alcotest.failf "explorer %s allocates %.1f words per step (ceiling 80)" call
-          per_step)
-    [| "next"; "report" |]
+      if per_step > ceiling then
+        Alcotest.failf "explorer %s allocates %.1f words per step (ceiling %.0f)"
+          call per_step ceiling)
+    [| ("next", 38.0); ("report", 80.0) |]
 
 (* The replsim executor on the benchmark's cluster: decode a two-arm
    scenario, simulate, build the outcome. The simulator allocated about

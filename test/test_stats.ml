@@ -486,7 +486,9 @@ let test_bitset_runs_iter () =
   let a = Bitset.create 20 in
   List.iter (Bitset.set a) [ 19; 0; 7 ];
   Bitset.set_run a 8 15;
-  let runs = Bitset.fold_runs (fun acc first last -> (first, last) :: acc) [] a in
+  let runs =
+    Bitset.fold_runs (fun () acc first last -> (first, last) :: acc) () [] a
+  in
   Alcotest.(check (list (pair int int)))
     "maximal runs, ascending" [ (0, 0); (7, 15); (19, 19) ] (List.rev runs);
   let acc = ref 0 in
@@ -536,6 +538,80 @@ let qcheck_tests =
         i >= 0 && i < List.length weights);
   ]
 
+(* [set_run] fills whole bytes and [fold_runs]/[runs] read 32-bit
+   words; both must agree with a bit-by-bit reference on every run of
+   small sets whose capacities straddle byte and word boundaries, and on
+   random runs of sets up to 4,096 blocks. *)
+let reference_runs b =
+  let runs = ref [] and start = ref (-1) in
+  for i = 0 to Bitset.capacity b do
+    let set = i < Bitset.capacity b && Bitset.mem b i in
+    if set && !start < 0 then start := i
+    else if (not set) && !start >= 0 then begin
+      runs := (!start, i - 1) :: !runs;
+      start := -1
+    end
+  done;
+  List.rev !runs
+
+let word_runs b =
+  List.rev (Bitset.fold_runs (fun () acc first last -> (first, last) :: acc) () [] b)
+
+let test_bitset_word_runs () =
+  let agree what b =
+    let expect = reference_runs b in
+    if word_runs b <> expect || Bitset.runs b <> List.length expect then
+      Alcotest.failf "%s: word scan disagrees with the bit scan" what
+  in
+  (* The same runs set with [set_run] and bit by bit, over what is
+     already set. *)
+  let both capacity runs =
+    let by_bits = Bitset.create capacity and by_run = Bitset.create capacity in
+    List.iter
+      (fun (first, last) ->
+        for i = first to last do
+          Bitset.set by_bits i
+        done;
+        Bitset.set_run by_run first last)
+      runs;
+    if not (Bitset.equal by_bits by_run) then
+      Alcotest.failf "set_run disagrees with set on capacity %d, runs [%s]"
+        capacity
+        (String.concat "; "
+           (List.map (fun (f, l) -> Printf.sprintf "%d-%d" f l) runs));
+    by_run
+  in
+  List.iter
+    (fun capacity ->
+      for first = 0 to capacity - 1 do
+        for last = first to min (capacity - 1) (first + 70) do
+          let what = Printf.sprintf "run [%d,%d] of %d" first last capacity in
+          agree what (both capacity [ (first, last) ]);
+          (* One gap before a neighbour run, and the last block. *)
+          if last + 2 < capacity then
+            agree (what ^ " and a neighbour")
+              (both capacity
+                 [ (first, last); (last + 2, capacity - 1); (first, first) ])
+        done
+      done)
+    [ 0; 1; 7; 8; 9; 31; 32; 33; 63; 64; 65; 127; 128; 129 ];
+  let rng = Rng.create 11 in
+  for _ = 1 to 400 do
+    let capacity = Rng.int rng 4097 in
+    let runs =
+      if capacity = 0 then []
+      else
+        List.init (Rng.int rng 40) (fun _ ->
+            let first = Rng.int rng capacity in
+            (first, min (capacity - 1) (first + Rng.int rng 300)))
+    in
+    agree (Printf.sprintf "random set of capacity %d" capacity)
+      (both capacity runs)
+  done;
+  let full = both 4096 [ (0, 4095) ] in
+  agree "all ones" full;
+  checki "all ones: one run" 1 (Bitset.runs full)
+
 let suite =
   List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
     [
@@ -574,5 +650,6 @@ let suite =
       ("bitset union/diff", test_bitset_union_diff);
       ("bitset copy independent", test_bitset_copy_independent);
       ("bitset runs/extend/iter", test_bitset_runs_iter);
+      ("bitset word runs match the bit scan", test_bitset_word_runs);
     ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
